@@ -1,8 +1,8 @@
 """End-to-end acceptance battery: one test per numbered criterion.
 
 All criteria share one seeded instance pool and the battery takes about
-a minute and a half, so it runs exactly once per session; each test then
-prints the verdict line of its criterion and asserts it.
+25 seconds, so it runs exactly once per session; each test then prints
+the verdict line of its criterion and asserts it.
 """
 
 import pytest

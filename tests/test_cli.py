@@ -255,9 +255,14 @@ def test_help_exits_zero_and_documents_exit_codes(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same altproj as this process, also when pytest
+    # put src on sys.path without setting PYTHONPATH
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "altproj.cli", "--help"],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "geometry" in proc.stdout and "suite" in proc.stdout

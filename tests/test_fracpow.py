@@ -173,3 +173,64 @@ def test_super_poly_vector_is_in_every_listed_class():
     x = super_poly_vector(cp, (0.5, 1.0, 2.0), seed=9)
     trace = iterate(cp, x, 500)
     assert decay_slope(trace, (50, 500)) <= -1.5
+
+
+def _literal_partial_sums(t, x, alpha, n_max, sample):
+    """||sum_{k<=n} k^(alpha-1) T^k x|| by one matvec per step, at the n in sample."""
+    cur = np.asarray(x, dtype=complex)
+    acc = np.zeros_like(cur)
+    norms = {}
+    for k in range(1, n_max + 1):
+        cur = t @ cur
+        acc += float(k) ** (alpha - 1.0) * cur
+        if k in sample:
+            norms[k] = float(np.linalg.norm(acc))
+    return norms
+
+
+# the last block's angle 3e-3 gives the eigenvalue cos^2 = 1 - 9e-6, so the
+# tail certificate cannot stop the run before n_max.  A steeper taper puts
+# less weight there: at power 3 the sup stabilizes inside the first decade,
+# and at 2.25 over 5001 steps it grows 4.9e-6 after step 2048 (the head
+# cut) but only 9e-7 after step 4096
+@pytest.mark.parametrize("taper_power,alpha,n_max", [(1, 0.5, 70001), (3, 1.0, 70001),
+                                                     (2.25, 0.5, 5001)])
+def test_blocked_partial_sums_match_a_per_step_loop(taper_power, alpha, n_max):
+    model = block_aligned(30, np.geomspace(1.0, 3e-3, 30))
+    cp = model.cyclic()
+    taper = np.arange(1.0, 31.0) ** -taper_power
+    y = model.m1_vector(taper / np.linalg.norm(taper))
+    x = make_alpha_vector(cp, alpha, seed=7, y=y, z=np.zeros(model.ambient_dim)).x
+    sup, bounded = partial_sum_characterization(cp, x, alpha, n_max)
+    # runs beyond 65536 steps read the norm every 256 steps and at n_max;
+    # the flag compares the sup with the sup up to the first chunk end
+    # (chunks of 2048 steps) at or past n_max // 10
+    stride = 256 if n_max > 65536 else 1
+    sample = set(range(stride, n_max + 1, stride)) | {n_max}
+    norms = _literal_partial_sums(cp.matrix, x, alpha, n_max, sample)
+    head_end = -(-(n_max // 10) // 2048) * 2048
+    want_sup = max(norms.values())
+    want_head = max(v for n, v in norms.items() if n <= head_end)
+    assert sup == pytest.approx(want_sup, rel=1e-12)
+    assert bounded == ((want_sup - want_head) < 1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_block_model_partial_sums_meet_the_polylog_limit(alpha):
+    # per block, T^j x_k = cos^(2j-1)(theta_k) <u1, x_k> u2, so the partial
+    # sums are a growing multiple of u2 and their norm increases to the
+    # limit sqrt(sum_k |<u1, x_k>|^2 (Li_{1-alpha}(cos^2 theta_k) / cos theta_k)^2);
+    # the tail certificate stops within 1e-6 of it
+    mpmath = pytest.importorskip("mpmath")
+    model = block_aligned(100, "1/k")
+    cp = model.cyclic()
+    k = np.arange(1.0, 101.0)
+    y = model.m1_vector((1.0 / k) / np.linalg.norm(1.0 / k))
+    x = make_alpha_vector(cp, alpha, seed=3, y=y, z=np.zeros(model.ambient_dim)).x
+    sup, bounded = partial_sum_characterization(cp, x, alpha, 5 * 10**6)
+    assert bounded
+    with mpmath.workdps(30):
+        per_block = [abs(x[2 * i]) * mpmath.polylog(1.0 - alpha, mpmath.cos(theta) ** 2)
+                     / mpmath.cos(theta) for i, theta in enumerate(model.angles)]
+        limit = float(mpmath.sqrt(mpmath.fsum(b ** 2 for b in per_block)))
+    assert 0.0 <= limit - sup <= 1e-6 + 1e-12
