@@ -41,16 +41,13 @@ from .iteration import (
     CyclicProduct,
     IterationTrace,
     UnconditionalReport,
-    WeakCauchySum,
     build_cyclic,
-    cesaro_average,
     iota2_rate_bound,
     iterate,
     operator_error_norm,
     rate_bound,
     sweep_diagnostic,
     unconditional_sum_test,
-    weak_cauchy_sum,
 )
 from .models import (
     BlockAlignedModel,
@@ -112,11 +109,9 @@ __all__ = [
     "StolzDomain",
     "Subspace",
     "UnconditionalReport",
-    "WeakCauchySum",
     "assemble_gram",
     "block_aligned",
     "build_cyclic",
-    "cesaro_average",
     "complement_within",
     "containment_check",
     "convex_combination",
@@ -156,5 +151,4 @@ __all__ = [
     "theta_recursion",
     "two_lines",
     "unconditional_sum_test",
-    "weak_cauchy_sum",
 ]

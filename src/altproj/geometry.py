@@ -272,13 +272,22 @@ def minimax_inclination_estimate(subspaces, m: Subspace | None = None, *,
     return min(estimates) if estimates else float("inf")
 
 
-def rate_base(c: float, n: int) -> float:
-    """The per-step contraction base (1 - 3(N-1)(1-c)/N^3)^{1/2}."""
+def _rate_base_squared(c: float, n: int) -> float:
+    """b = 1 - 3(N-1)(1-c)/N^3 clipped to [0, 1], the squared rate base.
+
+    The one copy behind ``rate_base``, ``iteration.rate_bound`` and
+    ``spectral.theta0``.
+    """
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
     if n < 2:
         raise ValueError("need at least two subspaces")
-    return float(np.sqrt(np.clip(1.0 - 3.0 * (n - 1) * (1.0 - c) / n**3, 0.0, 1.0)))
+    return float(np.clip(1.0 - 3.0 * (n - 1) * (1.0 - c) / n**3, 0.0, 1.0))
+
+
+def rate_base(c: float, n: int) -> float:
+    """The per-step contraction base (1 - 3(N-1)(1-c)/N^3)^{1/2}."""
+    return float(np.sqrt(_rate_base_squared(c, n)))
 
 
 @dataclass(frozen=True)

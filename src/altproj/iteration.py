@@ -4,9 +4,8 @@ Provides the operator object itself, the alternating-projection sweep
 x_{n+1} = P_N ... P_1 x_n with its error trace e_n = ||x_n - P_M x||,
 the two exponential rate bounds (one from the Friedrichs number, a
 sharper one from the inner l2-inclination), the per-sweep energy
-inequality, and the series diagnostics: unconditional convergence of
-sum_n T^n(I - T)x under permutations and sign flips, the weak
-absolutely-summed variant, and Cesaro averages.
+inequality, and the series diagnostic: unconditional convergence of
+sum_n T^n(I - T)x under permutations and sign flips.
 
 Sweeps always apply the factor projectors one at a time, never the
 assembled dense T; that preserves the per-factor contraction structure
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
+from .geometry import _rate_base_squared
 from .linalg import spectral_norm
 from .subspace import Projector, Subspace, intersection, projector
 
@@ -32,9 +32,6 @@ __all__ = [
     "sweep_diagnostic",
     "UnconditionalReport",
     "unconditional_sum_test",
-    "WeakCauchySum",
-    "weak_cauchy_sum",
-    "cesaro_average",
 ]
 
 _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
@@ -120,13 +117,9 @@ class IterationTrace:
 
 def rate_bound(c: float, n_subspaces: int, n: int) -> float:
     """(1 - 3(N-1)(1-c)/N^3)^{n/2}, the Friedrichs-number rate factor."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("c must lie in [0, 1]")
-    if n_subspaces < 2:
-        raise ValueError("need at least two subspaces")
+    base = _rate_base_squared(c, n_subspaces)
     if n < 0:
         raise ValueError("n must be >= 0")
-    base = np.clip(1.0 - 3.0 * (n_subspaces - 1) * (1.0 - c) / n_subspaces**3, 0.0, 1.0)
     return float(base ** (n / 2.0))
 
 
@@ -312,49 +305,3 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
                                limit_deviation=limit_dev,
                                perm_deviations=perm_devs, sign_sums=sign_sums,
                                constant_estimate=constant, trunc_tol=trunc_tol)
-
-
-@dataclass(frozen=True)
-class WeakCauchySum:
-    """Absolutely summed functional values sum_n |<T^n(I-T)x, w>|."""
-
-    total: float
-    stabilized: bool
-    last_stretch: float
-    n_max: int
-
-
-def weak_cauchy_sum(cp: CyclicProduct, x: np.ndarray, w: np.ndarray,
-                    n_max: int) -> WeakCauchySum:
-    """Sum |<T^n(I-T)x, w>| for n <= n_max.
-
-    The run is flagged as stabilized when the final tenth of the indices
-    contributes at most 1e-8 in total.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = np.asarray(x, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    increments = np.empty(n_max + 1)
-    cur = x
-    for n in range(n_max + 1):
-        nxt = cp.apply(cur)
-        increments[n] = abs(np.vdot(w, cur - nxt))
-        cur = nxt
-    stretch = max(1, (n_max + 1) // 10)
-    last = float(increments[-stretch:].sum())
-    return WeakCauchySum(total=float(increments.sum()), stabilized=last <= 1e-8,
-                         last_stretch=last, n_max=n_max)
-
-
-def cesaro_average(cp: CyclicProduct, x: np.ndarray, n: int) -> np.ndarray:
-    """(1/(n+1)) sum_{k<=n} T^k x; converges to P_M x as n grows."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=np.complex128)
-    acc = x.copy()
-    cur = x
-    for _ in range(n):
-        cur = cp.apply(cur)
-        acc += cur
-    return acc / (n + 1)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalContractError
+from .geometry import _rate_base_squared
 from .linalg import as_complex_matrix, eigh_sym, spectral_norm
 
 __all__ = [
@@ -60,12 +61,7 @@ def theta0(c: float, n: int) -> float:
     c = 1 returns the pi/2 sentinel (the domain degenerates to the
     closed unit disc) so aligned instances still flow through reporting.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("c must lie in [0, 1]")
-    if n < 2:
-        raise ValueError("need at least two subspaces")
-    s = np.sqrt(np.clip(1.0 - 3.0 * (n - 1) * (1.0 - c) / n**3, 0.0, 1.0))
-    return float(np.arcsin(s))
+    return float(np.arcsin(np.sqrt(_rate_base_squared(c, n))))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from altproj import (
     IterationTrace,
     NumericalContractError,
     build_cyclic,
-    cesaro_average,
     friedrichs_number,
     iota2,
     iota2_rate_bound,
@@ -20,7 +19,6 @@ from altproj import (
     sweep_diagnostic,
     two_lines,
     unconditional_sum_test,
-    weak_cauchy_sum,
 )
 
 
@@ -129,28 +127,3 @@ def test_near_aligned_series_exceeds_capacity():
     with pytest.raises(CapacityError):
         unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1)
 
-
-def test_weak_cauchy_sum_matches_a_direct_accumulation():
-    cp = build_cyclic(two_lines(np.pi / 3))
-    x = np.array([1.0, 0.0])
-    w = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    res = weak_cauchy_sum(cp, x, w, 200)
-    assert res.stabilized
-    assert res.last_stretch <= 1e-8
-    total = 0.0
-    cur = x.astype(np.complex128)
-    for _ in range(201):
-        nxt = cp.apply(cur)
-        total += abs(np.vdot(w, cur - nxt))
-        cur = nxt
-    assert res.total == pytest.approx(total, rel=1e-12)
-
-
-def test_cesaro_average_approaches_the_limit_projection():
-    cp = build_cyclic(two_lines(np.pi / 3))
-    x = np.array([0.3, -1.2])
-    target = cp.pm.apply(x)
-    early = np.linalg.norm(cesaro_average(cp, x, 5) - target)
-    late = np.linalg.norm(cesaro_average(cp, x, 200) - target)
-    assert late < early
-    assert late <= 0.02
