@@ -8,6 +8,9 @@ a boundary point.  Products of N orthogonal projections have W(T)
 contained in Omega_N (a disc-and-sector region with angle theta_N from
 an explicit recursion) intersected with a Stolz domain S_theta0, where
 sin(theta0) is the contraction base computed from the Friedrichs number.
+Membership in either region is decided from its margin alone: for the
+Stolz domain the margin is the exact signed distance, in closed form; for
+Omega_N it is the smaller of the disc and sector slacks.
 
 The power profile n ||T^n (I - T)|| and the sampled resolvent quantity
 |lambda - 1| ||(lambda I - T)^{-1}|| are the two operational faces of the
@@ -38,9 +41,6 @@ __all__ = [
     "ritt_power_diagnostic",
     "resolvent_diagnostic",
 ]
-
-_GRID = 720  # angles used by the support-function membership test
-
 
 def theta_recursion(n: int) -> float:
     """Angle theta_N: theta_1 = 0 and
@@ -89,64 +89,36 @@ class StolzDomain:
         return stolz_margin(z, self.theta)
 
 
-def _triangle_margin(z: complex, r: float) -> float:
-    """Signed distance of z to the triangle (1, t+, t-) of tangency points.
-
-    Positive inside.  The tangent points of the lines through 1 touching
-    the disc |w| = r are t = r^2 +- i r sqrt(1 - r^2).
-    """
-    h = r * np.sqrt(max(1.0 - r * r, 0.0))
-    verts = [1.0 + 0.0j, complex(r * r, h), complex(r * r, -h)]
-    pt = np.array([z.real, z.imag])
-    vs = [np.array([v.real, v.imag]) for v in verts]
-    centroid = sum(vs) / 3.0
-    dists = []
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        edge = vs[b] - vs[a]
-        length = np.linalg.norm(edge)
-        if length < 1e-30:
-            return -np.inf  # degenerate triangle; caller must use another test
-        normal = np.array([-edge[1], edge[0]]) / length
-        if np.dot(normal, centroid - vs[a]) < 0.0:
-            normal = -normal
-        dists.append(float(np.dot(normal, pt - vs[a])))
-    return min(dists)
-
-
 def stolz_contains(z: complex, theta: float, slack: float = 0.0) -> bool:
     """Membership of z in the Stolz domain S_theta, decided within slack.
 
-    Combines the 720-point support-function grid with exact geometric
-    tests (disc membership, or the triangle spanned by 1 and the two
-    tangency points); together they decide membership with error below
-    the slack.
+    True iff stolz_margin(z, theta) >= -slack; the margin is exact, so the
+    verdict is exact up to rounding.
+    """
+    return stolz_margin(z, theta) >= -slack
+
+
+def stolz_margin(z: complex, theta: float) -> float:
+    """Exact signed distance of z to S_theta, positive inside.
+
+    This is the support-function minimum min_phi (h(phi) - Re(e^{-i phi} z))
+    with h(phi) = max(sin theta, cos phi), in closed form: the minimizing
+    direction is a kink phi = +-(pi/2 - theta) (the tangent segments), the
+    direction of z when it points at the arc of the disc, or that of
+    z - 1 when it points into the normal cone at the vertex 1.
     """
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError("theta must lie in [0, pi/2]")
     z = complex(z)
     r = float(np.sin(theta))
-    phi = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
-    grid_ok = bool(np.all(np.real(np.exp(-1j * phi) * z) <= np.maximum(r, np.cos(phi)) + slack))
-    if r >= 1.0 - 1e-12:
-        return grid_ok and abs(z) <= 1.0 + slack
-    if abs(z) <= r + slack:
-        return grid_ok
-    if r <= 1e-12:
-        analytic = abs(z.imag) <= slack and -slack <= z.real <= 1.0 + slack
-    else:
-        analytic = _triangle_margin(z, r) >= -slack
-    return grid_ok and analytic
-
-
-def stolz_margin(z: complex, theta: float) -> float:
-    """Support-function margin min_phi (h(phi) - Re(e^{-i phi} z)).
-
-    Positive well inside the domain, negative outside; accurate to the
-    angular grid resolution (~1e-5), intended for reporting.
-    """
-    r = float(np.sin(theta))
-    phi = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
-    return float(np.min(np.maximum(r, np.cos(phi)) - np.real(np.exp(-1j * phi) * complex(z))))
+    s = float(np.cos(theta))
+    x, y = z.real, abs(z.imag)
+    m = r - x * r - y * s
+    if x <= r * abs(z):
+        m = min(m, r - abs(z))
+    if x - 1.0 >= r * abs(z - 1.0):
+        m = min(m, -abs(z - 1.0))
+    return m
 
 
 @dataclass(frozen=True)
@@ -182,13 +154,7 @@ class OmegaRegion:
 
 def omega_contains(z: complex, region: OmegaRegion, slack: float = 0.0) -> bool:
     """Both defining inequalities of the region, each within slack."""
-    z = complex(z)
-    p = 2.0 ** (-region.N)
-    if abs(z - p) > (1.0 - p) + slack:
-        return False
-    w = 1.0 - z
-    arg = 0.0 if abs(w) <= 1e-12 else abs(np.angle(w))
-    return arg <= region.thetaN + slack
+    return region.margin(z) >= -slack
 
 
 @dataclass(frozen=True)
@@ -263,13 +229,11 @@ def containment_check(t, c: float, n: int, m: int = 256, slack: float = 1e-7,
     boundary = numrange_boundary(t, m)
     region = OmegaRegion(n)
     dom = StolzDomain(theta0(c, n))
-    in_omega = np.array([omega_contains(z, region, slack) for z in boundary.points])
-    in_stolz = np.array([stolz_contains(z, dom.theta, slack) for z in boundary.points])
-    margins = np.array([min(region.margin(z), stolz_margin(z, dom.theta))
-                        for z in boundary.points])
+    omega = np.array([region.margin(z) for z in boundary.points])
+    stolz = np.array([dom.margin(z) for z in boundary.points])
     report = ContainmentReport(boundary=boundary, region=region, stolz=dom,
-                               in_omega=in_omega, in_stolz=in_stolz,
-                               margins=margins, slack=slack)
+                               in_omega=omega >= -slack, in_stolz=stolz >= -slack,
+                               margins=np.minimum(omega, stolz), slack=slack)
     if strict and not report.all_contained:
         z, margin = report.worst()
         raise NumericalContractError(

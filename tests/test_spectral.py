@@ -72,6 +72,60 @@ def test_stolz_margin_at_the_origin_is_the_radius():
     for theta in (0.3, 0.7, 1.2):
         assert stolz_margin(0.0, theta) == pytest.approx(np.sin(theta), abs=1e-12)
     assert stolz_margin(1.1, 0.5) < 0.0
+    with pytest.raises(ValueError):
+        stolz_margin(0.0, -0.1)
+
+
+def _sweep(seed, count):
+    """Seeded thetas in [0, pi/2] (both ends included) and points |z| <= 1.2,
+    a fifth of them within 0.2 of the vertex 1."""
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0.0, np.pi / 2, 38)])
+    far = np.arange(count) % 5 > 0
+    radii = np.sqrt(rng.uniform(size=count)) * np.where(far, 1.2, 0.2)
+    zs = np.where(far, 0.0, 1.0) + radii * np.exp(2j * np.pi * rng.uniform(size=count))
+    return thetas, zs
+
+
+def test_stolz_margin_is_the_support_function_minimum():
+    # min_phi h(phi) - Re(e^{-i phi} z) on 10^5 angles plus the kinks
+    # phi = +-(pi/2 - theta) of h(phi) = max(sin theta, cos phi), where a
+    # grid alone errs to first order in its spacing
+    thetas, zs = _sweep(20, 25)
+    grid = 2.0 * np.pi * np.arange(10**5) / 10**5
+    for theta in thetas:
+        phi = np.concatenate([grid, [np.pi / 2 - theta, theta - np.pi / 2]])
+        h = np.maximum(np.sin(theta), np.cos(phi))
+        ref = (h[:, None] - np.real(np.exp(-1j * phi)[:, None] * zs[None, :])).min(axis=0)
+        got = np.array([stolz_margin(z, theta) for z in zs])
+        assert np.abs(got - ref).max() <= 1e-9
+
+
+def test_membership_is_decided_by_the_margin():
+    thetas, zs = _sweep(21, 50)
+    region = OmegaRegion(3)
+    for slack in (0.0, 1e-7, 1e-3):
+        for z in zs:
+            assert omega_contains(z, region, slack) == (region.margin(z) >= -slack)
+            for theta in thetas[::4]:
+                assert stolz_contains(z, theta, slack) == (stolz_margin(z, theta) >= -slack)
+
+
+def test_stolz_extremes_are_the_segment_and_the_disc():
+    _, zs = _sweep(22, 200)
+    for z in zs:
+        assert not stolz_contains(z, 0.0)
+        assert stolz_contains(z, np.pi / 2) == (abs(z) <= 1.0)
+    # (z, on the segment [0, 1], in the closed unit disc), exact at slack 0
+    edge = [(0.0, True, True), (0.5, True, True), (1.0, True, True), (1.0 - 1e-12, True, True),
+            (-1e-12, False, True), (1.0 + 1e-12, False, False), (0.5 + 1e-12j, False, True),
+            (1j, False, True), (-1.0, False, True), (-1j, False, True),
+            ((1.0 - 1e-12) * 1j, False, True), (-1.0 - 1e-12, False, False)]
+    for z, on_segment, in_disc in edge:
+        assert stolz_contains(z, 0.0) == on_segment
+        assert stolz_contains(z, np.pi / 2) == in_disc
+    assert stolz_margin(0.5 + 0.25j, 0.0) == pytest.approx(-0.25, abs=1e-15)
+    assert stolz_margin(2.0, np.pi / 2) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_omega_region_membership():
