@@ -42,6 +42,7 @@ __all__ = [
     "resolvent_diagnostic",
 ]
 
+
 def theta_recursion(n: int) -> float:
     """Angle theta_N: theta_1 = 0 and
     theta_{k+1} = arctan(2 tan(theta_k)/(1 + 2^{-k}) + sqrt((1 - 2^{-k})/(1 + 2^{-k}))).

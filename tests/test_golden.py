@@ -13,7 +13,7 @@ and review the diff.
 
 import json
 import os
-import sys
+import tempfile
 
 import pytest
 
@@ -117,8 +117,5 @@ def regenerate(workdir):
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         regenerate(tmp)
-    sys.exit(0)
