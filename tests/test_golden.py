@@ -32,9 +32,12 @@ FIXTURES = {
             "component random seed=4 d=6 dims=3,2\n"),
     # two lines at 1e-6 rad: below the intersection threshold today
     "near": f"{_HEADER}kind two_lines\ntheta 1e-06\n",
+    # pins ritt and numrange at d = 64, where a matrix stack capped at
+    # 2 MiB holds 32 matrices, so every stack spans several chunks
+    "rand64": f"{_HEADER}kind random\nseed 64\nd 64\ndims 20 30 40\n",
 }
 
-_ALL = tuple(FIXTURES)
+_ALL = tuple(fx for fx in FIXTURES if fx != "rand64")
 
 # (command, name suffix, fixtures, flags); Nelder-Mead in geometry costs
 # seconds per call on anything larger than two lines
@@ -44,6 +47,8 @@ COMMANDS = (
     ("iterate", "-seeded", ("rand6",), ["--n-max", "30", "--seed", "5"]),
     ("numrange", "", _ALL, ["--angles", "64"]),
     ("ritt", "", _ALL, ["--n-max", "30"]),
+    ("ritt", "", ("rand64",), ["--n-max", "100"]),
+    ("numrange", "", ("rand64",), ["--angles", "100"]),
     ("fracpow", "", ("lines", "rand6", "blocks"),
      ["--alpha", "0.5,1", "--n-max", "100", "--seed", "3"]),
     ("slowvec", "", ("blocks", "lines"), ["--n-max", "20", "--eps", "0.5"]),
