@@ -12,6 +12,7 @@ assembled dense T; that preserves the per-factor contraction structure
 (and hence monotone error decay) in floating point.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,19 @@ def rate_bound(c: float, n_subspaces: int, n: int) -> float:
     return float(base ** (n / 2.0))
 
 
+def _iota2_base_squared(iota2: float, n_subspaces: int) -> float:
+    """b = 1 - 3 iota2^2/N^3 clipped to [0, 1]; 0 for the +inf sentinel."""
+    if iota2 < 0.0:
+        raise ValueError("iota2 must be >= 0")
+    if n_subspaces < 2:
+        raise ValueError("need at least two subspaces")
+    with np.errstate(invalid="ignore"):
+        base = np.clip(1.0 - 3.0 * iota2**2 / n_subspaces**3, 0.0, 1.0)
+    if np.isnan(base):  # iota2 = +inf
+        base = 0.0
+    return base
+
+
 def iota2_rate_bound(iota2: float, n_subspaces: int, n: int) -> float:
     """(1 - 3 iota2^2 / N^3)^{n/2}; sharper than the Friedrichs factor.
 
@@ -130,17 +144,19 @@ def iota2_rate_bound(iota2: float, n_subspaces: int, n: int) -> float:
     base to 0, i.e. the bound asserts immediate convergence, which is
     what actually happens for such instances.
     """
-    if iota2 < 0.0:
-        raise ValueError("iota2 must be >= 0")
-    if n_subspaces < 2:
-        raise ValueError("need at least two subspaces")
+    base = _iota2_base_squared(iota2, n_subspaces)
     if n < 0:
         raise ValueError("n must be >= 0")
-    with np.errstate(invalid="ignore"):
-        base = np.clip(1.0 - 3.0 * iota2**2 / n_subspaces**3, 0.0, 1.0)
-    if np.isnan(base):  # iota2 = +inf
-        base = 0.0
-    return float(base ** (n / 2.0)) if n > 0 else 1.0
+    return float(base ** (n / 2.0))
+
+
+def _half_powers(base: float, n_max: int) -> np.ndarray:
+    """base^{n/2} for n = 0..n_max, one scalar power each.
+
+    An array ``np.power`` would be faster but differs from the scalar
+    power by 1 ulp on some inputs, and the bounds are printed to 17 digits.
+    """
+    return np.array([float(base ** (n / 2.0)) for n in range(n_max + 1)])
 
 
 def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
@@ -161,10 +177,9 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
         cur = cp.apply(cur)
         errors[n] = np.linalg.norm(cur - target)
     e0 = errors[0]
-    ns = np.arange(n_max + 1)
-    bound_c = None if c is None else e0 * np.array([rate_bound(c, cp.N, int(k)) for k in ns])
-    bound_i = None if iota2 is None else e0 * np.array(
-        [iota2_rate_bound(iota2, cp.N, int(k)) for k in ns])
+    bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(c, cp.N), n_max)
+    bound_i = None if iota2 is None else e0 * _half_powers(_iota2_base_squared(iota2, cp.N),
+                                                           n_max)
     return IterationTrace(errors=errors, x0_norm=float(e0),
                           bound_c=bound_c, bound_iota2=bound_i)
 
@@ -221,30 +236,34 @@ class UnconditionalReport:
 def _series_terms(cp: CyclicProduct, x: np.ndarray, trunc_tol: float):
     """Terms y_n = T^n (I - T) x until the measured tail clears trunc_tol.
 
-    The remaining tail sum is estimated from the largest recent norm
-    ratio rho as ||y_last|| rho/(1 - rho) and must fall below
-    trunc_tol / safety(10).  A hard cap of 1e5 terms applies.
+    The remaining tail sum is estimated from the largest of the last ten
+    norm ratios rho as ||y_last|| rho/(1 - rho) and must fall below
+    trunc_tol / safety(10).  A hard cap of 1e5 terms applies.  Returns
+    the terms, the tail estimate and T^K x, the iterate the K sweeps
+    end on.
     """
     ys = []
-    norms = []
-    cur = np.asarray(x, dtype=np.complex128)
     window = 10
+    ratios = deque(maxlen=window)  # the last ten ratios ||y_n|| / ||y_{n-1}||
+    prev = 0.0
+    cur = np.asarray(x, dtype=np.complex128)
     while len(ys) < _SERIES_CAP:
         nxt = cp.apply(cur)
         y = cur - nxt
         ys.append(y)
-        norms.append(float(np.linalg.norm(y)))
+        norm = float(np.linalg.norm(y))
         cur = nxt
-        if norms[-1] == 0.0:
-            return ys, 0.0
-        if len(norms) > window:
-            recent = norms[-window - 1:]
-            ratios = [b / a for a, b in zip(recent[:-1], recent[1:]) if a > 0.0]
-            if ratios and max(ratios) < 1.0:
-                rho = max(ratios)
-                tail = norms[-1] * rho / (1.0 - rho)
+        if norm == 0.0:
+            return ys, 0.0, cur
+        if prev > 0.0:
+            ratios.append(norm / prev)
+        prev = norm
+        if len(ys) > window and ratios:
+            rho = max(ratios)
+            if rho < 1.0:
+                tail = norm * rho / (1.0 - rho)
                 if _TAIL_SAFETY * tail <= trunc_tol:
-                    return ys, tail
+                    return ys, tail, cur
     raise CapacityError("aligned or near-aligned instance; increase cap or tolerance")
 
 
@@ -266,15 +285,12 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
         raise ValueError("trunc_tol must be positive")
     x = np.asarray(x, dtype=np.complex128)
     target = cp.pm.apply(x)
-    ys, tail = _series_terms(cp, x, trunc_tol)
+    ys, tail, t_k_x = _series_terms(cp, x, trunc_tol)
     stack = np.array(ys)
     k = len(ys)
 
     total = stack.sum(axis=0)
     # telescoping: the ordered sum collapses to x - T^K x
-    t_k_x = x.copy()
-    for _ in range(k):
-        t_k_x = cp.apply(t_k_x)
     telescoping = float(np.linalg.norm(total - (x - t_k_x)))
     limit_dev = float(np.linalg.norm(total - (x - target)))
 

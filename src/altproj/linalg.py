@@ -2,13 +2,19 @@
 
 Eigenvalue routines for Hermitian data always symmetrize their input
 explicitly before calling LAPACK, so that downstream guarantees never
-depend on how a caller assembled the matrix.
+depend on how a caller assembled the matrix.  ``sym`` and ``eigh_sym``
+accept a single matrix or a ``(..., d, d)`` stack; LAPACK factors each
+matrix of a stack on its own, so one call over a stack returns the same
+bits as a loop of calls.  Kernels that stack many matrices cut the stack
+into chunks of ``stack_chunk(d)`` matrices (about 2 MiB of complex data),
+which bounds their memory and changes no result.
 """
 
 import numpy as np
 
 __all__ = [
     "as_complex_matrix",
+    "stack_chunk",
     "sym",
     "eigh_sym",
     "spectral_norm",
@@ -24,15 +30,24 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+_STACK_BYTES = 2**21  # cap on one stack of complex matrices
+
+
+def stack_chunk(d: int) -> int:
+    """Number of complex d x d matrices that fit in one capped stack (at least 1)."""
+    return max(1, _STACK_BYTES // (16 * d * d))
+
+
 def sym(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^H)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^H)/2 of a matrix or of each matrix of a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def eigh_sym(a: np.ndarray):
     """Eigendecomposition of the explicitly symmetrized input.
 
-    Returns ``(w, v)`` with eigenvalues ascending, like ``numpy.linalg.eigh``.
+    Returns ``(w, v)`` with eigenvalues ascending, like ``numpy.linalg.eigh``;
+    a ``(..., d, d)`` stack gives ``(..., d)`` and ``(..., d, d)`` results.
     """
     return np.linalg.eigh(sym(np.asarray(a, dtype=np.complex128)))
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .geometry import _rate_base_squared
-from .linalg import as_complex_matrix, eigh_sym, spectral_norm
+from .linalg import as_complex_matrix, eigh_sym, stack_chunk
 
 __all__ = [
     "StolzDomain",
@@ -183,6 +183,9 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     For each phi, h(phi) is the top eigenvalue of the Hermitian part of
     e^{-i phi} T and the boundary point is <Tx, x> at the corresponding
     top eigenvector, so Re(e^{-i phi} z(phi)) = h(phi) by construction.
+    The rotated matrices go to ``eigh_sym`` as stacks of at most
+    ``stack_chunk(d)``, one call per stack, with the same bits as one
+    call per angle.
     """
     if m < 8:
         raise ValueError("need at least 8 support angles")
@@ -190,11 +193,14 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     angles = 2.0 * np.pi * np.arange(m) / m
     support = np.empty(m)
     points = np.empty(m, dtype=np.complex128)
-    for i, phi in enumerate(angles):
-        w, v = eigh_sym(np.exp(-1j * phi) * t)
-        support[i] = w[-1]
-        x = v[:, -1]
-        points[i] = x.conj() @ (t @ x)
+    chunk = stack_chunk(t.shape[0])
+    for start in range(0, m, chunk):
+        part = angles[start:start + chunk]
+        w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in part]))
+        support[start:start + len(part)] = w[:, -1]
+        for j in range(len(part)):
+            x = v[j, :, -1]
+            points[start + j] = x.conj() @ (t @ x)
     return NumericalRangeBoundary(angles=angles, support=support, points=points)
 
 
@@ -252,18 +258,27 @@ def ritt_power_diagnostic(t, n_max: int):
     """Profile n ||T^n (I - T)|| for n = 1..n_max.
 
     Returns (sup value, argmax n, full profile).  Boundedness of the
-    profile is one operational face of the Ritt property.
+    profile is one operational face of the Ritt property.  The products
+    T^n (I - T) are formed one by one and collected into stacks of at
+    most ``stack_chunk(d)``; one SVD call per stack gives the same norms
+    as one call per power.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t = _dense(t)
     d = t.shape[0]
     defect = np.eye(d, dtype=np.complex128) - t
-    profile = np.empty(n_max)
+    chunk = stack_chunk(d)
+    stack = np.empty((min(chunk, n_max), d, d), dtype=np.complex128)
+    norms = np.empty(n_max)
     power = np.eye(d, dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        power = power @ t
-        profile[n - 1] = n * spectral_norm(power @ defect)
+    for start in range(0, n_max, chunk):
+        count = min(chunk, n_max - start)
+        for j in range(count):
+            power = power @ t
+            np.matmul(power, defect, out=stack[j])
+        norms[start:start + count] = np.linalg.svd(stack[:count], compute_uv=False).max(axis=-1)
+    profile = np.arange(1, n_max + 1) * norms
     argmax = int(np.argmax(profile)) + 1
     return float(profile[argmax - 1]), argmax, profile
 
@@ -275,22 +290,31 @@ def resolvent_diagnostic(t, radii=None, angles_per_radius: int = 64) -> float:
     circle |lambda| = r; the default radii 1 + 2^{-k}, k = 1..10, shrink
     geometrically toward the unit circle.  The angle grid includes pi
     when the count is even.  The supremum over all |lambda| > 1 cannot be
-    sampled exhaustively, so this is a measured value on a declared grid.
+    sampled exhaustively, so this is a measured value on a declared grid,
+    and an empty grid raises.  The matrices lambda I - T of one radius go
+    to the SVD as stacks of at most ``stack_chunk(d)``, with the same
+    smallest singular values as one call per lambda.
     """
     t = _dense(t)
     if radii is None:
         radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
     radii = list(radii)
+    if not radii or angles_per_radius < 1:
+        raise ValueError("need at least one radius and one angle per radius")
     if any(r <= 1.0 for r in radii):
         raise ValueError("all radii must exceed 1")
     d = t.shape[0]
     eye = np.eye(d, dtype=np.complex128)
+    chunk = stack_chunk(d)
+    phis = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     best = 0.0
     for r in radii:
-        for phi in 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius:
-            lam = r * np.exp(1j * phi)
-            sigma_min = np.linalg.svd(lam * eye - t, compute_uv=False)[-1]
-            if sigma_min <= 0.0:
-                raise NumericalContractError("singular resolvent at |lambda| > 1")
-            best = max(best, abs(lam - 1.0) / sigma_min)
+        for start in range(0, angles_per_radius, chunk):
+            lams = [r * np.exp(1j * phi) for phi in phis[start:start + chunk]]
+            sigma_min = np.linalg.svd(np.array([lam * eye - t for lam in lams]),
+                                      compute_uv=False)[:, -1]
+            for lam, s in zip(lams, sigma_min):
+                if s <= 0.0:
+                    raise NumericalContractError("singular resolvent at |lambda| > 1")
+                best = max(best, abs(lam - 1.0) / s)
     return float(best)

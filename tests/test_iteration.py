@@ -122,6 +122,66 @@ def test_unconditional_sum_on_two_lines():
     assert rep.trunc_tol == 1e-6
 
 
+def _tail_rule_truncation(cp, x, trunc_tol):
+    """K of the series' stopping rule, written out with a list of all norms."""
+    cur, norms = x, []
+    while True:
+        nxt = cp.apply(cur)
+        norms.append(float(np.linalg.norm(cur - nxt)))
+        cur = nxt
+        if norms[-1] == 0.0:
+            return len(norms)
+        if len(norms) > 10:
+            recent = norms[-11:]
+            ratios = [b / a for a, b in zip(recent[:-1], recent[1:]) if a > 0.0]
+            if ratios and max(ratios) < 1.0:
+                rho = max(ratios)
+                if 10.0 * norms[-1] * rho / (1.0 - rho) <= trunc_tol:
+                    return len(norms)
+
+
+# the (7, (3, 2, 4)) draws stop at K = 11 and 12, where the first ten-ratio
+# window closes, so a window one ratio too long changes their K
+@pytest.mark.parametrize("d, dims, seed", [(6, (2, 3), 0), (7, (3, 2, 4), 10),
+                                           (7, (3, 2, 4), 32)])
+def test_unconditional_sum_matches_an_explicit_reiteration(d, dims, seed):
+    cp = build_cyclic(random_instance(d, dims, seed=seed + 21))
+    x = np.random.default_rng(seed).standard_normal(d).astype(np.complex128)
+    rep = unconditional_sum_test(cp, x, 5, 1e-6, seed=seed)
+    assert rep.K == _tail_rule_truncation(cp, x, 1e-6)
+    terms = []
+    t_k_x = x
+    for _ in range(rep.K):
+        nxt = cp.apply(t_k_x)
+        terms.append(t_k_x - nxt)
+        t_k_x = nxt
+    total = np.array(terms).sum(axis=0)
+    assert rep.telescoping_residual == float(np.linalg.norm(total - (x - t_k_x)))
+
+
+def test_unconditional_sum_stops_at_a_zero_term():
+    cp = build_cyclic(two_lines(np.pi / 2))  # T = P2 P1 = 0
+    rep = unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1)
+    # y_1 = x, then y_2 = T x - T^2 x = 0 stops the series
+    assert rep.K == 2
+    assert rep.tail_estimate == 0.0
+    assert rep.telescoping_residual == 0.0
+    assert rep.limit_deviation <= 1e-15
+
+
+@pytest.mark.parametrize("i2", [0.4, np.inf])
+def test_iterate_bounds_equal_the_per_n_rate_bounds(i2):
+    subs = random_instance(6, (2, 3), seed=21)
+    cp = build_cyclic(subs)
+    c = friedrichs_number(subs)
+    trace = iterate(cp, np.random.default_rng(0).standard_normal(6), 40, c=c, iota2=i2)
+    e0 = trace.errors[0]
+    assert np.array_equal(trace.bound_c,
+                          e0 * np.array([rate_bound(c, cp.N, n) for n in range(41)]))
+    assert np.array_equal(trace.bound_iota2,
+                          e0 * np.array([iota2_rate_bound(i2, cp.N, n) for n in range(41)]))
+
+
 def test_near_aligned_series_exceeds_capacity():
     cp = build_cyclic(two_lines(0.005))
     with pytest.raises(CapacityError):

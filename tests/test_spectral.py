@@ -12,6 +12,7 @@ from altproj import (
     containment_check,
     numrange_boundary,
     omega_contains,
+    random_instance,
     resolvent_diagnostic,
     ritt_power_diagnostic,
     stolz_contains,
@@ -20,6 +21,7 @@ from altproj import (
     theta_recursion,
     two_lines,
 )
+from altproj.linalg import eigh_sym, stack_chunk, sym
 
 
 def test_theta_recursion_first_values():
@@ -214,3 +216,79 @@ def test_resolvent_diagnostic_of_the_zero_operator():
     assert val == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
         resolvent_diagnostic(cp, radii=[0.99])
+    # a constant measured from no samples at all is refused
+    with pytest.raises(ValueError):
+        resolvent_diagnostic(cp, radii=[])
+    with pytest.raises(ValueError):
+        resolvent_diagnostic(cp, radii=[1.5], angles_per_radius=0)
+
+
+# The stacked kernels against literal one-matrix-per-call loops, with exact
+# equality, at d = 64 where a stack holds CHUNK matrices and so splits.
+D = 64
+CHUNK = stack_chunk(D)
+
+
+@pytest.fixture(scope="module")
+def t64():
+    return build_cyclic(random_instance(D, (20, 30, 40), seed=64)).matrix
+
+
+def test_stack_chunk_caps_a_stack_at_2_mib():
+    assert CHUNK == 32
+    assert stack_chunk(12) == 910
+    assert stack_chunk(1024) == 1
+
+
+def test_sym_and_eigh_sym_act_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    h = sym(a)
+    w, v = eigh_sym(a)
+    for j in range(3):
+        assert np.array_equal(h[j], 0.5 * (a[j] + a[j].conj().T))
+        wj, vj = eigh_sym(a[j])
+        assert np.array_equal(w[j], wj) and np.array_equal(v[j], vj)
+
+
+@pytest.mark.parametrize("n_max", [1, CHUNK - 1, CHUNK, CHUNK + 1, 500])
+def test_power_profile_matches_a_per_power_loop(t64, n_max):
+    defect = np.eye(D) - t64
+    power = np.eye(D, dtype=np.complex128)
+    expected = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        power = power @ t64
+        expected[n - 1] = n * float(np.linalg.norm(power @ defect, 2))
+    sup, n_star, profile = ritt_power_diagnostic(t64, n_max)
+    assert np.array_equal(profile, expected)
+    assert n_star == int(np.argmax(expected)) + 1 and sup == expected[n_star - 1]
+
+
+def _resolvent_loop(t, radius, count):
+    eye = np.eye(t.shape[0], dtype=np.complex128)
+    best = 0.0
+    for phi in 2.0 * np.pi * np.arange(count) / count:
+        lam = radius * np.exp(1j * phi)
+        best = max(best, abs(lam - 1.0) / np.linalg.svd(lam * eye - t, compute_uv=False)[-1])
+    return float(best)
+
+
+@pytest.mark.parametrize("k", [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 5])
+def test_resolvent_matches_a_per_lambda_loop(t64, k):
+    # T's top eigenvalue is real; scaled to modulus 0.99 and turned to the
+    # k-th grid angle it puts a sharp supremum on that sample, so each
+    # chunk edge in turn carries the maximum
+    count = 2 * CHUNK + 6
+    rho = np.abs(np.linalg.eigvals(t64)).max()
+    t = (0.99 / rho) * np.exp(2j * np.pi * k / count) * t64
+    assert resolvent_diagnostic(t, radii=[1.01], angles_per_radius=count) == \
+        _resolvent_loop(t, 1.01, count)
+
+
+def test_numrange_boundary_matches_a_per_angle_loop(t64):
+    b = numrange_boundary(t64, 256)
+    for i, phi in enumerate(2.0 * np.pi * np.arange(256) / 256):
+        w, v = eigh_sym(np.exp(-1j * phi) * t64)
+        x = v[:, -1]
+        assert b.support[i] == w[-1]
+        assert b.points[i] == x.conj() @ (t64 @ x)
