@@ -2,7 +2,11 @@
 
 Instance files are a versioned line-based text format ("altproj-instance
 v1", one ``key value...`` pair per line) so fixtures stay diff-able; see
-``parse_instance``/``serialize_instance``.  Every command is
+``parse_instance``/``serialize_instance``.  One field table per kind
+(``_SCHEMA``) drives parsing and serialization: the ``component <kind>
+key=v1,v2`` lines of a convex combination take the same fields and pass
+the same checks as top-level lines.  A command parses and realizes its
+instance once and works on that realization.  Every command is
 deterministic for a fixed flag set: randomized commands require an
 explicit --seed, output files are written atomically (temp + rename),
 and reruns produce byte-identical CSVs.
@@ -15,6 +19,7 @@ Exit codes: 0 ok; 2 malformed instance file or invalid configuration;
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -26,7 +31,7 @@ from .errors import CapacityError, NumericalContractError, ParseError
 from .fracpow import decay_slope, make_alpha_vector
 from .geometry import friedrichs_number, geometry_report, iota2
 from .iteration import iterate
-from .models import InstanceSpec, block_aligned, convex_combination, slow_vector
+from .models import Instance, InstanceSpec, slow_vector
 from .spectral import containment_check, resolvent_diagnostic, ritt_power_diagnostic
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_instance_text"]
@@ -50,65 +55,103 @@ def _g(x: float) -> str:
 # ---------------------------------------------------------------------------
 # instance files
 
+# A field's arity, worded for its parse error: exactly one value, one or
+# more, or at least two (a list of subspace ranks).
+_ONE = "exactly one value"
+_LIST = "one or more values"
+_RANKS = "at least two ranks"
 
-def _parse_int(value: str, field: str, line_no: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"line {line_no}: field '{field}' needs an integer, got {value!r}")
+# The one instance schema: per kind, its fields in canonical order as
+# (name, value type, arity).  A value type is int, float, or a tuple of
+# the strings the field accepts.  ``seed`` is InstanceSpec.seed; a
+# block_aligned instance gives exactly one of ``angle_rule`` and
+# ``angles`` (_OTHER pairs them), and either becomes its "angle_rule"
+# parameter.
+_SCHEMA = {
+    "random": (("seed", int, _ONE), ("d", int, _ONE), ("dims", int, _RANKS)),
+    "two_lines": (("theta", float, _ONE),),
+    "block_aligned": (("k_blocks", int, _ONE), ("angle_rule", ("1/k", "1/sqrt(k)"), _ONE),
+                      ("angles", float, _LIST)),
+    "convex_combination": (("weights", float, _LIST),),
+}
+_OTHER = {"angle_rule": "angles", "angles": "angle_rule"}
 
 
-def _parse_float(value: str, field: str, line_no: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"line {line_no}: field '{field}' needs a number, got {value!r}")
+def _value(vtype, token: str, name: str, line_no: int):
+    """One token of field ``name`` converted to the field's value type."""
+    if vtype is int or vtype is float:
+        try:
+            return vtype(token)
+        except ValueError:
+            need = "an integer" if vtype is int else "a number"
+            raise ParseError(f"line {line_no}: field '{name}' needs {need}, got {token!r}")
+    if token not in vtype:
+        allowed = " or ".join(f"'{v}'" for v in vtype)
+        raise ParseError(f"line {line_no}: field '{name}' must be {allowed}, got {token!r}")
+    return token
 
 
-def _parse_component(tokens: list, line_no: int) -> InstanceSpec:
-    """One ``component <kind> key=value...`` line of a convex combination."""
-    if not tokens:
-        raise ParseError(f"line {line_no}: component line is missing its kind")
-    kind = tokens[0]
+def _read_spec(entries, components=()) -> InstanceSpec:
+    """The spec given by (line_no, field, value tokens) entries.
+
+    Top-level lines and component lines both come through here, so they
+    share every check; ``components`` are the specs of a convex
+    combination's component lines.
+    """
     fields = {}
-    for tok in tokens[1:]:
-        key, eq, value = tok.partition("=")
-        if not eq or not value:
-            raise ParseError(f"line {line_no}: component field {tok!r} is not key=value")
-        if key in fields:
-            raise ParseError(f"line {line_no}: duplicate component field '{key}'")
-        fields[key] = value
+    for line_no, name, tokens in entries:
+        if name in fields:
+            raise ParseError(f"line {line_no}: duplicate field '{name}'")
+        fields[name] = (line_no, tokens)
+    if "kind" not in fields:
+        raise ParseError("field 'kind' is missing")
+    kind_line, kind = fields.pop("kind")
+    if len(kind) != 1:
+        raise ParseError(f"line {kind_line}: field 'kind' needs exactly one value")
+    kind = kind[0]
+    if kind not in _SCHEMA:
+        raise ParseError(f"line {kind_line}: unknown kind '{kind}'")
 
-    def take(key):
-        if key not in fields:
-            raise ParseError(f"line {line_no}: component kind '{kind}' needs field '{key}'")
-        return fields.pop(key)
+    values, lines = {}, {}
+    for name, vtype, arity in _SCHEMA[kind]:
+        other = _OTHER.get(name)
+        if name not in fields:
+            if other in fields or other in values:
+                continue
+            raise ParseError(f"field '{name}' is required for kind '{kind}' and is missing")
+        if other in values:
+            raise ParseError("fields 'angles' and 'angle_rule' are mutually exclusive")
+        line_no, tokens = fields.pop(name)
+        if not tokens:
+            raise ParseError(f"line {line_no}: field '{name}' has no value")
+        if (arity is _ONE and len(tokens) != 1) or (arity is _RANKS and len(tokens) < 2):
+            raise ParseError(f"line {line_no}: field '{name}' needs {arity}")
+        parsed = tuple(_value(vtype, tok, name, line_no) for tok in tokens)
+        values[name] = parsed[0] if arity is _ONE else parsed
+        lines[name] = line_no
 
-    if kind == "random":
-        seed = _parse_int(take("seed"), "seed", line_no)
-        d = _parse_int(take("d"), "d", line_no)
-        dims = tuple(_parse_int(v, "dims", line_no) for v in take("dims").split(","))
-        spec = InstanceSpec("random", {"d": d, "dims": dims}, seed)
-    elif kind == "two_lines":
-        spec = InstanceSpec("two_lines", {"theta": _parse_float(take("theta"), "theta", line_no)})
-    elif kind == "block_aligned":
-        k = _parse_int(take("k_blocks"), "k_blocks", line_no)
-        if "angles" in fields:
-            rule = tuple(_parse_float(v, "angles", line_no) for v in take("angles").split(","))
-        else:
-            rule = take("angle_rule")
-        spec = InstanceSpec("block_aligned", {"k_blocks": k, "angle_rule": rule})
-    else:
-        raise ParseError(f"line {line_no}: unknown component kind '{kind}'")
+    if kind == "convex_combination":
+        if not components:
+            raise ParseError("kind 'convex_combination' needs at least one component line")
+        if len(values["weights"]) != len(components):
+            raise ParseError(f"line {lines['weights']}: {len(values['weights'])} weights "
+                             f"for {len(components)} component lines")
+        values["components"] = tuple(components)
+    elif components:
+        raise ParseError("component lines are only valid for kind 'convex_combination'")
     if fields:
-        extra = ", ".join(sorted(fields))
-        raise ParseError(f"line {line_no}: unexpected component field(s) {extra}")
-    return spec
+        name = min(fields, key=lambda n: fields[n][0])
+        raise ParseError(f"line {fields[name][0]}: unknown field '{name}' for kind '{kind}'")
+    if "angles" in values:
+        values["angle_rule"] = values.pop("angles")
+    seed = values.pop("seed", None)
+    return InstanceSpec(kind, values, seed)
 
 
-def parse_instance_text(text: str) -> InstanceSpec:
-    """Parse the versioned key-value instance format from a string."""
-    entries = []  # (line_no, key, value tokens)
+def _load_instance_text(text: str) -> Instance:
+    """Parse the versioned key-value format and realize the instance once."""
+    entries = []  # (line_no, field, value tokens) of the top-level lines
+    components = []
     version_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -122,151 +165,67 @@ def parse_instance_text(text: str) -> InstanceSpec:
             version_seen = True
             continue
         key, *rest = line.split()
-        entries.append((line_no, key, rest))
+        if key != "component":
+            entries.append((line_no, key, rest))
+            continue
+        comp = [(line_no, "kind", rest[:1])]  # component <kind> key=v1,v2 ...
+        for tok in rest[1:]:
+            name, eq, value = tok.partition("=")
+            if not eq:
+                raise ParseError(f"line {line_no}: component field {tok!r} is not key=value")
+            comp.append((line_no, name, value.split(",") if value else []))
+        components.append(_read_spec(comp))
     if not version_seen:
         raise ParseError("line 1: missing version header "
                          f"'{_VERSION_LINE}' (empty file)")
 
-    fields = {}
-    components = []
-    for line_no, key, rest in entries:
-        if key == "component":
-            components.append(_parse_component(rest, line_no))
-            continue
-        if key in fields:
-            raise ParseError(f"line {line_no}: duplicate field '{key}'")
-        fields[key] = (line_no, rest)
-
-    def take(key, kind):
-        if key not in fields:
-            raise ParseError(f"field '{key}' is required for kind '{kind}' and is missing")
-        line_no, rest = fields.pop(key)
-        if not rest:
-            raise ParseError(f"line {line_no}: field '{key}' has no value")
-        return line_no, rest
-
-    if "kind" not in fields:
-        raise ParseError("field 'kind' is missing")
-    kind_line, kind_rest = fields.pop("kind")
-    if len(kind_rest) != 1:
-        raise ParseError(f"line {kind_line}: field 'kind' needs exactly one value")
-    kind = kind_rest[0]
-
-    if kind == "random":
-        ln, v = take("seed", kind)
-        if len(v) != 1:
-            raise ParseError(f"line {ln}: field 'seed' needs exactly one value")
-        seed = _parse_int(v[0], "seed", ln)
-        ln, v = take("d", kind)
-        if len(v) != 1:
-            raise ParseError(f"line {ln}: field 'd' needs exactly one value")
-        d = _parse_int(v[0], "d", ln)
-        ln, v = take("dims", kind)
-        dims = tuple(_parse_int(tok, "dims", ln) for tok in v)
-        if len(dims) < 2:
-            raise ParseError(f"line {ln}: field 'dims' needs at least two ranks")
-        spec = InstanceSpec("random", {"d": d, "dims": dims}, seed)
-    elif kind == "two_lines":
-        ln, v = take("theta", kind)
-        if len(v) != 1:
-            raise ParseError(f"line {ln}: field 'theta' needs exactly one value")
-        spec = InstanceSpec("two_lines", {"theta": _parse_float(v[0], "theta", ln)})
-    elif kind == "block_aligned":
-        ln, v = take("k_blocks", kind)
-        if len(v) != 1:
-            raise ParseError(f"line {ln}: field 'k_blocks' needs exactly one value")
-        k = _parse_int(v[0], "k_blocks", ln)
-        if "angles" in fields and "angle_rule" in fields:
-            raise ParseError("fields 'angles' and 'angle_rule' are mutually exclusive")
-        if "angles" in fields:
-            ln, v = take("angles", kind)
-            rule = tuple(_parse_float(tok, "angles", ln) for tok in v)
-        else:
-            ln, v = take("angle_rule", kind)
-            if len(v) != 1:
-                raise ParseError(f"line {ln}: field 'angle_rule' needs exactly one value")
-            rule = v[0]
-            if rule not in ("1/k", "1/sqrt(k)"):
-                raise ParseError(
-                    f"line {ln}: field 'angle_rule' must be '1/k' or '1/sqrt(k)', got {rule!r}"
-                )
-        spec = InstanceSpec("block_aligned", {"k_blocks": k, "angle_rule": rule})
-    elif kind == "convex_combination":
-        ln, v = take("weights", kind)
-        weights = tuple(_parse_float(tok, "weights", ln) for tok in v)
-        if not components:
-            raise ParseError("kind 'convex_combination' needs at least one component line")
-        if len(weights) != len(components):
-            raise ParseError(
-                f"line {ln}: {len(weights)} weights for {len(components)} component lines"
-            )
-        spec = InstanceSpec("convex_combination",
-                            {"weights": weights, "components": tuple(components)})
-    else:
-        raise ParseError(f"line {kind_line}: unknown kind '{kind}'")
-
-    if components and kind != "convex_combination":
-        raise ParseError("component lines are only valid for kind 'convex_combination'")
-    if fields:
-        line_no, _ = min(fields.values())
-        name = next(k for k, (ln2, _) in fields.items() if ln2 == line_no)
-        raise ParseError(f"line {line_no}: unknown field '{name}' for kind '{kind}'")
-
+    spec = _read_spec(entries, components)
     try:
-        spec.realize()  # surface bad parameter values as parse errors with the field name
-    except ParseError:
-        raise
+        return spec.realize()  # surface bad parameter values as parse errors with the field name
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"invalid parameters for kind '{kind}': {exc}")
-    return spec
+        raise ParseError(f"invalid parameters for kind '{spec.kind}': {exc}")
 
 
-def parse_instance(path) -> InstanceSpec:
-    """Read and parse one instance file."""
+def _load_instance(path) -> Instance:
+    """Read, parse and realize one instance file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read instance file {path}: {exc.strerror or exc}")
-    return parse_instance_text(text)
+    return _load_instance_text(text)
 
 
-def _component_line(spec: InstanceSpec) -> str:
-    p = spec.parameters
-    if spec.kind == "random":
-        dims = ",".join(str(r) for r in p["dims"])
-        return f"component random seed={spec.seed} d={p['d']} dims={dims}"
-    if spec.kind == "two_lines":
-        return f"component two_lines theta={_g(p['theta'])}"
-    rule = p["angle_rule"]
-    if isinstance(rule, str):
-        return f"component block_aligned k_blocks={p['k_blocks']} angle_rule={rule}"
-    angles = ",".join(_g(a) for a in rule)
-    return f"component block_aligned k_blocks={p['k_blocks']} angles={angles}"
+def parse_instance_text(text: str) -> InstanceSpec:
+    """Parse the versioned key-value instance format from a string."""
+    return _load_instance_text(text).spec
+
+
+def parse_instance(path) -> InstanceSpec:
+    """Read and parse one instance file."""
+    return _load_instance(path).spec
+
+
+def _field_strings(spec: InstanceSpec) -> list:
+    """(field, value strings) of each field of spec, in schema order."""
+    p = {**spec.parameters, "seed": spec.seed}
+    if not isinstance(p.get("angle_rule", ""), str):
+        p["angles"] = p.pop("angle_rule")
+    out = []
+    for name, vtype, arity in _SCHEMA[spec.kind]:
+        if name in p:
+            values = (p[name],) if arity is _ONE else p[name]
+            out.append((name, [_g(v) if vtype is float else str(v) for v in values]))
+    return out
 
 
 def serialize_instance(spec: InstanceSpec) -> str:
     """Canonical text form; parse(serialize(s)) reproduces s exactly."""
     lines = [_VERSION_LINE, f"kind {spec.kind}"]
-    p = spec.parameters
-    if spec.kind == "random":
-        lines.append(f"seed {spec.seed}")
-        lines.append(f"d {p['d']}")
-        lines.append("dims " + " ".join(str(r) for r in p["dims"]))
-    elif spec.kind == "two_lines":
-        lines.append(f"theta {_g(p['theta'])}")
-    elif spec.kind == "block_aligned":
-        lines.append(f"k_blocks {p['k_blocks']}")
-        rule = p["angle_rule"]
-        if isinstance(rule, str):
-            lines.append(f"angle_rule {rule}")
-        else:
-            lines.append("angles " + " ".join(_g(a) for a in rule))
-    else:
-        lines.append("weights " + " ".join(_g(w) for w in p["weights"]))
-        for comp in p["components"]:
-            comp = comp if isinstance(comp, InstanceSpec) else InstanceSpec(**comp)
-            lines.append(_component_line(comp))
+    lines += [" ".join([name, *values]) for name, values in _field_strings(spec)]
+    for comp in spec.parameters.get("components", ()):
+        fields = [f"{name}={','.join(values)}" for name, values in _field_strings(comp)]
+        lines.append(" ".join(["component", comp.kind, *fields]))
     return "\n".join(lines) + "\n"
 
 
@@ -314,13 +273,8 @@ def _emit(args, header, rows, notes):
 # commands
 
 
-def _realized(args):
-    spec = parse_instance(args.instance)
-    return spec, spec.realize()
-
-
 def _cmd_geometry(args):
-    _, inst = _realized(args)
+    inst = _load_instance(args.instance)
     cp = inst.cyclic()
     rep = geometry_report(inst.subspaces, cp.m, seed=args.seed)
     header = ["N", "c", "ell2", "ell2_direct", "iota2", "ell_est", "iota_est",
@@ -335,7 +289,7 @@ def _cmd_geometry(args):
 
 
 def _cmd_iterate(args):
-    _, inst = _realized(args)
+    inst = _load_instance(args.instance)
     cp = inst.cyclic()
     subs = inst.subspaces
     c = friedrichs_number(subs, cp.m)
@@ -356,24 +310,21 @@ def _cmd_iterate(args):
     return 0
 
 
-def _numrange_operator(spec, inst):
+def _numrange_operator(inst):
     """Operator, Friedrichs number, and factor count for the containment check."""
-    if spec.kind != "convex_combination":
+    if not inst.components:
         cp = inst.cyclic()
         return cp, friedrichs_number(inst.subspaces, cp.m), cp.N
-    comps = [c if isinstance(c, InstanceSpec) else InstanceSpec(**c)
-             for c in spec.parameters["components"]]
-    insts = [c.realize() for c in comps]
-    cps = [i.cyclic() for i in insts]
-    t = convex_combination(cps, spec.parameters["weights"])
+    cps = [i.cyclic() for i in inst.components]
     # the result region is governed by the widest component
-    return t, max(friedrichs_number(i.subspaces, cp.m) for i, cp in zip(insts, cps)), \
+    return inst.matrix, \
+        max(friedrichs_number(i.subspaces, cp.m) for i, cp in zip(inst.components, cps)), \
         max(cp.N for cp in cps)
 
 
 def _cmd_numrange(args):
-    spec, inst = _realized(args)
-    t, c, n = _numrange_operator(spec, inst)
+    inst = _load_instance(args.instance)
+    t, c, n = _numrange_operator(inst)
     rep = containment_check(t, c, n, m=args.angles, slack=args.slack, strict=False)
     b = rep.boundary
     rows = [
@@ -391,7 +342,7 @@ def _cmd_numrange(args):
 
 
 def _cmd_ritt(args):
-    _, inst = _realized(args)
+    inst = _load_instance(args.instance)
     t = inst.dense()
     sup, argmax, profile = ritt_power_diagnostic(t, args.n_max)
     radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
@@ -405,7 +356,7 @@ def _cmd_ritt(args):
 
 
 def _cmd_fracpow(args):
-    _, inst = _realized(args)
+    inst = _load_instance(args.instance)
     cp = inst.cyclic()
     window = (max(1, args.n_max // 10), args.n_max)
     rows = []
@@ -424,16 +375,15 @@ def _cmd_fracpow(args):
 
 
 def _cmd_slowvec(args):
-    spec, inst = _realized(args)
-    if spec.kind != "block_aligned":
+    inst = _load_instance(args.instance)
+    if inst.model is None:
         raise ParseError("slowvec needs an instance of kind 'block_aligned'")
-    p = spec.parameters
-    model = block_aligned(int(p["k_blocks"]), p["angle_rule"])
+    model = inst.model
     horizon = args.n_max
     ns = np.arange(horizon + 1, dtype=float)
     r = 1.0 / np.log(ns + 2.0)
     x = slow_vector(model, r, horizon, args.eps)
-    tr = iterate(model.cyclic(), x, horizon)
+    tr = iterate(inst.cyclic(), x, horizon)
     rows = [["vector", str(i), _g(x[i])] for i in range(len(x))]
     rows += [["target", str(n), _g(r[n])] for n in range(horizon + 1)]
     rows += [["error", str(n), _g(tr.errors[n])] for n in range(horizon + 1)]
@@ -471,8 +421,8 @@ def _alpha_list(text: str) -> list:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values or any(a <= 0.0 for a in values):
-        raise argparse.ArgumentTypeError("alpha values must be positive")
+    if not values or any(not 0.0 < a < math.inf for a in values):
+        raise argparse.ArgumentTypeError("alpha values must be positive and finite")
     return values
 
 
@@ -489,8 +439,8 @@ def _criteria_list(text: str) -> list:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0.0 < value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

@@ -157,14 +157,23 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
         partial = t
 
 
-def _eig_apply(dense: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """(I-T)^alpha x through an eigendecomposition, principal branch."""
+def _eigencoordinates(dense: np.ndarray, x: np.ndarray):
+    """Eigenvalues lam, eigenvectors v and the coordinates w of x with v w = x.
+
+    Raises NumericalContractError when the eigenvector basis is singular
+    or its condition number reaches _COND_CAP.
+    """
     lam, v = np.linalg.eig(dense)
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_CAP:
         raise NumericalContractError(
             "eigenvector basis too ill-conditioned for the spectral path")
-    w = np.linalg.solve(v, x.astype(np.complex128))
+    return lam, v, np.linalg.solve(v, x)
+
+
+def _eig_apply(dense: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
+    """(I-T)^alpha x through an eigendecomposition, principal branch."""
+    lam, v, w = _eigencoordinates(dense, x.astype(np.complex128))
     scale = (1.0 - lam).astype(np.complex128) ** alpha
     return v @ (scale * w)
 
@@ -306,12 +315,8 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     if np.linalg.norm(x) == 0.0:
         return 0.0, True
     try:
-        lam, v = np.linalg.eig(cp.matrix)
-        sv = np.linalg.svd(v, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_CAP:
-            raise np.linalg.LinAlgError
-        w = np.linalg.solve(v, x)
-    except np.linalg.LinAlgError:
+        lam, v, w = _eigencoordinates(cp.matrix, x)
+    except (np.linalg.LinAlgError, NumericalContractError):
         return _partial_sum_dense(cp, x, alpha, n_max)
 
     # rigorous upper bound on ||V||_2 via Holder, avoids a large SVD

@@ -20,7 +20,7 @@ oracle.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -50,11 +50,13 @@ class GramBlock:
 
     ``matrix`` is R x R with R = sum of the complement dimensions and
     ``slices[k]`` locates block k.  Diagonal blocks are identities since
-    each basis is orthonormal.
+    each basis is orthonormal.  ``eigenvalues`` (ascending) are the ones
+    the validation computes.
     """
 
     matrix: np.ndarray
     slices: tuple
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.matrix
@@ -65,10 +67,12 @@ class GramBlock:
             if not np.allclose(block, np.eye(block.shape[0]), atol=1e-12):
                 raise ValueError("diagonal Gram blocks must be identities")
         n = len(self.slices)
+        w = np.zeros(0)
         if g.shape[0]:
             w, _ = eigh_sym(g)
             if w[0] < -1e-8 or w[-1] > n + 1e-8:
                 raise ValueError(f"Gram eigenvalues leave [0, {n}]")
+        object.__setattr__(self, "eigenvalues", w)
 
 
 def _complements(subspaces, m):
@@ -105,8 +109,7 @@ def friedrichs_number(subspaces, m: Subspace | None = None) -> float:
     gram = assemble_gram(subspaces, m)
     if gram.matrix.shape[0] == 0:
         return 0.0
-    w, _ = eigh_sym(gram.matrix)
-    return float(np.clip((w[-1] - 1.0) / (n - 1), 0.0, 1.0))
+    return float(np.clip((gram.eigenvalues[-1] - 1.0) / (n - 1), 0.0, 1.0))
 
 
 def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) -> float:

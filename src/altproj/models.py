@@ -10,6 +10,7 @@ bit-for-bit from a short description.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -249,6 +250,8 @@ def convex_combination(products, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(products),):
         raise ValueError("need one weight per product")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if weights.min() <= 0.0:
         raise ValueError("weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
@@ -269,15 +272,26 @@ _KINDS = ("random", "two_lines", "block_aligned", "convex_combination")
 
 @dataclass(frozen=True)
 class Instance:
-    """A realized instance: a subspace family and/or a dense operator."""
+    """A realized instance: a subspace family and/or a dense operator.
+
+    A convex combination keeps its realized ``components`` and a
+    block_aligned instance its ``model``.  ``cyclic()`` builds the
+    projection product on first use and returns that object afterwards.
+    """
 
     spec: "InstanceSpec"
     subspaces: tuple | None
     matrix: np.ndarray | None
+    components: tuple = ()
+    model: BlockAlignedModel | None = None
 
     def cyclic(self) -> CyclicProduct:
         if self.subspaces is None:
             raise ValueError(f"instances of kind '{self.spec.kind}' carry no subspace family")
+        return self._cyclic
+
+    @cached_property
+    def _cyclic(self) -> CyclicProduct:
         return build_cyclic(self.subspaces)
 
     def dense(self) -> np.ndarray:
@@ -297,6 +311,10 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
+        comps = self.parameters.get("components")
+        if comps is not None:  # component dicts become specs once, here
+            comps = tuple(c if isinstance(c, InstanceSpec) else InstanceSpec(**c) for c in comps)
+            object.__setattr__(self, "parameters", {**self.parameters, "components": comps})
 
     def realize(self) -> Instance:
         p = self.parameters
@@ -309,11 +327,9 @@ class InstanceSpec:
             return Instance(spec=self, subspaces=two_lines(float(p["theta"])), matrix=None)
         if self.kind == "block_aligned":
             model = block_aligned(int(p["k_blocks"]), p["angle_rule"])
-            return Instance(spec=self, subspaces=model.subspaces, matrix=None)
-        comps = [c if isinstance(c, InstanceSpec) else InstanceSpec(**c)
-                 for c in p["components"]]
-        if any(c.kind == "convex_combination" for c in comps):
+            return Instance(spec=self, subspaces=model.subspaces, matrix=None, model=model)
+        if any(c.kind == "convex_combination" for c in p["components"]):
             raise ValueError("convex combinations do not nest")
-        prods = [c.realize().cyclic() for c in comps]
-        mat = convex_combination(prods, p["weights"])
-        return Instance(spec=self, subspaces=None, matrix=mat)
+        comps = tuple(c.realize() for c in p["components"])
+        mat = convex_combination([c.cyclic() for c in comps], p["weights"])
+        return Instance(spec=self, subspaces=None, matrix=mat, components=comps)

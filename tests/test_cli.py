@@ -26,6 +26,8 @@ MIX = (
     "component two_lines theta=1.3\n"
 )
 
+MIX1 = "altproj-instance v1\nkind convex_combination\nweights 1\n"
+
 SPECS = [
     InstanceSpec("two_lines", {"theta": np.pi / 3}),
     InstanceSpec("random", {"d": 6, "dims": (2, 3)}, seed=11),
@@ -84,13 +86,86 @@ def test_canonical_two_lines_text():
             "weights for",
         ),
         ("altproj-instance v1\nkind block_aligned\nk_blocks 3\nangle_rule cubic\n", "angle_rule"),
+        ("altproj-instance v1\nkind two_lines\ntheta 1.0 2.0\n", "exactly one value"),
+        (
+            "altproj-instance v1\nkind block_aligned\nk_blocks 2\nangle_rule 1/k\n"
+            "angles 0.9 0.3\n",
+            "mutually exclusive",
+        ),
         # structurally fine, semantically impossible: surfaces as a parse error
         ("altproj-instance v1\nkind two_lines\ntheta 0.0\n", "invalid parameters"),
+        (
+            "altproj-instance v1\nkind convex_combination\nweights nan\n"
+            "component two_lines theta=1.0\n",
+            "invalid parameters",
+        ),
+        # component lines take the same fields and pass the same checks
+        (MIX1 + "component pentagon\n", "unknown kind"),
+        (MIX1 + "component two_lines\n", "is required"),
+        (MIX1 + "component two_lines theta=abc\n", "needs a number"),
+        (MIX1 + "component two_lines theta=1.0 theta=2.0\n", "duplicate field"),
+        (MIX1 + "component two_lines theta=1.0 spin=3\n", "unknown field"),
+        (MIX1 + "component random seed=1 d=x dims=2,2\n", "needs an integer"),
+        (MIX1 + "component random seed=1 d=4 dims=2\n", "at least two ranks"),
+        (MIX1 + "component block_aligned k_blocks=3 angle_rule=cubic\n", "must be '1/k' or"),
+        (MIX1 + "component two_lines theta=1.0,2.0\n", "exactly one value"),
+        (MIX1 + "component block_aligned k_blocks=2 angle_rule=1/k angles=0.9,0.3\n",
+         "mutually exclusive"),
+        (MIX1 + "component two_lines theta=0.0\n", "invalid parameters"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_instance_text(text)
+
+
+def test_block_aligned_component_with_explicit_angles_round_trips():
+    spec = InstanceSpec(
+        "convex_combination",
+        {
+            "components": (
+                {"kind": "block_aligned", "parameters": {"k_blocks": 2, "angle_rule": (0.9, 0.3)}},
+                {"kind": "block_aligned", "parameters": {"k_blocks": 2, "angle_rule": "1/k"}},
+            ),
+            "weights": (0.5, 0.5),
+        },
+    )
+    text = serialize_instance(spec)
+    assert ("component block_aligned k_blocks=2 "
+            "angles=0.90000000000000002,0.29999999999999999\n") in text
+    back = parse_instance_text(text)
+    assert back.parameters["components"][0].parameters["angle_rule"] == (0.9, 0.3)
+    assert serialize_instance(back) == text
+
+
+# (flags, instance text, InstanceSpec.realize calls): one per command, and
+# 1 + k for a mix of k components, which realizes each component once
+REALIZE_CALLS = [
+    (["geometry", "--seed", "7"], LINES, 1),
+    (["iterate", "--n-max", "5"], LINES, 1),
+    (["numrange", "--angles", "16"], LINES, 1),
+    (["ritt", "--n-max", "5"], LINES, 1),
+    (["fracpow", "--alpha", "1", "--n-max", "20", "--seed", "3"], BLOCKS12, 1),
+    (["slowvec", "--n-max", "5", "--eps", "0.5"], BLOCKS12, 1),
+    (["numrange", "--angles", "16"], MIX, 3),
+    (["ritt", "--n-max", "5"], MIX, 3),
+]
+
+
+@pytest.mark.parametrize("flags,text,calls", REALIZE_CALLS,
+                         ids=[f"{f[0]}-{n}" for f, _, n in REALIZE_CALLS])
+def test_each_command_realizes_its_instance_once(tmp_path, monkeypatch, flags, text, calls):
+    seen = []
+    realize = InstanceSpec.realize
+
+    def counted(self):
+        seen.append(self.kind)
+        return realize(self)
+
+    monkeypatch.setattr(InstanceSpec, "realize", counted)
+    argv = flags + ["--instance", _path(tmp_path, text), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert len(seen) == calls
 
 
 def test_geometry_command_writes_deterministic_csv(tmp_path, capsys):
@@ -217,12 +292,21 @@ def test_unwritable_output_exits_2(tmp_path):
     assert main(["iterate", "--instance", inst, "--n-max", "2", "--out", out]) == 2
 
 
-def test_bad_flags_exit_2(tmp_path):
+def test_bad_flags_exit_2(tmp_path, capsys):
     inst = _path(tmp_path, LINES)
     assert main(["geometry", "--instance", inst]) == 2  # --seed is required
     assert main(["suite", "--criteria", "0,5"]) == 2  # 0 is not a criterion id
     assert main(["iterate", "--instance", inst, "--n-max", "0"]) == 2
     assert main(["fracpow", "--instance", inst, "--alpha", "-1", "--seed", "1"]) == 2
+    # float flags take finite values only; nan fails every comparison
+    assert main(["numrange", "--instance", inst, "--slack", "inf"]) == 2
+    assert main(["numrange", "--instance", inst, "--slack", "nan"]) == 2
+    assert main(["fracpow", "--instance", inst, "--alpha", "nan", "--seed", "1"]) == 2
+    assert main(["fracpow", "--instance", inst, "--tol", "inf", "--seed", "1"]) == 2
+    blocks = _path(tmp_path, BLOCKS12, "blocks.txt")
+    capsys.readouterr()
+    assert main(["slowvec", "--instance", blocks, "--eps", "nan"]) == 2
+    assert "--eps: must be positive and finite" in capsys.readouterr().err
 
 
 def test_suite_subset_passes_and_writes_summary(tmp_path, capsys):

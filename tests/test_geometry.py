@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from altproj import geometry
+from altproj.linalg import eigh_sym
 from altproj import (
     assemble_gram,
     ell2,
@@ -95,6 +97,22 @@ def test_gram_assembly_structure():
     assert np.allclose(g[s1, s1], np.eye(2), atol=1e-12)
     w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-12 and w.max() <= 2.0 + 1e-12
+
+
+def test_friedrichs_number_reuses_the_validated_eigenvalues(monkeypatch):
+    subs = random_instance(6, (2, 3, 3), seed=4)
+    m = intersection(subs)
+    w, _ = eigh_sym(assemble_gram(subs, m).matrix)
+    expected = float(np.clip((w[-1] - 1.0) / 2, 0.0, 1.0))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh_sym(a)
+
+    monkeypatch.setattr(geometry, "eigh_sym", counted)
+    assert friedrichs_number(subs, m) == expected  # bit-identical
+    assert len(calls) == 1  # the GramBlock validation, not a second eigh
 
 
 def test_scalar_input_validation():

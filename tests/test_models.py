@@ -134,6 +134,8 @@ def test_convex_combination_mixes_matrices():
         convex_combination([a, b], [1.5, -0.5])  # and be positive
     with pytest.raises(ValueError):
         convex_combination([a], [0.5, 0.5])  # one weight per product
+    with pytest.raises(ValueError, match="finite"):
+        convex_combination([a, b], [np.nan, 0.5])  # nan passes both tests above
 
 
 def test_instance_spec_realizes_every_kind():
@@ -155,6 +157,27 @@ def test_instance_spec_realizes_every_kind():
     ).realize()
     assert mix.matrix.shape == (2, 2)
     assert np.array_equal(mix.dense(), mix.matrix)
+
+
+def test_instance_keeps_what_it_realized():
+    spec = InstanceSpec(
+        "convex_combination",
+        {
+            "components": (
+                {"kind": "block_aligned", "parameters": {"k_blocks": 2, "angle_rule": "1/k"}},
+                InstanceSpec("block_aligned", {"k_blocks": 2, "angle_rule": "1/sqrt(k)"}),
+            ),
+            "weights": (0.5, 0.5),
+        },
+    )
+    comps = spec.parameters["components"]
+    assert all(isinstance(c, InstanceSpec) for c in comps)  # dicts become specs
+    mix = spec.realize()
+    assert [c.spec for c in mix.components] == list(comps)
+    assert all(c.model.k_blocks == 2 for c in mix.components)
+    cp = mix.components[0].cyclic()
+    assert mix.components[0].cyclic() is cp  # built once
+    assert np.array_equal(mix.matrix, 0.5 * cp.matrix + 0.5 * mix.components[1].cyclic().matrix)
 
 
 def test_instance_spec_validation():
