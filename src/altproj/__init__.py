@@ -15,11 +15,9 @@ bundles the end-to-end battery behind the ``altproj suite`` command.
 from .errors import CapacityError, NumericalContractError, ParseError
 from .fracpow import (
     AlphaVector,
-    FracPowerPlan,
     decay_slope,
     frac_power_apply,
     make_alpha_vector,
-    make_plan,
     partial_sum_characterization,
     super_poly_vector,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "CapacityError",
     "ContainmentReport",
     "CyclicProduct",
-    "FracPowerPlan",
     "GeometryReport",
     "GramBlock",
     "Instance",
@@ -127,7 +124,6 @@ __all__ = [
     "iota2_rate_bound",
     "iterate",
     "make_alpha_vector",
-    "make_plan",
     "minimax_inclination_estimate",
     "numrange_boundary",
     "omega_contains",

@@ -18,6 +18,7 @@ Exit codes: 0 ok; 2 malformed instance file or invalid configuration;
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -168,6 +169,8 @@ def _load_instance_text(text: str) -> Instance:
         if key != "component":
             entries.append((line_no, key, rest))
             continue
+        if rest[:1] == ["convex_combination"]:
+            raise ParseError(f"line {line_no}: convex combinations do not nest")
         comp = [(line_no, "kind", rest[:1])]  # component <kind> key=v1,v2 ...
         for tok in rest[1:]:
             name, eq, value = tok.partition("=")
@@ -276,12 +279,9 @@ def _emit(args, header, rows, notes):
 def _cmd_geometry(args):
     inst = _load_instance(args.instance)
     cp = inst.cyclic()
-    rep = geometry_report(inst.subspaces, cp.m, seed=args.seed)
-    header = ["N", "c", "ell2", "ell2_direct", "iota2", "ell_est", "iota_est",
-              "theta0", "rate_base"]
-    row = [str(rep.N)] + [_g(v) for v in (rep.c, rep.ell2, rep.ell2_direct, rep.iota2,
-                                          rep.ell_est, rep.iota_est, rep.theta0,
-                                          rep.rate_base)]
+    rep = geometry_report(inst.subspaces, cp.m)
+    header = [f.name for f in dataclasses.fields(rep)]  # N first, then the floats
+    row = [str(rep.N)] + [_g(getattr(rep, name)) for name in header[1:]]
     notes = [f"c = {_g(rep.c)}", f"ell2 = {_g(rep.ell2)}", f"iota2 = {_g(rep.iota2)}",
              f"rate_base = {_g(rep.rate_base)}"]
     _emit(args, header, [row], notes)
@@ -469,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("geometry", "angle quantities of one instance (CSV row)", _cmd_geometry)
     p.add_argument("--instance", required=True, help="instance file")
-    p.add_argument("--seed", required=True, type=int,
-                   help="seed for the minimax inclination searches")
+    p.add_argument("--seed", type=int, default=None,
+                   help="ignored: every geometry quantity is deterministic")
     p.add_argument("--out", help="CSV output path (default: stdout)")
 
     p = add("iterate", "alternating-projection error trace with rate bounds", _cmd_iterate)

@@ -19,8 +19,6 @@ from .errors import CapacityError, NumericalContractError
 from .linalg import as_complex_matrix, spectral_norm
 
 __all__ = [
-    "FracPowerPlan",
-    "make_plan",
     "AlphaVector",
     "frac_power_apply",
     "make_alpha_vector",
@@ -38,77 +36,6 @@ _CAP_MSG = "alpha too small / tol too tight"
 def _auto_terms(d: int) -> int:
     """Series budget for the auto path: roughly constant work, d^2 per term."""
     return min(_AUTO_CAP, max(256, int(4e9 // (8 * d * d))))
-
-
-def _coefficients(alpha: float, count: int) -> np.ndarray:
-    """c_n = (-1)^n binom(alpha, n) for n = 0..count via the recurrence."""
-    c = np.empty(count + 1)
-    c[0] = 1.0
-    for n in range(count):
-        c[n + 1] = c[n] * (n - alpha) / (n + 1)
-    return c
-
-
-@dataclass(frozen=True)
-class FracPowerPlan:
-    """Truncated coefficient sequence for the binomial series.
-
-    ``tail_bound`` majorizes sum_{n > trunc} |c_n|: past n = ceil(alpha)
-    every coefficient has the same sign and the full series sums to
-    zero, so the absolute tail equals |sum_{n <= trunc} c_n| exactly.
-    """
-
-    alpha: float
-    trunc: int
-    coefficients: np.ndarray
-    tail_bound: float
-
-    def __post_init__(self):
-        c = self.coefficients
-        if len(c) != self.trunc + 1:
-            raise ValueError("coefficient count does not match trunc")
-        if c[0] != 1.0:
-            raise NumericalContractError("c_0 must be 1")
-        if self.trunc >= 1 and abs(c[1] + self.alpha) > 1e-15 * max(1.0, self.alpha):
-            raise NumericalContractError("c_1 must be -alpha")
-        if self.tail_bound < 0.0:
-            raise NumericalContractError("negative tail bound")
-
-
-def _exact_tail(partial_sum: float, n: int, alpha: float) -> float:
-    """|sum_{m > n} c_m| given the running partial sum, valid for n >= alpha."""
-    if n < alpha:
-        return math.inf
-    return abs(partial_sum)
-
-
-def make_plan(alpha: float, tol: float, max_terms: int = _TERM_CAP) -> FracPowerPlan:
-    """Choose K so that sum_{n>K}|c_n| <= tol, assuming only ||T^n|| <= 1."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    coeffs = [1.0]
-    partial = 1.0
-    comp = 0.0
-    n = 0
-    while True:
-        tail = _exact_tail(partial + comp, n, alpha)
-        if tail <= tol or coeffs[-1] == 0.0:
-            break
-        if n >= max_terms:
-            raise CapacityError(_CAP_MSG)
-        nxt = coeffs[-1] * (n - alpha) / (n + 1)
-        coeffs.append(nxt)
-        # compensated accumulation of the partial sum
-        y = nxt - comp
-        t = partial + y
-        comp = (t - partial) - y
-        partial = t
-        n += 1
-    tail = 0.0 if coeffs[-1] == 0.0 else _exact_tail(partial + comp, n, alpha)
-    return FracPowerPlan(alpha=float(alpha), trunc=n,
-                         coefficients=np.array(coeffs), tail_bound=float(tail))
 
 
 def _matvec(t):
@@ -138,7 +65,8 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
     pcomp = 0.0
     n = 0
     while True:
-        tail = _exact_tail(partial + pcomp, n, alpha)
+        # |sum_{m > n} c_m| is the running partial sum once n >= alpha
+        tail = abs(partial + pcomp) if n >= alpha else math.inf
         if c == 0.0 or tail * np.linalg.norm(cur) <= tol:
             return acc + comp
         if n >= max_terms:

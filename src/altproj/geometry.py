@@ -9,23 +9,27 @@ Central quantities, for subspaces M_1, ..., M_N with intersection M:
   smallest constant in sum_k dist(x, M_k)^2 >= ell2^2 dist(x, M)^2;
 * the inner l2-inclination ``iota2``, the same infimum restricted to
   x in M_n \\ M, minimized over n;
-* heuristic upper estimates of the minimax inclinations ``ell`` and
-  ``iota`` (infima of max_k dist(x,M_k)/dist(x,M)).
+* certified lower and upper bounds of the minimax inclinations ``ell``
+  and ``iota`` (infima of max_k dist(x,M_k)/dist(x,M)).
 
 The supremum defining ``c`` reduces exactly to the top eigenvalue of a
 Gram block matrix, and both inclinations reduce to extreme eigenvalues
 of restricted quadratic forms; those reductions are what is implemented
 here, with an independent sphere-sampling maximizer kept alongside as an
-oracle.
+oracle.  The minimax inclinations come from the eigenvalue dual
+max over the simplex of lambda_min(sum_k lam_k A_k) (Overton 1992): any
+weights give a lower bound and any explicit x an upper one.  With at
+most three active subspaces the two meet; with four or more the dual can
+have a gap, and the pair then reports it.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import eigh_sym
+from .linalg import eigh_sym, sym
 from .subspace import Subspace, complement_within, intersection, orthogonal_complement
 
 __all__ = [
@@ -214,65 +218,136 @@ def iota2(subspaces, m: Subspace | None = None) -> float:
     return float(np.sqrt(min(vals)))
 
 
-def _max_ratio(subspaces, point: np.ndarray) -> float:
-    nx = np.linalg.norm(point)
-    if nx < 1e-150:
-        return 2.0  # off-scale; any feasible point beats this
-    return max(float(np.linalg.norm(point - s.project(point)) / nx) for s in subspaces)
+# Barrier weights of the dual path relative to its start, down to the
+# smallest that double precision resolves; X is read off at _PRIMAL_WEIGHT,
+# where S is still well resolved.
+_BARRIER_WEIGHTS = 10.0 ** -np.arange(15)
+_PRIMAL_WEIGHT = 1e-8
+_CLUSTER = 1e-7  # spread of the bottom eigenspace; dual weights of inactive forms
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _dual_path(forms: np.ndarray):
+    """Log-barrier Newton path for max over the simplex of lambda_min(sum lam_k A_k).
+
+    Homogeneous form: minimize sum mu_k subject to S = sum_k mu_k A_k - I > 0
+    (optimum 1/ell^2 at lam = mu/sum mu) by damped Newton steps on
+    sum mu/tau - log det S - sum log mu_k for shrinking tau.  Returns lam
+    and X = S^{-1}/tr S^{-1} (trace one, tr(A_k X) near the optimum).
+    """
+    n, q = forms.shape[0], forms.shape[1]
+    mu = np.full(n, 2.0 / np.linalg.eigvalsh(forms.sum(axis=0))[0])  # S >= I
+    sig, u = eigh_sym(np.tensordot(mu, forms, 1) - np.eye(q))
+    x_mat = np.eye(q) / q
+    try:
+        for weight, tau in zip(_BARRIER_WEIGHTS, mu.sum() * _BARRIER_WEIGHTS):
+            for _ in range(50):
+                scale = 1.0 / np.sqrt(sig)
+                g = scale[:, None] * (u.conj().T @ forms @ u) * scale  # S^{-1/2} A_k S^{-1/2}
+                flat = g.reshape(n, -1)
+                hess = (flat @ flat.conj().T).real + np.diag(1.0 / mu**2)
+                grad = 1.0 / tau - np.trace(g, axis1=1, axis2=2).real - 1.0 / mu
+                step = np.linalg.solve(hess, -grad)
+                decrement = np.sqrt(max(step @ hess @ step, 0.0))
+                # the damped step stays feasible in exact arithmetic
+                trial = mu + (step / (1.0 + decrement) if decrement > 0.25 else step)
+                sig_t, u_t = eigh_sym(np.tensordot(trial, forms, 1) - np.eye(q))
+                if sig_t[0] <= 0.0 or trial.min() <= 0.0:
+                    raise np.linalg.LinAlgError("rounding left the feasible set")
+                mu, sig, u = trial, sig_t, u_t
+                if weight >= _PRIMAL_WEIGHT:
+                    x_mat = (u / sig) @ u.conj().T / np.sum(1.0 / sig)
+                if decrement < 0.1:
+                    break
+    except np.linalg.LinAlgError:  # rounding has swamped the barrier: stop here
+        pass
+    return mu / mu.sum(), x_mat
 
 
-def _search_over(subspaces, feasible_basis: np.ndarray, restarts: int, seed) -> float:
-    """Multi-start Nelder-Mead upper estimate of inf max_k dist ratio."""
-    q = feasible_basis.shape[1]
+def _rank_one_factor(forms: np.ndarray, y: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Pataki rank reduction of X = Y Y^H over the forms.
 
-    def objective(v):
-        x = feasible_basis @ (v[:q] + 1j * v[q:])
-        return _max_ratio(subspaces, x)
+    A least-squares change first levels the active values tr(A_k X); then
+    X moves along Hermitian directions keeping tr X and their differences,
+    never raising them, until X loses rank or an inactive value joins
+    them.  Stops at r^2 <= #active: r = 1 for up to three.
+    """
+    level = y.shape[1] > 1  # a single direction has nothing to level
+    while True:
+        act = np.flatnonzero(active)
+        r, k0 = y.shape[1], act[0]
+        iu, ju = np.triu_indices(r)  # basis E_j of the r x r Hermitian matrices over R
+        e = np.zeros((len(iu), r, r), dtype=np.complex128)
+        e[np.arange(len(iu)), iu, ju] = 1.0
+        basis = np.concatenate([e + e.conj().swapaxes(1, 2), 1j * (e - e.swapaxes(1, 2))[iu < ju]])
+        m = np.concatenate([[y.conj().T @ y], y.conj().T @ forms @ y])
+        coords = np.einsum("kab,jba->kj", m, basis).real  # tr(M_k E_j)
+        vals = np.trace(m[1:], axis1=1, axis2=2).real
+        rows = np.vstack([coords[:1], coords[1:][act[1:]] - coords[1 + k0]])
+        if level:
+            z = np.linalg.lstsq(rows, np.append(0.0, vals[k0] - vals[act[1:]]), rcond=None)[0]
+            delta, level = np.tensordot(z, basis, 1), False
+        elif r * r <= len(rows):
+            return y
+        else:
+            z = np.linalg.svd(rows)[2][-1]
+            rate = coords[1:] @ z
+            sign = -1.0 if rate[k0] > 0.0 else 1.0
+            delta = sign * np.tensordot(z, basis, 1)
+            length, hit = 1.0 / np.max(-np.linalg.eigvalsh(delta)), None
+            for k in np.flatnonzero(~active):
+                closing = sign * (rate[k] - rate[k0])
+                if closing > 0.0 and max(vals[k0] - vals[k], 0.0) / closing < length:
+                    length, hit = max(vals[k0] - vals[k], 0.0) / closing, k
+            if hit is not None:  # an inactive value caught up: it joins the held ones
+                active[hit] = True
+            delta = length * delta
+        # Y <- Y (I + delta)^{1/2}, dropping the directions where I + delta is not positive
+        w, v = eigh_sym(np.eye(r) + delta)
+        keep = w > 1e-12 * w[-1]
+        y = (y @ v[:, keep]) * np.sqrt(w[keep])
 
-    best = np.inf
-    for child_seed in _seed_sequence(seed).spawn(restarts):
-        v0 = np.random.default_rng(child_seed).standard_normal(2 * q)
-        res = minimize(objective, v0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        best = min(best, float(res.fun))
-    return best
+
+def _minimax_bounds(subspaces, basis: np.ndarray) -> tuple:
+    """(lower, upper) for inf over x = B v of max_k dist(x, M_k)/||x||.
+
+    With A_k = B^H (I - P_k) B, any simplex weights give the lower bound
+    sqrt(lambda_min(sum_k lam_k A_k)) (weak duality); the upper bound is
+    the ratio at an explicit x from the final bottom eigenspace.
+    """
+    # A_k as R^H R with R = (I - P_k) B: small distances keep their accuracy
+    rs = [basis - sub.basis @ (sub.basis.conj().T @ basis) for sub in subspaces]
+    forms = sym(np.stack([r.conj().T @ r for r in rs]))
+    lam, x_mat = _dual_path(forms)
+    w, v = eigh_sym(np.tensordot(lam, forms, 1))
+    bottom = v[:, w - w[0] <= _CLUSTER]
+    gw, gv = eigh_sym(bottom.conj().T @ x_mat @ bottom)
+    keep = gw > 1e-12 * gw[-1]
+    y = _rank_one_factor(bottom.conj().T @ forms @ bottom, gv[:, keep] * np.sqrt(gw[keep]),
+                         lam > _CLUSTER)
+    upper = float(min(max(sub.distance(x) for sub in subspaces) / np.linalg.norm(x)
+                      for x in (basis @ bottom @ y).T))
+    # rounding can leave the computed lower bound a few ulps above the upper
+    return min(float(np.sqrt(max(w[0], 0.0))), upper), upper
 
 
 def minimax_inclination_estimate(subspaces, m: Subspace | None = None, *,
-                                 kind: str = "global", restarts: int = 8, seed) -> float:
-    """Upper estimate of the minimax inclination ell (global) or iota (inner).
+                                 kind: str = "global") -> tuple:
+    """Certified (lower, upper) bounds of the minimax inclination ell or iota.
 
-    Best value of max_k dist(x, M_k)/dist(x, M) found by seeded
-    multi-start local search over the unit sphere of M^perp (global) or
-    of each M_n ∩ M^perp (inner).  This is only an upper bound on the
-    infimum; no convergence to the true value is claimed, and nothing
-    downstream relies on these numbers for a guarantee.
+    ell (``kind="global"``): inf of max_k dist(x, M_k)/dist(x, M) over
+    x in M^perp; iota (``kind="inner"``): the same over x in M_n ∩ M^perp,
+    minimized over n.  The bounds meet to rounding when at most three
+    subspaces are active at the optimum.  Empty feasible sets give (inf, inf).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if kind not in ("global", "inner"):
         raise ValueError(f"unknown kind {kind!r}")
     subspaces = list(subspaces)
     if m is None:
         m = intersection(subspaces)
-    if kind == "global":
-        q = orthogonal_complement(m)
-        if q.dim == 0:
-            return float("inf")
-        return _search_over(subspaces, q.basis, restarts, seed)
-    estimates = []
-    seeds = _seed_sequence(seed).spawn(len(subspaces))
-    for comp, sub_seed in zip(_complements(subspaces, m), seeds):
-        if comp.dim == 0:
-            continue
-        estimates.append(_search_over(subspaces, comp.basis, restarts, sub_seed))
-    return min(estimates) if estimates else float("inf")
+    feasible = [orthogonal_complement(m)] if kind == "global" else _complements(subspaces, m)
+    bounds = [_minimax_bounds(subspaces, s.basis) for s in feasible if s.dim]
+    lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
+    return min(lows), min(highs)
 
 
 def _rate_base_squared(c: float, n: int) -> float:
@@ -302,8 +377,10 @@ class GeometryReport:
     ell2: float
     ell2_direct: float
     iota2: float
-    ell_est: float
-    iota_est: float
+    ell_lo: float
+    ell_hi: float
+    iota_lo: float
+    iota_hi: float
     theta0: float
     rate_base: float
 
@@ -315,12 +392,13 @@ class GeometryReport:
             raise ValueError("ell2 field disagrees with sqrt((N-1)(1-c))")
         if self.iota2 < self.ell2 - 1e-9:
             raise ValueError("iota2 below ell2")
+        if not (self.ell_lo <= self.ell_hi and self.iota_lo <= self.iota_hi):
+            raise ValueError("a minimax lower bound exceeds its upper bound")
         if not 0.0 <= self.rate_base <= 1.0:
             raise ValueError("rate_base outside [0, 1]")
 
 
-def geometry_report(subspaces, m: Subspace | None = None, *,
-                    seed, restarts: int = 8) -> GeometryReport:
+def geometry_report(subspaces, m: Subspace | None = None) -> GeometryReport:
     """Compute every GeometryReport field for one instance."""
     from .spectral import theta0 as theta0_fn
 
@@ -329,17 +407,18 @@ def geometry_report(subspaces, m: Subspace | None = None, *,
         m = intersection(subspaces)
     n = len(subspaces)
     c = friedrichs_number(subspaces, m)
-    seeds = _seed_sequence(seed).spawn(2)
+    ell_lo, ell_hi = minimax_inclination_estimate(subspaces, m, kind="global")
+    iota_lo, iota_hi = minimax_inclination_estimate(subspaces, m, kind="inner")
     return GeometryReport(
         N=n,
         c=c,
         ell2=ell2(c, n),
         ell2_direct=ell2_direct(subspaces, m),
         iota2=iota2(subspaces, m),
-        ell_est=minimax_inclination_estimate(subspaces, m, kind="global",
-                                             restarts=restarts, seed=seeds[0]),
-        iota_est=minimax_inclination_estimate(subspaces, m, kind="inner",
-                                              restarts=restarts, seed=seeds[1]),
+        ell_lo=ell_lo,
+        ell_hi=ell_hi,
+        iota_lo=iota_lo,
+        iota_hi=iota_hi,
         theta0=theta0_fn(c, n),
         rate_base=rate_base(c, n),
     )
@@ -348,16 +427,16 @@ def geometry_report(subspaces, m: Subspace | None = None, *,
 def sandwich_check(report: GeometryReport, tol: float = 1e-6):
     """Evaluate the inequality chain among the angle quantities.
 
-    Returns a list of (inequality, satisfied, slack) triples.  The lower
-    bound on ell is sound for an upper estimate (ell_est >= ell >= bound);
-    the ell_est vs iota_est comparison is only a heuristic diagnostic,
-    both being upper estimates of different infima.
+    Returns a list of (inequality, satisfied, slack) triples.  Each line
+    compares certified lower bounds: ell >= (N-1)(1-c)/(2N), and
+    iota >= ell because for every dual weight, restricting the forms to a
+    subspace of M^perp can only raise lambda_min.
     """
     lower = (report.N - 1) * (1.0 - report.c) / (2.0 * report.N)
     identity_gap = abs(report.ell2_direct - report.ell2)
     checks = [
-        ("ell_est >= (N-1)(1-c)/(2N)", report.ell_est - lower),
-        ("iota_est >= ell_est  [heuristic]", report.iota_est - report.ell_est),
+        ("ell_lo >= (N-1)(1-c)/(2N)", report.ell_lo - lower),
+        ("iota_lo >= ell_lo", report.iota_lo - report.ell_lo),
         ("iota2 >= ell2", report.iota2 - report.ell2),
         ("|ell2_direct - ell2(c)| small", tol - identity_gap),
     ]

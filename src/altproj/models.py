@@ -139,17 +139,6 @@ def block_aligned(k_blocks: int, angle_rule) -> BlockAlignedModel:
                              m2=Subspace(basis=b2), angle_rule=rule_name)
 
 
-def _coverage_limit(theta: float, eps: float) -> float:
-    """Largest n with cos^{2n-1}(theta) >= 1/(1 + eps/2); inf if no decay."""
-    q = math.log1p(eps / 2.0)
-    decay = -math.log(math.cos(theta)) if theta < math.pi / 2 else math.inf
-    if decay == math.inf:
-        return 0.0  # theta = pi/2: the block dies after one sweep
-    if decay == 0.0:
-        return math.inf
-    return (1.0 + q / decay) / 2.0
-
-
 def _theta_needed(n_end: int, eps: float) -> float:
     """Largest block angle whose coverage reaches n_end."""
     if n_end < 1:
@@ -314,6 +303,8 @@ class InstanceSpec:
         comps = self.parameters.get("components")
         if comps is not None:  # component dicts become specs once, here
             comps = tuple(c if isinstance(c, InstanceSpec) else InstanceSpec(**c) for c in comps)
+            if any(c.kind == "convex_combination" for c in comps):
+                raise ValueError("convex combinations do not nest")
             object.__setattr__(self, "parameters", {**self.parameters, "components": comps})
 
     def realize(self) -> Instance:
@@ -328,8 +319,6 @@ class InstanceSpec:
         if self.kind == "block_aligned":
             model = block_aligned(int(p["k_blocks"]), p["angle_rule"])
             return Instance(spec=self, subspaces=model.subspaces, matrix=None, model=model)
-        if any(c.kind == "convex_combination" for c in p["components"]):
-            raise ValueError("convex combinations do not nest")
         comps = tuple(c.realize() for c in p["components"])
         mat = convex_combination([c.cyclic() for c in comps], p["weights"])
         return Instance(spec=self, subspaces=None, matrix=mat, components=comps)

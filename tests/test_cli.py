@@ -112,6 +112,8 @@ def test_canonical_two_lines_text():
         (MIX1 + "component block_aligned k_blocks=2 angle_rule=1/k angles=0.9,0.3\n",
          "mutually exclusive"),
         (MIX1 + "component two_lines theta=0.0\n", "invalid parameters"),
+        (MIX1 + "component convex_combination weights=1\n",
+         "line 4: convex combinations do not nest"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):
@@ -174,12 +176,13 @@ def test_geometry_command_writes_deterministic_csv(tmp_path, capsys):
     out_b = str(tmp_path / "b.csv")
     assert main(["geometry", "--instance", inst, "--seed", "7", "--out", out_a]) == 0
     assert "c = 0.5" in capsys.readouterr().out
-    assert main(["geometry", "--instance", inst, "--seed", "7", "--out", out_b]) == 0
+    # --seed is optional and ignored: nothing in geometry is random
+    assert main(["geometry", "--instance", inst, "--out", out_b]) == 0
     with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
         assert fa.read() == fb.read()
     rows = _rows(open(out_a).read())
-    assert rows[0] == ["N", "c", "ell2", "ell2_direct", "iota2", "ell_est",
-                       "iota_est", "theta0", "rate_base"]
+    assert rows[0] == ["N", "c", "ell2", "ell2_direct", "iota2", "ell_lo", "ell_hi",
+                       "iota_lo", "iota_hi", "theta0", "rate_base"]
     record = dict(zip(rows[0], rows[1]))
     assert record["N"] == "2"
     assert float(record["c"]) == pytest.approx(0.5, abs=1e-12)
@@ -294,7 +297,6 @@ def test_unwritable_output_exits_2(tmp_path):
 
 def test_bad_flags_exit_2(tmp_path, capsys):
     inst = _path(tmp_path, LINES)
-    assert main(["geometry", "--instance", inst]) == 2  # --seed is required
     assert main(["suite", "--criteria", "0,5"]) == 2  # 0 is not a criterion id
     assert main(["iterate", "--instance", inst, "--n-max", "0"]) == 2
     assert main(["fracpow", "--instance", inst, "--alpha", "-1", "--seed", "1"]) == 2

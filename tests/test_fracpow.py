@@ -1,8 +1,9 @@
-"""Fractional powers (I - T)^alpha: series plans, application paths, decay."""
+"""Fractional powers (I - T)^alpha: series and spectral application, decay."""
 
 import numpy as np
 import pytest
 
+from altproj import fracpow
 from altproj import (
     CapacityError,
     NumericalContractError,
@@ -12,7 +13,6 @@ from altproj import (
     frac_power_apply,
     iterate,
     make_alpha_vector,
-    make_plan,
     orthonormalize,
     partial_sum_characterization,
     random_instance,
@@ -21,36 +21,40 @@ from altproj import (
 )
 
 
-def test_half_power_coefficients():
-    plan = make_plan(0.5, 1e-3)
-    assert plan.coefficients[:4] == pytest.approx([1.0, -0.5, -0.125, -0.0625], abs=1e-15)
-    assert plan.tail_bound <= 1e-3
-    # the full series sums to zero, so the retained mass equals the tail
-    assert abs(plan.coefficients.sum()) == pytest.approx(plan.tail_bound, abs=1e-12)
+# diagonal T with spectrum in [0, 1), where (I - T)^alpha acts entrywise
+# as (1 - t)^alpha
+_SPECTRUM = np.array([0.0, 0.3, 0.9, 0.99])
 
 
-# the guarantee assumes only ||T^n|| <= 1, so the affordable tolerance
-# scales with alpha: the tail shrinks like trunc^-alpha
+def test_half_power_series_matches_the_closed_form():
+    x = np.ones(4)
+    out = frac_power_apply(np.diag(_SPECTRUM), 0.5, x, 1e-3, method="series")
+    assert np.abs(out - np.sqrt(1.0 - _SPECTRUM)).max() <= 1e-3
+
+
+# the series guarantee assumes only ||T^n|| <= 1, so the affordable
+# tolerance scales with alpha: the tail shrinks like n^-alpha
 @pytest.mark.parametrize("alpha,tol", [(0.25, 0.05), (0.5, 1e-3), (1.0, 1e-15),
                                        (1.7, 1e-8), (2.0, 1e-15)])
-def test_plan_invariants(alpha, tol):
-    plan = make_plan(alpha, tol)
-    c = plan.coefficients
-    assert c[0] == 1.0
-    assert c[1] == pytest.approx(-alpha, abs=1e-15)
-    assert plan.trunc == len(c) - 1
-    assert 0.0 <= plan.tail_bound <= tol
+def test_series_error_stays_within_tol(alpha, tol):
+    x = np.array([1.0, -0.5, 0.25, 1.0])
+    out = frac_power_apply(np.diag(_SPECTRUM), alpha, x, tol, method="series")
+    assert np.linalg.norm(out - (1.0 - _SPECTRUM) ** alpha * x) <= tol + 1e-15
 
 
 def test_integer_alpha_series_terminates():
-    plan = make_plan(2.0, 1e-15)
-    assert plan.tail_bound == 0.0
-    assert plan.coefficients[:3] == pytest.approx([1.0, -2.0, 1.0], abs=1e-15)
+    # c_3 = 0 for alpha = 2, so the series is (I - T)^2 exactly
+    t = np.array([[0.5, 0.2], [0.1, 0.3]])
+    x = np.array([1.0, 2.0])
+    out = frac_power_apply(t, 2.0, x, 1e-15, method="series")
+    assert np.allclose(out, x - 2.0 * t @ x + t @ (t @ x), atol=1e-15)
 
 
-def test_plan_capacity_limit():
+def test_series_capacity_limit(monkeypatch):
+    # at the fixed point t = 1 the tail decays only like n^-alpha
+    monkeypatch.setattr(fracpow, "_TERM_CAP", 10_000)
     with pytest.raises(CapacityError, match="alpha too small / tol too tight"):
-        make_plan(1e-4, 1e-12, max_terms=10_000)
+        frac_power_apply(np.eye(2), 1e-4, np.ones(2), 1e-12, method="series")
 
 
 def test_alpha_zero_is_the_identity_and_alpha_one_is_i_minus_t():
@@ -103,8 +107,6 @@ def test_fracpow_input_validation():
         frac_power_apply(cp, 0.5, x, 0.0)
     with pytest.raises(ValueError):
         make_alpha_vector(cp, 0.0, seed=1)
-    with pytest.raises(ValueError):
-        make_plan(-1.0, 1e-6)
     with pytest.raises(ValueError):
         frac_power_apply(1.5 * np.eye(2), 0.5, x, 1e-8)  # not a contraction
 

@@ -39,10 +39,9 @@ FIXTURES = {
 
 _ALL = tuple(fx for fx in FIXTURES if fx != "rand64")
 
-# (command, name suffix, fixtures, flags); Nelder-Mead in geometry costs
-# seconds per call on anything larger than two lines
+# (command, name suffix, fixtures, flags)
 COMMANDS = (
-    ("geometry", "", ("lines",), ["--seed", "7"]),
+    ("geometry", "", ("lines", "rand6", "blocks", "mix"), []),
     ("iterate", "", _ALL, ["--n-max", "30"]),
     ("iterate", "-seeded", ("rand6",), ["--n-max", "30", "--seed", "5"]),
     ("numrange", "", _ALL, ["--angles", "64"]),
