@@ -427,8 +427,8 @@ def geometry_report(subspaces, m: Subspace | None = None) -> GeometryReport:
 def sandwich_check(report: GeometryReport, tol: float = 1e-6):
     """Evaluate the inequality chain among the angle quantities.
 
-    Returns a list of (inequality, satisfied, slack) triples.  Each line
-    compares certified lower bounds: ell >= (N-1)(1-c)/(2N), and
+    Returns a list of (inequality, satisfied, slack) triples.  The first
+    two compare certified lower bounds: ell >= (N-1)(1-c)/(2N), and
     iota >= ell because for every dual weight, restricting the forms to a
     subspace of M^perp can only raise lambda_min.
     """
