@@ -73,14 +73,11 @@ from .spectral import (
     theta_recursion,
 )
 from .subspace import (
-    AmbientSpace,
-    Projector,
     Subspace,
     complement_within,
     intersection,
     orthogonal_complement,
     orthonormalize,
-    projector,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AlphaVector",
-    "AmbientSpace",
     "BlockAlignedModel",
     "CapacityError",
     "ContainmentReport",
@@ -102,7 +98,6 @@ __all__ = [
     "NumericalRangeBoundary",
     "OmegaRegion",
     "ParseError",
-    "Projector",
     "StolzDomain",
     "Subspace",
     "UnconditionalReport",
@@ -131,7 +126,6 @@ __all__ = [
     "orthogonal_complement",
     "orthonormalize",
     "partial_sum_characterization",
-    "projector",
     "random_instance",
     "rate_base",
     "rate_bound",

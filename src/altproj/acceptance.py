@@ -42,7 +42,6 @@ from .spectral import (
     ritt_power_diagnostic,
     theta_recursion,
 )
-from .subspace import projector
 
 __all__ = [
     "MASTER_SEED",
@@ -237,7 +236,8 @@ def _numerical_range_containment(pool):
     # averaging products enlarges neither region: check at the larger c
     check(convex_combination([build_cyclic(subs_a), build_cyclic(subs_b)], [0.5, 0.5]),
           max(ca, cb), 2)
-    check(0.5 * (projector(subs_a[0]).matrix + projector(subs_a[1]).matrix), ca, 2)
+    p1, p2 = (s.basis @ s.basis.conj().T for s in subs_a)
+    check(0.5 * (p1 + p2), ca, 2)
     ok = escapes == 0
     return ok, f"100 instances + 2 averaged fixtures, {escapes} escapes, worst margin {worst:.1e}"
 

@@ -1,8 +1,10 @@
 """Fractional powers (I - T)^alpha of the projection product.
 
 The binomial series (I - T)^alpha = sum_n (-1)^n binom(alpha, n) T^n is
-the reference computation; a spectral path through an eigendecomposition
-of T serves as a fast alternative when the eigenvector basis is
+the reference computation (``method="series"``).  The default
+``method="auto"`` runs the series within a practical term budget and,
+past it, takes the fast route: a spectral path through an
+eigendecomposition of T, used when the eigenvector basis is
 well-conditioned.  On top of these the module builds vectors of the
 regularity class Fix(T) + Ran(I-T)^alpha, fits the polynomial decay
 exponent of their iteration error, and probes boundedness of the
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .linalg import as_complex_matrix, spectral_norm
+from .linalg import _dense, spectral_norm
 
 __all__ = [
     "AlphaVector",
@@ -40,9 +42,9 @@ def _auto_terms(d: int) -> int:
 
 def _matvec(t):
     """Return (apply, dense) for a CyclicProduct or a plain matrix."""
-    if hasattr(t, "apply") and hasattr(t, "matrix"):
-        return t.apply, t.matrix
-    dense = as_complex_matrix(t)
+    dense = _dense(t)
+    if hasattr(t, "apply"):
+        return t.apply, dense
     if spectral_norm(dense) > 1.0 + 1e-10:
         raise ValueError("operator is not a contraction")
     return (lambda v: dense @ v), dense
@@ -109,14 +111,13 @@ def _eig_apply(dense: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
 def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") -> np.ndarray:
     """Apply (I - T)^alpha to x with truncation error at most tol.
 
-    ``method`` is "series" (reference; works for defective T),
-    "eig" (spectral path, cross-checked against the series whenever the
-    series is affordable), or "auto" (series within a practical term
-    budget, spectral path otherwise).
+    ``method`` is "series" (the reference; works for defective T) or
+    "auto" (series within a practical term budget, then the spectral
+    path, then the series at its full cap for defective T).
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("alpha must be >= 0")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=np.complex128)
     if alpha == 0.0:
@@ -124,18 +125,8 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
     apply_t, dense = _matvec(t)
     if method == "series":
         return _series_apply(apply_t, alpha, x, tol, _TERM_CAP)
-    if method == "eig":
-        out = _eig_apply(dense, alpha, x)
-        try:
-            ref = _series_apply(apply_t, alpha, x, tol, _auto_terms(len(x)))
-        except CapacityError:
-            return out  # series unaffordable; spectral result stands alone
-        if np.linalg.norm(out - ref) > 10.0 * tol:
-            raise NumericalContractError(
-                "spectral path disagrees with the series beyond 10*tol")
-        return out
     if method != "auto":
-        raise ValueError("method must be 'auto', 'series' or 'eig'")
+        raise ValueError("method must be 'auto' or 'series'")
     try:
         return _series_apply(apply_t, alpha, x, tol, _auto_terms(len(x)))
     except CapacityError:
@@ -169,14 +160,14 @@ def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None,
     Explicit ``y``/``z`` override the draws, e.g. to shape the spectral
     profile of y while keeping the construction itself unchanged.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
     d = cp.dim
     y = _unit(rng, d) if y is None else np.asarray(y, dtype=np.complex128)
     z = _unit(rng, d) if z is None else np.asarray(z, dtype=np.complex128)
-    x = frac_power_apply(cp, alpha, y, tol) + cp.pm.apply(z)
-    leak = np.linalg.norm(cp.pm.apply(x - cp.pm.apply(x)))
+    x = frac_power_apply(cp, alpha, y, tol) + cp.pm @ z
+    leak = np.linalg.norm(cp.pm @ (x - cp.pm @ x))
     if leak > 1e-10:
         raise NumericalContractError("x - P_M x is not orthogonal to M")
     return AlphaVector(alpha=float(alpha), x=x, provenance=(y, z))
@@ -321,6 +312,6 @@ def super_poly_vector(cp, alphas, seed) -> np.ndarray:
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
-    if any(a <= 0.0 for a in alphas):
+    if not all(a > 0.0 for a in alphas):
         raise ValueError("alphas must be positive")
     return make_alpha_vector(cp, max(alphas), seed).x

@@ -136,7 +136,7 @@ def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) ->
     b = np.concatenate([c.basis for c in comps if c.dim], axis=1)
     # a real instance has a real maximizer: sampling the real sphere
     # halves the dimension and sharpens the oracle considerably
-    real = bool(np.isrealobj(b)) or not np.iscomplexobj(b) or np.all(b.imag == 0.0)
+    real = np.all(b.imag == 0.0)
     rng = np.random.default_rng(seed)
     best = -np.inf
     # chunked so 1e5 samples in dimension <= 12 stay cache-friendly

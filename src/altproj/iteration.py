@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError, NumericalContractError
 from .geometry import _rate_base_squared
 from .linalg import spectral_norm
-from .subspace import Projector, Subspace, intersection, projector
+from .subspace import Subspace, _freeze, intersection
 
 __all__ = [
     "CyclicProduct",
@@ -43,21 +43,24 @@ _TAIL_SAFETY = 10.0  # safety factor applied to the measured tail estimate
 class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
-    ``factors[0]`` is applied first.  Construction validates that T is a
-    contraction, that it commutes with P_M as T P_M = P_M T = P_M, and
-    that the intersection is fixed pointwise.
+    ``factors`` holds the projection matrices P_k = B_k B_k^H and ``pm``
+    that of P_M, all read-only complex d x d arrays; ``factors[0]`` is
+    applied first, ``matrix`` is the assembled T and ``m`` the
+    intersection M.  Construction validates that T is a contraction, that
+    it commutes with P_M as T P_M = P_M T = P_M, and that the
+    intersection is fixed pointwise.
     """
 
     factors: tuple
     matrix: np.ndarray
-    pm: Projector
+    pm: np.ndarray
     m: Subspace
 
     def __post_init__(self):
         t = self.matrix
         if spectral_norm(t) > 1.0 + 1e-10:
             raise NumericalContractError("product of projections is not a contraction")
-        p = self.pm.matrix
+        p = self.pm
         if max(np.linalg.norm(t @ p - p, np.inf), np.linalg.norm(p @ t - p, np.inf)) > 1e-10:
             raise NumericalContractError("T does not commute with the limit projector")
         if self.m.dim:
@@ -76,7 +79,7 @@ class CyclicProduct:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
         for p in self.factors:
-            x = p.apply(x)
+            x = p @ x
         return x
 
 
@@ -88,12 +91,17 @@ def build_cyclic(subspaces) -> CyclicProduct:
     d = subspaces[0].ambient_dim
     if any(s.ambient_dim != d for s in subspaces):
         raise ValueError("subspaces live in different ambient dimensions")
-    factors = tuple(projector(s) for s in subspaces)
+    factors = tuple(_projection(s) for s in subspaces)
     t = np.eye(d, dtype=np.complex128)
     for p in factors:
-        t = p.matrix @ t
+        t = p @ t
     m = intersection(subspaces)
-    return CyclicProduct(factors=factors, matrix=t, pm=projector(m), m=m)
+    return CyclicProduct(factors=factors, matrix=t, pm=_projection(m), m=m)
+
+
+def _projection(s: Subspace) -> np.ndarray:
+    """Read-only matrix B B^H of the orthogonal projection onto ``s``."""
+    return _freeze(s.basis @ s.basis.conj().T)
 
 
 @dataclass(frozen=True)
@@ -126,15 +134,11 @@ def rate_bound(c: float, n_subspaces: int, n: int) -> float:
 
 def _iota2_base_squared(iota2: float, n_subspaces: int) -> float:
     """b = 1 - 3 iota2^2/N^3 clipped to [0, 1]; 0 for the +inf sentinel."""
-    if iota2 < 0.0:
+    if not iota2 >= 0.0:
         raise ValueError("iota2 must be >= 0")
     if n_subspaces < 2:
         raise ValueError("need at least two subspaces")
-    with np.errstate(invalid="ignore"):
-        base = np.clip(1.0 - 3.0 * iota2**2 / n_subspaces**3, 0.0, 1.0)
-    if np.isnan(base):  # iota2 = +inf
-        base = 0.0
-    return base
+    return np.clip(1.0 - 3.0 * iota2**2 / n_subspaces**3, 0.0, 1.0)
 
 
 def iota2_rate_bound(iota2: float, n_subspaces: int, n: int) -> float:
@@ -169,7 +173,7 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     x = np.asarray(x, dtype=np.complex128)
-    target = cp.pm.apply(x)
+    target = cp.pm @ x
     errors = np.empty(n_max + 1)
     errors[0] = np.linalg.norm(x - target)
     cur = x
@@ -191,7 +195,7 @@ def operator_error_norm(cp: CyclicProduct, n: int) -> float:
     power = np.eye(cp.dim, dtype=np.complex128)
     for _ in range(n):
         power = cp.matrix @ power
-    return spectral_norm(power - cp.pm.matrix)
+    return spectral_norm(power - cp.pm)
 
 
 def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:
@@ -203,11 +207,11 @@ def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:
     1e-10); a violation would falsify the implementation and raises.
     """
     x = np.asarray(x, dtype=np.complex128)
-    target = cp.pm.apply(x)
+    target = cp.pm @ x
     us = [x - target]
     cur = x
     for p in cp.factors:
-        cur = p.apply(cur)
+        cur = p @ cur
         us.append(cur - target)
     steps = np.array([float(np.linalg.norm(us[k - 1] - us[k]) ** 2)
                       for k in range(1, len(us))])
@@ -281,10 +285,10 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
-    if trunc_tol <= 0.0:
+    if not trunc_tol > 0.0:
         raise ValueError("trunc_tol must be positive")
     x = np.asarray(x, dtype=np.complex128)
-    target = cp.pm.apply(x)
+    target = cp.pm @ x
     ys, tail, t_k_x = _series_terms(cp, x, trunc_tol)
     stack = np.array(ys)
     k = len(ys)

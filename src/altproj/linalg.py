@@ -30,6 +30,11 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def _dense(t) -> np.ndarray:
+    """The matrix of an operator: a ``CyclicProduct``'s ``matrix``, or ``t`` itself."""
+    return as_complex_matrix(getattr(t, "matrix", t))
+
+
 _STACK_BYTES = 2**21  # cap on one stack of complex matrices
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .iteration import CyclicProduct, build_cyclic
+from .linalg import _dense
 from .subspace import Subspace, orthonormalize
 
 __all__ = [
@@ -71,7 +72,7 @@ class BlockAlignedModel:
         a = self.angles
         if a.ndim != 1 or len(a) < 1:
             raise ValueError("need at least one block")
-        if a.min() <= 0.0 or a.max() > math.pi / 2 + 1e-15:
+        if not (a.min() > 0.0 and a.max() <= math.pi / 2 + 1e-15):
             raise ValueError("angles must lie in (0, pi/2]")
         if len(a) > 1 and np.max(np.diff(a)) >= 0.0:
             raise ValueError("angles must decrease")
@@ -169,11 +170,11 @@ def slow_vector(model: BlockAlignedModel, r, horizon: int, eps: float) -> np.nda
         raise ValueError("horizon must be >= 0")
     if len(r) < horizon + 1:
         raise ValueError("need a target value for every n <= horizon")
-    if r[0] <= 0.0 or np.min(r[: horizon + 1]) <= 0.0:
+    if not np.min(r[: horizon + 1]) > 0.0:
         raise ValueError("targets must be positive")
     if horizon >= 1 and np.max(np.diff(r[: horizon + 1])) > 1e-15:
         raise ValueError("targets must be non-increasing")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
 
     kb = model.k_blocks
@@ -245,8 +246,7 @@ def convex_combination(products, weights) -> np.ndarray:
         raise ValueError("weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1 within 1e-12")
-    mats = [p.matrix if hasattr(p, "matrix") else np.asarray(p, dtype=np.complex128)
-            for p in products]
+    mats = [_dense(p) for p in products]
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise ValueError("products live in different ambient dimensions")

@@ -8,7 +8,8 @@ a boundary point.  Products of N orthogonal projections have W(T)
 contained in Omega_N (a disc-and-sector region with angle theta_N from
 an explicit recursion) intersected with a Stolz domain S_theta0, where
 sin(theta0) is the contraction base computed from the Friedrichs number.
-Membership in either region is decided from its margin alone: for the
+The region objects carry only margins, and membership is decided from
+the margin alone by ``stolz_contains`` and ``omega_contains``: for the
 Stolz domain the margin is the exact signed distance, in closed form; for
 Omega_N it is the smaller of the disc and sector slacks.
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .geometry import _rate_base_squared
-from .linalg import as_complex_matrix, eigh_sym, stack_chunk
+from .linalg import _dense, eigh_sym, stack_chunk
 
 __all__ = [
     "StolzDomain",
@@ -78,13 +79,6 @@ class StolzDomain:
     @property
     def radius(self) -> float:
         return float(np.sin(self.theta))
-
-    def support(self, phi) -> np.ndarray:
-        """h(phi) = max(sin theta, cos phi)."""
-        return np.maximum(self.radius, np.cos(phi))
-
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return stolz_contains(z, self.theta, slack)
 
     def margin(self, z: complex) -> float:
         return stolz_margin(z, self.theta)
@@ -140,9 +134,6 @@ class OmegaRegion:
         if self.thetaN is None:
             object.__setattr__(self, "thetaN", theta_recursion(self.N))
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return omega_contains(z, self, slack)
-
     def margin(self, z: complex) -> float:
         """min of the disc slack and the sector slack (heterogeneous units)."""
         z = complex(z)
@@ -189,7 +180,7 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     """
     if m < 8:
         raise ValueError("need at least 8 support angles")
-    t = as_complex_matrix(getattr(t, "matrix", t))
+    t = _dense(t)
     angles = 2.0 * np.pi * np.arange(m) / m
     support = np.empty(m)
     points = np.empty(m, dtype=np.complex128)
@@ -248,10 +239,6 @@ def containment_check(t, c: float, n: int, m: int = 256, slack: float = 1e-7,
             f"(margin {margin:.3e}, slack {slack:.1e})"
         )
     return report
-
-
-def _dense(t) -> np.ndarray:
-    return as_complex_matrix(getattr(t, "matrix", t))
 
 
 def ritt_power_diagnostic(t, n_max: int):

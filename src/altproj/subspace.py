@@ -2,11 +2,14 @@
 
 A subspace is represented by a ``d x r`` matrix with orthonormal columns;
 ``r = 0`` encodes the zero subspace.  Real input is promoted to complex.
-All rank decisions are made through singular values with a relative
+The orthogonal projection onto a subspace is ``B B^H`` for its basis
+``B``; the orthonormality check at construction is what makes that matrix
+Hermitian and idempotent, so no separate projection type exists.  All
+rank decisions are made through singular values with a relative
 threshold, and all constructed objects are immutable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,32 +17,12 @@ from .errors import NumericalContractError
 from .linalg import as_complex_matrix, eigh_sym, orthonormal_columns
 
 __all__ = [
-    "AmbientSpace",
     "Subspace",
-    "Projector",
     "orthonormalize",
-    "projector",
     "intersection",
     "complement_within",
     "orthogonal_complement",
 ]
-
-
-@dataclass(frozen=True)
-class AmbientSpace:
-    """The space C^dim in which all subspaces of an instance live."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("ambient dimension must be positive")
-
-    def zero(self) -> "Subspace":
-        return Subspace(np.zeros((self.dim, 0), dtype=np.complex128))
-
-    def full(self) -> "Subspace":
-        return Subspace(np.eye(self.dim, dtype=np.complex128))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,36 +74,6 @@ class Subspace:
         return float(np.linalg.norm(x - self.project(x)))
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Matrix of an orthogonal projection, validated at construction."""
-
-    matrix: np.ndarray
-    _validate: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        p = as_complex_matrix(self.matrix)
-        object.__setattr__(self, "matrix", _freeze(p))
-        if not self._validate:
-            return
-        if p.shape[0] != p.shape[1]:
-            raise ValueError("projector matrix must be square")
-        if np.linalg.norm(p - p.conj().T, np.inf) > 1e-12:
-            raise NumericalContractError("projector is not Hermitian to 1e-12")
-        if np.linalg.norm(p @ p - p, np.inf) > 1e-10:
-            raise NumericalContractError("projector is not idempotent to 1e-10")
-        w, _ = eigh_sym(p)
-        if w.size and np.abs(w - np.round(w)).max() > 1e-8:
-            raise NumericalContractError("projector eigenvalues leave {0,1} by > 1e-8")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=np.complex128)
-
-
 def orthonormalize(vectors, rank_tol: float = 1e-10) -> Subspace:
     """Subspace spanned by the given vectors (columns or a list of 1-d arrays).
 
@@ -134,12 +87,6 @@ def orthonormalize(vectors, rank_tol: float = 1e-10) -> Subspace:
         # a list/tuple of 1-d vectors arrives row-wise
         a = a.T
     return Subspace(orthonormal_columns(a, rank_tol=rank_tol))
-
-
-def projector(s: Subspace) -> Projector:
-    """Orthogonal projection onto ``s`` as a dense matrix."""
-    b = s.basis
-    return Projector(b @ b.conj().T, _validate=False)
 
 
 def intersection(subspaces, eig_tol: float = 1e-10) -> Subspace:
@@ -193,6 +140,6 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     """The full orthogonal complement of ``s`` in its ambient space."""
     d = s.ambient_dim
     if s.dim == 0:
-        return AmbientSpace(d).full()
+        return Subspace(np.eye(d, dtype=np.complex128))
     u, sv, _ = np.linalg.svd(s.basis, full_matrices=True)
     return Subspace(u[:, s.dim:])

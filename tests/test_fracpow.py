@@ -76,7 +76,7 @@ def test_series_and_spectral_paths_agree():
     cp = build_cyclic(random_instance(5, (2, 2), seed=14))
     x = np.random.default_rng(2).standard_normal(5)
     a = frac_power_apply(cp, 0.5, x, 1e-11, method="series")
-    b = frac_power_apply(cp, 0.5, x, 1e-11, method="eig")
+    b = fracpow._eig_apply(cp.matrix, 0.5, x)
     assert np.allclose(a, b, atol=1e-9)
     with pytest.raises(ValueError):
         frac_power_apply(cp, 0.5, x, 1e-11, method="newton")
@@ -92,7 +92,7 @@ def test_defective_block_matches_the_closed_form():
         out = frac_power_apply(j, 0.5, col, 1e-12, method="series")
         assert np.allclose(out, closed @ col, atol=1e-12)
     with pytest.raises(NumericalContractError):
-        frac_power_apply(j, 0.5, np.array([1.0, 0.0]), 1e-12, method="eig")
+        fracpow._eig_apply(j, 0.5, np.array([1.0, 0.0]))
     # auto falls back to the reference series on the defective block
     auto = frac_power_apply(j, 0.5, np.array([0.0, 1.0]), 1e-12, method="auto")
     assert np.allclose(auto, closed[:, 1], atol=1e-10)
@@ -107,6 +107,14 @@ def test_fracpow_input_validation():
         frac_power_apply(cp, 0.5, x, 0.0)
     with pytest.raises(ValueError):
         make_alpha_vector(cp, 0.0, seed=1)
+    with pytest.raises(ValueError):
+        frac_power_apply(cp, np.nan, x, 1e-8)
+    with pytest.raises(ValueError):
+        frac_power_apply(cp, 0.5, x, np.nan)
+    with pytest.raises(ValueError):
+        make_alpha_vector(cp, np.nan, seed=1)
+    with pytest.raises(ValueError):
+        super_poly_vector(cp, [0.5, np.nan], seed=1)
     with pytest.raises(ValueError):
         frac_power_apply(1.5 * np.eye(2), 0.5, x, 1e-8)  # not a contraction
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from altproj import (
-    AmbientSpace,
     CapacityError,
     IterationTrace,
     NumericalContractError,
+    Subspace,
     build_cyclic,
     friedrichs_number,
     iota2,
@@ -51,6 +51,10 @@ def test_rate_bound_reference_values():
         rate_bound(1.2, 2, 1)
     with pytest.raises(ValueError):
         iota2_rate_bound(-0.5, 2, 1)
+    with pytest.raises(ValueError):
+        iota2_rate_bound(np.nan, 2, 3)
+    with pytest.raises(ValueError):
+        rate_bound(np.nan, 2, 3)
 
 
 def test_build_cyclic_validation():
@@ -58,7 +62,22 @@ def test_build_cyclic_validation():
     with pytest.raises(ValueError):
         build_cyclic([one])
     with pytest.raises(ValueError):
-        build_cyclic([one, AmbientSpace(3).full()])
+        build_cyclic([one, Subspace(np.eye(3))])
+
+
+def test_cyclic_product_stores_read_only_projection_matrices():
+    subs = random_instance(5, (2, 3, 2), seed=8)
+    cp = build_cyclic(subs)
+    for k, s in enumerate(subs):
+        assert np.array_equal(cp.factors[k], s.basis @ s.basis.conj().T)
+        with pytest.raises(ValueError):
+            cp.factors[k][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cp.pm[0, 0] = 1.0
+    p1, p2, p3 = cp.factors
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(5), rng.standard_normal(5) + 1j * rng.standard_normal(5)):
+        assert np.array_equal(cp.apply(x), p3 @ (p2 @ (p1 @ x)))
 
 
 def test_iterate_trace_and_attached_bounds():
@@ -69,7 +88,7 @@ def test_iterate_trace_and_attached_bounds():
     x = np.random.default_rng(0).standard_normal(6)
     trace = iterate(cp, x, 50, c=c, iota2=i2)
     assert len(trace.errors) == 51
-    e0 = np.linalg.norm(x - cp.pm.apply(x))
+    e0 = np.linalg.norm(x - cp.pm @ x)
     assert trace.errors[0] == pytest.approx(e0, abs=1e-12)
     assert np.all(np.diff(trace.errors) <= 1e-12)
     assert np.all(trace.errors <= trace.bound_c + 1e-9)
@@ -120,6 +139,13 @@ def test_unconditional_sum_on_two_lines():
     assert len(rep.perm_deviations) == 20
     assert 0.5 <= rep.constant_estimate <= 1.1
     assert rep.trunc_tol == 1e-6
+
+
+@pytest.mark.parametrize("num_perms, trunc_tol", [(0, 1e-6), (5, 0.0), (5, np.nan)])
+def test_unconditional_sum_input_validation(num_perms, trunc_tol):
+    cp = build_cyclic(two_lines(np.pi / 3))
+    with pytest.raises(ValueError):
+        unconditional_sum_test(cp, np.array([1.0, 0.0]), num_perms, trunc_tol, seed=1)
 
 
 def _tail_rule_truncation(cp, x, trunc_tol):

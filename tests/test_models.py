@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from altproj import (
+    BlockAlignedModel,
     CapacityError,
     InstanceSpec,
     block_aligned,
@@ -64,6 +65,10 @@ def test_block_aligned_validation():
         block_aligned(2, [2.0, 0.1])  # above pi/2
     with pytest.raises(ValueError):
         block_aligned(3, [0.9, 0.5])  # one angle per block
+    model = block_aligned(2, "1/k")
+    for angles in ([np.nan, 0.1], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            BlockAlignedModel(angles=np.array(angles), m1=model.m1, m2=model.m2)
 
 
 def test_block_model_friedrichs_is_cos_of_the_smallest_angle():
@@ -121,6 +126,10 @@ def test_slow_vector_target_validation():
         slow_vector(model, np.array([1.0, 0.5]), 1, 0.0)  # eps must be positive
     with pytest.raises(ValueError):
         slow_vector(model, np.array([0.0, 0.0]), 1, 0.5)  # positive targets
+    with pytest.raises(ValueError):
+        slow_vector(model, np.array([1.0, 0.5]), 1, np.nan)
+    with pytest.raises(ValueError):
+        slow_vector(model, np.array([1.0, np.nan]), 1, 0.5)
 
 
 def test_convex_combination_mixes_matrices():

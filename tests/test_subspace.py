@@ -1,18 +1,14 @@
-"""Subspace construction, projectors, intersections, and complements."""
+"""Subspace construction, projections, intersections, and complements."""
 
 import numpy as np
 import pytest
 
 from altproj import (
-    AmbientSpace,
-    NumericalContractError,
-    Projector,
     Subspace,
     complement_within,
     intersection,
     orthogonal_complement,
     orthonormalize,
-    projector,
 )
 
 
@@ -44,8 +40,7 @@ def test_orthonormalize_matrix_and_list_inputs_agree():
 
 
 def test_zero_and_full_subspaces():
-    amb = AmbientSpace(3)
-    z, f = amb.zero(), amb.full()
+    z, f = Subspace(np.zeros((3, 0))), Subspace(np.eye(3))
     assert z.dim == 0 and f.dim == 3
     x = np.array([1.0, -2.0, 0.5])
     assert np.allclose(z.project(x), 0.0)
@@ -54,18 +49,13 @@ def test_zero_and_full_subspaces():
     assert f.distance(x) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ambient_space_requires_positive_dimension():
-    with pytest.raises(ValueError):
-        AmbientSpace(0)
-
-
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_basis_is_immutable():
-    s = AmbientSpace(2).full()
+    s = Subspace(np.eye(2))
     with pytest.raises(ValueError):
         s.basis[0, 0] = 5.0
 
@@ -74,21 +64,12 @@ def test_basis_is_immutable():
 def test_projector_is_hermitian_and_idempotent(seed):
     rng = np.random.default_rng(seed)
     s = orthonormalize(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-    p = projector(s).matrix
+    p = s.basis @ s.basis.conj().T
     assert np.allclose(p, p.conj().T, atol=1e-12)
     assert np.allclose(p @ p, p, atol=1e-12)
     assert np.trace(p).real == pytest.approx(s.dim, abs=1e-10)
     x = rng.standard_normal(6)
     assert np.allclose(p @ x, s.project(x), atol=1e-12)
-
-
-def test_projector_validation():
-    with pytest.raises(ValueError):
-        Projector(np.ones((2, 3)))
-    with pytest.raises(NumericalContractError):
-        Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(NumericalContractError):
-        Projector(0.5 * np.eye(2))  # not idempotent
 
 
 def test_intersection_of_two_planes_is_a_line():
@@ -117,7 +98,7 @@ def test_intersection_input_validation():
     with pytest.raises(ValueError):
         intersection([])
     with pytest.raises(ValueError):
-        intersection([AmbientSpace(2).full(), AmbientSpace(3).full()])
+        intersection([Subspace(np.eye(2)), Subspace(np.eye(3))])
 
 
 def test_complement_within():
@@ -147,5 +128,5 @@ def test_orthogonal_complement_completes_the_space(seed):
 
 
 def test_orthogonal_complement_of_zero_is_full():
-    z = AmbientSpace(4).zero()
+    z = Subspace(np.zeros((4, 0)))
     assert orthogonal_complement(z).dim == 4
