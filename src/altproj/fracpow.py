@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .linalg import _dense, spectral_norm
+from .iteration import CyclicProduct
+from .linalg import _dense, diagonalize, spectral_norm
 
 __all__ = [
     "AlphaVector",
@@ -31,7 +32,6 @@ __all__ = [
 
 _TERM_CAP = 10**6  # hard cap on series terms
 _AUTO_CAP = 20_000  # practical series budget before switching paths
-_COND_CAP = 1e6  # eigenvector conditioning limit for the spectral path
 _CAP_MSG = "alpha too small / tol too tight"
 
 
@@ -41,13 +41,13 @@ def _auto_terms(d: int) -> int:
 
 
 def _matvec(t):
-    """Return (apply, dense) for a CyclicProduct or a plain matrix."""
-    dense = _dense(t)
+    """Return the sweep x -> T x of a CyclicProduct or a plain matrix."""
     if hasattr(t, "apply"):
-        return t.apply, dense
+        return t.apply
+    dense = _dense(t)
     if spectral_norm(dense) > 1.0 + 1e-10:
         raise ValueError("operator is not a contraction")
-    return (lambda v: dense @ v), dense
+    return lambda v: dense @ v
 
 
 def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
@@ -87,23 +87,24 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
         partial = t
 
 
-def _eigencoordinates(dense: np.ndarray, x: np.ndarray):
+def _eigencoordinates(t, x: np.ndarray):
     """Eigenvalues lam, eigenvectors v and the coordinates w of x with v w = x.
 
-    Raises NumericalContractError when the eigenvector basis is singular
-    or its condition number reaches _COND_CAP.
+    ``t`` is a CyclicProduct, whose cached ``diagonalize`` result is used,
+    or a plain matrix.  Raises NumericalContractError when the eigenvector
+    basis is singular or too ill-conditioned (see ``diagonalize``).
     """
-    lam, v = np.linalg.eig(dense)
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_CAP:
+    basis = t._eigenbasis if isinstance(t, CyclicProduct) else diagonalize(_dense(t))
+    if basis is None:
         raise NumericalContractError(
             "eigenvector basis too ill-conditioned for the spectral path")
+    lam, v = basis
     return lam, v, np.linalg.solve(v, x)
 
 
-def _eig_apply(dense: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
+def _eig_apply(t, alpha: float, x: np.ndarray) -> np.ndarray:
     """(I-T)^alpha x through an eigendecomposition, principal branch."""
-    lam, v, w = _eigencoordinates(dense, x.astype(np.complex128))
+    lam, v, w = _eigencoordinates(t, x.astype(np.complex128))
     scale = (1.0 - lam).astype(np.complex128) ** alpha
     return v @ (scale * w)
 
@@ -115,14 +116,14 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
     "auto" (series within a practical term budget, then the spectral
     path, then the series at its full cap for defective T).
     """
-    if not alpha >= 0.0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=np.complex128)
     if alpha == 0.0:
         return x.copy()
-    apply_t, dense = _matvec(t)
+    apply_t = _matvec(t)
     if method == "series":
         return _series_apply(apply_t, alpha, x, tol, _TERM_CAP)
     if method != "auto":
@@ -132,7 +133,7 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
     except CapacityError:
         pass
     try:
-        return _eig_apply(dense, alpha, x)
+        return _eig_apply(t, alpha, x)
     except NumericalContractError:
         pass
     # defective and slowly contracting: the reference series, full cap
@@ -234,7 +235,7 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     if np.linalg.norm(x) == 0.0:
         return 0.0, True
     try:
-        lam, v, w = _eigencoordinates(cp.matrix, x)
+        lam, v, w = _eigencoordinates(cp, x)
     except (np.linalg.LinAlgError, NumericalContractError):
         return _partial_sum_dense(cp, x, alpha, n_max)
 

@@ -9,17 +9,21 @@ sum_n T^n(I - T)x under permutations and sign flips.
 
 Sweeps always apply the factor projectors one at a time, never the
 assembled dense T; that preserves the per-factor contraction structure
-(and hence monotone error decay) in floating point.
+(and hence monotone error decay) in floating point.  When every factor
+vanishes outside its 2x2 diagonal blocks, as on the block-aligned model,
+a sweep of a vector runs block by block on the stacked 2x2 blocks and
+returns the same bits as the dense factor-by-factor products.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .geometry import _rate_base_squared
-from .linalg import spectral_norm
+from .linalg import diagonalize, spectral_norm
 from .subspace import Subspace, _freeze, intersection
 
 __all__ = [
@@ -49,6 +53,15 @@ class CyclicProduct:
     intersection M.  Construction validates that T is a contraction, that
     it commutes with P_M as T P_M = P_M T = P_M, and that the
     intersection is fixed pointwise.
+
+    ``apply`` sweeps a vector block by block when every factor vanishes
+    outside its 2x2 diagonal blocks and d >= 4: on first use the factors'
+    diagonal blocks are stacked as read-only (d/2, 2, 2) arrays, and each
+    factor then costs O(d) instead of O(d^2).  ``einsum`` on 2x2 blocks
+    reproduces ``p @ x`` bit for bit, which a stacked ``matmul`` does not
+    on every input; other operators and stacked columns keep ``p @ x``.
+    The eigendecomposition of T used by the spectral paths is likewise
+    computed on first use and kept.
     """
 
     factors: tuple
@@ -76,11 +89,42 @@ class CyclicProduct:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _blocks(self):
+        """Per-factor (d/2, 2, 2) stacks of the 2x2 diagonal blocks, or None.
+
+        None unless d >= 4 is even and every factor is exactly zero
+        outside its 2x2 diagonal blocks.
+        """
+        d = self.dim
+        if d < 4 or d % 2:
+            return None
+        h = d // 2
+        idx = np.arange(h)
+        stacks = []
+        for p in self.factors:
+            blocks = p.reshape(h, 2, h, 2)[idx, :, idx, :]
+            if np.count_nonzero(blocks) != np.count_nonzero(p):
+                return None
+            stacks.append(_freeze(blocks))
+        return tuple(stacks)
+
+    @cached_property
+    def _eigenbasis(self):
+        """``diagonalize(matrix)``: (lam, v) of T, or None when ill-conditioned."""
+        return diagonalize(self.matrix)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
-        for p in self.factors:
-            x = p @ x
-        return x
+        blocks = self._blocks
+        if blocks is None or np.ndim(x) != 1:
+            for p in self.factors:
+                x = p @ x
+            return x
+        y = np.asarray(x).reshape(-1, 2)
+        for b in blocks:
+            y = np.einsum("kij,kj->ki", b, y)
+        return y.reshape(-1)
 
 
 def build_cyclic(subspaces) -> CyclicProduct:

@@ -18,8 +18,11 @@ __all__ = [
     "sym",
     "eigh_sym",
     "spectral_norm",
+    "diagonalize",
     "orthonormal_columns",
 ]
+
+_EIG_COND_CAP = 1e6  # eigenvector conditioning limit of ``diagonalize``
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -65,13 +68,31 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def diagonalize(a: np.ndarray):
+    """Eigenvalues and eigenvectors ``(lam, v)`` of ``a``, both read-only.
+
+    Returns None when the eigenvector basis is singular or its condition
+    number reaches ``_EIG_COND_CAP``; ``numpy.linalg.eig`` errors propagate.
+    """
+    lam, v = np.linalg.eig(a)
+    sv = np.linalg.svd(v, compute_uv=False)
+    if sv[-1] == 0.0 or sv[0] / sv[-1] >= _EIG_COND_CAP:
+        return None
+    lam.setflags(write=False)
+    v.setflags(write=False)
+    return lam, v
+
+
 def orthonormal_columns(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis for the column span of ``a``.
 
     Rank is decided by singular values larger than ``rank_tol`` times the
     largest one, so the cut is relative to the scale of the input.  An
-    all-zero (or empty) input yields a ``(d, 0)`` array.
+    all-zero (or empty) input yields a ``(d, 0)`` array, and a non-finite
+    ``rank_tol`` is refused.
     """
+    if not np.isfinite(rank_tol):
+        raise ValueError("rank_tol must be finite")
     a = as_complex_matrix(a)
     d = a.shape[0]
     if a.shape[1] == 0:

@@ -84,12 +84,18 @@ class StolzDomain:
         return stolz_margin(z, self.theta)
 
 
+def _check_slack(slack: float) -> None:
+    if not np.isfinite(slack):
+        raise ValueError("slack must be finite")
+
+
 def stolz_contains(z: complex, theta: float, slack: float = 0.0) -> bool:
     """Membership of z in the Stolz domain S_theta, decided within slack.
 
     True iff stolz_margin(z, theta) >= -slack; the margin is exact, so the
-    verdict is exact up to rounding.
+    verdict is exact up to rounding.  A non-finite slack is refused.
     """
+    _check_slack(slack)
     return stolz_margin(z, theta) >= -slack
 
 
@@ -146,6 +152,7 @@ class OmegaRegion:
 
 def omega_contains(z: complex, region: OmegaRegion, slack: float = 0.0) -> bool:
     """Both defining inequalities of the region, each within slack."""
+    _check_slack(slack)
     return region.margin(z) >= -slack
 
 
@@ -224,6 +231,7 @@ def containment_check(t, c: float, n: int, m: int = 256, slack: float = 1e-7,
     ``strict`` a violation beyond the slack raises (such a violation would
     falsify the implementation, not the underlying containment).
     """
+    _check_slack(slack)
     boundary = numrange_boundary(t, m)
     region = OmegaRegion(n)
     dom = StolzDomain(theta0(c, n))
@@ -288,8 +296,8 @@ def resolvent_diagnostic(t, radii=None, angles_per_radius: int = 64) -> float:
     radii = list(radii)
     if not radii or angles_per_radius < 1:
         raise ValueError("need at least one radius and one angle per radius")
-    if any(r <= 1.0 for r in radii):
-        raise ValueError("all radii must exceed 1")
+    if not all(1.0 < r < np.inf for r in radii):
+        raise ValueError("all radii must be finite and exceed 1")
     d = t.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     chunk = stack_chunk(d)

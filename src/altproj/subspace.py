@@ -96,8 +96,11 @@ def intersection(subspaces, eig_tol: float = 1e-10) -> Subspace:
     (1/N) sum_k P_k: eigenvalues exceeding 1 - eig_tol are taken.  Every
     accepted eigenvector is cross-checked against each individual
     projector; a vector moved by more than sqrt(eig_tol) means the
-    eigenvalue cut is not trustworthy at this scale.
+    eigenvalue cut is not trustworthy at this scale.  A non-finite
+    ``eig_tol`` is refused.
     """
+    if not np.isfinite(eig_tol):
+        raise ValueError("eig_tol must be finite")
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("need at least one subspace")

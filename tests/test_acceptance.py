@@ -26,3 +26,21 @@ def test_criterion(battery, cid):
     res = battery[cid]
     print(res.line())
     assert res.passed, res.line()
+
+
+# Exact verdict lines of the two criteria that run on the block model,
+# whose sweeps take the block path; that path must reproduce the dense
+# factor-by-factor products to the last digit.
+_BLOCK_MODEL_LINES = {
+    9: ("criterion 09 fractional_decay: PASS ("
+        "alpha=0.5: slope -0.751, weighted tail non-increasing, sums bounded (sup 0.971); "
+        "alpha=1: slope -1.250, weighted tail non-increasing, sums bounded (sup 0.723); "
+        "alpha=2: slope -2.246, weighted tail non-increasing)"),
+    10: ("criterion 10 slow_vector_construction: PASS ("
+         "min e_n - r_n = 1.35e-01 over n <= 1000; ||x|| = 1.5772 <= 1.5870)"),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_BLOCK_MODEL_LINES))
+def test_block_model_verdict_line_is_pinned(battery, cid):
+    assert battery[cid].line() == _BLOCK_MODEL_LINES[cid]

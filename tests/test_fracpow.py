@@ -110,6 +110,8 @@ def test_fracpow_input_validation():
     with pytest.raises(ValueError):
         frac_power_apply(cp, np.nan, x, 1e-8)
     with pytest.raises(ValueError):
+        frac_power_apply(cp, np.inf, x, 1e-8)
+    with pytest.raises(ValueError):
         frac_power_apply(cp, 0.5, x, np.nan)
     with pytest.raises(ValueError):
         make_alpha_vector(cp, np.nan, seed=1)
@@ -117,6 +119,25 @@ def test_fracpow_input_validation():
         super_poly_vector(cp, [0.5, np.nan], seed=1)
     with pytest.raises(ValueError):
         frac_power_apply(1.5 * np.eye(2), 0.5, x, 1e-8)  # not a contraction
+
+
+def test_block_model_is_eigendecomposed_once(monkeypatch):
+    # the auto path falls back to the eigenbasis here (the series budget at
+    # d = 400 is too small), and the partial sums reuse the same one
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    cp = block_aligned(200, "1/k").cyclic()
+    assert not calls  # nothing is decomposed when the product is built
+    x = make_alpha_vector(cp, 0.5, seed=4).x
+    partial_sum_characterization(cp, x, 0.5, 100)
+    partial_sum_characterization(cp, x, 1.0, 100)
+    assert calls == [(400, 400)]
 
 
 def test_alpha_vector_is_seed_reproducible():

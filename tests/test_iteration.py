@@ -8,6 +8,7 @@ from altproj import (
     IterationTrace,
     NumericalContractError,
     Subspace,
+    block_aligned,
     build_cyclic,
     friedrichs_number,
     iota2,
@@ -20,6 +21,7 @@ from altproj import (
     two_lines,
     unconditional_sum_test,
 )
+from altproj.acceptance import _pool
 
 
 @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3])
@@ -78,6 +80,50 @@ def test_cyclic_product_stores_read_only_projection_matrices():
     rng = np.random.default_rng(3)
     for x in (rng.standard_normal(5), rng.standard_normal(5) + 1j * rng.standard_normal(5)):
         assert np.array_equal(cp.apply(x), p3 @ (p2 @ (p1 @ x)))
+
+
+def _dense_sweep(cp, x):
+    for p in cp.factors:
+        x = p @ x
+    return x
+
+
+@pytest.mark.parametrize("k_blocks", [2, 12, 200])
+def test_block_sweep_reproduces_the_dense_sweep_bit_for_bit(k_blocks):
+    cp = block_aligned(k_blocks, "1/k").cyclic()
+    assert cp._blocks is not None
+    rng = np.random.default_rng(k_blocks)
+    d = cp.dim
+    for x in (rng.standard_normal(d), rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+        fast = slow = x
+        for _ in range(1000):
+            fast = cp.apply(fast)
+            slow = _dense_sweep(cp, slow)
+            assert np.array_equal(fast, slow)
+    # stacked columns keep the dense products
+    cols = rng.standard_normal((d, 3))
+    assert np.array_equal(cp.apply(cols), _dense_sweep(cp, cols))
+
+
+def _off_block_model():
+    # the block model with ambient coordinates 1 and 2 of M2 swapped, so
+    # that P_2 couples the first two blocks
+    model = block_aligned(12, "1/k")
+    b2 = model.m2.basis.copy()
+    b2[[1, 2]] = b2[[2, 1]]
+    return build_cyclic([model.m1, Subspace(b2)])
+
+
+def test_block_sweep_is_taken_only_on_2x2_block_diagonal_factors():
+    dense = [build_cyclic(two_lines(1.0)),
+             build_cyclic(random_instance(64, (20, 30, 40), seed=64)),
+             _off_block_model()]
+    dense += [e.cp for e in _pool()]
+    rng = np.random.default_rng(5)
+    for cp in dense:
+        assert cp._blocks is None
+        x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
+        assert np.array_equal(cp.apply(x), _dense_sweep(cp, x))
 
 
 def test_iterate_trace_and_attached_bounds():

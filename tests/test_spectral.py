@@ -221,6 +221,19 @@ def test_resolvent_diagnostic_of_the_zero_operator():
         resolvent_diagnostic(cp, radii=[])
     with pytest.raises(ValueError):
         resolvent_diagnostic(cp, radii=[1.5], angles_per_radius=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            resolvent_diagnostic(cp, radii=[1.5, bad])
+
+
+@pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf])
+def test_non_finite_slack_is_refused(slack):
+    with pytest.raises(ValueError):
+        stolz_contains(0.5, 0.3, slack=slack)
+    with pytest.raises(ValueError):
+        omega_contains(0.5, OmegaRegion(3), slack=slack)
+    with pytest.raises(ValueError):
+        containment_check(build_cyclic(two_lines(1.0)), 0.5, 2, slack=slack)
 
 
 # The stacked kernels against literal one-matrix-per-call loops, with exact

@@ -101,6 +101,15 @@ def test_intersection_input_validation():
         intersection([Subspace(np.eye(2)), Subspace(np.eye(3))])
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tolerances_are_refused(tol):
+    lines = [orthonormalize([[1.0, 0.0]]), orthonormalize([[np.cos(1.0), np.sin(1.0)]])]
+    with pytest.raises(ValueError):
+        orthonormalize(np.eye(3), rank_tol=tol)
+    with pytest.raises(ValueError):
+        intersection(lines, eig_tol=tol)
+
+
 def test_complement_within():
     e = np.eye(3)
     mk = orthonormalize([e[0], e[1]])
