@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .iteration import CyclicProduct
-from .linalg import _dense, diagonalize, spectral_norm
+from .linalg import _dense, _finite, diagonalize, spectral_norm
 
 __all__ = [
     "AlphaVector",
@@ -114,13 +114,14 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
 
     ``method`` is "series" (the reference; works for defective T) or
     "auto" (series within a practical term budget, then the spectral
-    path, then the series at its full cap for defective T).
+    path, then the series at its full cap for defective T).  A
+    non-finite ``x`` raises ``ValueError``.
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = np.asarray(x, dtype=np.complex128)
+    x = _finite(x)
     if alpha == 0.0:
         return x.copy()
     apply_t = _matvec(t)
@@ -159,16 +160,17 @@ def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None,
     """Draw y, z (unit norm, seeded) and form x = (I-T)^alpha y + P_M z.
 
     Explicit ``y``/``z`` override the draws, e.g. to shape the spectral
-    profile of y while keeping the construction itself unchanged.
+    profile of y while keeping the construction itself unchanged; a
+    non-finite one raises ``ValueError``.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
     d = cp.dim
-    y = _unit(rng, d) if y is None else np.asarray(y, dtype=np.complex128)
-    z = _unit(rng, d) if z is None else np.asarray(z, dtype=np.complex128)
-    x = frac_power_apply(cp, alpha, y, tol) + cp.pm @ z
-    leak = np.linalg.norm(cp.pm @ (x - cp.pm @ x))
+    y = _unit(rng, d) if y is None else _finite(y, "y")
+    z = _unit(rng, d) if z is None else _finite(z, "z")
+    x = frac_power_apply(cp, alpha, y, tol) + cp.pm_apply(z)
+    leak = np.linalg.norm(cp.pm_apply(x - cp.pm_apply(x)))
     if leak > 1e-10:
         raise NumericalContractError("x - P_M x is not orthogonal to M")
     return AlphaVector(alpha=float(alpha), x=x, provenance=(y, z))
@@ -225,13 +227,14 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     the partial sums at block ends are formed.  Runs of up to 65536
     steps use blocks of one step, so the sup is taken over every n.
     Longer runs use blocks of 256 steps: the sup is sampled every 256
-    steps and at n_max, and the certificate decides the flag.
+    steps and at n_max, and the certificate decides the flag.  A
+    non-finite ``x`` raises ``ValueError``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    x = np.asarray(x, dtype=np.complex128)
+    x = _finite(x)
     if np.linalg.norm(x) == 0.0:
         return 0.0, True
     try:

@@ -9,10 +9,12 @@ sum_n T^n(I - T)x under permutations and sign flips.
 
 Sweeps always apply the factor projectors one at a time, never the
 assembled dense T; that preserves the per-factor contraction structure
-(and hence monotone error decay) in floating point.  When every factor
-vanishes outside its 2x2 diagonal blocks, as on the block-aligned model,
-a sweep of a vector runs block by block on the stacked 2x2 blocks and
-returns the same bits as the dense factor-by-factor products.
+(and hence monotone error decay) in floating point.  A product built from
+the stacked 2x2 diagonal blocks of its factors, as the block-aligned
+model builds its own, checks itself block by block, forms its dense
+matrices only when a routine reads them, and sweeps a vector block by
+block with the same bits as the dense factor-by-factor products.  The
+routines that take a start vector refuse a non-finite one once, up front.
 """
 
 from collections import deque
@@ -23,8 +25,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .geometry import _rate_base_squared
-from .linalg import diagonalize, spectral_norm
-from .subspace import Subspace, _freeze, intersection
+from .linalg import _finite, diagonalize, eigh_sym, spectral_norm
+from .subspace import _EIG_TOL, Subspace, _freeze, intersection
 
 __all__ = [
     "CyclicProduct",
@@ -43,71 +45,95 @@ _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
 _TAIL_SAFETY = 10.0  # safety factor applied to the measured tail estimate
 
 
-@dataclass(frozen=True)
 class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
-    ``factors`` holds the projection matrices P_k = B_k B_k^H and ``pm``
-    that of P_M, all read-only complex d x d arrays; ``factors[0]`` is
-    applied first, ``matrix`` is the assembled T and ``m`` the
-    intersection M.  Construction validates that T is a contraction, that
-    it commutes with P_M as T P_M = P_M T = P_M, and that the
-    intersection is fixed pointwise.
+    ``factors`` holds the projection matrices P_k and ``pm`` that of P_M,
+    all read-only complex d x d arrays; ``factors[0]`` is applied first,
+    ``matrix`` is the assembled T and ``m`` the intersection M.
+    Construction validates that T is a contraction, that it commutes with
+    P_M as T P_M = P_M T = P_M, and that the intersection is fixed
+    pointwise.
 
-    ``apply`` sweeps a vector block by block when every factor vanishes
-    outside its 2x2 diagonal blocks and d >= 4: on first use the factors'
-    diagonal blocks are stacked as read-only (d/2, 2, 2) arrays, and each
-    factor then costs O(d) instead of O(d^2).  ``einsum`` on 2x2 blocks
-    reproduces ``p @ x`` bit for bit, which a stacked ``matmul`` does not
-    on every input; other operators and stacked columns keep ``p @ x``.
-    The eigendecomposition of T used by the spectral paths is likewise
-    computed on first use and kept.
+    ``build_cyclic`` forms the dense matrices from a subspace family.
+    ``from_blocks`` takes factors that vanish outside their 2x2 diagonal
+    blocks as (K, 2, 2) stacks and forms nothing of size d x d: the
+    checks run block by block, ``factors``, ``matrix`` and ``pm`` are
+    assembled from the blocks on first access and kept, and ``apply``
+    sweeps a vector block by block in O(d) per factor.  ``einsum`` on
+    2x2 blocks reproduces ``p @ x`` bit for bit, which a stacked
+    ``matmul`` does not on every input; stacked columns keep ``p @ x``.
+    ``pm_apply`` is P_M x without a matrix when M = {0}.  The
+    eigendecomposition of T used by the spectral paths is computed on
+    first use and kept.
     """
 
-    factors: tuple
-    matrix: np.ndarray
-    pm: np.ndarray
-    m: Subspace
+    def __init__(self, factors, matrix: np.ndarray, pm: np.ndarray, m: Subspace):
+        _check_product(matrix[None], pm[None], m.basis[None])
+        vars(self).update(factors=tuple(factors), matrix=matrix, pm=pm, m=m, _blocks=None)
 
-    def __post_init__(self):
-        t = self.matrix
-        if spectral_norm(t) > 1.0 + 1e-10:
-            raise NumericalContractError("product of projections is not a contraction")
-        p = self.pm
-        if max(np.linalg.norm(t @ p - p, np.inf), np.linalg.norm(p @ t - p, np.inf)) > 1e-10:
-            raise NumericalContractError("T does not commute with the limit projector")
-        if self.m.dim:
-            drift = np.linalg.norm(t @ self.m.basis - self.m.basis, axis=0)
-            if drift.max() > 1e-9:
-                raise NumericalContractError("intersection is not fixed by T")
+    @classmethod
+    def from_blocks(cls, blocks) -> "CyclicProduct":
+        """The product of projections given by their (K, 2, 2) diagonal blocks.
+
+        ``blocks`` holds one stack per factor, in the order the factors
+        are applied.  The intersection is the eigenvalue cut of
+        ``intersection`` on each block's averaged projector, with the same
+        drift check; the product checks are those of a dense build, run
+        on each block.
+        """
+        blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
+        if len(blocks) < 2:
+            raise ValueError("need at least two subspaces")
+        if blocks[0].ndim != 3 or blocks[0].shape[1:] != (2, 2) \
+                or any(b.shape != blocks[0].shape for b in blocks):
+            raise ValueError("need one (K, 2, 2) stack of blocks per factor")
+        for b in blocks:
+            if not (np.allclose(b @ b, b, atol=1e-12)
+                    and np.allclose(b, b.conj().swapaxes(-1, -2), atol=1e-12)):
+                raise ValueError("blocks must be orthogonal projections")
+        t = blocks[0]
+        for b in blocks[1:]:
+            t = b @ t
+        w, v = eigh_sym(sum(blocks) / len(blocks))
+        keep = w > 1.0 - _EIG_TOL
+        basis = np.where(keep[:, None, :], v, 0.0)
+        for b in blocks:
+            if np.linalg.norm(b @ basis - basis, axis=-2).max() > np.sqrt(_EIG_TOL):
+                raise NumericalContractError(
+                    "ill-conditioned intersection; reduce eig_tol or rescale instance")
+        pm = basis @ basis.conj().swapaxes(-1, -2)
+        _check_product(t, pm, basis)
+        ks, js = np.nonzero(keep)
+        m = np.zeros((len(t), 2, len(ks)), dtype=np.complex128)
+        m[ks, :, np.arange(len(ks))] = v[ks, :, js]
+        obj = cls.__new__(cls)
+        vars(obj).update(m=Subspace(m.reshape(2 * len(t), -1)), _blocks=blocks,
+                         _t_blocks=_freeze(t), _pm_blocks=_freeze(pm))
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CyclicProduct is immutable")
+
+    @cached_property
+    def factors(self) -> tuple:
+        return tuple(_block_diagonal(b) for b in self._blocks)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _block_diagonal(self._t_blocks)
+
+    @cached_property
+    def pm(self) -> np.ndarray:
+        return _block_diagonal(self._pm_blocks)
 
     @property
     def N(self) -> int:
-        return len(self.factors)
+        return len(self.factors if self._blocks is None else self._blocks)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def _blocks(self):
-        """Per-factor (d/2, 2, 2) stacks of the 2x2 diagonal blocks, or None.
-
-        None unless d >= 4 is even and every factor is exactly zero
-        outside its 2x2 diagonal blocks.
-        """
-        d = self.dim
-        if d < 4 or d % 2:
-            return None
-        h = d // 2
-        idx = np.arange(h)
-        stacks = []
-        for p in self.factors:
-            blocks = p.reshape(h, 2, h, 2)[idx, :, idx, :]
-            if np.count_nonzero(blocks) != np.count_nonzero(p):
-                return None
-            stacks.append(_freeze(blocks))
-        return tuple(stacks)
+        return self.m.ambient_dim
 
     @cached_property
     def _eigenbasis(self):
@@ -116,19 +142,50 @@ class CyclicProduct:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
-        blocks = self._blocks
-        if blocks is None or np.ndim(x) != 1:
+        if self._blocks is None or np.ndim(x) != 1:
             for p in self.factors:
                 x = p @ x
             return x
         y = np.asarray(x).reshape(-1, 2)
-        for b in blocks:
+        for b in self._blocks:
             y = np.einsum("kij,kj->ki", b, y)
         return y.reshape(-1)
 
+    def pm_apply(self, x: np.ndarray) -> np.ndarray:
+        """P_M x: complex zeros when M = {0}, else ``pm @ x``."""
+        if self.m.dim == 0:
+            return np.zeros(np.shape(x), dtype=np.complex128)
+        return self.pm @ x
+
+
+def _check_product(t, p, basis):
+    """Contraction, commutation and fixed-M checks on (n, b, b) stacks of T
+    and P_M and an (n, b, r) stack of M's basis: one matrix when dense,
+    one 2x2 block each when block-built."""
+    if np.linalg.svd(t, compute_uv=False).max() > 1.0 + 1e-10:
+        raise NumericalContractError("product of projections is not a contraction")
+    if max(_inf_norm(t @ p - p), _inf_norm(p @ t - p)) > 1e-10:
+        raise NumericalContractError("T does not commute with the limit projector")
+    if basis.size and np.linalg.norm(t @ basis - basis, axis=-2).max() > 1e-9:
+        raise NumericalContractError("intersection is not fixed by T")
+
+
+def _inf_norm(a: np.ndarray) -> float:
+    """Largest induced infinity norm (maximum absolute row sum) over a stack."""
+    return float(np.abs(a).sum(axis=-1).max())
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Read-only d x d matrix with the (d/2, 2, 2) stack on its diagonal."""
+    k = len(blocks)
+    out = np.zeros((2 * k, 2 * k), dtype=np.complex128)
+    idx = np.arange(k)
+    out.reshape(k, 2, k, 2)[idx, :, idx, :] = blocks
+    return _freeze(out)
+
 
 def build_cyclic(subspaces) -> CyclicProduct:
-    """Assemble T = P_N ... P_1 and P_M from a family of subspaces."""
+    """Assemble the dense T = P_N ... P_1 and P_M from a family of subspaces."""
     subspaces = list(subspaces)
     if len(subspaces) < 2:
         raise ValueError("need at least two subspaces")
@@ -216,8 +273,8 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    x = np.asarray(x, dtype=np.complex128)
-    target = cp.pm @ x
+    x = _finite(x)
+    target = cp.pm_apply(x)
     errors = np.empty(n_max + 1)
     errors[0] = np.linalg.norm(x - target)
     cur = x
@@ -250,8 +307,8 @@ def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:
     ||u_{k-1} - u_k||^2 <= ||x - P_M x||^2 - ||Tx - P_M x||^2 (within
     1e-10); a violation would falsify the implementation and raises.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    target = cp.pm @ x
+    x = _finite(x)
+    target = cp.pm_apply(x)
     us = [x - target]
     cur = x
     for p in cp.factors:
@@ -331,8 +388,8 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
         raise ValueError("num_perms must be >= 1")
     if not trunc_tol > 0.0:
         raise ValueError("trunc_tol must be positive")
-    x = np.asarray(x, dtype=np.complex128)
-    target = cp.pm @ x
+    x = _finite(x)
+    target = cp.pm_apply(x)
     ys, tail, t_k_x = _series_terms(cp, x, trunc_tol)
     stack = np.array(ys)
     k = len(ys)

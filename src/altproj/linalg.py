@@ -33,6 +33,14 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def _finite(x, name: str = "x") -> np.ndarray:
+    """``x`` as a complex128 array; ``ValueError`` when an entry is NaN or infinite."""
+    a = np.asarray(x, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _dense(t) -> np.ndarray:
     """The matrix of an operator: a ``CyclicProduct``'s ``matrix``, or ``t`` itself."""
     return as_complex_matrix(getattr(t, "matrix", t))

@@ -5,7 +5,9 @@ quasi-aligned model (arbitrarily slow convergence at a finite
 truncation), the slow-vector construction with its norm guarantee, and
 convex combinations of projection products.  Every generator is
 deterministic given its seed, so instances can be reproduced
-bit-for-bit from a short description.
+bit-for-bit from a short description.  The block model stores only its
+angles and hands the 2x2 blocks of its projections to the product, so
+building and sweeping it takes O(K) memory at K blocks.
 """
 
 import math
@@ -61,11 +63,14 @@ class BlockAlignedModel:
     Friedrichs number is cos(theta_K) -> 1 as the angles shrink.  T acts
     per block as cos(theta_k) u2 u1^T, giving the exact law
     T^n u1 = cos^{2n-1}(theta_k) u2; ``error_norm`` evaluates it.
+
+    The model stores its angles only.  The d x K bases ``m1`` and ``m2``
+    are built on first access, and ``cyclic()`` builds the product from
+    its 2x2 blocks P1_k = e1 e1^T and P2_k = u u^T, u = (cos, sin)(theta_k),
+    so no d x d or d x K array is formed unless a routine reads one.
     """
 
     angles: np.ndarray
-    m1: Subspace
-    m2: Subspace
     angle_rule: str | None = None
 
     def __post_init__(self):
@@ -86,27 +91,54 @@ class BlockAlignedModel:
     def ambient_dim(self) -> int:
         return 2 * len(self.angles)
 
+    @cached_property
+    def _directions(self) -> np.ndarray:
+        """(K, 2) array of u_k = (cos theta_k, sin theta_k), from ``math``."""
+        return np.array([(math.cos(a), math.sin(a)) for a in self.angles])
+
+    @cached_property
+    def m1(self) -> Subspace:
+        return self._line_basis(np.array([1.0, 0.0]))
+
+    @cached_property
+    def m2(self) -> Subspace:
+        return self._line_basis(self._directions)
+
+    def _line_basis(self, u) -> Subspace:
+        """Subspace with block-k column u_k placed in ambient rows 2k, 2k+1."""
+        k = self.k_blocks
+        b = np.zeros((k, 2, k))
+        b[np.arange(k), :, np.arange(k)] = u
+        return Subspace(basis=b.reshape(2 * k, k))
+
     @property
     def subspaces(self):
         return (self.m1, self.m2)
 
     def cyclic(self) -> CyclicProduct:
-        return build_cyclic(self.subspaces)
+        """T = P_2 P_1 from the 2x2 blocks of its factors; see ``CyclicProduct``."""
+        u = self._directions
+        p1 = np.zeros((self.k_blocks, 2, 2))
+        p1[:, 0, 0] = 1.0
+        return CyclicProduct.from_blocks((p1, u[:, :, None] * u[:, None, :]))
 
-    def m1_vector(self, coeffs) -> np.ndarray:
-        """Ambient vector with block-k coefficient coeffs[k] on the M1 line."""
+    def _block_coefficients(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.k_blocks,):
             raise ValueError("need one coefficient per block")
+        return coeffs
+
+    def m1_vector(self, coeffs) -> np.ndarray:
+        """Ambient vector with block-k coefficient coeffs[k] on the M1 line."""
         x = np.zeros(self.ambient_dim)
-        x[0::2] = coeffs
+        x[0::2] = self._block_coefficients(coeffs)
         return x
 
     def error_norm(self, coeffs, n: int) -> float:
         """Exact ||T^n x|| for x = m1_vector(coeffs): block factors cos^{2n-1}."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = self._block_coefficients(coeffs)
         if n == 0:
             return float(np.linalg.norm(coeffs))
         return float(np.linalg.norm(coeffs * np.cos(self.angles) ** (2 * n - 1)))
@@ -129,15 +161,7 @@ def block_aligned(k_blocks: int, angle_rule) -> BlockAlignedModel:
         angles = np.asarray(angle_rule, dtype=float)
         if angles.shape != (k_blocks,):
             raise ValueError("custom angle list must have one angle per block")
-    d = 2 * k_blocks
-    b1 = np.zeros((d, k_blocks))
-    b2 = np.zeros((d, k_blocks))
-    for k in range(k_blocks):
-        b1[2 * k, k] = 1.0
-        b2[2 * k, k] = math.cos(angles[k])
-        b2[2 * k + 1, k] = math.sin(angles[k])
-    return BlockAlignedModel(angles=angles, m1=Subspace(basis=b1),
-                             m2=Subspace(basis=b2), angle_rule=rule_name)
+    return BlockAlignedModel(angles=angles, angle_rule=rule_name)
 
 
 def _theta_needed(n_end: int, eps: float) -> float:
@@ -265,7 +289,8 @@ class Instance:
 
     A convex combination keeps its realized ``components`` and a
     block_aligned instance its ``model``.  ``cyclic()`` builds the
-    projection product on first use and returns that object afterwards.
+    projection product on first use, through ``model.cyclic()`` when there
+    is a model, and returns that object afterwards.
     """
 
     spec: "InstanceSpec"
@@ -281,6 +306,8 @@ class Instance:
 
     @cached_property
     def _cyclic(self) -> CyclicProduct:
+        if self.model is not None:
+            return self.model.cyclic()
         return build_cyclic(self.subspaces)
 
     def dense(self) -> np.ndarray:

@@ -24,6 +24,8 @@ __all__ = [
     "orthogonal_complement",
 ]
 
+_EIG_TOL = 1e-10  # default eigenvalue cut of ``intersection``
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -89,7 +91,7 @@ def orthonormalize(vectors, rank_tol: float = 1e-10) -> Subspace:
     return Subspace(orthonormal_columns(a, rank_tol=rank_tol))
 
 
-def intersection(subspaces, eig_tol: float = 1e-10) -> Subspace:
+def intersection(subspaces, eig_tol: float = _EIG_TOL) -> Subspace:
     """Intersection of finitely many subspaces of one ambient space.
 
     Computed as the top eigenspace of the averaged projector

@@ -121,6 +121,21 @@ def test_fracpow_input_validation():
         frac_power_apply(1.5 * np.eye(2), 0.5, x, 1e-8)  # not a contraction
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vectors_are_refused(bad):
+    for cp in (build_cyclic(two_lines(1.0)), block_aligned(4, "1/k").cyclic()):
+        x = np.zeros(cp.dim)
+        x[1] = bad
+        with pytest.raises(ValueError, match="x must be finite"):
+            frac_power_apply(cp, 0.5, x, 1e-8)
+        with pytest.raises(ValueError, match="x must be finite"):
+            partial_sum_characterization(cp, x, 0.5, 100)
+        with pytest.raises(ValueError, match="y must be finite"):
+            make_alpha_vector(cp, 0.5, seed=1, y=x)
+        with pytest.raises(ValueError, match="z must be finite"):
+            make_alpha_vector(cp, 0.5, seed=1, z=x)
+
+
 def test_block_model_is_eigendecomposed_once(monkeypatch):
     # the auto path falls back to the eigenbasis here (the series budget at
     # d = 400 is too small), and the partial sums reuse the same one

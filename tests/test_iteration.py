@@ -1,10 +1,13 @@
 """Cyclic products: error traces, rate bounds, sweep energy, series sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from altproj import (
     CapacityError,
+    CyclicProduct,
     IterationTrace,
     NumericalContractError,
     Subspace,
@@ -17,6 +20,7 @@ from altproj import (
     operator_error_norm,
     random_instance,
     rate_bound,
+    slow_vector,
     sweep_diagnostic,
     two_lines,
     unconditional_sum_test,
@@ -88,9 +92,11 @@ def _dense_sweep(cp, x):
     return x
 
 
-@pytest.mark.parametrize("k_blocks", [2, 12, 200])
+@pytest.mark.parametrize("k_blocks", [1, 2, 12, 200])
 def test_block_sweep_reproduces_the_dense_sweep_bit_for_bit(k_blocks):
-    cp = block_aligned(k_blocks, "1/k").cyclic()
+    model = block_aligned(k_blocks, "1/k")
+    cp = model.cyclic()
+    dense = build_cyclic(model.subspaces)
     assert cp._blocks is not None
     rng = np.random.default_rng(k_blocks)
     d = cp.dim
@@ -98,11 +104,11 @@ def test_block_sweep_reproduces_the_dense_sweep_bit_for_bit(k_blocks):
         fast = slow = x
         for _ in range(1000):
             fast = cp.apply(fast)
-            slow = _dense_sweep(cp, slow)
+            slow = _dense_sweep(dense, slow)
             assert np.array_equal(fast, slow)
     # stacked columns keep the dense products
     cols = rng.standard_normal((d, 3))
-    assert np.array_equal(cp.apply(cols), _dense_sweep(cp, cols))
+    assert np.array_equal(cp.apply(cols), _dense_sweep(dense, cols))
 
 
 def _off_block_model():
@@ -114,9 +120,12 @@ def _off_block_model():
     return build_cyclic([model.m1, Subspace(b2)])
 
 
-def test_block_sweep_is_taken_only_on_2x2_block_diagonal_factors():
+def test_block_sweep_is_taken_only_on_products_built_from_blocks():
+    # build_cyclic is dense even for a 2x2 block-diagonal family such as the
+    # block model's subspaces; only CyclicProduct.from_blocks sweeps by blocks
     dense = [build_cyclic(two_lines(1.0)),
              build_cyclic(random_instance(64, (20, 30, 40), seed=64)),
+             build_cyclic(block_aligned(12, "1/k").subspaces),
              _off_block_model()]
     dense += [e.cp for e in _pool()]
     rng = np.random.default_rng(5)
@@ -124,6 +133,100 @@ def test_block_sweep_is_taken_only_on_2x2_block_diagonal_factors():
         assert cp._blocks is None
         x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
         assert np.array_equal(cp.apply(x), _dense_sweep(cp, x))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)  # tells signed zeros apart
+
+
+@pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])
+@pytest.mark.parametrize("k_blocks", [1, 2, 12, 200, 400])
+def test_block_built_product_matches_the_dense_build_bit_for_bit(k_blocks, rule):
+    angles = np.geomspace(1.5, 1e-3, k_blocks) if rule == "custom" else rule
+    model = block_aligned(k_blocks, angles)
+    cp = model.cyclic()
+    dense = build_cyclic(model.subspaces)
+    assert (cp.N, cp.dim, cp.m.dim) == (dense.N, dense.dim, dense.m.dim) == (2, 2 * k_blocks, 0)
+    assert len(cp.factors) == 2
+    for a, b in zip(cp.factors, dense.factors):
+        assert np.array_equal(_bits(a), _bits(b))
+    for a, b in [(cp.matrix, dense.matrix), (cp.pm, dense.pm)]:
+        assert np.array_equal(_bits(a), _bits(b))
+    for a, b in zip(cp._eigenbasis, dense._eigenbasis):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("last", [1e-4, 1e-5, 1e-6])
+def test_block_built_product_refuses_what_the_dense_build_refuses(last):
+    # an angle below about 2e-5 passes the eigenvalue cut of the intersection
+    model = block_aligned(3, [0.9, 0.3, last])
+    if last > 2e-5:
+        assert model.cyclic().m.dim == build_cyclic(model.subspaces).m.dim == 0
+        return
+    for build in (model.cyclic, lambda: build_cyclic(model.subspaces)):
+        with pytest.raises(NumericalContractError, match="does not commute"):
+            build()
+
+
+def test_block_built_product_forms_dense_members_on_first_use():
+    cp = block_aligned(12, "1/k").cyclic()
+    x = np.arange(24.0)
+    assert (cp.N, cp.dim) == (2, 24)
+    assert np.array_equal(cp.pm_apply(x), np.zeros(24, dtype=complex))
+    assert cp.pm_apply(x).dtype == np.complex128
+    assert iterate(cp, x, 5).errors[0] == np.linalg.norm(x)
+    assert not {"factors", "matrix", "pm"} & set(vars(cp))
+    for name in ("factors", "matrix", "pm"):
+        assert getattr(cp, name) is getattr(cp, name)  # kept once built
+    for a in cp.factors + (cp.matrix, cp.pm):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        cp.m = None
+
+
+def test_from_blocks_validation():
+    e1 = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError):
+        CyclicProduct.from_blocks((e1,))
+    with pytest.raises(ValueError):
+        CyclicProduct.from_blocks((e1, np.eye(2)))  # not a stack
+    with pytest.raises(ValueError):
+        CyclicProduct.from_blocks((e1, np.concatenate([e1, e1])))
+    with pytest.raises(ValueError):
+        CyclicProduct.from_blocks((e1, 2.0 * e1))  # not a projection
+    cp = CyclicProduct.from_blocks((e1, e1))
+    assert cp.m.dim == 1
+    assert np.array_equal(cp.pm_apply(np.array([2.0, 3.0])), np.array([2.0, 0.0]))
+
+
+def test_block_model_at_two_thousand_blocks_stays_small():
+    # one dense d x d complex array would take 256 MB at d = 4000
+    tracemalloc.start()
+    try:
+        model = block_aligned(2000, "1/k")
+        cp = model.cyclic()
+        r = 1.0 / np.log(np.arange(1001.0) + 2.0)
+        x = slow_vector(model, r, 1000, 0.1)
+        trace = iterate(cp, x, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.all(trace.errors >= r - 1e-12)
+    assert not {"factors", "matrix", "pm", "m1", "m2"} & (set(vars(cp)) | set(vars(model)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_vectors_are_refused(bad):
+    for cp in (build_cyclic(two_lines(1.0)), block_aligned(1, "1/k").cyclic()):
+        x = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            iterate(cp, x, 3)
+        with pytest.raises(ValueError, match="finite"):
+            sweep_diagnostic(cp, x)
+        with pytest.raises(ValueError, match="finite"):
+            unconditional_sum_test(cp, x, 3, 1e-6, seed=1)
 
 
 def test_iterate_trace_and_attached_bounds():

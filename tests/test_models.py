@@ -65,10 +65,9 @@ def test_block_aligned_validation():
         block_aligned(2, [2.0, 0.1])  # above pi/2
     with pytest.raises(ValueError):
         block_aligned(3, [0.9, 0.5])  # one angle per block
-    model = block_aligned(2, "1/k")
     for angles in ([np.nan, 0.1], [0.5, np.nan]):
         with pytest.raises(ValueError):
-            BlockAlignedModel(angles=np.array(angles), m1=model.m1, m2=model.m2)
+            BlockAlignedModel(angles=np.array(angles))
 
 
 def test_block_model_friedrichs_is_cos_of_the_smallest_angle():
@@ -87,6 +86,26 @@ def test_block_model_error_norm_matches_direct_iteration():
         model.m1_vector(coeffs[:3])
     with pytest.raises(ValueError):
         model.error_norm(coeffs, -1)
+    for bad in ([1.0], coeffs[:3], np.ones((8, 1))):
+        with pytest.raises(ValueError, match="one coefficient per block"):
+            model.error_norm(bad, 3)
+
+
+def test_block_model_builds_its_bases_on_first_use():
+    model = block_aligned(3, [1.2, 0.7, 0.1])
+    cp = model.cyclic()
+    assert cp._blocks is not None
+    assert not {"m1", "m2"} & set(vars(model))
+    b1 = np.zeros((6, 3))
+    b2 = np.zeros((6, 3))
+    for k, theta in enumerate(model.angles):
+        b1[2 * k, k] = 1.0
+        b2[2 * k:2 * k + 2, k] = np.cos(theta), np.sin(theta)
+    assert np.array_equal(model.m1.basis, b1)
+    assert np.allclose(model.m2.basis, b2, rtol=0.0, atol=1e-16)
+    assert model.subspaces[0] is model.m1 and model.subspaces[1] is model.m2
+    inst = InstanceSpec("block_aligned", {"k_blocks": 3, "angle_rule": "1/k"}).realize()
+    assert inst.cyclic()._blocks is not None
 
 
 def test_slow_vector_at_horizon_zero():
