@@ -9,12 +9,12 @@ sum_n T^n(I - T)x under permutations and sign flips.
 
 Sweeps always apply the factor projectors one at a time, never the
 assembled dense T; that preserves the per-factor contraction structure
-(and hence monotone error decay) in floating point.  A product built from
-the stacked 2x2 diagonal blocks of its factors, as the block-aligned
-model builds its own, checks itself block by block, forms its dense
-matrices only when a routine reads them, and sweeps a vector block by
-block with the same bits as the dense factor-by-factor products.  The
-routines that take a start vector refuse a non-finite one once, up front.
+(and hence monotone error decay) in floating point.  A product is stored
+as stacks of diagonal blocks, one d x d block for a dense family and 2x2
+blocks for the block-aligned model; it forms dense matrices only when a
+routine reads them, and ``sweep_diagnostic`` reads the steps of its own
+sweep.  The routines that take a start vector refuse a non-finite one
+once, up front.
 """
 
 from collections import deque
@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .geometry import _rate_base_squared
-from .linalg import _finite, diagonalize, eigh_sym, spectral_norm
-from .subspace import _EIG_TOL, Subspace, _freeze, intersection
+from .linalg import _finite, diagonalize, spectral_norm
+from .subspace import Subspace, _freeze, _top_eigenspace, intersection
 
 __all__ = [
     "CyclicProduct",
@@ -48,41 +48,36 @@ _TAIL_SAFETY = 10.0  # safety factor applied to the measured tail estimate
 class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
-    ``factors`` holds the projection matrices P_k and ``pm`` that of P_M,
-    all read-only complex d x d arrays; ``factors[0]`` is applied first,
-    ``matrix`` is the assembled T and ``m`` the intersection M.
-    Construction validates that T is a contraction, that it commutes with
-    P_M as T P_M = P_M T = P_M, and that the intersection is fixed
-    pointwise.
-
-    ``build_cyclic`` forms the dense matrices from a subspace family.
-    ``from_blocks`` takes factors that vanish outside their 2x2 diagonal
-    blocks as (K, 2, 2) stacks and forms nothing of size d x d: the
-    checks run block by block, ``factors``, ``matrix`` and ``pm`` are
-    assembled from the blocks on first access and kept, and ``apply``
-    sweeps a vector block by block in O(d) per factor.  ``einsum`` on
-    2x2 blocks reproduces ``p @ x`` bit for bit, which a stacked
-    ``matmul`` does not on every input; stacked columns keep ``p @ x``.
-    ``pm_apply`` is P_M x without a matrix when M = {0}.  The
-    eigendecomposition of T used by the spectral paths is computed on
-    first use and kept.
+    Stored as one (n, b, b) stack of diagonal blocks per factor, applied
+    in order, and the (n, b, r) stack of a basis of M: ``build_cyclic``
+    gives one d x d block (n = 1), ``from_blocks`` 2x2 blocks (b = 2).
+    Construction forms the blocks of T and P_M and checks, block by
+    block, that T is a contraction, that T P_M = P_M T = P_M, and that M
+    is fixed pointwise.  ``factors`` (the P_k), ``matrix`` (T) and ``pm``
+    (P_M) are read-only complex d x d arrays assembled on first access; a
+    single block is returned as is.  ``m`` is the intersection M.
+    ``apply`` sweeps 2x2 blocks in O(d) per factor with ``einsum``, which
+    reproduces ``p @ x`` bit for bit where a stacked ``matmul`` does not;
+    stacked columns keep ``p @ x``.  ``pm_apply`` is P_M x, without a
+    matrix when M = {0}.  The eigendecomposition of T used by the
+    spectral paths is computed on first use and kept.
     """
 
-    def __init__(self, factors, matrix: np.ndarray, pm: np.ndarray, m: Subspace):
-        _check_product(matrix[None], pm[None], m.basis[None])
-        vars(self).update(factors=tuple(factors), matrix=matrix, pm=pm, m=m, _blocks=None)
+    def __init__(self, blocks, basis: np.ndarray, m: Subspace):
+        blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
+        t = blocks[0]
+        for b in blocks[1:]:
+            t = b @ t
+        pm = basis @ basis.conj().swapaxes(-1, -2)
+        _check_product(t, pm, basis)
+        vars(self).update(m=m, _blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm))
 
     @classmethod
     def from_blocks(cls, blocks) -> "CyclicProduct":
-        """The product of projections given by their (K, 2, 2) diagonal blocks.
-
-        ``blocks`` holds one stack per factor, in the order the factors
-        are applied.  The intersection is the eigenvalue cut of
-        ``intersection`` on each block's averaged projector, with the same
-        drift check; the product checks are those of a dense build, run
-        on each block.
-        """
-        blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
+        """The product of projections given by one (K, 2, 2) stack of diagonal
+        blocks per factor, in the order they are applied; M is the cut of
+        ``intersection`` run on each block."""
+        blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two subspaces")
         if blocks[0].ndim != 3 or blocks[0].shape[1:] != (2, 2) \
@@ -92,25 +87,8 @@ class CyclicProduct:
             if not (np.allclose(b @ b, b, atol=1e-12)
                     and np.allclose(b, b.conj().swapaxes(-1, -2), atol=1e-12)):
                 raise ValueError("blocks must be orthogonal projections")
-        t = blocks[0]
-        for b in blocks[1:]:
-            t = b @ t
-        w, v = eigh_sym(sum(blocks) / len(blocks))
-        keep = w > 1.0 - _EIG_TOL
-        basis = np.where(keep[:, None, :], v, 0.0)
-        for b in blocks:
-            if np.linalg.norm(b @ basis - basis, axis=-2).max() > np.sqrt(_EIG_TOL):
-                raise NumericalContractError(
-                    "ill-conditioned intersection; reduce eig_tol or rescale instance")
-        pm = basis @ basis.conj().swapaxes(-1, -2)
-        _check_product(t, pm, basis)
-        ks, js = np.nonzero(keep)
-        m = np.zeros((len(t), 2, len(ks)), dtype=np.complex128)
-        m[ks, :, np.arange(len(ks))] = v[ks, :, js]
-        obj = cls.__new__(cls)
-        vars(obj).update(m=Subspace(m.reshape(2 * len(t), -1)), _blocks=blocks,
-                         _t_blocks=_freeze(t), _pm_blocks=_freeze(pm))
-        return obj
+        basis, m = _top_eigenspace(blocks)
+        return cls(blocks, basis, Subspace(m))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicProduct is immutable")
@@ -129,7 +107,7 @@ class CyclicProduct:
 
     @property
     def N(self) -> int:
-        return len(self.factors if self._blocks is None else self._blocks)
+        return len(self._blocks)
 
     @property
     def dim(self) -> int:
@@ -142,14 +120,28 @@ class CyclicProduct:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
-        if self._blocks is None or np.ndim(x) != 1:
+        n = len(self._blocks[0])
+        if n == 1 or np.ndim(x) != 1:
             for p in self.factors:
                 x = p @ x
             return x
-        y = np.asarray(x).reshape(-1, 2)
+        y = np.asarray(x).reshape(n, -1)
         for b in self._blocks:
             y = np.einsum("kij,kj->ki", b, y)
         return y.reshape(-1)
+
+    def _iterates(self, x: np.ndarray):
+        """P_1 x, P_2 P_1 x, ..., P_N ... P_1 x: the steps of ``apply``, same bits."""
+        n = len(self._blocks[0])
+        if n == 1 or np.ndim(x) != 1:
+            for p in self.factors:
+                x = p @ x
+                yield x
+            return
+        y = np.asarray(x).reshape(n, -1)
+        for b in self._blocks:
+            y = np.einsum("kij,kj->ki", b, y)
+            yield y.reshape(-1)
 
     def pm_apply(self, x: np.ndarray) -> np.ndarray:
         """P_M x: complex zeros when M = {0}, else ``pm @ x``."""
@@ -160,8 +152,7 @@ class CyclicProduct:
 
 def _check_product(t, p, basis):
     """Contraction, commutation and fixed-M checks on (n, b, b) stacks of T
-    and P_M and an (n, b, r) stack of M's basis: one matrix when dense,
-    one 2x2 block each when block-built."""
+    and P_M and an (n, b, r) stack of M's basis."""
     if np.linalg.svd(t, compute_uv=False).max() > 1.0 + 1e-10:
         raise NumericalContractError("product of projections is not a contraction")
     if max(_inf_norm(t @ p - p), _inf_norm(p @ t - p)) > 1e-10:
@@ -176,33 +167,24 @@ def _inf_norm(a: np.ndarray) -> float:
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """Read-only d x d matrix with the (d/2, 2, 2) stack on its diagonal."""
-    k = len(blocks)
-    out = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-    idx = np.arange(k)
-    out.reshape(k, 2, k, 2)[idx, :, idx, :] = blocks
+    """Read-only matrix with the (n, b, b) stack on its diagonal; one block is itself."""
+    if len(blocks) == 1:
+        return blocks[0]
+    n, b, _ = blocks.shape
+    out = np.zeros((n * b, n * b), dtype=np.complex128)
+    idx = np.arange(n)
+    out.reshape(n, b, n, b)[idx, :, idx, :] = blocks
     return _freeze(out)
 
 
 def build_cyclic(subspaces) -> CyclicProduct:
-    """Assemble the dense T = P_N ... P_1 and P_M from a family of subspaces."""
+    """T = P_N ... P_1 and P_M of a family of subspaces, as one d x d block each."""
     subspaces = list(subspaces)
     if len(subspaces) < 2:
         raise ValueError("need at least two subspaces")
-    d = subspaces[0].ambient_dim
-    if any(s.ambient_dim != d for s in subspaces):
-        raise ValueError("subspaces live in different ambient dimensions")
-    factors = tuple(_projection(s) for s in subspaces)
-    t = np.eye(d, dtype=np.complex128)
-    for p in factors:
-        t = p @ t
-    m = intersection(subspaces)
-    return CyclicProduct(factors=factors, matrix=t, pm=_projection(m), m=m)
-
-
-def _projection(s: Subspace) -> np.ndarray:
-    """Read-only matrix B B^H of the orthogonal projection onto ``s``."""
-    return _freeze(s.basis @ s.basis.conj().T)
+    m = intersection(subspaces)  # also refuses mixed ambient dimensions
+    factors = [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
+    return CyclicProduct(factors, m.basis[None], m)
 
 
 @dataclass(frozen=True)
@@ -309,11 +291,7 @@ def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:
     """
     x = _finite(x)
     target = cp.pm_apply(x)
-    us = [x - target]
-    cur = x
-    for p in cp.factors:
-        cur = p @ cur
-        us.append(cur - target)
+    us = [x - target] + [u - target for u in cp._iterates(x)]
     steps = np.array([float(np.linalg.norm(us[k - 1] - us[k]) ** 2)
                       for k in range(1, len(us))])
     budget = float(np.linalg.norm(us[0]) ** 2 - np.linalg.norm(us[-1]) ** 2)

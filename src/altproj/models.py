@@ -198,8 +198,14 @@ def slow_vector(model: BlockAlignedModel, r, horizon: int, eps: float) -> np.nda
         raise ValueError("targets must be positive")
     if horizon >= 1 and np.max(np.diff(r[: horizon + 1])) > 1e-15:
         raise ValueError("targets must be non-increasing")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    inflate = 1.0 + eps / 2.0
+    try:
+        with np.errstate(over="raise"):
+            budget = ((1.0 + eps) ** 2 - inflate**2) * r[0] ** 2
+    except ArithmeticError:  # OverflowError from floats, FloatingPointError from numpy
+        raise ValueError("the norm budget ((1 + eps) r_0)^2 overflows") from None
 
     kb = model.k_blocks
     coeffs = np.zeros(kb)
@@ -211,8 +217,6 @@ def slow_vector(model: BlockAlignedModel, r, horizon: int, eps: float) -> np.nda
     if math.cos(model.angles[-1]) ** (2 * horizon) < r[horizon] / r[0]:
         _fail_capacity(model, horizon, eps)
 
-    inflate = 1.0 + eps / 2.0
-    budget = ((1.0 + eps) ** 2 - inflate**2) * r[0] ** 2
     share = budget / 2.0
     n_start = 0
     block = -1  # last block index used
@@ -288,19 +292,25 @@ class Instance:
     """A realized instance: a subspace family and/or a dense operator.
 
     A convex combination keeps its realized ``components`` and a
-    block_aligned instance its ``model``.  ``cyclic()`` builds the
-    projection product on first use, through ``model.cyclic()`` when there
-    is a model, and returns that object afterwards.
+    block_aligned instance its ``model``.  ``subspaces`` is the realized
+    ``family``, or the model's subspaces, which are built on first read.
+    ``cyclic()`` builds the projection product on first use, through
+    ``model.cyclic()`` when there is a model, and returns that object
+    afterwards.
     """
 
     spec: "InstanceSpec"
-    subspaces: tuple | None
+    family: tuple | None
     matrix: np.ndarray | None
     components: tuple = ()
     model: BlockAlignedModel | None = None
 
+    @property
+    def subspaces(self) -> tuple | None:
+        return self.model.subspaces if self.model is not None else self.family
+
     def cyclic(self) -> CyclicProduct:
-        if self.subspaces is None:
+        if self.model is None and self.family is None:
             raise ValueError(f"instances of kind '{self.spec.kind}' carry no subspace family")
         return self._cyclic
 
@@ -308,7 +318,7 @@ class Instance:
     def _cyclic(self) -> CyclicProduct:
         if self.model is not None:
             return self.model.cyclic()
-        return build_cyclic(self.subspaces)
+        return build_cyclic(self.family)
 
     def dense(self) -> np.ndarray:
         if self.matrix is not None:
@@ -340,12 +350,12 @@ class InstanceSpec:
             if self.seed is None:
                 raise ValueError("random instances require a seed")
             subs = random_instance(int(p["d"]), p["dims"], self.seed)
-            return Instance(spec=self, subspaces=tuple(subs), matrix=None)
+            return Instance(spec=self, family=tuple(subs), matrix=None)
         if self.kind == "two_lines":
-            return Instance(spec=self, subspaces=two_lines(float(p["theta"])), matrix=None)
+            return Instance(spec=self, family=two_lines(float(p["theta"])), matrix=None)
         if self.kind == "block_aligned":
             model = block_aligned(int(p["k_blocks"]), p["angle_rule"])
-            return Instance(spec=self, subspaces=model.subspaces, matrix=None, model=model)
+            return Instance(spec=self, family=None, matrix=None, model=model)
         comps = tuple(c.realize() for c in p["components"])
         mat = convex_combination([c.cyclic() for c in comps], p["weights"])
-        return Instance(spec=self, subspaces=None, matrix=mat, components=comps)
+        return Instance(spec=self, family=None, matrix=mat, components=comps)

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,20 @@ def test_slowvec_sections_and_norm_note(tmp_path, capsys):
     assert counts == {"vector": 800, "target": 401, "error": 401}
 
 
+def test_slowvec_on_two_thousand_blocks_stays_small(tmp_path):
+    # slowvec only sweeps, so it never forms the model's d x K bases
+    spec = InstanceSpec("block_aligned", {"k_blocks": 2000, "angle_rule": "1/k"})
+    inst = _path(tmp_path, serialize_instance(spec))
+    out = str(tmp_path / "slow.csv")
+    tracemalloc.start()
+    try:
+        assert main(["slowvec", "--instance", inst, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_slowvec_infeasible_horizon_exits_4(tmp_path, capsys):
     inst = _path(tmp_path, BLOCKS12)
     out = str(tmp_path / "slow.csv")
@@ -309,6 +324,9 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["slowvec", "--instance", blocks, "--eps", "nan"]) == 2
     assert "--eps: must be positive and finite" in capsys.readouterr().err
+    # a finite eps whose norm budget overflows is refused before the capacity check
+    assert main(["slowvec", "--instance", blocks, "--eps", "1e300"]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_suite_subset_passes_and_writes_summary(tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altproj import (
     CapacityError,
@@ -16,8 +17,10 @@ from altproj import (
     friedrichs_number,
     iota2,
     iota2_rate_bound,
+    intersection,
     iterate,
     operator_error_norm,
+    orthonormalize,
     random_instance,
     rate_bound,
     slow_vector,
@@ -120,9 +123,10 @@ def _off_block_model():
     return build_cyclic([model.m1, Subspace(b2)])
 
 
-def test_block_sweep_is_taken_only_on_products_built_from_blocks():
-    # build_cyclic is dense even for a 2x2 block-diagonal family such as the
-    # block model's subspaces; only CyclicProduct.from_blocks sweeps by blocks
+def test_dense_build_holds_one_block_per_factor():
+    # build_cyclic stores each factor as one (1, d, d) block, also for a 2x2
+    # block-diagonal family such as the block model's subspaces, hands that
+    # block out as the factor itself, and sweeps with the products p @ x
     dense = [build_cyclic(two_lines(1.0)),
              build_cyclic(random_instance(64, (20, 30, 40), seed=64)),
              build_cyclic(block_aligned(12, "1/k").subspaces),
@@ -130,9 +134,59 @@ def test_block_sweep_is_taken_only_on_products_built_from_blocks():
     dense += [e.cp for e in _pool()]
     rng = np.random.default_rng(5)
     for cp in dense:
-        assert cp._blocks is None
-        x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
-        assert np.array_equal(cp.apply(x), _dense_sweep(cp, x))
+        d = cp.dim
+        assert [b.shape for b in cp._blocks] == [(1, d, d)] * cp.N
+        assert all(np.shares_memory(p, b) for p, b in zip(cp.factors, cp._blocks))
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        y = x
+        for b in cp._blocks:
+            y = b[0] @ y
+        assert np.array_equal(cp.apply(x), y)
+
+
+def test_sweep_diagnostic_of_the_block_model_matches_the_dense_build():
+    model = block_aligned(200, "1/k")
+    cp = model.cyclic()
+    x = np.random.default_rng(9).standard_normal(cp.dim)
+    steps = sweep_diagnostic(cp, x)
+    assert np.array_equal(steps, sweep_diagnostic(build_cyclic(model.subspaces), x))
+    assert not {"factors", "matrix", "pm"} & set(vars(cp))
+
+
+@st.composite
+def _families(draw):
+    # N = 2-4 random subspaces of C^d (d <= 10), real or complex, each
+    # holding a planted common subspace of dimension p
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 10))
+    p = draw(st.integers(0, d - 2))
+    dims = draw(st.lists(st.integers(p + 1, d - 1), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    draw_complex = draw(st.booleans())
+
+    def gauss(cols):
+        g = rng.standard_normal((d, cols))
+        return g + 1j * rng.standard_normal((d, cols)) if draw_complex else g
+
+    planted = gauss(p)
+    return [orthonormalize(np.hstack([planted, gauss(r - p)])) for r in dims], planted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_families())
+def test_dense_build_on_random_families(family):
+    subs, planted = family
+    cp = build_cyclic(subs)
+    d = cp.dim
+    ps = [s.basis @ s.basis.conj().T for s in subs]
+    x = np.random.default_rng(d).standard_normal(d) + 0j
+    y, t = x, np.eye(d, dtype=np.complex128)
+    for p in ps:
+        y, t = p @ y, p @ t
+    assert np.array_equal(_bits(cp.apply(x)), _bits(y))
+    assert np.array_equal(_bits(cp.matrix), _bits(t))
+    m = intersection(subs)
+    assert np.array_equal(_bits(cp.m.basis), _bits(m.basis))
+    assert all(m.contains(v) for v in planted.T)
 
 
 def _bits(a):

@@ -94,7 +94,7 @@ def test_block_model_error_norm_matches_direct_iteration():
 def test_block_model_builds_its_bases_on_first_use():
     model = block_aligned(3, [1.2, 0.7, 0.1])
     cp = model.cyclic()
-    assert cp._blocks is not None
+    assert [b.shape for b in cp._blocks] == [(3, 2, 2)] * 2
     assert not {"m1", "m2"} & set(vars(model))
     b1 = np.zeros((6, 3))
     b2 = np.zeros((6, 3))
@@ -105,7 +105,9 @@ def test_block_model_builds_its_bases_on_first_use():
     assert np.allclose(model.m2.basis, b2, rtol=0.0, atol=1e-16)
     assert model.subspaces[0] is model.m1 and model.subspaces[1] is model.m2
     inst = InstanceSpec("block_aligned", {"k_blocks": 3, "angle_rule": "1/k"}).realize()
-    assert inst.cyclic()._blocks is not None
+    assert [b.shape for b in inst.cyclic()._blocks] == [(3, 2, 2)] * 2
+    assert not {"m1", "m2"} & set(vars(inst.model))
+    assert inst.subspaces[0] is inst.model.m1 and inst.subspaces[1] is inst.model.m2
 
 
 def test_slow_vector_at_horizon_zero():
@@ -149,6 +151,11 @@ def test_slow_vector_target_validation():
         slow_vector(model, np.array([1.0, 0.5]), 1, np.nan)
     with pytest.raises(ValueError):
         slow_vector(model, np.array([1.0, np.nan]), 1, 0.5)
+    r = 1.0 / np.log(np.arange(101.0) + 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        slow_vector(model, r, 100, np.inf)  # not a CapacityError naming K = 1
+    with pytest.raises(ValueError, match="overflows"):
+        slow_vector(model, r, 100, 1e300)
 
 
 def test_convex_combination_mixes_matrices():
