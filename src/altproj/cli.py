@@ -343,7 +343,7 @@ def _cmd_numrange(args):
 
 def _cmd_ritt(args):
     inst = _load_instance(args.instance)
-    t = inst.dense()
+    t = inst.cyclic() if inst.matrix is None else inst.matrix
     sup, argmax, profile = ritt_power_diagnostic(t, args.n_max)
     radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
     constants = [resolvent_diagnostic(t, radii=[r]) for r in radii]

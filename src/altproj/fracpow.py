@@ -4,7 +4,7 @@ The binomial series (I - T)^alpha = sum_n (-1)^n binom(alpha, n) T^n is
 the reference computation (``method="series"``).  The default
 ``method="auto"`` runs the series within a practical term budget and,
 past it, takes the fast route: a spectral path through an
-eigendecomposition of T, used when the eigenvector basis is
+eigendecomposition of T's blocks, used when the eigenvector basis is
 well-conditioned.  On top of these the module builds vectors of the
 regularity class Fix(T) + Ran(I-T)^alpha, fits the polynomial decay
 exponent of their iteration error, and probes boundedness of the
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .iteration import CyclicProduct
-from .linalg import _dense, _finite, diagonalize, spectral_norm
+from .linalg import _finite, _stack, as_complex_matrix, diagonalize, spectral_norm
 
 __all__ = [
     "AlphaVector",
@@ -44,7 +44,7 @@ def _matvec(t):
     """Return the sweep x -> T x of a CyclicProduct or a plain matrix."""
     if hasattr(t, "apply"):
         return t.apply
-    dense = _dense(t)
+    dense = as_complex_matrix(t)
     if spectral_norm(dense) > 1.0 + 1e-10:
         raise ValueError("operator is not a contraction")
     return lambda v: dense @ v
@@ -88,25 +88,26 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
 
 
 def _eigencoordinates(t, x: np.ndarray):
-    """Eigenvalues lam, eigenvectors v and the coordinates w of x with v w = x.
+    """Eigenvalues lam, eigenvectors v and the coordinates w of x with v w = x,
+    as (n, b), (n, b, b) and (n, b) stacks over T's blocks.
 
     ``t`` is a CyclicProduct, whose cached ``diagonalize`` result is used,
     or a plain matrix.  Raises NumericalContractError when the eigenvector
     basis is singular or too ill-conditioned (see ``diagonalize``).
     """
-    basis = t._eigenbasis if isinstance(t, CyclicProduct) else diagonalize(_dense(t))
+    basis = t._eigenbasis if isinstance(t, CyclicProduct) else diagonalize(_stack(t)[0])
     if basis is None:
         raise NumericalContractError(
             "eigenvector basis too ill-conditioned for the spectral path")
     lam, v = basis
-    return lam, v, np.linalg.solve(v, x)
+    return lam, v, np.linalg.solve(v, x.reshape(lam.shape + (1,)))[..., 0]
 
 
 def _eig_apply(t, alpha: float, x: np.ndarray) -> np.ndarray:
     """(I-T)^alpha x through an eigendecomposition, principal branch."""
     lam, v, w = _eigencoordinates(t, x.astype(np.complex128))
     scale = (1.0 - lam).astype(np.complex128) ** alpha
-    return v @ (scale * w)
+    return (v @ (scale * w)[..., None]).reshape(x.shape)
 
 
 def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") -> np.ndarray:
@@ -243,7 +244,8 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
         return _partial_sum_dense(cp, x, alpha, n_max)
 
     # rigorous upper bound on ||V||_2 via Holder, avoids a large SVD
-    v_norm = math.sqrt(np.abs(v).sum(axis=0).max() * np.abs(v).sum(axis=1).max())
+    v_norm = math.sqrt(np.abs(v).sum(axis=-2).max() * np.abs(v).sum(axis=-1).max())
+    lam, w = lam.reshape(-1), w.reshape(-1)
     absl = np.abs(lam)
     near_one = absl >= 1.0 - 1e-9
     divergent = near_one & (np.abs(w) > 1e-12 * max(1.0, float(np.linalg.norm(w))))
@@ -281,7 +283,7 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
         wp = starts[:, -1]
         partial = s[:, None] + np.cumsum(starts[:, :-1] * inner, axis=1)
         s = partial[:, -1]
-        vals = np.linalg.norm(v @ partial, axis=0)
+        vals = np.linalg.norm(v @ partial.reshape(v.shape[:2] + (-1,)), axis=(0, 1))
         sup = max(sup, float(vals.max()))
         k += m
         if head_sup is None and k >= head_cut:

@@ -59,8 +59,8 @@ class CyclicProduct:
     ``apply`` sweeps 2x2 blocks in O(d) per factor with ``einsum``, which
     reproduces ``p @ x`` bit for bit where a stacked ``matmul`` does not;
     stacked columns keep ``p @ x``.  ``pm_apply`` is P_M x, without a
-    matrix when M = {0}.  The eigendecomposition of T used by the
-    spectral paths is computed on first use and kept.
+    matrix when M = {0}.  The kernels read T's blocks, and their
+    eigendecomposition is computed on first use and kept.
     """
 
     def __init__(self, blocks, basis: np.ndarray, m: Subspace):
@@ -115,30 +115,30 @@ class CyclicProduct:
 
     @cached_property
     def _eigenbasis(self):
-        """``diagonalize(matrix)``: (lam, v) of T, or None when ill-conditioned."""
-        return diagonalize(self.matrix)
+        """``diagonalize`` of T's blocks: (lam, v) stacks, or None when ill-conditioned."""
+        return diagonalize(self._t_blocks)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
-        n = len(self._blocks[0])
+        n, b, _ = self._blocks[0].shape
         if n == 1 or np.ndim(x) != 1:
             for p in self.factors:
                 x = p @ x
             return x
-        y = np.asarray(x).reshape(n, -1)
+        y = np.asarray(x).reshape(n, b)
         for b in self._blocks:
             y = np.einsum("kij,kj->ki", b, y)
         return y.reshape(-1)
 
     def _iterates(self, x: np.ndarray):
         """P_1 x, P_2 P_1 x, ..., P_N ... P_1 x: the steps of ``apply``, same bits."""
-        n = len(self._blocks[0])
+        n, b, _ = self._blocks[0].shape
         if n == 1 or np.ndim(x) != 1:
             for p in self.factors:
                 x = p @ x
                 yield x
             return
-        y = np.asarray(x).reshape(n, -1)
+        y = np.asarray(x).reshape(n, b)
         for b in self._blocks:
             y = np.einsum("kij,kj->ki", b, y)
             yield y.reshape(-1)
@@ -272,13 +272,14 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
 
 
 def operator_error_norm(cp: CyclicProduct, n: int) -> float:
-    """Spectral norm ||T^n - P_M|| by repeated multiplication and SVD."""
+    """Spectral norm ||T^n - P_M|| by repeated multiplication and SVD of T's blocks."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    power = np.eye(cp.dim, dtype=np.complex128)
+    t = cp._t_blocks
+    power = np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape)
     for _ in range(n):
-        power = cp.matrix @ power
-    return spectral_norm(power - cp.pm)
+        power = t @ power
+    return spectral_norm(power - cp._pm_blocks)
 
 
 def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:

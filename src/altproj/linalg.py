@@ -41,9 +41,10 @@ def _finite(x, name: str = "x") -> np.ndarray:
     return a
 
 
-def _dense(t) -> np.ndarray:
-    """The matrix of an operator: a ``CyclicProduct``'s ``matrix``, or ``t`` itself."""
-    return as_complex_matrix(getattr(t, "matrix", t))
+def _stack(t):
+    """T's (n, b, b) block stack (a matrix is one block) and its chunk ``stack_chunk(b) // n``."""
+    blocks = t._t_blocks if hasattr(t, "_t_blocks") else as_complex_matrix(t)[None]
+    return blocks, max(1, stack_chunk(blocks.shape[-1]) // len(blocks))
 
 
 _STACK_BYTES = 2**21  # cap on one stack of complex matrices
@@ -69,22 +70,23 @@ def eigh_sym(a: np.ndarray):
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of ``a`` (0.0 for an empty matrix)."""
+    """Largest singular value of ``a``, or over a stack (0.0 when empty)."""
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False).max())
 
 
 def diagonalize(a: np.ndarray):
-    """Eigenvalues and eigenvectors ``(lam, v)`` of ``a``, both read-only.
+    """Eigenvalues and eigenvectors ``(lam, v)`` of an (n, b, b) stack, both read-only.
 
     Returns None when the eigenvector basis is singular or its condition
-    number reaches ``_EIG_COND_CAP``; ``numpy.linalg.eig`` errors propagate.
+    number, the largest singular value over all blocks over the smallest,
+    reaches ``_EIG_COND_CAP``; ``numpy.linalg.eig`` errors propagate.
     """
     lam, v = np.linalg.eig(a)
     sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] >= _EIG_COND_CAP:
+    if sv.min() == 0.0 or sv.max() / sv.min() >= _EIG_COND_CAP:
         return None
     lam.setflags(write=False)
     v.setflags(write=False)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .iteration import CyclicProduct, build_cyclic
-from .linalg import _dense
 from .subspace import Subspace, orthonormalize
 
 __all__ = [
@@ -194,8 +193,8 @@ def slow_vector(model: BlockAlignedModel, r, horizon: int, eps: float) -> np.nda
         raise ValueError("horizon must be >= 0")
     if len(r) < horizon + 1:
         raise ValueError("need a target value for every n <= horizon")
-    if not np.min(r[: horizon + 1]) > 0.0:
-        raise ValueError("targets must be positive")
+    if not (np.isfinite(r[: horizon + 1]).all() and np.min(r[: horizon + 1]) > 0.0):
+        raise ValueError("targets must be positive and finite")
     if horizon >= 1 and np.max(np.diff(r[: horizon + 1])) > 1e-15:
         raise ValueError("targets must be non-increasing")
     if not 0.0 < eps < math.inf:
@@ -261,7 +260,7 @@ def _fail_capacity(model: BlockAlignedModel, horizon: int, eps: float):
 
 
 def convex_combination(products, weights) -> np.ndarray:
-    """Weighted average sum w_i T_i of projection products."""
+    """Weighted average sum w_i T_i of ``CyclicProduct`` objects, a dense matrix."""
     products = list(products)
     if not products:
         raise ValueError("need at least one product")
@@ -274,7 +273,7 @@ def convex_combination(products, weights) -> np.ndarray:
         raise ValueError("weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1 within 1e-12")
-    mats = [_dense(p) for p in products]
+    mats = [p.matrix for p in products]
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise ValueError("products live in different ambient dimensions")
@@ -319,11 +318,6 @@ class Instance:
         if self.model is not None:
             return self.model.cyclic()
         return build_cyclic(self.family)
-
-    def dense(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return self.cyclic().matrix
 
 
 @dataclass(frozen=True)

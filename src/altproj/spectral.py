@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .geometry import _rate_base_squared
-from .linalg import _dense, eigh_sym, stack_chunk
+from .linalg import _stack, eigh_sym
 
 __all__ = [
     "StolzDomain",
@@ -181,24 +181,24 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     For each phi, h(phi) is the top eigenvalue of the Hermitian part of
     e^{-i phi} T and the boundary point is <Tx, x> at the corresponding
     top eigenvector, so Re(e^{-i phi} z(phi)) = h(phi) by construction.
-    The rotated matrices go to ``eigh_sym`` as stacks of at most
-    ``stack_chunk(d)``, one call per stack, with the same bits as one
-    call per angle.
+    On T's (n, b, b) block stack h(phi) is the largest block value and x
+    lies in the top block.  The rotated stacks go to ``eigh_sym`` at most
+    ``stack_chunk(b) // n`` angles per call, with the same bits as one
+    call per angle and block.
     """
     if m < 8:
         raise ValueError("need at least 8 support angles")
-    t = _dense(t)
+    t, chunk = _stack(t)
     angles = 2.0 * np.pi * np.arange(m) / m
     support = np.empty(m)
     points = np.empty(m, dtype=np.complex128)
-    chunk = stack_chunk(t.shape[0])
     for start in range(0, m, chunk):
         part = angles[start:start + chunk]
         w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in part]))
-        support[start:start + len(part)] = w[:, -1]
-        for j in range(len(part)):
-            x = v[j, :, -1]
-            points[start + j] = x.conj() @ (t @ x)
+        for j, k in enumerate(np.argmax(w[:, :, -1], axis=1)):
+            support[start + j] = w[j, k, -1]
+            x = v[j, k, :, -1]
+            points[start + j] = x.conj() @ (t[k] @ x)
     return NumericalRangeBoundary(angles=angles, support=support, points=points)
 
 
@@ -254,25 +254,25 @@ def ritt_power_diagnostic(t, n_max: int):
 
     Returns (sup value, argmax n, full profile).  Boundedness of the
     profile is one operational face of the Ritt property.  The products
-    T^n (I - T) are formed one by one and collected into stacks of at
-    most ``stack_chunk(d)``; one SVD call per stack gives the same norms
-    as one call per power.
+    T^n (I - T) are formed one by one on T's (n, b, b) block stack and
+    collected into stacks of at most ``stack_chunk(b) // n`` powers; one
+    SVD call per stack gives the same norms, each the largest over the
+    blocks, as one call per power.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    t = _dense(t)
-    d = t.shape[0]
-    defect = np.eye(d, dtype=np.complex128) - t
-    chunk = stack_chunk(d)
-    stack = np.empty((min(chunk, n_max), d, d), dtype=np.complex128)
+    t, chunk = _stack(t)
+    eye = np.eye(t.shape[-1], dtype=np.complex128)
+    defect = eye - t
+    stack = np.empty((min(chunk, n_max),) + t.shape, dtype=np.complex128)
     norms = np.empty(n_max)
-    power = np.eye(d, dtype=np.complex128)
+    power = np.broadcast_to(eye, t.shape)
     for start in range(0, n_max, chunk):
         count = min(chunk, n_max - start)
         for j in range(count):
             power = power @ t
             np.matmul(power, defect, out=stack[j])
-        norms[start:start + count] = np.linalg.svd(stack[:count], compute_uv=False).max(axis=-1)
+        norms[start:start + count] = np.linalg.svd(stack[:count], compute_uv=False).max((1, 2))
     profile = np.arange(1, n_max + 1) * norms
     argmax = int(np.argmax(profile)) + 1
     return float(profile[argmax - 1]), argmax, profile
@@ -286,11 +286,12 @@ def resolvent_diagnostic(t, radii=None, angles_per_radius: int = 64) -> float:
     geometrically toward the unit circle.  The angle grid includes pi
     when the count is even.  The supremum over all |lambda| > 1 cannot be
     sampled exhaustively, so this is a measured value on a declared grid,
-    and an empty grid raises.  The matrices lambda I - T of one radius go
-    to the SVD as stacks of at most ``stack_chunk(d)``, with the same
-    smallest singular values as one call per lambda.
+    and an empty grid raises.  The stacks lambda I - T over T's (n, b, b)
+    block stack go to the SVD at most ``stack_chunk(b) // n`` values of
+    lambda per call, with the same smallest singular values, each the
+    smallest over the blocks, as one call per lambda.
     """
-    t = _dense(t)
+    t, chunk = _stack(t)
     if radii is None:
         radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
     radii = list(radii)
@@ -298,16 +299,14 @@ def resolvent_diagnostic(t, radii=None, angles_per_radius: int = 64) -> float:
         raise ValueError("need at least one radius and one angle per radius")
     if not all(1.0 < r < np.inf for r in radii):
         raise ValueError("all radii must be finite and exceed 1")
-    d = t.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    chunk = stack_chunk(d)
+    eye = np.eye(t.shape[-1], dtype=np.complex128)
     phis = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     best = 0.0
     for r in radii:
         for start in range(0, angles_per_radius, chunk):
             lams = [r * np.exp(1j * phi) for phi in phis[start:start + chunk]]
             sigma_min = np.linalg.svd(np.array([lam * eye - t for lam in lams]),
-                                      compute_uv=False)[:, -1]
+                                      compute_uv=False)[..., -1].min(axis=-1)
             for lam, s in zip(lams, sigma_min):
                 if s <= 0.0:
                     raise NumericalContractError("singular resolvent at |lambda| > 1")

@@ -273,6 +273,22 @@ def test_slowvec_on_two_thousand_blocks_stays_small(tmp_path):
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("k_blocks,argv", [(1000, ["ritt", "--n-max", "50"]),
+                                           (2000, ["fracpow", "--seed", "3"])])
+def test_spectral_commands_on_thousands_of_blocks_stay_small(tmp_path, k_blocks, argv):
+    # ritt and fracpow read T's 2x2 blocks, so they form no d x d array
+    spec = InstanceSpec("block_aligned", {"k_blocks": k_blocks, "angle_rule": "1/k"})
+    inst = _path(tmp_path, serialize_instance(spec))
+    out = str(tmp_path / "out.csv")
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--instance", inst, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_slowvec_infeasible_horizon_exits_4(tmp_path, capsys):
     inst = _path(tmp_path, BLOCKS12)
     out = str(tmp_path / "slow.csv")

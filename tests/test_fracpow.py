@@ -152,7 +152,27 @@ def test_block_model_is_eigendecomposed_once(monkeypatch):
     x = make_alpha_vector(cp, 0.5, seed=4).x
     partial_sum_characterization(cp, x, 0.5, 100)
     partial_sum_characterization(cp, x, 1.0, 100)
-    assert calls == [(400, 400)]
+    assert calls == [(200, 2, 2)]  # one call on the stack of T's blocks
+
+
+@pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])
+@pytest.mark.parametrize("k_blocks", [2, 12, 200])
+def test_eigen_paths_on_the_block_stack_match_the_dense_build(k_blocks, rule):
+    # the dense eig returns each block's eigenvectors bit for bit, but in
+    # its own column order, which fixes the summation order of v @ (scale w):
+    # (I - T)^alpha x agrees to rounding, and bit for bit where the orders
+    # coincide (as on the 1/k model that the fracpow-blocks200 golden pins)
+    angles = np.geomspace(1.5, 1e-3, k_blocks) if rule == "custom" else rule
+    model = block_aligned(k_blocks, angles)
+    cp = model.cyclic()
+    rng = np.random.default_rng(k_blocks)
+    x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
+    applied = fracpow._eig_apply(cp, 0.5, x)
+    sums = [partial_sum_characterization(cp, x, a, 300) for a in (0.5, 1.0)]
+    assert not {"factors", "matrix", "pm"} & set(vars(cp))
+    dense = build_cyclic(model.subspaces)  # the same T as one d x d block
+    assert np.abs(applied - fracpow._eig_apply(dense, 0.5, x)).max() <= 1e-15
+    assert sums == [partial_sum_characterization(dense, x, a, 300) for a in (0.5, 1.0)]
 
 
 def test_alpha_vector_is_seed_reproducible():

@@ -14,20 +14,27 @@ from altproj import (
     Subspace,
     block_aligned,
     build_cyclic,
+    frac_power_apply,
     friedrichs_number,
     iota2,
     iota2_rate_bound,
     intersection,
     iterate,
+    make_alpha_vector,
+    numrange_boundary,
     operator_error_norm,
     orthonormalize,
+    partial_sum_characterization,
     random_instance,
     rate_bound,
+    resolvent_diagnostic,
+    ritt_power_diagnostic,
     slow_vector,
     sweep_diagnostic,
     two_lines,
     unconditional_sum_test,
 )
+from altproj import fracpow
 from altproj.acceptance import _pool
 
 
@@ -206,8 +213,33 @@ def test_block_built_product_matches_the_dense_build_bit_for_bit(k_blocks, rule)
         assert np.array_equal(_bits(a), _bits(b))
     for a, b in [(cp.matrix, dense.matrix), (cp.pm, dense.pm)]:
         assert np.array_equal(_bits(a), _bits(b))
-    for a, b in zip(cp._eigenbasis, dense._eigenbasis):
-        assert np.array_equal(_bits(a), _bits(b))
+    # one eig call per 2x2 block gives the spectrum of one eig call on T
+    assert cp._eigenbasis[1].shape == (k_blocks, 2, 2)
+    assert dense._eigenbasis[1].shape == (1, 2 * k_blocks, 2 * k_blocks)
+    spectra = [np.sort(e._eigenbasis[0].reshape(-1)) for e in (cp, dense)]
+    assert np.array_equal(_bits(spectra[0]), _bits(spectra[1]))
+
+
+@pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])
+@pytest.mark.parametrize("k_blocks", [2, 12, 200])
+def test_operator_error_norm_on_the_block_stack_matches_the_dense_build(k_blocks, rule):
+    angles = np.geomspace(1.5, 1e-3, k_blocks) if rule == "custom" else rule
+    model = block_aligned(k_blocks, angles)
+    cp = model.cyclic()
+    norms = [operator_error_norm(cp, n) for n in (0, 1, 5)]
+    assert not {"matrix", "pm"} & set(vars(cp))
+    dense = build_cyclic(model.subspaces)
+    assert norms == [operator_error_norm(dense, n) for n in (0, 1, 5)]
+
+
+def test_sweeps_refuse_a_vector_of_the_wrong_length():
+    model = block_aligned(12, "1/k")
+    for cp in (model.cyclic(), build_cyclic(model.subspaces)):
+        for x in (np.ones(12), np.ones(25)):
+            with pytest.raises(ValueError):
+                cp.apply(x)
+            with pytest.raises(ValueError):
+                list(cp._iterates(x))
 
 
 @pytest.mark.parametrize("last", [1e-4, 1e-5, 1e-6])
@@ -229,7 +261,21 @@ def test_block_built_product_forms_dense_members_on_first_use():
     assert np.array_equal(cp.pm_apply(x), np.zeros(24, dtype=complex))
     assert cp.pm_apply(x).dtype == np.complex128
     assert iterate(cp, x, 5).errors[0] == np.linalg.norm(x)
-    assert not {"factors", "matrix", "pm"} & set(vars(cp))
+    # every kernel reads the block stacks, never a dense member
+    kernels = [
+        lambda: sweep_diagnostic(cp, x),
+        lambda: operator_error_norm(cp, 3),
+        lambda: numrange_boundary(cp, 16),
+        lambda: ritt_power_diagnostic(cp, 10),
+        lambda: resolvent_diagnostic(cp, angles_per_radius=8),
+        lambda: frac_power_apply(cp, 0.5, x, 1e-8),
+        lambda: fracpow._eig_apply(cp, 0.5, x),
+        lambda: make_alpha_vector(cp, 0.5, seed=1),
+        lambda: partial_sum_characterization(cp, x, 0.5, 100),
+    ]
+    for kernel in kernels:
+        kernel()
+        assert not {"factors", "matrix", "pm"} & set(vars(cp))
     for name in ("factors", "matrix", "pm"):
         assert getattr(cp, name) is getattr(cp, name)  # kept once built
     for a in cp.factors + (cp.matrix, cp.pm):

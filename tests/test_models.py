@@ -151,6 +151,9 @@ def test_slow_vector_target_validation():
         slow_vector(model, np.array([1.0, 0.5]), 1, np.nan)
     with pytest.raises(ValueError):
         slow_vector(model, np.array([1.0, np.nan]), 1, 0.5)
+    for bad in ([np.inf, 1.0], [np.inf, np.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            slow_vector(block_aligned(12, "1/k"), np.array(bad), 1, 0.5)
     r = 1.0 / np.log(np.arange(101.0) + 2.0)
     with pytest.raises(ValueError, match="finite"):
         slow_vector(model, r, 100, np.inf)  # not a CapacityError naming K = 1
@@ -191,7 +194,8 @@ def test_instance_spec_realizes_every_kind():
         },
     ).realize()
     assert mix.matrix.shape == (2, 2)
-    assert np.array_equal(mix.dense(), mix.matrix)
+    assert np.array_equal(mix.matrix, convex_combination(
+        [c.cyclic() for c in mix.components], [0.5, 0.5]))
 
 
 def test_instance_keeps_what_it_realized():

@@ -8,6 +8,7 @@ from altproj import (
     NumericalContractError,
     OmegaRegion,
     StolzDomain,
+    block_aligned,
     build_cyclic,
     containment_check,
     numrange_boundary,
@@ -305,3 +306,58 @@ def test_numrange_boundary_matches_a_per_angle_loop(t64):
         x = v[:, -1]
         assert b.support[i] == w[-1]
         assert b.points[i] == x.conj() @ (t64 @ x)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)  # tells signed zeros apart
+
+
+@pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])
+@pytest.mark.parametrize("k_blocks", [2, 12, 200])
+def test_spectral_kernels_on_the_block_stack_match_the_dense_matrix(k_blocks, rule):
+    # the norms and support values split exactly over T's 2x2 blocks; the
+    # boundary points and sigma_min come from 2x2 factorizations instead
+    # of d x d ones and agree to rounding
+    angles = np.geomspace(1.5, 1e-3, k_blocks) if rule == "custom" else rule
+    cp = block_aligned(k_blocks, angles).cyclic()
+    radii = [1.5, 1.0 + 2.0**-10]
+    boundary = numrange_boundary(cp, 8)
+    _, n_star, profile = ritt_power_diagnostic(cp, 8)
+    constant = resolvent_diagnostic(cp, radii, 4)
+    assert not {"factors", "matrix", "pm"} & set(vars(cp))
+    t = cp.matrix
+    dense = numrange_boundary(t, 8)
+    assert np.array_equal(_bits(boundary.support), _bits(dense.support))
+    assert np.abs(boundary.points - dense.points).max() <= 1e-15
+    _, dense_n_star, dense_profile = ritt_power_diagnostic(t, 8)
+    assert np.array_equal(_bits(profile), _bits(dense_profile)) and n_star == dense_n_star
+    assert abs(constant - resolvent_diagnostic(t, radii, 4)) <= 1e-15
+
+
+def test_block_kernels_split_their_stacks_at_chunk_edges():
+    # at 1100 blocks a capped stack holds stack_chunk(2) // 1100 = 29
+    # angles, powers or values of lambda, so every call spans three chunks
+    k_blocks = 1100
+    cp = block_aligned(k_blocks, "1/sqrt(k)").cyclic()
+    t = cp._t_blocks
+    count = 2 * (stack_chunk(2) // k_blocks) + 3
+    b = numrange_boundary(cp, count)
+    w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in b.angles]))
+    top = np.argmax(w[:, :, -1], axis=1)
+    for i, k in enumerate(top):
+        x = v[i, k, :, -1]
+        assert b.support[i] == w[i, k, -1] == w[i, :, -1].max()
+        assert b.points[i] == x.conj() @ (t[k] @ x)
+    eye = np.eye(2, dtype=np.complex128)
+    power = np.broadcast_to(eye, t.shape)
+    expected = np.empty(count)
+    for n in range(1, count + 1):
+        power = power @ t
+        expected[n - 1] = n * np.linalg.svd(power @ (eye - t), compute_uv=False).max()
+    assert np.array_equal(ritt_power_diagnostic(cp, count)[2], expected)
+    best = 0.0
+    for phi in 2.0 * np.pi * np.arange(count) / count:
+        lam = 1.01 * np.exp(1j * phi)
+        sigma_min = np.linalg.svd(lam * eye - t, compute_uv=False)[:, -1].min()
+        best = max(best, abs(lam - 1.0) / sigma_min)
+    assert resolvent_diagnostic(cp, radii=[1.01], angles_per_radius=count) == best
