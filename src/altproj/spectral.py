@@ -195,8 +195,9 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     for start in range(0, m, chunk):
         part = angles[start:start + chunk]
         w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in part]))
-        for j, k in enumerate(np.argmax(w[:, :, -1], axis=1)):
-            support[start + j] = w[j, k, -1]
+        top = np.argmax(w[:, :, -1], axis=1)
+        support[start:start + len(part)] = w[np.arange(len(part)), top, -1]
+        for j, k in enumerate(top.tolist()):
             x = v[j, k, :, -1]
             points[start + j] = x.conj() @ (t[k] @ x)
     return NumericalRangeBoundary(angles=angles, support=support, points=points)
@@ -299,7 +300,7 @@ def resolvent_diagnostic(t, radii=None, angles_per_radius: int = 64) -> float:
         raise ValueError("need at least one radius and one angle per radius")
     if not all(1.0 < r < np.inf for r in radii):
         raise ValueError("all radii must be finite and exceed 1")
-    eye = np.eye(t.shape[-1], dtype=np.complex128)
+    eye = np.eye(t.shape[-1], dtype=np.complex128)[None]
     phis = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     best = 0.0
     for r in radii:
