@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altproj import fracpow
+from altproj.linalg import diagonalize
 from altproj import (
     CapacityError,
     NumericalContractError,
@@ -168,11 +169,25 @@ def test_eigen_paths_on_the_block_stack_match_the_dense_build(k_blocks, rule):
     rng = np.random.default_rng(k_blocks)
     x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
     applied = fracpow._eig_apply(cp, 0.5, x)
-    sums = [partial_sum_characterization(cp, x, a, 300) for a in (0.5, 1.0)]
+    # 10^4 steps: the certificate, and so the Holder bound on the block
+    # basis, decides where each run stops
+    sums = [partial_sum_characterization(cp, x, a, 10**4) for a in (0.5, 1.0)]
     assert not {"factors", "matrix", "pm"} & set(vars(cp))
     dense = build_cyclic(model.subspaces)  # the same T as one d x d block
     assert np.abs(applied - fracpow._eig_apply(dense, 0.5, x)).max() <= 1e-15
-    assert sums == [partial_sum_characterization(dense, x, a, 300) for a in (0.5, 1.0)]
+    assert sums == [partial_sum_characterization(dense, x, a, 10**4) for a in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("gap,conditioned", [(3e-6, True), (1.67e-6, False)])
+def test_diagonalize_conditions_the_basis_across_blocks(gap, conditioned):
+    # a near-defective block next to a diagonal one: the eigenvector basis
+    # has condition number 2 / gap, the top singular value of one block
+    # (about sqrt 2) over the smallest of the other, as for the dense matrix
+    blocks = np.array([[[0.4, 1.0], [0.0, 0.4 + gap]], [[0.5, 0.0], [0.0, 0.2]]], dtype=complex)
+    dense = np.zeros((1, 4, 4), dtype=complex)
+    dense[0, :2, :2], dense[0, 2:, 2:] = blocks
+    assert (diagonalize(blocks) is not None) == conditioned
+    assert (diagonalize(dense) is not None) == conditioned
 
 
 def test_alpha_vector_is_seed_reproducible():
