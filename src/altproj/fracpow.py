@@ -197,12 +197,12 @@ def decay_slope(trace, window) -> float:
     return float(np.polyfit(np.log(ns), np.log(e), 1)[0])
 
 
-def _partial_sum_dense(cp, x: np.ndarray, alpha: float, n_max: int):
+def _partial_sum_literal(apply_t, x: np.ndarray, alpha: float, n_max: int):
     cur = x
     s = np.zeros_like(x)
     vals = np.empty(n_max)
     for k in range(1, n_max + 1):
-        cur = cp.apply(cur)
+        cur = apply_t(cur)
         s = s + k ** (-(1.0 - alpha)) * cur
         vals[k - 1] = np.linalg.norm(s)
     sup = float(vals.max(initial=0.0))
@@ -219,8 +219,8 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     with a "stabilized" verdict as soon as the certified remaining
     increase drops below 1e-6.  Components along eigenvalues on the unit
     circle make the sum diverge and force the flag to false.  If the
-    eigenvector basis is ill-conditioned the dense fallback measures the
-    literal last-decade increase instead.
+    eigenvector basis is ill-conditioned the fallback sums literally, one
+    sweep per step, and measures the last-decade increase instead.
 
     The eigencoordinate sums advance in chunks of 2048 steps, built block
     by block: the inner sums sum_i lam^i (a + i)^(alpha-1) of every block
@@ -229,19 +229,21 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     steps use blocks of one step, so the sup is taken over every n.
     Longer runs use blocks of 256 steps: the sup is sampled every 256
     steps and at n_max, and the certificate decides the flag.  A
-    non-finite ``x`` raises ``ValueError``.
+    non-finite ``x``, and a plain matrix that is not a contraction, raise
+    ``ValueError``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     x = _finite(x)
+    apply_t = _matvec(cp)
     if np.linalg.norm(x) == 0.0:
         return 0.0, True
     try:
         lam, v, w = _eigencoordinates(cp, x)
     except (np.linalg.LinAlgError, NumericalContractError):
-        return _partial_sum_dense(cp, x, alpha, n_max)
+        return _partial_sum_literal(apply_t, x, alpha, n_max)
 
     # rigorous upper bound on ||V||_2 via Holder, avoids a large SVD
     v_norm = math.sqrt(np.abs(v).sum(axis=-2).max() * np.abs(v).sum(axis=-1).max())

@@ -50,10 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GramBlock:
-    """Gram matrix of the stacked bases of the complements M_k ∩ M^perp.
+    """Gram matrix of the stacked bases of the nonzero complements M_k ∩ M^perp.
 
     ``matrix`` is R x R with R = sum of the complement dimensions and
-    ``slices[k]`` locates block k.  Diagonal blocks are identities since
+    ``slices[j]`` locates the j-th nonzero complement.  Diagonal blocks are identities since
     each basis is orthonormal.  ``eigenvalues`` (ascending) are the ones
     the validation computes.
     """
@@ -79,19 +79,35 @@ class GramBlock:
         object.__setattr__(self, "eigenvalues", w)
 
 
-def _complements(subspaces, m):
-    return [complement_within(s, m) for s in subspaces]
+def _family(subspaces, m):
+    """The family as a list and its intersection M (computed when ``m`` is None);
+    fewer than two subspaces are refused."""
+    subspaces = list(subspaces)
+    if len(subspaces) < 2:
+        raise ValueError("need at least two subspaces")
+    return subspaces, intersection(subspaces) if m is None else m
+
+
+def _feasible(subspaces, m: Subspace, kind: str) -> list:
+    """Orthonormal bases of the nonzero feasible sets of the angle quantities:
+    M^perp for ``kind="global"``, each M_n ∩ M^perp for ``kind="inner"``."""
+    if kind == "global":
+        spaces = [orthogonal_complement(m)]
+    elif kind == "inner":
+        spaces = [complement_within(s, m) for s in subspaces]
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return [s.basis for s in spaces if s.dim]
 
 
 def assemble_gram(subspaces, m: Subspace) -> GramBlock:
-    """GramBlock of the family, blocks B_j^H B_k over M_k ∩ M^perp."""
-    comps = _complements(subspaces, m)
-    dims = [c.dim for c in comps]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    """GramBlock of the family, blocks B_j^H B_k over the nonzero M_k ∩ M^perp."""
+    bases = _feasible(subspaces, m, "inner")
+    offsets = np.cumsum([0] + [b.shape[1] for b in bases])
     slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
-    if offsets[-1] == 0:
+    if not bases:
         return GramBlock(np.zeros((0, 0), dtype=np.complex128), slices)
-    b = np.concatenate([c.basis for c in comps], axis=1)
+    b = np.concatenate(bases, axis=1)
     g = b.conj().T @ b
     return GramBlock(0.5 * (g + g.conj().T), slices)
 
@@ -104,16 +120,11 @@ def friedrichs_number(subspaces, m: Subspace | None = None) -> float:
     M_k ∩ M^perp is zero the constraint set is empty and c = 0 by
     convention.  The result is clamped to [0, 1].
     """
-    subspaces = list(subspaces)
-    n = len(subspaces)
-    if n < 2:
-        raise ValueError("need at least two subspaces")
-    if m is None:
-        m = intersection(subspaces)
+    subspaces, m = _family(subspaces, m)
     gram = assemble_gram(subspaces, m)
     if gram.matrix.shape[0] == 0:
         return 0.0
-    return float(np.clip((gram.eigenvalues[-1] - 1.0) / (n - 1), 0.0, 1.0))
+    return float(np.clip((gram.eigenvalues[-1] - 1.0) / (len(subspaces) - 1), 0.0, 1.0))
 
 
 def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) -> float:
@@ -125,15 +136,12 @@ def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) ->
     estimate of c kept as an oracle for the eigenvalue route; it is not
     clamped.
     """
-    subspaces = list(subspaces)
-    n = len(subspaces)
-    if n < 2:
-        raise ValueError("need at least two subspaces")
-    comps = _complements(subspaces, m)
-    total = sum(c.dim for c in comps)
-    if total == 0:
+    subspaces, m = _family(subspaces, m)
+    bases = _feasible(subspaces, m, "inner")
+    if not bases:
         return 0.0
-    b = np.concatenate([c.basis for c in comps if c.dim], axis=1)
+    b = np.concatenate(bases, axis=1)
+    total = b.shape[1]
     # a real instance has a real maximizer: sampling the real sphere
     # halves the dimension and sharpens the oracle considerably
     real = np.all(b.imag == 0.0)
@@ -150,7 +158,7 @@ def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) ->
         vals = np.sum(np.abs(b @ a) ** 2, axis=0)
         best = max(best, float(vals.max()))
         remaining -= take
-    return (best - 1.0) / (n - 1)
+    return (best - 1.0) / (len(subspaces) - 1)
 
 
 def ell2(c: float, n: int) -> float:
@@ -162,13 +170,17 @@ def ell2(c: float, n: int) -> float:
     return float(np.sqrt((n - 1) * (1.0 - c)))
 
 
-def _sum_defect(subspaces) -> np.ndarray:
-    """Matrix of sum_k (I - P_k)."""
+def _l2_floors(subspaces, bases) -> list:
+    """max(lambda_min(B^H (sum_k (I - P_k)) B), 0) for each orthonormal basis B.
+
+    The squared l2-inclination over span B, the one route behind
+    ``ell2_direct`` and ``iota2``.
+    """
     d = subspaces[0].ambient_dim
-    s = len(subspaces) * np.eye(d, dtype=np.complex128)
+    defect = len(subspaces) * np.eye(d, dtype=np.complex128)
     for sub in subspaces:
-        s -= sub.basis @ sub.basis.conj().T
-    return s
+        defect -= sub.basis @ sub.basis.conj().T
+    return [max(float(eigh_sym(b.conj().T @ defect @ b)[0][0]), 0.0) for b in bases]
 
 
 def ell2_direct(subspaces, m: Subspace | None = None) -> float:
@@ -179,17 +191,11 @@ def ell2_direct(subspaces, m: Subspace | None = None) -> float:
     the two agree through the identity ell2 = sqrt((N-1)(1-c)) whenever
     some M_k ∩ M^perp is nonzero.
     """
-    subspaces = list(subspaces)
-    if len(subspaces) < 2:
-        raise ValueError("need at least two subspaces")
-    if m is None:
-        m = intersection(subspaces)
-    q = orthogonal_complement(m)
-    if q.dim == 0:
+    subspaces, m = _family(subspaces, m)
+    floors = _l2_floors(subspaces, _feasible(subspaces, m, "global"))
+    if not floors:
         raise ValueError("intersection is the whole space; infimum over empty set")
-    a = q.basis.conj().T @ _sum_defect(subspaces) @ q.basis
-    w, _ = eigh_sym(a)
-    return float(np.sqrt(max(w[0], 0.0)))
+    return float(np.sqrt(floors[0]))
 
 
 def iota2(subspaces, m: Subspace | None = None) -> float:
@@ -200,22 +206,12 @@ def iota2(subspaces, m: Subspace | None = None) -> float:
     skipped.  If all of them equal M the infima are over empty sets and
     the +inf sentinel is returned with a warning.
     """
-    subspaces = list(subspaces)
-    if len(subspaces) < 2:
-        raise ValueError("need at least two subspaces")
-    if m is None:
-        m = intersection(subspaces)
-    defect = _sum_defect(subspaces)
-    vals = []
-    for comp in _complements(subspaces, m):
-        if comp.dim == 0:
-            continue
-        w, _ = eigh_sym(comp.basis.conj().T @ defect @ comp.basis)
-        vals.append(max(float(w[0]), 0.0))
-    if not vals:
+    subspaces, m = _family(subspaces, m)
+    floors = _l2_floors(subspaces, _feasible(subspaces, m, "inner"))
+    if not floors:
         warnings.warn("every subspace equals the intersection; inner inclination is +inf")
         return float("inf")
-    return float(np.sqrt(min(vals)))
+    return float(np.sqrt(min(floors)))
 
 
 # Barrier weights of the dual path relative to its start, down to the
@@ -337,15 +333,11 @@ def minimax_inclination_estimate(subspaces, m: Subspace | None = None, *,
     ell (``kind="global"``): inf of max_k dist(x, M_k)/dist(x, M) over
     x in M^perp; iota (``kind="inner"``): the same over x in M_n ∩ M^perp,
     minimized over n.  The bounds meet to rounding when at most three
-    subspaces are active at the optimum.  Empty feasible sets give (inf, inf).
+    subspaces are active at the optimum.  Empty feasible sets give (inf, inf);
+    a family of fewer than two subspaces is refused, as by every angle quantity.
     """
-    if kind not in ("global", "inner"):
-        raise ValueError(f"unknown kind {kind!r}")
-    subspaces = list(subspaces)
-    if m is None:
-        m = intersection(subspaces)
-    feasible = [orthogonal_complement(m)] if kind == "global" else _complements(subspaces, m)
-    bounds = [_minimax_bounds(subspaces, s.basis) for s in feasible if s.dim]
+    subspaces, m = _family(subspaces, m)
+    bounds = [_minimax_bounds(subspaces, b) for b in _feasible(subspaces, m, kind)]
     lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
     return min(lows), min(highs)
 
@@ -402,9 +394,7 @@ def geometry_report(subspaces, m: Subspace | None = None) -> GeometryReport:
     """Compute every GeometryReport field for one instance."""
     from .spectral import theta0 as theta0_fn
 
-    subspaces = list(subspaces)
-    if m is None:
-        m = intersection(subspaces)
+    subspaces, m = _family(subspaces, m)
     n = len(subspaces)
     c = friedrichs_number(subspaces, m)
     ell_lo, ell_hi = minimax_inclination_estimate(subspaces, m, kind="global")

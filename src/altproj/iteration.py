@@ -17,7 +17,6 @@ sweep.  The routines that take a start vector refuse a non-finite one
 once, up front.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
-_TAIL_SAFETY = 10.0  # safety factor applied to the measured tail estimate
+_TAIL_SAFETY = 10.0  # safety factor applied to the truncation error
 
 
 class CyclicProduct:
@@ -56,10 +55,11 @@ class CyclicProduct:
     is fixed pointwise.  ``factors`` (the P_k), ``matrix`` (T) and ``pm``
     (P_M) are read-only complex d x d arrays assembled on first access; a
     single block is returned as is.  ``m`` is the intersection M.
-    ``apply`` sweeps 2x2 blocks in O(d) per factor with ``einsum``, which
-    reproduces ``p @ x`` bit for bit where a stacked ``matmul`` does not;
-    stacked columns keep ``p @ x``.  ``pm_apply`` is P_M x, without a
-    matrix when M = {0}.  The kernels read T's blocks, and their
+    ``apply`` and ``pm_apply`` never read them: on a vector or on stacked
+    columns they run one ``einsum`` per factor over 2x2 blocks, O(d) per
+    column, which agrees with the dense ``p @ x`` to rounding and, on the
+    block model, bit for bit (a stacked ``matmul`` does not); a single
+    block keeps ``p @ x``.  The kernels read T's blocks, and their
     eigendecomposition is computed on first use and kept.
     """
 
@@ -120,34 +120,40 @@ class CyclicProduct:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
+        # ``_block_apply`` inlined: a call per factor costs the pool's small
+        # dense sweeps about 15%
         n, b, _ = self._blocks[0].shape
-        if n == 1 or np.ndim(x) != 1:
+        if n == 1:
             for p in self.factors:
                 x = p @ x
             return x
-        y = np.asarray(x).reshape(n, b)
-        for b in self._blocks:
-            y = np.einsum("kij,kj->ki", b, y)
-        return y.reshape(-1)
+        x = np.asarray(x)
+        y = x.reshape((n, b) + x.shape[1:])
+        for p in self._blocks:
+            y = np.einsum("kij,kj...->ki...", p, y)
+        return y.reshape(x.shape)
 
     def _iterates(self, x: np.ndarray):
         """P_1 x, P_2 P_1 x, ..., P_N ... P_1 x: the steps of ``apply``, same bits."""
-        n, b, _ = self._blocks[0].shape
-        if n == 1 or np.ndim(x) != 1:
-            for p in self.factors:
-                x = p @ x
-                yield x
-            return
-        y = np.asarray(x).reshape(n, b)
-        for b in self._blocks:
-            y = np.einsum("kij,kj->ki", b, y)
-            yield y.reshape(-1)
+        for p in self._blocks:
+            x = _block_apply(p, x)
+            yield x
 
     def pm_apply(self, x: np.ndarray) -> np.ndarray:
-        """P_M x: complex zeros when M = {0}, else ``pm @ x``."""
+        """P_M x, block by block: complex zeros when M = {0}."""
         if self.m.dim == 0:
             return np.zeros(np.shape(x), dtype=np.complex128)
-        return self.pm @ x
+        return _block_apply(self._pm_blocks, x)
+
+
+def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of an (n, b, b) stack applied to a vector or to
+    stacked columns: ``p @ x`` for one block, else one ``einsum`` over the blocks."""
+    if len(blocks) == 1:
+        return blocks[0] @ x
+    x = np.asarray(x)
+    y = x.reshape(blocks.shape[:2] + x.shape[1:])
+    return np.einsum("kij,kj...->ki...", blocks, y).reshape(x.shape)
 
 
 def _check_product(t, p, basis):
@@ -317,37 +323,23 @@ class UnconditionalReport:
     trunc_tol: float
 
 
-def _series_terms(cp: CyclicProduct, x: np.ndarray, trunc_tol: float):
-    """Terms y_n = T^n (I - T) x until the measured tail clears trunc_tol.
+def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_tol: float):
+    """Terms y_n = T^n (I - T) x until the truncation error clears trunc_tol.
 
-    The remaining tail sum is estimated from the largest of the last ten
-    norm ratios rho as ||y_last|| rho/(1 - rho) and must fall below
-    trunc_tol / safety(10).  A hard cap of 1e5 terms applies.  Returns
-    the terms, the tail estimate and T^K x, the iterate the K sweeps
-    end on.
+    The first K terms telescope to x - T^K x, so they miss the limit
+    x - P_M x (``target`` is P_M x) by exactly e_K = ||T^K x - P_M x||.
+    The run stops at the first K with safety(10) * e_K <= trunc_tol; a
+    hard cap of 1e5 terms applies.  Returns the terms, e_K and T^K x.
     """
     ys = []
-    window = 10
-    ratios = deque(maxlen=window)  # the last ten ratios ||y_n|| / ||y_{n-1}||
-    prev = 0.0
-    cur = np.asarray(x, dtype=np.complex128)
+    cur = x
     while len(ys) < _SERIES_CAP:
         nxt = cp.apply(cur)
-        y = cur - nxt
-        ys.append(y)
-        norm = float(np.linalg.norm(y))
+        ys.append(cur - nxt)
         cur = nxt
-        if norm == 0.0:
-            return ys, 0.0, cur
-        if prev > 0.0:
-            ratios.append(norm / prev)
-        prev = norm
-        if len(ys) > window and ratios:
-            rho = max(ratios)
-            if rho < 1.0:
-                tail = norm * rho / (1.0 - rho)
-                if _TAIL_SAFETY * tail <= trunc_tol:
-                    return ys, tail, cur
+        error = float(np.linalg.norm(cur - target))
+        if _TAIL_SAFETY * error <= trunc_tol:
+            return ys, error, cur
     raise CapacityError("aligned or near-aligned instance; increase cap or tolerance")
 
 
@@ -355,13 +347,14 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
                            trunc_tol: float, seed) -> UnconditionalReport:
     """Probe unconditional convergence of sum_n T^n(I-T)x to x - P_M x.
 
-    Truncates at K terms chosen so the measured tail is below trunc_tol
-    (safety factor 10), then re-sums under ``num_perms`` seeded
-    permutations (each permuted sum must stay within 2 * trunc_tol of
-    x - P_M x) and under 10 seeded +-1 sign patterns (each flipped sum
-    must respect the triangle bound sum ||y_n||).  The largest flipped
-    sum divided by ||x|| is reported as a measured lower estimate of the
-    unconditional constant; no universal value is asserted.
+    Truncates at the first K whose exact truncation error, reported as
+    ``tail_estimate``, is at most trunc_tol / 10 (safety factor 10), then
+    re-sums under ``num_perms`` seeded permutations (each permuted sum
+    must stay within 2 * trunc_tol of x - P_M x) and under 10 seeded +-1
+    sign patterns (each flipped sum must respect the triangle bound
+    sum ||y_n||).  The largest flipped sum divided by ||x|| is reported
+    as a measured lower estimate of the unconditional constant; no
+    universal value is asserted.
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
@@ -369,7 +362,7 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
         raise ValueError("trunc_tol must be positive")
     x = _finite(x)
     target = cp.pm_apply(x)
-    ys, tail, t_k_x = _series_terms(cp, x, trunc_tol)
+    ys, tail, t_k_x = _series_terms(cp, x, target, trunc_tol)
     stack = np.array(ys)
     k = len(ys)
 

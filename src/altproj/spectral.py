@@ -19,7 +19,7 @@ Ritt property; both are reported as measured values on declared grids,
 never asserted as universal constants.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,13 +132,12 @@ class OmegaRegion:
     """
 
     N: int
-    thetaN: float = None  # type: ignore[assignment]
+    thetaN: float = field(init=False)  # always theta_recursion(N)
 
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be >= 2")
-        if self.thetaN is None:
-            object.__setattr__(self, "thetaN", theta_recursion(self.N))
+        object.__setattr__(self, "thetaN", theta_recursion(self.N))
 
     def margin(self, z: complex) -> float:
         """min of the disc slack and the sector slack (heterogeneous units)."""

@@ -24,7 +24,7 @@ __all__ = [
     "orthogonal_complement",
 ]
 
-_EIG_TOL = 1e-10  # default eigenvalue cut of ``intersection``
+_EIG_TOL = 1e-10  # eigenvalue cut of ``intersection``
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -76,11 +76,11 @@ class Subspace:
         return float(np.linalg.norm(x - self.project(x)))
 
 
-def orthonormalize(vectors, rank_tol: float = 1e-10) -> Subspace:
+def orthonormalize(vectors) -> Subspace:
     """Subspace spanned by the given vectors (columns or a list of 1-d arrays).
 
-    Rank is the number of singular values above ``rank_tol`` times the
-    largest; the spanned space is unchanged up to that cut.
+    Rank is the number of singular values above 1e-10 times the largest;
+    the spanned space is unchanged up to that cut.
     """
     a = np.asarray(vectors, dtype=np.complex128)
     if a.ndim == 1:
@@ -88,24 +88,26 @@ def orthonormalize(vectors, rank_tol: float = 1e-10) -> Subspace:
     elif a.ndim == 2 and not isinstance(vectors, np.ndarray):
         # a list/tuple of 1-d vectors arrives row-wise
         a = a.T
-    return Subspace(orthonormal_columns(a, rank_tol=rank_tol))
+    return Subspace(orthonormal_columns(a))
 
 
-def _top_eigenspace(projectors, eig_tol: float = _EIG_TOL):
+def _top_eigenspace(projectors):
     """Eigenvalue cut of ``intersection`` on (n, b, b) projector stacks, block by block.
 
-    Returns the eigenvectors of the mean above ``1 - eig_tol`` as an
+    Returns the eigenvectors of the mean above ``1 - _EIG_TOL`` as an
     (n, b, b) stack with the other columns zeroed, and as the (n b, r)
-    columns of the block-diagonal space they span.
+    columns of the block-diagonal space they span.  An accepted vector
+    that some projector moves by more than sqrt(_EIG_TOL) raises
+    ``NumericalContractError``.
     """
     w, v = eigh_sym(sum(projectors) / len(projectors))
-    keep = w > 1.0 - eig_tol
+    keep = w > 1.0 - _EIG_TOL
     basis = np.where(keep[:, None, :], v, 0.0)
     kept = basis[..., keep.any(axis=0)]  # O(b^2 r) per block, not O(b^3)
     for p in projectors:
-        if kept.size and np.linalg.norm(p @ kept - kept, axis=-2).max() > np.sqrt(eig_tol):
+        if kept.size and np.linalg.norm(p @ kept - kept, axis=-2).max() > np.sqrt(_EIG_TOL):
             raise NumericalContractError(
-                "ill-conditioned intersection; reduce eig_tol or rescale instance"
+                "ill-conditioned intersection; a projector moves an accepted vector"
             )
     n, b, _ = basis.shape
     ks, js = np.nonzero(keep)
@@ -114,30 +116,28 @@ def _top_eigenspace(projectors, eig_tol: float = _EIG_TOL):
     return basis, cols.reshape(n * b, -1)
 
 
-def intersection(subspaces, eig_tol: float = _EIG_TOL) -> Subspace:
+def intersection(subspaces) -> Subspace:
     """Intersection of finitely many subspaces of one ambient space.
 
     Computed as the top eigenspace of the averaged projector
-    (1/N) sum_k P_k: eigenvalues exceeding 1 - eig_tol are taken.  Every
+    (1/N) sum_k P_k: eigenvalues exceeding 1 - 1e-10 are taken.  Every
     accepted eigenvector is cross-checked against each individual
-    projector; a vector moved by more than sqrt(eig_tol) means the
-    eigenvalue cut is not trustworthy at this scale.  The same cut, run
-    block by block, gives the intersection of a block-built
-    ``CyclicProduct``.  A non-finite ``eig_tol`` is refused.
+    projector; a vector moved by more than 1e-5 means the eigenvalue cut
+    is not trustworthy at this scale.  The same cut, run block by block
+    in ``_top_eigenspace``, gives the intersection of a block-built
+    ``CyclicProduct``.
     """
-    if not np.isfinite(eig_tol):
-        raise ValueError("eig_tol must be finite")
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("need at least one subspace")
     d = subspaces[0].ambient_dim
     if any(s.ambient_dim != d for s in subspaces):
         raise ValueError("subspaces live in different ambient dimensions")
-    _, basis = _top_eigenspace([(s.basis @ s.basis.conj().T)[None] for s in subspaces], eig_tol)
+    _, basis = _top_eigenspace([(s.basis @ s.basis.conj().T)[None] for s in subspaces])
     return Subspace(orthonormal_columns(basis, rank_tol=1e-12))
 
 
-def complement_within(mk: Subspace, m: Subspace, rank_tol: float = 1e-10) -> Subspace:
+def complement_within(mk: Subspace, m: Subspace) -> Subspace:
     """Orthogonal complement of ``m`` inside ``mk``, i.e. ``mk ∩ m^perp``.
 
     Requires ``m`` to be contained in ``mk`` (each basis vector of ``m``
@@ -150,7 +150,7 @@ def complement_within(mk: Subspace, m: Subspace, rank_tol: float = 1e-10) -> Sub
         if drift.max() > 1e-10:
             raise ValueError("second argument is not contained in the first")
     reduced = mk.basis - m.project(mk.basis)
-    return Subspace(orthonormal_columns(reduced, rank_tol=rank_tol))
+    return Subspace(orthonormal_columns(reduced))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:

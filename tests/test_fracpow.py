@@ -137,6 +137,22 @@ def test_non_finite_vectors_are_refused(bad):
             make_alpha_vector(cp, 0.5, seed=1, z=x)
 
 
+def test_literal_partial_sums_of_a_defective_matrix():
+    # a Jordan block has no eigenbasis, so the sums are taken one sweep at a time
+    t = np.array([[0.5, 0.4], [0.0, 0.5]])
+    x = np.array([0.0, 1.0])
+    cur, s, norms = x.astype(complex), np.zeros(2, dtype=complex), []
+    for k in range(1, 101):
+        cur = t.astype(complex) @ cur
+        s = s + k ** -0.5 * cur
+        norms.append(np.linalg.norm(s))
+    sup = max(norms)
+    assert partial_sum_characterization(t, x, 0.5, 100) == (sup, sup - max(norms[:10]) < 1e-6)
+    for bad in (2.0 * t, np.diag([1.5, 0.5])):
+        with pytest.raises(ValueError, match="contraction"):
+            partial_sum_characterization(bad, x, 0.5, 100)
+
+
 def test_block_model_is_eigendecomposed_once(monkeypatch):
     # the auto path falls back to the eigenbasis here (the series budget at
     # d = 400 is too small), and the partial sums reuse the same one

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from altproj import geometry
 from altproj.linalg import eigh_sym
 from altproj import (
+    Subspace,
     assemble_gram,
     block_aligned,
     ell2,
@@ -59,6 +60,38 @@ def test_equal_subspaces_degenerate_quantities():
     assert ell2_direct(subs) == pytest.approx(np.sqrt(2.0), abs=1e-12)
     with pytest.warns(UserWarning):
         assert iota2(subs) == np.inf
+
+
+_ENTRY_POINTS = [
+    friedrichs_number,
+    lambda subs: friedrichs_number_sampled(subs, None, 100, seed=1),
+    ell2_direct,
+    iota2,
+    minimax_inclination_estimate,
+    geometry_report,
+]
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_angle_quantity_refuses_a_single_subspace(entry):
+    with pytest.raises(ValueError, match="at least two"):
+        entry([orthonormalize(np.eye(3)[:, :2])])
+
+
+def test_empty_feasible_sets_keep_their_answers():
+    # M is the whole plane: M^perp and every M_n ∩ M^perp are zero
+    subs = [Subspace(np.eye(2))] * 2
+    m = intersection(subs)
+    assert friedrichs_number(subs) == 0.0
+    assert friedrichs_number_sampled(subs, m, 100, seed=1) == 0.0
+    with pytest.raises(ValueError, match="empty set"):
+        ell2_direct(subs)
+    with pytest.raises(ValueError, match="empty set"):
+        geometry_report(subs)
+    with pytest.warns(UserWarning, match="inner inclination is \\+inf"):
+        assert iota2(subs) == np.inf
+    for kind in ("global", "inner"):
+        assert minimax_inclination_estimate(subs, kind=kind) == (np.inf, np.inf)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -116,9 +116,55 @@ def test_block_sweep_reproduces_the_dense_sweep_bit_for_bit(k_blocks):
             fast = cp.apply(fast)
             slow = _dense_sweep(dense, slow)
             assert np.array_equal(fast, slow)
-    # stacked columns keep the dense products
+    # stacked columns sweep block by block too, with the bits of the dense products
     cols = rng.standard_normal((d, 3))
     assert np.array_equal(cp.apply(cols), _dense_sweep(dense, cols))
+
+
+def _planted_blocks(k_blocks, generic):
+    # two factors of 2x2 projector blocks with intersections planted in the
+    # first three blocks: a shared line, the whole block, and a line of M_2
+    # inside the whole block of M_1.  The others are the block model's
+    # (M_1 on the first axis, M_2 on a line of angle 1/k), or, if generic,
+    # random complex lines for both
+    rng = np.random.default_rng(k_blocks)
+    if generic:
+        phi, psi = rng.uniform(0.0, np.pi, (2, 2, k_blocks))
+    else:
+        phi, psi = np.array([np.zeros(k_blocks), 1.0 / np.arange(1, k_blocks + 1)]), 0.0
+    u = np.stack([np.cos(phi), np.exp(1j * psi) * np.sin(phi)], axis=-1)
+    p1, p2 = u[..., :, None] * u.conj()[..., None, :]
+    p2[0] = p1[0]
+    p1[1] = p2[1] = p1[2] = np.eye(2)
+    if not generic:
+        p2[2] = np.diag([0.0, 1.0])
+    return p1, p2
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("k_blocks", [3, 12, 200])
+def test_block_product_with_an_intersection_never_reads_dense_members(k_blocks, generic):
+    # the reference is the dense members of a twin product, column by column;
+    # on the block model every sum has one nonzero term, so the bits agree
+    # exactly, and on generic blocks to rounding
+    same = (lambda a, b: np.allclose(a, b, rtol=0.0, atol=1e-14)) if generic else np.array_equal
+    blocks = _planted_blocks(k_blocks, generic)
+    cp, twin = CyclicProduct.from_blocks(blocks), CyclicProduct.from_blocks(blocks)
+    assert cp.m.dim == 4
+    rng = np.random.default_rng(k_blocks)
+    d = cp.dim
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    for cols in (rng.standard_normal((d, 3)), rng.standard_normal((d, 7)) + 1j * x[:, None]):
+        assert same(cp.apply(cols), np.column_stack([_dense_sweep(twin, c) for c in cols.T]))
+        assert same(cp.pm_apply(cols), np.column_stack([twin.pm @ c for c in cols.T]))
+    target = twin.pm @ x
+    assert same(cp.pm_apply(x), target)
+    us = [x - target]
+    for p in twin.factors:
+        us.append(p @ (us[-1] + target) - target)
+    steps = [float(np.linalg.norm(a - b) ** 2) for a, b in zip(us, us[1:])]
+    assert same(sweep_diagnostic(cp, x), steps)
+    assert not {"factors", "matrix", "pm"} & set(vars(cp))
 
 
 def _off_block_model():
@@ -397,33 +443,22 @@ def test_unconditional_sum_input_validation(num_perms, trunc_tol):
         unconditional_sum_test(cp, np.array([1.0, 0.0]), num_perms, trunc_tol, seed=1)
 
 
-def _tail_rule_truncation(cp, x, trunc_tol):
-    """K of the series' stopping rule, written out with a list of all norms."""
-    cur, norms = x, []
+def _exact_truncation(cp, x, trunc_tol):
+    """K of the series' stopping rule: the first K with 10 ||T^K x - P_M x|| <= trunc_tol."""
+    target, cur, k = cp.pm @ x, x, 0
     while True:
-        nxt = cp.apply(cur)
-        norms.append(float(np.linalg.norm(cur - nxt)))
-        cur = nxt
-        if norms[-1] == 0.0:
-            return len(norms)
-        if len(norms) > 10:
-            recent = norms[-11:]
-            ratios = [b / a for a, b in zip(recent[:-1], recent[1:]) if a > 0.0]
-            if ratios and max(ratios) < 1.0:
-                rho = max(ratios)
-                if 10.0 * norms[-1] * rho / (1.0 - rho) <= trunc_tol:
-                    return len(norms)
+        cur, k = cp.apply(cur), k + 1
+        if 10.0 * np.linalg.norm(cur - target) <= trunc_tol:
+            return k
 
 
-# the (7, (3, 2, 4)) draws stop at K = 11 and 12, where the first ten-ratio
-# window closes, so a window one ratio too long changes their K
 @pytest.mark.parametrize("d, dims, seed", [(6, (2, 3), 0), (7, (3, 2, 4), 10),
                                            (7, (3, 2, 4), 32)])
 def test_unconditional_sum_matches_an_explicit_reiteration(d, dims, seed):
     cp = build_cyclic(random_instance(d, dims, seed=seed + 21))
     x = np.random.default_rng(seed).standard_normal(d).astype(np.complex128)
     rep = unconditional_sum_test(cp, x, 5, 1e-6, seed=seed)
-    assert rep.K == _tail_rule_truncation(cp, x, 1e-6)
+    assert rep.K == _exact_truncation(cp, x, 1e-6)
     terms = []
     t_k_x = x
     for _ in range(rep.K):
@@ -437,8 +472,8 @@ def test_unconditional_sum_matches_an_explicit_reiteration(d, dims, seed):
 def test_unconditional_sum_stops_at_a_zero_term():
     cp = build_cyclic(two_lines(np.pi / 2))  # T = P2 P1 = 0
     rep = unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1)
-    # y_1 = x, then y_2 = T x - T^2 x = 0 stops the series
-    assert rep.K == 2
+    # y_1 = x - T x = x leaves T x = 0 = P_M x: the first term is exact
+    assert rep.K == 1
     assert rep.tail_estimate == 0.0
     assert rep.telescoping_residual == 0.0
     assert rep.limit_deviation <= 1e-15

@@ -145,6 +145,12 @@ def test_omega_region_membership():
         OmegaRegion(1)
 
 
+def test_omega_region_angle_follows_n():
+    assert OmegaRegion(3).thetaN == theta_recursion(3)
+    with pytest.raises(TypeError):
+        OmegaRegion(3, thetaN=0.1)
+
+
 def test_omega_margin_signs():
     region = OmegaRegion(2)
     assert region.margin(0.0) == pytest.approx(0.5, abs=1e-12)

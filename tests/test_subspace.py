@@ -10,6 +10,7 @@ from altproj import (
     orthogonal_complement,
     orthonormalize,
 )
+from altproj.linalg import orthonormal_columns
 
 
 def test_orthonormalize_from_vector_list():
@@ -103,11 +104,18 @@ def test_intersection_input_validation():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
 def test_non_finite_tolerances_are_refused(tol):
+    with pytest.raises(ValueError):
+        orthonormal_columns(np.eye(3), rank_tol=tol)
+
+
+def test_subspace_constructors_take_no_tolerance():
     lines = [orthonormalize([[1.0, 0.0]]), orthonormalize([[np.cos(1.0), np.sin(1.0)]])]
-    with pytest.raises(ValueError):
-        orthonormalize(np.eye(3), rank_tol=tol)
-    with pytest.raises(ValueError):
-        intersection(lines, eig_tol=tol)
+    with pytest.raises(TypeError):
+        orthonormalize(np.eye(3), rank_tol=1e-10)
+    with pytest.raises(TypeError):
+        intersection(lines, eig_tol=1e-10)
+    with pytest.raises(TypeError):
+        complement_within(lines[0], intersection(lines), rank_tol=1e-10)
 
 
 def test_complement_within():
