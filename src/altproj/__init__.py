@@ -23,8 +23,6 @@ from .fracpow import (
 )
 from .geometry import (
     GeometryReport,
-    GramBlock,
-    assemble_gram,
     ell2,
     ell2_direct,
     friedrichs_number,
@@ -61,7 +59,6 @@ from .spectral import (
     ContainmentReport,
     NumericalRangeBoundary,
     OmegaRegion,
-    StolzDomain,
     containment_check,
     numrange_boundary,
     omega_contains,
@@ -90,7 +87,6 @@ __all__ = [
     "ContainmentReport",
     "CyclicProduct",
     "GeometryReport",
-    "GramBlock",
     "Instance",
     "InstanceSpec",
     "IterationTrace",
@@ -98,10 +94,8 @@ __all__ = [
     "NumericalRangeBoundary",
     "OmegaRegion",
     "ParseError",
-    "StolzDomain",
     "Subspace",
     "UnconditionalReport",
-    "assemble_gram",
     "block_aligned",
     "build_cyclic",
     "complement_within",

@@ -97,9 +97,9 @@ class PoolEntry:
         return self.cp.m
 
 
-def build_pool(master_seed: int = MASTER_SEED, count: int = N_POOL) -> list:
-    """The instance pool: sizes, ranks and seeds all from one master stream."""
-    rng = np.random.default_rng(master_seed)
+def build_pool(count: int = N_POOL) -> list:
+    """The instance pool: sizes, ranks and seeds all from the MASTER_SEED stream."""
+    rng = np.random.default_rng(MASTER_SEED)
     pool = []
     for i in range(count):
         n = int(rng.integers(2, 5))
@@ -223,7 +223,7 @@ def _numerical_range_containment(pool):
 
     def check(t, c, n):
         nonlocal escapes, worst
-        rep = containment_check(t, c, n, m=256, slack=1e-7, strict=False)
+        rep = containment_check(t, c, n, m=256, slack=1e-7)
         escapes += 0 if rep.all_contained else 1
         worst = min(worst, float(rep.margins.min()))
 

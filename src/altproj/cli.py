@@ -325,7 +325,7 @@ def _numrange_operator(inst):
 def _cmd_numrange(args):
     inst = _load_instance(args.instance)
     t, c, n = _numrange_operator(inst)
-    rep = containment_check(t, c, n, m=args.angles, slack=args.slack, strict=False)
+    rep = containment_check(t, c, n, m=args.angles, slack=args.slack)
     b = rep.boundary
     rows = [
         [_g(b.angles[i]), _g(b.support[i]), _g(b.points[i].real), _g(b.points[i].imag),

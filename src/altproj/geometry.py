@@ -25,7 +25,7 @@ have a gap, and the pair then reports it.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .subspace import Subspace, complement_within, intersection, orthogonal_comp
 
 __all__ = [
     "GeometryReport",
-    "GramBlock",
-    "assemble_gram",
     "friedrichs_number",
     "friedrichs_number_sampled",
     "ell2",
@@ -46,37 +44,6 @@ __all__ = [
     "geometry_report",
     "sandwich_check",
 ]
-
-
-@dataclass(frozen=True)
-class GramBlock:
-    """Gram matrix of the stacked bases of the nonzero complements M_k ∩ M^perp.
-
-    ``matrix`` is R x R with R = sum of the complement dimensions and
-    ``slices[j]`` locates the j-th nonzero complement.  Diagonal blocks are identities since
-    each basis is orthonormal.  ``eigenvalues`` (ascending) are the ones
-    the validation computes.
-    """
-
-    matrix: np.ndarray
-    slices: tuple
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = self.matrix
-        if g.size and np.linalg.norm(g - g.conj().T, np.inf) > 1e-12:
-            raise ValueError("Gram block matrix is not Hermitian to 1e-12")
-        for sl in self.slices:
-            block = g[sl, sl]
-            if not np.allclose(block, np.eye(block.shape[0]), atol=1e-12):
-                raise ValueError("diagonal Gram blocks must be identities")
-        n = len(self.slices)
-        w = np.zeros(0)
-        if g.shape[0]:
-            w, _ = eigh_sym(g)
-            if w[0] < -1e-8 or w[-1] > n + 1e-8:
-                raise ValueError(f"Gram eigenvalues leave [0, {n}]")
-        object.__setattr__(self, "eigenvalues", w)
 
 
 def _family(subspaces, m):
@@ -100,31 +67,25 @@ def _feasible(subspaces, m: Subspace, kind: str) -> list:
     return [s.basis for s in spaces if s.dim]
 
 
-def assemble_gram(subspaces, m: Subspace) -> GramBlock:
-    """GramBlock of the family, blocks B_j^H B_k over the nonzero M_k ∩ M^perp."""
-    bases = _feasible(subspaces, m, "inner")
-    offsets = np.cumsum([0] + [b.shape[1] for b in bases])
-    slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
-    if not bases:
-        return GramBlock(np.zeros((0, 0), dtype=np.complex128), slices)
-    b = np.concatenate(bases, axis=1)
-    g = b.conj().T @ b
-    return GramBlock(0.5 * (g + g.conj().T), slices)
-
-
 def friedrichs_number(subspaces, m: Subspace | None = None) -> float:
-    """Friedrichs number c of the family, via the Gram-block reduction.
+    """Friedrichs number c of the family, via the Gram-matrix reduction.
 
-    Equals (lambda_max(G) - 1)/(N - 1), using
-    sum_{j != k} <m_j, m_k> = ||sum m_k||^2 - sum ||m_k||^2.  When every
-    M_k ∩ M^perp is zero the constraint set is empty and c = 0 by
+    Equals (lambda_max(B^H B) - 1)/(N - 1) with B the stacked orthonormal
+    bases of the n nonzero M_k ∩ M^perp, using
+    sum_{j != k} <m_j, m_k> = ||sum m_k||^2 - sum ||m_k||^2.  Gram
+    eigenvalues outside [0, n] beyond 1e-8 raise ``ValueError``.  When
+    every M_k ∩ M^perp is zero the constraint set is empty and c = 0 by
     convention.  The result is clamped to [0, 1].
     """
     subspaces, m = _family(subspaces, m)
-    gram = assemble_gram(subspaces, m)
-    if gram.matrix.shape[0] == 0:
+    bases = _feasible(subspaces, m, "inner")
+    if not bases:
         return 0.0
-    return float(np.clip((gram.eigenvalues[-1] - 1.0) / (len(subspaces) - 1), 0.0, 1.0))
+    b = np.concatenate(bases, axis=1)
+    w, _ = eigh_sym(b.conj().T @ b)
+    if w[0] < -1e-8 or w[-1] > len(bases) + 1e-8:
+        raise ValueError(f"Gram eigenvalues leave [0, {len(bases)}]")
+    return float(np.clip((w[-1] - 1.0) / (len(subspaces) - 1), 0.0, 1.0))
 
 
 def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) -> float:
@@ -170,17 +131,23 @@ def ell2(c: float, n: int) -> float:
     return float(np.sqrt((n - 1) * (1.0 - c)))
 
 
-def _l2_floors(subspaces, bases) -> list:
-    """max(lambda_min(B^H (sum_k (I - P_k)) B), 0) for each orthonormal basis B.
+def _l2_floor(subspaces, m: Subspace, kind: str) -> float:
+    """Smallest max(lambda_min(B^H (sum_k (I - P_k)) B), 0) over the feasible bases B.
 
-    The squared l2-inclination over span B, the one route behind
-    ``ell2_direct`` and ``iota2``.
+    The squared l2-inclination over the feasible sets of ``kind``, the one
+    route behind ``ell2_direct`` and ``iota2``.  With no nonzero feasible
+    set the infimum is over the empty set: +inf, with a warning.
     """
+    bases = _feasible(subspaces, m, kind)
+    if not bases:
+        warnings.warn(f"empty feasible set; {'l2' if kind == 'global' else 'inner'} "
+                      "inclination is +inf")
+        return math.inf
     d = subspaces[0].ambient_dim
     defect = len(subspaces) * np.eye(d, dtype=np.complex128)
     for sub in subspaces:
         defect -= sub.basis @ sub.basis.conj().T
-    return [max(float(eigh_sym(b.conj().T @ defect @ b)[0][0]), 0.0) for b in bases]
+    return min(max(float(eigh_sym(b.conj().T @ defect @ b)[0][0]), 0.0) for b in bases)
 
 
 def ell2_direct(subspaces, m: Subspace | None = None) -> float:
@@ -189,13 +156,11 @@ def ell2_direct(subspaces, m: Subspace | None = None) -> float:
     Returns sqrt(lambda_min(Q^H (sum_k (I - P_k)) Q)) with Q an
     orthonormal basis of M^perp.  Independent of the Friedrichs route;
     the two agree through the identity ell2 = sqrt((N-1)(1-c)) whenever
-    some M_k ∩ M^perp is nonzero.
+    some M_k ∩ M^perp is nonzero.  If M is the whole space the +inf
+    sentinel is returned with a warning, as by ``iota2``.
     """
     subspaces, m = _family(subspaces, m)
-    floors = _l2_floors(subspaces, _feasible(subspaces, m, "global"))
-    if not floors:
-        raise ValueError("intersection is the whole space; infimum over empty set")
-    return float(np.sqrt(floors[0]))
+    return float(np.sqrt(_l2_floor(subspaces, m, "global")))
 
 
 def iota2(subspaces, m: Subspace | None = None) -> float:
@@ -203,15 +168,11 @@ def iota2(subspaces, m: Subspace | None = None) -> float:
 
     min over n of sqrt(lambda_min(B_n^H (sum_k (I - P_k)) B_n)) with B_n
     an orthonormal basis of M_n ∩ M^perp; subspaces equal to M are
-    skipped.  If all of them equal M the infima are over empty sets and
-    the +inf sentinel is returned with a warning.
+    skipped.  If all of them equal M the +inf sentinel is returned with a
+    warning.
     """
     subspaces, m = _family(subspaces, m)
-    floors = _l2_floors(subspaces, _feasible(subspaces, m, "inner"))
-    if not floors:
-        warnings.warn("every subspace equals the intersection; inner inclination is +inf")
-        return float("inf")
-    return float(np.sqrt(min(floors)))
+    return float(np.sqrt(_l2_floor(subspaces, m, "inner")))
 
 
 # Barrier weights of the dual path relative to its start, down to the
@@ -414,10 +375,11 @@ def geometry_report(subspaces, m: Subspace | None = None) -> GeometryReport:
     )
 
 
-def sandwich_check(report: GeometryReport, tol: float = 1e-6):
+def sandwich_check(report: GeometryReport):
     """Evaluate the inequality chain among the angle quantities.
 
-    Returns a list of (inequality, satisfied, slack) triples.  The first
+    Returns a list of (inequality, satisfied, slack) triples; an
+    inequality holds when its slack is at least -1e-6.  The first
     two compare certified lower bounds: ell >= (N-1)(1-c)/(2N), and
     iota >= ell because for every dual weight, restricting the forms to a
     subspace of M^perp can only raise lambda_min.
@@ -428,6 +390,6 @@ def sandwich_check(report: GeometryReport, tol: float = 1e-6):
         ("ell_lo >= (N-1)(1-c)/(2N)", report.ell_lo - lower),
         ("iota_lo >= ell_lo", report.iota_lo - report.ell_lo),
         ("iota2 >= ell2", report.iota2 - report.ell2),
-        ("|ell2_direct - ell2(c)| small", tol - identity_gap),
+        ("|ell2_direct - ell2(c)| small", 1e-6 - identity_gap),
     ]
-    return [(name, bool(slack >= -tol), float(slack)) for name, slack in checks]
+    return [(name, bool(slack >= -1e-6), float(slack)) for name, slack in checks]

@@ -283,7 +283,10 @@ def convex_combination(products, weights) -> np.ndarray:
     return out
 
 
-_KINDS = ("random", "two_lines", "block_aligned", "convex_combination")
+# The parameter names of each kind (a random instance's seed is InstanceSpec.seed)
+_PARAMETERS = {"random": ("d", "dims"), "two_lines": ("theta",),
+               "block_aligned": ("k_blocks", "angle_rule"),
+               "convex_combination": ("components", "weights")}
 
 
 @dataclass(frozen=True)
@@ -329,8 +332,13 @@ class InstanceSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        if self.kind not in _PARAMETERS:
+            raise ValueError(f"kind must be one of {tuple(_PARAMETERS)}")
+        names = _PARAMETERS[self.kind]
+        bad = ([f"missing {k!r}" for k in names if k not in self.parameters]
+               + [f"unknown {k!r}" for k in self.parameters if k not in names])
+        if bad:
+            raise ValueError(f"kind '{self.kind}' parameters: {', '.join(bad)}")
         comps = self.parameters.get("components")
         if comps is not None:  # component dicts become specs once, here
             comps = tuple(c if isinstance(c, InstanceSpec) else InstanceSpec(**c) for c in comps)

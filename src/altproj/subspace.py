@@ -66,9 +66,10 @@ class Subspace:
             return np.zeros_like(np.asarray(x, dtype=np.complex128))
         return self.basis @ (self.basis.conj().T @ np.asarray(x, dtype=np.complex128))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Membership of ``x`` to 1e-10, relative to max(1, ||x||)."""
         x = np.asarray(x, dtype=np.complex128)
-        return bool(np.linalg.norm(self.project(x) - x) <= tol * max(1.0, np.linalg.norm(x)))
+        return bool(np.linalg.norm(self.project(x) - x) <= 1e-10 * max(1.0, np.linalg.norm(x)))
 
     def distance(self, x: np.ndarray) -> float:
         """dist(x, subspace) = ||x - Px||."""

@@ -10,8 +10,8 @@ from altproj import geometry
 from altproj.linalg import eigh_sym
 from altproj import (
     Subspace,
-    assemble_gram,
     block_aligned,
+    complement_within,
     ell2,
     ell2_direct,
     friedrichs_number,
@@ -84,12 +84,14 @@ def test_empty_feasible_sets_keep_their_answers():
     m = intersection(subs)
     assert friedrichs_number(subs) == 0.0
     assert friedrichs_number_sampled(subs, m, 100, seed=1) == 0.0
-    with pytest.raises(ValueError, match="empty set"):
-        ell2_direct(subs)
-    with pytest.raises(ValueError, match="empty set"):
-        geometry_report(subs)
+    with pytest.warns(UserWarning, match="l2 inclination is \\+inf"):
+        assert ell2_direct(subs) == np.inf
     with pytest.warns(UserWarning, match="inner inclination is \\+inf"):
         assert iota2(subs) == np.inf
+    with pytest.warns(UserWarning, match="is \\+inf"):
+        rep = geometry_report(subs)
+    assert (rep.c, rep.ell2, rep.ell2_direct, rep.iota2) == (0.0, 1.0, np.inf, np.inf)
+    assert (rep.ell_lo, rep.ell_hi, rep.iota_lo, rep.iota_hi) == (np.inf,) * 4
     for kind in ("global", "inner"):
         assert minimax_inclination_estimate(subs, kind=kind) == (np.inf, np.inf)
 
@@ -123,22 +125,11 @@ def test_two_subspace_friedrichs_is_the_largest_singular_value():
     assert friedrichs_number(subs) == pytest.approx(sigma, abs=1e-9)
 
 
-def test_gram_assembly_structure():
-    subs = random_instance(5, (2, 2), seed=8)
-    gram = assemble_gram(subs, intersection(subs))
-    g = gram.matrix
-    assert g.shape == (4, 4)
-    s0, s1 = gram.slices
-    assert np.allclose(g[s0, s0], np.eye(2), atol=1e-12)
-    assert np.allclose(g[s1, s1], np.eye(2), atol=1e-12)
-    w = np.linalg.eigvalsh(g)
-    assert w.min() >= -1e-12 and w.max() <= 2.0 + 1e-12
-
-
 def test_friedrichs_number_reuses_the_validated_eigenvalues(monkeypatch):
     subs = random_instance(6, (2, 3, 3), seed=4)
     m = intersection(subs)
-    w, _ = eigh_sym(assemble_gram(subs, m).matrix)
+    b = np.concatenate([complement_within(s, m).basis for s in subs], axis=1)
+    w, _ = eigh_sym(b.conj().T @ b)
     expected = float(np.clip((w[-1] - 1.0) / 2, 0.0, 1.0))
     calls = []
 
@@ -148,7 +139,7 @@ def test_friedrichs_number_reuses_the_validated_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(geometry, "eigh_sym", counted)
     assert friedrichs_number(subs, m) == expected  # bit-identical
-    assert len(calls) == 1  # the GramBlock validation, not a second eigh
+    assert len(calls) == 1  # one eigh gives both the range check and c
 
 
 def test_scalar_input_validation():

@@ -219,6 +219,18 @@ def test_instance_keeps_what_it_realized():
     assert np.array_equal(mix.matrix, 0.5 * cp.matrix + 0.5 * mix.components[1].cyclic().matrix)
 
 
+def test_instance_spec_refuses_missing_and_unknown_parameters():
+    with pytest.raises(ValueError, match="missing 'dims'"):
+        InstanceSpec("random", {"d": 6}, seed=1)
+    with pytest.raises(ValueError, match="missing 'theta'"):
+        InstanceSpec("two_lines", {})
+    with pytest.raises(ValueError, match="unknown 'bogus'"):
+        InstanceSpec("random", {"d": 6, "dims": (2, 3), "bogus": 1}, seed=1)
+    with pytest.raises(ValueError, match="missing 'weights'"):  # checked in components too
+        InstanceSpec("convex_combination", {"components": (
+            {"kind": "convex_combination", "parameters": {"components": ()}},), "weights": (1.0,)})
+
+
 def test_instance_spec_validation():
     with pytest.raises(ValueError):
         InstanceSpec("bogus", {})
