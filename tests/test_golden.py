@@ -36,7 +36,8 @@ FIXTURES = {
     # 2 MiB holds 32 matrices, so every stack spans several chunks
     "rand64": f"{_HEADER}kind random\nseed 64\nd 64\ndims 20 30 40\n",
     # pins the eigen path of fracpow: at d = 400 the auto path spends its
-    # series budget and applies (I - T)^alpha through the eigenbasis
+    # series budget and applies (I - T)^alpha through the eigenbasis, and
+    # the block route of every angle quantity in geometry and iterate
     "blocks200": f"{_HEADER}kind block_aligned\nk_blocks 200\nangle_rule 1/k\n",
 }
 
@@ -44,8 +45,8 @@ _ALL = tuple(fx for fx in FIXTURES if fx not in ("rand64", "blocks200"))
 
 # (command, name suffix, fixtures, flags)
 COMMANDS = (
-    ("geometry", "", ("lines", "rand6", "blocks", "mix"), []),
-    ("iterate", "", _ALL, ["--n-max", "30"]),
+    ("geometry", "", ("lines", "rand6", "blocks", "blocks200", "mix"), []),
+    ("iterate", "", _ALL + ("blocks200",), ["--n-max", "30"]),
     ("iterate", "-seeded", ("rand6",), ["--n-max", "30", "--seed", "5"]),
     ("numrange", "", _ALL, ["--angles", "64"]),
     ("ritt", "", _ALL, ["--n-max", "30"]),
