@@ -2,8 +2,9 @@
 
 Instance files are a versioned line-based text format ("altproj-instance
 v1", one ``key value...`` pair per line) so fixtures stay diff-able; see
-``parse_instance``/``serialize_instance``.  One field table per kind
-(``_SCHEMA``) drives parsing and serialization: the ``component <kind>
+``parse_instance``/``serialize_instance``.  The field names of each kind
+come from the instance schema of ``models``; with the value types of
+``_FIELDS`` they drive parsing and serialization: the ``component <kind>
 key=v1,v2`` lines of a convex combination take the same fields and pass
 the same checks as top-level lines.  A command parses and realizes its
 instance once and works on that realization.  Every command is
@@ -32,7 +33,7 @@ from .errors import CapacityError, NumericalContractError, ParseError
 from .fracpow import decay_slope, make_alpha_vector
 from .geometry import friedrichs_number, geometry_report, iota2
 from .iteration import iterate
-from .models import Instance, InstanceSpec, slow_vector
+from .models import _PARAMETERS, _SEEDED, Instance, InstanceSpec, slow_vector
 from .spectral import containment_check, resolvent_diagnostic, ritt_power_diagnostic
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_instance_text"]
@@ -62,20 +63,31 @@ _ONE = "exactly one value"
 _LIST = "one or more values"
 _RANKS = "at least two ranks"
 
-# The one instance schema: per kind, its fields in canonical order as
-# (name, value type, arity).  A value type is int, float, or a tuple of
-# the strings the field accepts.  ``seed`` is InstanceSpec.seed; a
+# Value type and arity of each field of an instance file.  A value type
+# is int, float, or a tuple of the strings the field accepts.  The field
+# names of each kind are the instance schema of ``models``: ``seed``
+# (InstanceSpec.seed) for its seeded kinds, then the parameter names; a
+# convex combination's ``components`` are its component lines.  A
 # block_aligned instance gives exactly one of ``angle_rule`` and
 # ``angles`` (_OTHER pairs them), and either becomes its "angle_rule"
 # parameter.
-_SCHEMA = {
-    "random": (("seed", int, _ONE), ("d", int, _ONE), ("dims", int, _RANKS)),
-    "two_lines": (("theta", float, _ONE),),
-    "block_aligned": (("k_blocks", int, _ONE), ("angle_rule", ("1/k", "1/sqrt(k)"), _ONE),
-                      ("angles", float, _LIST)),
-    "convex_combination": (("weights", float, _LIST),),
-}
+_FIELDS = {"seed": (int, _ONE), "d": (int, _ONE), "dims": (int, _RANKS),
+           "theta": (float, _ONE), "k_blocks": (int, _ONE),
+           "angle_rule": (("1/k", "1/sqrt(k)"), _ONE), "angles": (float, _LIST),
+           "weights": (float, _LIST)}
 _OTHER = {"angle_rule": "angles", "angles": "angle_rule"}
+
+
+def _schema(kind: str) -> list:
+    """(name, value type, arity) of each field of ``kind``, in canonical order."""
+    fields = []
+    for name in ("seed",) * (kind in _SEEDED) + _PARAMETERS[kind]:
+        if name == "components":  # component lines, not a field
+            continue
+        fields.append((name, *_FIELDS[name]))
+        if name in _OTHER:  # the alternative of angle_rule follows it
+            fields.append((_OTHER[name], *_FIELDS[_OTHER[name]]))
+    return fields
 
 
 def _value(vtype, token: str, name: str, line_no: int):
@@ -110,11 +122,11 @@ def _read_spec(entries, components=()) -> InstanceSpec:
     if len(kind) != 1:
         raise ParseError(f"line {kind_line}: field 'kind' needs exactly one value")
     kind = kind[0]
-    if kind not in _SCHEMA:
+    if kind not in _PARAMETERS:
         raise ParseError(f"line {kind_line}: unknown kind '{kind}'")
 
     values, lines = {}, {}
-    for name, vtype, arity in _SCHEMA[kind]:
+    for name, vtype, arity in _schema(kind):
         other = _OTHER.get(name)
         if name not in fields:
             if other in fields or other in values:
@@ -215,7 +227,7 @@ def _field_strings(spec: InstanceSpec) -> list:
     if not isinstance(p.get("angle_rule", ""), str):
         p["angles"] = p.pop("angle_rule")
     out = []
-    for name, vtype, arity in _SCHEMA[spec.kind]:
+    for name, vtype, arity in _schema(spec.kind):
         if name in p:
             values = (p[name],) if arity is _ONE else p[name]
             out.append((name, [_g(v) if vtype is float else str(v) for v in values]))
@@ -277,9 +289,7 @@ def _emit(args, header, rows, notes):
 
 
 def _cmd_geometry(args):
-    inst = _load_instance(args.instance)
-    cp = inst.cyclic()
-    rep = geometry_report(inst.subspaces, cp.m)
+    rep = geometry_report(_load_instance(args.instance).cyclic())
     header = [f.name for f in dataclasses.fields(rep)]  # N first, then the floats
     row = [str(rep.N)] + [_g(getattr(rep, name)) for name in header[1:]]
     notes = [f"c = {_g(rep.c)}", f"ell2 = {_g(rep.ell2)}", f"iota2 = {_g(rep.iota2)}",
@@ -291,13 +301,18 @@ def _cmd_geometry(args):
 def _cmd_iterate(args):
     inst = _load_instance(args.instance)
     cp = inst.cyclic()
-    subs = inst.subspaces
-    c = friedrichs_number(subs, cp.m)
-    i2 = iota2(subs, cp.m)
+    c = friedrichs_number(cp)
+    i2 = iota2(cp)
     if args.seed is None:
-        # canonical start: first basis vector of the first subspace; on the
-        # two-line instance its errors follow the operator-norm law exactly
-        x = np.array(subs[0].basis[:, 0])
+        # canonical start: the first nonzero column of the first factor's
+        # span, the first basis vector of the first subspace (e_1 of the
+        # first block on the block model); on the two-line instance its
+        # errors follow the operator-norm law exactly
+        span = cp._spans[0]
+        block, col = divmod(int(np.argmax(np.any(span != 0, axis=-2))), span.shape[-1])
+        x = np.zeros(span.shape[:2], dtype=np.complex128)
+        x[block] = span[block, :, col]
+        x = x.reshape(-1)
     else:
         rng = np.random.default_rng(args.seed)
         x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
@@ -314,12 +329,10 @@ def _numrange_operator(inst):
     """Operator, Friedrichs number, and factor count for the containment check."""
     if not inst.components:
         cp = inst.cyclic()
-        return cp, friedrichs_number(inst.subspaces, cp.m), cp.N
+        return cp, friedrichs_number(cp), cp.N
     cps = [i.cyclic() for i in inst.components]
     # the result region is governed by the widest component
-    return inst.matrix, \
-        max(friedrichs_number(i.subspaces, cp.m) for i, cp in zip(inst.components, cps)), \
-        max(cp.N for cp in cps)
+    return inst.matrix, max(friedrichs_number(cp) for cp in cps), max(cp.N for cp in cps)
 
 
 def _cmd_numrange(args):

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigh_sym, sym
-from .subspace import Subspace, complement_within, intersection, orthogonal_complement
+from .subspace import (
+    Subspace,
+    _complement_within_blocks,
+    _orthogonal_complement_blocks,
+    intersection,
+)
 
 __all__ = [
     "GeometryReport",
@@ -46,49 +51,80 @@ __all__ = [
 ]
 
 
-def _family(subspaces, m):
-    """The family as a list and its intersection M (computed when ``m`` is None);
-    fewer than two subspaces are refused."""
-    subspaces = list(subspaces)
+def _family(family, m):
+    """The spans of the factors and M's basis, as (n, b, .) block stacks.
+
+    ``family`` is a sequence of Subspace objects, one d x d block whose
+    spans are the bases (M is computed when ``m`` is None), or a
+    ``CyclicProduct``, which carries its spans and M's basis blocks (see
+    there; ``m`` must then be None).  Fewer than two subspaces are refused.
+    """
+    if hasattr(family, "_spans"):
+        if m is not None:
+            raise ValueError("a product carries its own intersection")
+        return family._spans, family._m_blocks
+    subspaces = list(family)
     if len(subspaces) < 2:
         raise ValueError("need at least two subspaces")
-    return subspaces, intersection(subspaces) if m is None else m
+    m = intersection(subspaces) if m is None else m
+    return [s.basis[None] for s in subspaces], m.basis[None]
 
 
-def _feasible(subspaces, m: Subspace, kind: str) -> list:
-    """Orthonormal bases of the nonzero feasible sets of the angle quantities:
-    M^perp for ``kind="global"``, each M_n ∩ M^perp for ``kind="inner"``."""
+def _feasible(spans, mb: np.ndarray, kind: str) -> list:
+    """Orthonormal basis stacks of the nonzero feasible sets of the angle quantities:
+    M^perp for ``kind="global"``, each M_n ∩ M^perp for ``kind="inner"``.
+
+    Each is an (n, b, w) stack whose blocks keep their basis in their
+    leading columns and zeros after them (see ``_rank_groups``).
+    """
     if kind == "global":
-        spaces = [orthogonal_complement(m)]
+        spaces = [_orthogonal_complement_blocks(mb)]
     elif kind == "inner":
-        spaces = [complement_within(s, m) for s in subspaces]
+        spaces = [_complement_within_blocks(x, mb) for x in spans]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return [s.basis for s in spaces if s.dim]
+    return [f for f in spaces if f.shape[-1]]
 
 
-def friedrichs_number(subspaces, m: Subspace | None = None) -> float:
+def _rank_groups(f: np.ndarray) -> list:
+    """(blocks, bases) per rank r > 0 of a feasible stack: the indices of its
+    blocks with r nonzero columns and their (count, b, r) leading columns."""
+    rank = np.count_nonzero(np.any(f != 0, axis=-2), axis=-1)
+    groups = []
+    for r in np.unique(rank[rank > 0]):
+        idx = np.flatnonzero(rank == r)
+        groups.append((idx, f[idx, :, :r]))
+    return groups
+
+
+def _friedrichs(spans, mb) -> float:
+    bases = _feasible(spans, mb, "inner")
+    if not bases:
+        return 0.0
+    b = np.concatenate(bases, axis=-1)
+    w, _ = eigh_sym(b.conj().swapaxes(-1, -2) @ b)
+    if w[..., 0].min() < -1e-8 or w[..., -1].max() > len(bases) + 1e-8:
+        raise ValueError(f"Gram eigenvalues leave [0, {len(bases)}]")
+    return float(np.clip((w[..., -1].max() - 1.0) / (len(spans) - 1), 0.0, 1.0))
+
+
+def friedrichs_number(family, m: Subspace | None = None) -> float:
     """Friedrichs number c of the family, via the Gram-matrix reduction.
 
     Equals (lambda_max(B^H B) - 1)/(N - 1) with B the stacked orthonormal
     bases of the n nonzero M_k ∩ M^perp, using
-    sum_{j != k} <m_j, m_k> = ||sum m_k||^2 - sum ||m_k||^2.  Gram
-    eigenvalues outside [0, n] beyond 1e-8 raise ``ValueError``.  When
-    every M_k ∩ M^perp is zero the constraint set is empty and c = 0 by
-    convention.  The result is clamped to [0, 1].
+    sum_{j != k} <m_j, m_k> = ||sum m_k||^2 - sum ||m_k||^2.  On a
+    block-diagonal family B^H B is block-diagonal, and its top eigenvalue
+    is the largest over the blocks.  Gram eigenvalues outside [0, n]
+    beyond 1e-8 raise ``ValueError``.  When every M_k ∩ M^perp is zero
+    the constraint set is empty and c = 0 by convention.  The result is
+    clamped to [0, 1].  ``family`` is a Subspace sequence or a
+    ``CyclicProduct``, as for every angle quantity (see ``_family``).
     """
-    subspaces, m = _family(subspaces, m)
-    bases = _feasible(subspaces, m, "inner")
-    if not bases:
-        return 0.0
-    b = np.concatenate(bases, axis=1)
-    w, _ = eigh_sym(b.conj().T @ b)
-    if w[0] < -1e-8 or w[-1] > len(bases) + 1e-8:
-        raise ValueError(f"Gram eigenvalues leave [0, {len(bases)}]")
-    return float(np.clip((w[-1] - 1.0) / (len(subspaces) - 1), 0.0, 1.0))
+    return _friedrichs(*_family(family, m))
 
 
-def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) -> float:
+def friedrichs_number_sampled(family, m: Subspace | None, num_samples: int, seed) -> float:
     """Sphere-sampling maximizer of the supremum defining c.
 
     Draws ``num_samples`` uniform points on the unit sphere of the
@@ -97,12 +133,13 @@ def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) ->
     estimate of c kept as an oracle for the eigenvalue route; it is not
     clamped.
     """
-    subspaces, m = _family(subspaces, m)
-    bases = _feasible(subspaces, m, "inner")
+    spans, mb = _family(family, m)
+    bases = _feasible(spans, mb, "inner")
     if not bases:
         return 0.0
-    b = np.concatenate(bases, axis=1)
-    total = b.shape[1]
+    b = np.concatenate(bases, axis=-1)
+    kept = np.any(b != 0, axis=-2)  # the coordinates: each block's nonzero columns
+    total = int(kept.sum())
     # a real instance has a real maximizer: sampling the real sphere
     # halves the dimension and sharpens the oracle considerably
     real = np.all(b.imag == 0.0)
@@ -116,10 +153,12 @@ def friedrichs_number_sampled(subspaces, m: Subspace, num_samples: int, seed) ->
         if not real:
             a = a + 1j * rng.standard_normal((total, take))
         a /= np.linalg.norm(a, axis=0)
-        vals = np.sum(np.abs(b @ a) ** 2, axis=0)
+        coords = np.zeros(kept.shape + (take,), dtype=a.dtype)
+        coords[kept] = a
+        vals = np.sum(np.abs(b @ coords) ** 2, axis=-2).sum(axis=0)
         best = max(best, float(vals.max()))
         remaining -= take
-    return (best - 1.0) / (len(subspaces) - 1)
+    return (best - 1.0) / (len(spans) - 1)
 
 
 def ell2(c: float, n: int) -> float:
@@ -131,26 +170,31 @@ def ell2(c: float, n: int) -> float:
     return float(np.sqrt((n - 1) * (1.0 - c)))
 
 
-def _l2_floor(subspaces, m: Subspace, kind: str) -> float:
+def _l2_floor(spans, mb: np.ndarray, kind: str) -> float:
     """Smallest max(lambda_min(B^H (sum_k (I - P_k)) B), 0) over the feasible bases B.
 
     The squared l2-inclination over the feasible sets of ``kind``, the one
-    route behind ``ell2_direct`` and ``iota2``.  With no nonzero feasible
-    set the infimum is over the empty set: +inf, with a warning.
+    route behind ``ell2_direct`` and ``iota2``.  Both B and the defect
+    sum_k (I - P_k) are block-diagonal, so lambda_min is the smallest over
+    stacked block ``eigh`` calls, one stack per block rank.  With no
+    nonzero feasible set the infimum is over the empty set: +inf, with a
+    warning.
     """
-    bases = _feasible(subspaces, m, kind)
+    bases = _feasible(spans, mb, kind)
     if not bases:
         warnings.warn(f"empty feasible set; {'l2' if kind == 'global' else 'inner'} "
                       "inclination is +inf")
         return math.inf
-    d = subspaces[0].ambient_dim
-    defect = len(subspaces) * np.eye(d, dtype=np.complex128)
-    for sub in subspaces:
-        defect -= sub.basis @ sub.basis.conj().T
-    return min(max(float(eigh_sym(b.conj().T @ defect @ b)[0][0]), 0.0) for b in bases)
+    n, b, _ = spans[0].shape
+    defect = np.repeat(len(spans) * np.eye(b, dtype=np.complex128)[None], n, axis=0)
+    for x in spans:
+        defect -= x @ x.conj().swapaxes(-1, -2)
+    return min(max(min(float(eigh_sym(f.conj().swapaxes(-1, -2) @ defect[idx] @ f)[0][..., 0].min())
+                       for idx, f in _rank_groups(basis)), 0.0)
+               for basis in bases)
 
 
-def ell2_direct(subspaces, m: Subspace | None = None) -> float:
+def ell2_direct(family, m: Subspace | None = None) -> float:
     """l2-inclination by its definition, as an extreme eigenvalue.
 
     Returns sqrt(lambda_min(Q^H (sum_k (I - P_k)) Q)) with Q an
@@ -159,11 +203,10 @@ def ell2_direct(subspaces, m: Subspace | None = None) -> float:
     some M_k ∩ M^perp is nonzero.  If M is the whole space the +inf
     sentinel is returned with a warning, as by ``iota2``.
     """
-    subspaces, m = _family(subspaces, m)
-    return float(np.sqrt(_l2_floor(subspaces, m, "global")))
+    return float(np.sqrt(_l2_floor(*_family(family, m), "global")))
 
 
-def iota2(subspaces, m: Subspace | None = None) -> float:
+def iota2(family, m: Subspace | None = None) -> float:
     """Inner l2-inclination: the l2 infimum restricted to each M_n.
 
     min over n of sqrt(lambda_min(B_n^H (sum_k (I - P_k)) B_n)) with B_n
@@ -171,8 +214,7 @@ def iota2(subspaces, m: Subspace | None = None) -> float:
     skipped.  If all of them equal M the +inf sentinel is returned with a
     warning.
     """
-    subspaces, m = _family(subspaces, m)
-    return float(np.sqrt(_l2_floor(subspaces, m, "inner")))
+    return float(np.sqrt(_l2_floor(*_family(family, m), "inner")))
 
 
 # Barrier weights of the dual path relative to its start, down to the
@@ -183,36 +225,52 @@ _PRIMAL_WEIGHT = 1e-8
 _CLUSTER = 1e-7  # spread of the bottom eigenspace; dual weights of inactive forms
 
 
-def _dual_path(forms: np.ndarray):
+def _eigh_weighted(weights, forms: list, shift: float) -> list:
+    """``eigh_sym`` of sum_k weights_k A_k - shift I on each rank group's stack."""
+    return [eigh_sym(np.tensordot(weights, f, 1) - shift * np.eye(f.shape[-1])) for f in forms]
+
+
+def _dual_path(forms: list):
     """Log-barrier Newton path for max over the simplex of lambda_min(sum lam_k A_k).
 
     Homogeneous form: minimize sum mu_k subject to S = sum_k mu_k A_k - I > 0
     (optimum 1/ell^2 at lam = mu/sum mu) by damped Newton steps on
-    sum mu/tau - log det S - sum log mu_k for shrinking tau.  Returns lam
-    and X = S^{-1}/tr S^{-1} (trace one, tr(A_k X) near the optimum).
+    sum mu/tau - log det S - sum log mu_k for shrinking tau.  The forms
+    are block-diagonal, given as one (N, count, r, r) stack per rank
+    group: S, its log det and its trace terms split over the blocks.
+    Returns lam and X = S^{-1}/tr S^{-1} (trace one, tr(A_k X) near the
+    optimum) as one (count, r, r) stack per group.
     """
-    n, q = forms.shape[0], forms.shape[1]
-    mu = np.full(n, 2.0 / np.linalg.eigvalsh(forms.sum(axis=0))[0])  # S >= I
-    sig, u = eigh_sym(np.tensordot(mu, forms, 1) - np.eye(q))
-    x_mat = np.eye(q) / q
+    n = forms[0].shape[0]
+    q = sum(f.shape[1] * f.shape[2] for f in forms)
+    mu = np.full(n, 2.0 / min(np.linalg.eigvalsh(f.sum(axis=0))[..., 0].min()
+                              for f in forms))  # S >= I
+    sig_u = _eigh_weighted(mu, forms, 1.0)
+    x_mat = [np.broadcast_to(np.eye(f.shape[-1]) / q, f.shape[1:]) for f in forms]
     try:
         for weight, tau in zip(_BARRIER_WEIGHTS, mu.sum() * _BARRIER_WEIGHTS):
             for _ in range(50):
-                scale = 1.0 / np.sqrt(sig)
-                g = scale[:, None] * (u.conj().T @ forms @ u) * scale  # S^{-1/2} A_k S^{-1/2}
-                flat = g.reshape(n, -1)
+                g = []  # S^{-1/2} A_k S^{-1/2}
+                for f, (sig, u) in zip(forms, sig_u):
+                    scale = 1.0 / np.sqrt(sig)
+                    g.append(scale[..., :, None] * (u.conj().swapaxes(-1, -2) @ f @ u)
+                             * scale[..., None, :])
+                flat = np.concatenate([gk.reshape(n, -1) for gk in g], axis=1)
                 hess = (flat @ flat.conj().T).real + np.diag(1.0 / mu**2)
-                grad = 1.0 / tau - np.trace(g, axis1=1, axis2=2).real - 1.0 / mu
+                trace = sum(np.trace(gk, axis1=-2, axis2=-1).real.sum(axis=1) for gk in g)
+                grad = 1.0 / tau - trace - 1.0 / mu
                 step = np.linalg.solve(hess, -grad)
                 decrement = np.sqrt(max(step @ hess @ step, 0.0))
                 # the damped step stays feasible in exact arithmetic
                 trial = mu + (step / (1.0 + decrement) if decrement > 0.25 else step)
-                sig_t, u_t = eigh_sym(np.tensordot(trial, forms, 1) - np.eye(q))
-                if sig_t[0] <= 0.0 or trial.min() <= 0.0:
+                sig_u_t = _eigh_weighted(trial, forms, 1.0)
+                if min(sig[..., 0].min() for sig, _ in sig_u_t) <= 0.0 or trial.min() <= 0.0:
                     raise np.linalg.LinAlgError("rounding left the feasible set")
-                mu, sig, u = trial, sig_t, u_t
+                mu, sig_u = trial, sig_u_t
                 if weight >= _PRIMAL_WEIGHT:
-                    x_mat = (u / sig) @ u.conj().T / np.sum(1.0 / sig)
+                    total = sum(np.sum(1.0 / sig) for sig, _ in sig_u)
+                    x_mat = [(u / sig[..., None, :]) @ u.conj().swapaxes(-1, -2) / total
+                             for sig, u in sig_u]
                 if decrement < 0.1:
                     break
     except np.linalg.LinAlgError:  # rounding has swamped the barrier: stop here
@@ -264,30 +322,60 @@ def _rank_one_factor(forms: np.ndarray, y: np.ndarray, active: np.ndarray) -> np
         y = (y @ v[:, keep]) * np.sqrt(w[keep])
 
 
-def _minimax_bounds(subspaces, basis: np.ndarray) -> tuple:
+def _minimax_bounds(spans, groups: list) -> tuple:
     """(lower, upper) for inf over x = B v of max_k dist(x, M_k)/||x||.
 
-    With A_k = B^H (I - P_k) B, any simplex weights give the lower bound
-    sqrt(lambda_min(sum_k lam_k A_k)) (weak duality); the upper bound is
-    the ratio at an explicit x from the final bottom eigenspace.
+    B is the block-diagonal basis given by its rank ``groups`` (see
+    ``_rank_groups``).  With A_k = B^H (I - P_k) B, any simplex weights
+    give the lower bound sqrt(lambda_min(sum_k lam_k A_k)) (weak duality),
+    the smallest over the blocks; the upper bound is the ratio at an
+    explicit x from the final bottom eigenspace, whose vectors each lie
+    in one block.
     """
-    # A_k as R^H R with R = (I - P_k) B: small distances keep their accuracy
-    rs = [basis - sub.basis @ (sub.basis.conj().T @ basis) for sub in subspaces]
-    forms = sym(np.stack([r.conj().T @ r for r in rs]))
+    forms = []
+    for idx, f in groups:
+        # A_k as R^H R with R = (I - P_k) B: small distances keep their accuracy
+        rs = [f - x[idx] @ (x[idx].conj().swapaxes(-1, -2) @ f) for x in spans]
+        forms.append(sym(np.stack([r.conj().swapaxes(-1, -2) @ r for r in rs])))
     lam, x_mat = _dual_path(forms)
-    w, v = eigh_sym(np.tensordot(lam, forms, 1))
-    bottom = v[:, w - w[0] <= _CLUSTER]
-    gw, gv = eigh_sym(bottom.conj().T @ x_mat @ bottom)
+    eig = _eigh_weighted(lam, forms, 0.0)
+    low = min(w[..., 0].min() for w, _ in eig)
+    pieces = []  # (group, block, its bottom eigenvectors)
+    for g, (w, v) in enumerate(eig):
+        bottom = w - low <= _CLUSTER
+        pieces += [(g, j, v[j][:, bottom[j]]) for j in np.flatnonzero(bottom.any(axis=-1))]
+    ends = np.cumsum([p.shape[1] for _, _, p in pieces])
+    gram = np.zeros((ends[-1], ends[-1]), dtype=np.complex128)
+    reduced = np.zeros((len(lam), ends[-1], ends[-1]), dtype=np.complex128)
+    for (g, j, p), end in zip(pieces, ends):
+        at = slice(end - p.shape[1], end)
+        gram[at, at] = p.conj().T @ x_mat[g][j] @ p
+        reduced[:, at, at] = p.conj().T @ forms[g][:, j] @ p
+    gw, gv = eigh_sym(gram)
     keep = gw > 1e-12 * gw[-1]
-    y = _rank_one_factor(bottom.conj().T @ forms @ bottom, gv[:, keep] * np.sqrt(gw[keep]),
-                         lam > _CLUSTER)
-    upper = float(min(max(sub.distance(x) for sub in subspaces) / np.linalg.norm(x)
-                      for x in (basis @ bottom @ y).T))
+    y = _rank_one_factor(reduced, gv[:, keep] * np.sqrt(gw[keep]), lam > _CLUSTER)
+    xs = np.zeros(spans[0].shape[:2] + y.shape[1:], dtype=np.complex128)
+    for (g, j, p), end in zip(pieces, ends):
+        idx, f = groups[g]
+        xs[idx[j]] = f[j] @ p @ y[end - p.shape[1]:end]
+    upper = float(min(max(_distance(x, xk) for xk in spans) / np.linalg.norm(x)
+                      for x in np.moveaxis(xs, -1, 0)))
     # rounding can leave the computed lower bound a few ulps above the upper
-    return min(float(np.sqrt(max(w[0], 0.0))), upper), upper
+    return min(float(np.sqrt(max(low, 0.0))), upper), upper
 
 
-def minimax_inclination_estimate(subspaces, m: Subspace | None = None, *,
+def _distance(x: np.ndarray, span: np.ndarray) -> float:
+    """||x - P x|| for an (n, b) block vector x and the (n, b, s) span of P."""
+    return float(np.linalg.norm(x - (span @ (span.conj().swapaxes(-1, -2) @ x[..., None]))[..., 0]))
+
+
+def _minimax(spans, mb, kind: str) -> tuple:
+    bounds = [_minimax_bounds(spans, _rank_groups(f)) for f in _feasible(spans, mb, kind)]
+    lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
+    return min(lows), min(highs)
+
+
+def minimax_inclination_estimate(family, m: Subspace | None = None, *,
                                  kind: str = "global") -> tuple:
     """Certified (lower, upper) bounds of the minimax inclination ell or iota.
 
@@ -297,10 +385,7 @@ def minimax_inclination_estimate(subspaces, m: Subspace | None = None, *,
     subspaces are active at the optimum.  Empty feasible sets give (inf, inf);
     a family of fewer than two subspaces is refused, as by every angle quantity.
     """
-    subspaces, m = _family(subspaces, m)
-    bounds = [_minimax_bounds(subspaces, b) for b in _feasible(subspaces, m, kind)]
-    lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
-    return min(lows), min(highs)
+    return _minimax(*_family(family, m), kind)
 
 
 def _rate_base_squared(c: float, n: int) -> float:
@@ -351,21 +436,21 @@ class GeometryReport:
             raise ValueError("rate_base outside [0, 1]")
 
 
-def geometry_report(subspaces, m: Subspace | None = None) -> GeometryReport:
+def geometry_report(family, m: Subspace | None = None) -> GeometryReport:
     """Compute every GeometryReport field for one instance."""
     from .spectral import theta0 as theta0_fn
 
-    subspaces, m = _family(subspaces, m)
-    n = len(subspaces)
-    c = friedrichs_number(subspaces, m)
-    ell_lo, ell_hi = minimax_inclination_estimate(subspaces, m, kind="global")
-    iota_lo, iota_hi = minimax_inclination_estimate(subspaces, m, kind="inner")
+    spans, mb = _family(family, m)
+    n = len(spans)
+    c = _friedrichs(spans, mb)
+    ell_lo, ell_hi = _minimax(spans, mb, "global")
+    iota_lo, iota_hi = _minimax(spans, mb, "inner")
     return GeometryReport(
         N=n,
         c=c,
         ell2=ell2(c, n),
-        ell2_direct=ell2_direct(subspaces, m),
-        iota2=iota2(subspaces, m),
+        ell2_direct=float(np.sqrt(_l2_floor(spans, mb, "global"))),
+        iota2=float(np.sqrt(_l2_floor(spans, mb, "inner"))),
         ell_lo=ell_lo,
         ell_hi=ell_hi,
         iota_lo=iota_lo,
@@ -382,13 +467,17 @@ def sandwich_check(report: GeometryReport):
     inequality holds when its slack is at least -1e-6.  The first
     two compare certified lower bounds: ell >= (N-1)(1-c)/(2N), and
     iota >= ell because for every dual weight, restricting the forms to a
-    subspace of M^perp can only raise lambda_min.
+    subspace of M^perp can only raise lambda_min.  The +inf answers of
+    empty feasible sets are met as such: inf >= inf holds with slack 0,
+    and the identity ell2_direct = ell2(c) is vacuous when every
+    M_k ∩ M^perp is zero (iota2 = +inf), where c = 0 is a convention.
     """
     lower = (report.N - 1) * (1.0 - report.c) / (2.0 * report.N)
-    identity_gap = abs(report.ell2_direct - report.ell2)
+    identity_gap = 0.0 if math.isinf(report.iota2) else abs(report.ell2_direct - report.ell2)
     checks = [
         ("ell_lo >= (N-1)(1-c)/(2N)", report.ell_lo - lower),
-        ("iota_lo >= ell_lo", report.iota_lo - report.ell_lo),
+        ("iota_lo >= ell_lo", 0.0 if report.iota_lo == report.ell_lo
+         else report.iota_lo - report.ell_lo),
         ("iota2 >= ell2", report.iota2 - report.ell2),
         ("|ell2_direct - ell2(c)| small", 1e-6 - identity_gap),
     ]

@@ -50,6 +50,10 @@ class CyclicProduct:
     Stored as one (n, b, b) stack of diagonal blocks per factor, applied
     in order, and the (n, b, r) stack of a basis of M: ``build_cyclic``
     gives one d x d block (n = 1), ``from_blocks`` 2x2 blocks (b = 2).
+    Each factor also keeps a span, an (n, b, s) stack of blocks X with
+    X X^H = P_k: the family's basis of M_k for ``build_cyclic``, the
+    projector blocks themselves for ``from_blocks``.  The angle
+    quantities of ``geometry`` read the spans and M's basis blocks.
     Construction forms the blocks of T and P_M and checks, block by
     block, that T is a contraction, that T P_M = P_M T = P_M, and that M
     is fixed pointwise.  ``factors`` (the P_k), ``matrix`` (T) and ``pm``
@@ -63,14 +67,15 @@ class CyclicProduct:
     eigendecomposition is computed on first use and kept.
     """
 
-    def __init__(self, blocks, basis: np.ndarray, m: Subspace):
+    def __init__(self, blocks, basis: np.ndarray, m: Subspace, spans):
         blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
         t = blocks[0]
         for b in blocks[1:]:
             t = b @ t
         pm = basis @ basis.conj().swapaxes(-1, -2)
         _check_product(t, pm, basis)
-        vars(self).update(m=m, _blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm))
+        vars(self).update(m=m, _blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
+                          _m_blocks=_freeze(basis), _spans=tuple(spans))
 
     @classmethod
     def from_blocks(cls, blocks) -> "CyclicProduct":
@@ -88,7 +93,7 @@ class CyclicProduct:
                     and np.allclose(b, b.conj().swapaxes(-1, -2), atol=1e-12)):
                 raise ValueError("blocks must be orthogonal projections")
         basis, m = _top_eigenspace(blocks)
-        return cls(blocks, basis, Subspace(m))
+        return cls(blocks, basis, Subspace(m), blocks)  # a projector is its own span
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicProduct is immutable")
@@ -190,7 +195,7 @@ def build_cyclic(subspaces) -> CyclicProduct:
         raise ValueError("need at least two subspaces")
     m = intersection(subspaces)  # also refuses mixed ambient dimensions
     factors = [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
-    return CyclicProduct(factors, m.basis[None], m)
+    return CyclicProduct(factors, m.basis[None], m, [s.basis[None] for s in subspaces])
 
 
 @dataclass(frozen=True)
@@ -329,17 +334,19 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     The first K terms telescope to x - T^K x, so they miss the limit
     x - P_M x (``target`` is P_M x) by exactly e_K = ||T^K x - P_M x||.
     The run stops at the first K with safety(10) * e_K <= trunc_tol; a
-    hard cap of 1e5 terms applies.  Returns the terms, e_K and T^K x.
+    hard cap of 1e5 terms applies.  Returns the (K, d) terms, e_K and T^K x.
+    The terms fill the leading rows of one buffer sized for the cap; the
+    rows past K are never written, so their pages are never touched.
     """
-    ys = []
+    ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.complex128)
     cur = x
-    while len(ys) < _SERIES_CAP:
+    for k in range(_SERIES_CAP):
         nxt = cp.apply(cur)
-        ys.append(cur - nxt)
+        ys[k] = cur - nxt
         cur = nxt
         error = float(np.linalg.norm(cur - target))
         if _TAIL_SAFETY * error <= trunc_tol:
-            return ys, error, cur
+            return ys[:k + 1], error, cur
     raise CapacityError("aligned or near-aligned instance; increase cap or tolerance")
 
 
@@ -362,9 +369,8 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
         raise ValueError("trunc_tol must be positive")
     x = _finite(x)
     target = cp.pm_apply(x)
-    ys, tail, t_k_x = _series_terms(cp, x, target, trunc_tol)
-    stack = np.array(ys)
-    k = len(ys)
+    stack, tail, t_k_x = _series_terms(cp, x, target, trunc_tol)
+    k = len(stack)
 
     total = stack.sum(axis=0)
     # telescoping: the ordered sum collapses to x - T^K x

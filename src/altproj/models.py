@@ -283,10 +283,13 @@ def convex_combination(products, weights) -> np.ndarray:
     return out
 
 
-# The parameter names of each kind (a random instance's seed is InstanceSpec.seed)
+# The one instance schema: the parameter names of each kind, in canonical
+# order; the kinds in _SEEDED also read InstanceSpec.seed.  The CLI's
+# instance files take their field names from here.
 _PARAMETERS = {"random": ("d", "dims"), "two_lines": ("theta",),
                "block_aligned": ("k_blocks", "angle_rule"),
                "convex_combination": ("components", "weights")}
+_SEEDED = ("random",)
 
 
 @dataclass(frozen=True)

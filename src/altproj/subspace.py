@@ -4,9 +4,12 @@ A subspace is represented by a ``d x r`` matrix with orthonormal columns;
 ``r = 0`` encodes the zero subspace.  Real input is promoted to complex.
 The orthogonal projection onto a subspace is ``B B^H`` for its basis
 ``B``; the orthonormality check at construction is what makes that matrix
-Hermitian and idempotent, so no separate projection type exists.  All
-rank decisions are made through singular values with a relative
-threshold, and all constructed objects are immutable.
+Hermitian and idempotent, so no separate projection type exists.  Rank
+decisions are made through singular values, with a threshold relative
+to the largest one where the scale of the input is unknown; all
+constructed objects are immutable.  The complements that the angle
+quantities need are computed on (n, b, .) stacks of diagonal blocks, a
+Subspace being one block.
 """
 
 from dataclasses import dataclass
@@ -138,26 +141,61 @@ def intersection(subspaces) -> Subspace:
     return Subspace(orthonormal_columns(basis, rank_tol=1e-12))
 
 
+def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of M_k ∩ M^perp, block by block, as an (n, b, w) stack.
+
+    ``span`` is an (n, b, s) stack of blocks X with X X^H = P_k, an
+    orthonormal basis of M_k or its projector, and ``mb`` an (n, b, r)
+    stack of M's basis (zero columns allowed).  M must lie in M_k: a
+    basis vector of M that P_k moves by more than 1e-10 raises
+    ``ValueError``.  The singular values of (I - P_M) X are 0 or 1 up to
+    rounding, so a block's rank is the count above 1/2; a block where M_k
+    equals M has rank 0.  Each block keeps its rank's leading columns and
+    zeros after them, and w is the largest rank.
+    """
+    if mb.shape[-1]:
+        drift = np.linalg.norm(span @ (span.conj().swapaxes(-1, -2) @ mb) - mb, axis=-2)
+        if drift.max() > 1e-10:
+            raise ValueError("second argument is not contained in the first")
+    reduced = span - mb @ (mb.conj().swapaxes(-1, -2) @ span)
+    if 0 in reduced.shape[1:]:
+        return np.zeros(reduced.shape[:2] + (0,), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
+    rank = np.count_nonzero(s > 0.5, axis=-1)
+    width = int(rank.max())
+    return np.where(np.arange(width) < rank[:, None, None], u[..., :width], 0.0)
+
+
+def _orthogonal_complement_blocks(mb: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of M^perp, block by block, as an (n, b, w) stack.
+
+    ``mb`` is an (n, b, r) stack of M's basis; a block's rank is its count
+    of nonzero columns.  A block of rank r keeps the last b - r left
+    singular vectors of its M block (all of I when r = 0) as its leading
+    columns, zeros after them; w is b minus the smallest rank.
+    """
+    n, b, _ = mb.shape
+    rank = np.count_nonzero(np.any(mb != 0, axis=-2), axis=-1)
+    u = np.broadcast_to(np.eye(b, dtype=np.complex128), (n, b, b))
+    if rank.any():
+        u = np.where(rank[:, None, None] > 0, np.linalg.svd(mb)[0], u)
+    cols = rank[:, None] + np.arange(b - rank.min())
+    kept = np.take_along_axis(u, np.minimum(cols, b - 1)[:, None, :], axis=-1)
+    return np.where(cols[:, None, :] < b, kept, 0.0)
+
+
 def complement_within(mk: Subspace, m: Subspace) -> Subspace:
     """Orthogonal complement of ``m`` inside ``mk``, i.e. ``mk ∩ m^perp``.
 
     Requires ``m`` to be contained in ``mk`` (each basis vector of ``m``
     must be reproduced by the projection onto ``mk`` within 1e-10).
+    Computed by ``_complement_within_blocks`` on one block.
     """
     if mk.ambient_dim != m.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    if m.dim:
-        drift = np.linalg.norm(mk.project(m.basis) - m.basis, axis=0)
-        if drift.max() > 1e-10:
-            raise ValueError("second argument is not contained in the first")
-    reduced = mk.basis - m.project(mk.basis)
-    return Subspace(orthonormal_columns(reduced))
+    return Subspace(_complement_within_blocks(mk.basis[None], m.basis[None])[0])
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """The full orthogonal complement of ``s`` in its ambient space."""
-    d = s.ambient_dim
-    if s.dim == 0:
-        return Subspace(np.eye(d, dtype=np.complex128))
-    u, sv, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(u[:, s.dim:])
+    return Subspace(_orthogonal_complement_blocks(s.basis[None])[0])

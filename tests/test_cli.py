@@ -289,6 +289,35 @@ def test_spectral_commands_on_thousands_of_blocks_stay_small(tmp_path, k_blocks,
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("k_blocks,argv", [(2000, ["iterate"]), (2000, ["numrange"]),
+                                           (400, ["geometry"])])
+def test_angle_commands_on_block_instances_stay_small(tmp_path, monkeypatch, k_blocks, argv):
+    # the angle quantities read the product's block stacks, so these
+    # commands form neither the model's d x K bases nor a d x d array;
+    # geometry stops at K = 400, where its rank reduction is still small
+    loaded = []
+
+    def load(path):
+        loaded.append(_load(path))
+        return loaded[-1]
+
+    _load = cli._load_instance
+    monkeypatch.setattr(cli, "_load_instance", load)
+    spec = InstanceSpec("block_aligned", {"k_blocks": k_blocks, "angle_rule": "1/k"})
+    inst = _path(tmp_path, serialize_instance(spec))
+    out = str(tmp_path / "out.csv")
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--instance", inst, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    (instance,) = loaded
+    assert not {"m1", "m2"} & set(vars(instance.model))
+    assert not {"factors", "matrix", "pm"} & set(vars(instance.cyclic()))
+
+
 def test_slowvec_infeasible_horizon_exits_4(tmp_path, capsys):
     inst = _path(tmp_path, BLOCKS12)
     out = str(tmp_path / "slow.csv")

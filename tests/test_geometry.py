@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altproj import geometry
-from altproj.linalg import eigh_sym
+from altproj.linalg import eigh_sym, orthonormal_columns
 from altproj import (
+    CyclicProduct,
     Subspace,
     block_aligned,
+    build_cyclic,
     complement_within,
     ell2,
     ell2_direct,
@@ -244,3 +246,118 @@ def test_minimax_bounds_on_random_families(n, d, seed, data):
     assert iota_lo >= ell_lo - 1e-12 and iota_lo <= iota_hi
     if n == 2:
         assert ell_hi - ell_lo <= 1e-9 and iota_hi - iota_lo <= 1e-9
+
+
+def test_sandwich_check_holds_on_empty_feasible_sets():
+    # M is the whole plane: every angle quantity is its empty-set answer
+    with pytest.warns(UserWarning, match="is \\+inf"):
+        rep = geometry_report([Subspace(np.eye(2))] * 2)
+    checks = sandwich_check(rep)
+    assert all(ok for _, ok, _ in checks)
+    assert not any(np.isnan(slack) for _, _, slack in checks)
+
+
+@pytest.mark.parametrize("d,dims,seed", [(3, (3, 2), 1), (5, (5, 3), 2), (4, (4, 4, 2), 3)])
+def test_families_with_a_whole_space_member(d, dims, seed):
+    # the other member is M itself, which has no direction in M^perp: it
+    # must not add rounding noise to the feasible sets.  The f whole-space
+    # members each have feasible set M^perp, so c = (f - 1)/(N - 1), and
+    # each l2 floor is the N - f members equal to M, which P_k moves fully
+    subs = random_instance(d, dims, seed=seed)
+    rep = geometry_report(subs)
+    n, f = len(dims), sum(r == d for r in dims)
+    assert rep.c == pytest.approx((f - 1) / (n - 1), abs=1e-12)
+    expected = np.sqrt(n - f)
+    assert rep.ell2_direct == pytest.approx(expected, abs=1e-12)
+    assert rep.iota2 == pytest.approx(expected, abs=1e-12)
+    assert all(ok for _, ok, _ in sandwich_check(rep))
+
+
+def _angle_rules(k_blocks):
+    return ["1/k", "1/sqrt(k)", list(np.geomspace(1.2, 1e-3, k_blocks))]
+
+
+def _quantities(family):
+    return (friedrichs_number(family), iota2(family), ell2_direct(family))
+
+
+@pytest.mark.parametrize("k_blocks", [2, 12, 200])
+@pytest.mark.parametrize("rule", range(3), ids=["1/k", "1/sqrt(k)", "list"])
+def test_block_route_matches_the_dense_family(k_blocks, rule):
+    model = block_aligned(k_blocks, _angle_rules(k_blocks)[rule])
+    cp = model.cyclic()
+    c, i2, l2d = _quantities(cp)
+    dense_c, dense_i2, dense_l2d = _quantities(model.subspaces)
+    assert c == pytest.approx(dense_c, abs=1e-14)
+    assert i2 == pytest.approx(dense_i2, rel=1e-13)
+    assert l2d == pytest.approx(dense_l2d, rel=1e-13)
+    theta = model.angles[-1]
+    assert c == pytest.approx(np.cos(theta), abs=1e-14)
+    if k_blocks <= 12:
+        for kind in ("global", "inner"):
+            assert minimax_inclination_estimate(cp, kind=kind) == pytest.approx(
+                minimax_inclination_estimate(model.subspaces, kind=kind), rel=1e-13)
+    # the bounds bracket the last block's angle; at K = 200 two or more
+    # blocks share the bottom cluster, which leaves a gap of about 1e-8
+    for kind, exact in (("global", np.sin(theta / 2)), ("inner", np.sin(theta))):
+        lo, hi = minimax_inclination_estimate(cp, kind=kind)
+        assert lo <= exact * (1 + 1e-12) and hi >= exact * (1 - 1e-12)
+        assert hi - lo <= 1e-7 * hi
+
+
+def test_block_route_minimax_bounds_at_two_hundred_blocks():
+    # the dense route's bounds for the 1/k model at K = 200 (20 s each)
+    cp = block_aligned(200, "1/k").cyclic()
+    assert minimax_inclination_estimate(cp, kind="global") == pytest.approx(
+        (0.0024999973958341475, 0.0024999974208344496), rel=1e-13)
+    assert minimax_inclination_estimate(cp, kind="inner") == pytest.approx(
+        (0.0049999791666926084, 0.0049999791666927081), rel=1e-13)
+
+
+def _mixed_blocks(k_blocks, seed):
+    """Three (K, 2, 2) projector stacks whose blocks cycle through four
+    patterns: M = {0} with feasible ranks (1, 1, 2); M a line with every
+    M_k equal to it; M a line inside two planes; and a zero factor."""
+    rng = np.random.default_rng(seed)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    stacks = ([], [], [])
+    for k in range(k_blocks):
+        u, v = (np.outer(w, w) for w in (np.array([np.cos(a), np.sin(a)])
+                                          for a in rng.uniform(0.1, 3.0, 2)))
+        pattern = [(np.diag([1.0, 0.0]), u, eye), (v, v, v), (eye, eye, v), (zero, u, eye)]
+        for stack, p in zip(stacks, pattern[k % 4]):
+            stack.append(p)
+    return tuple(np.array(s) for s in stacks)
+
+
+@pytest.mark.parametrize("k_blocks,seed", [(4, 0), (12, 1), (30, 2)])
+def test_block_route_on_blocks_of_mixed_ranks(k_blocks, seed):
+    cp = CyclicProduct.from_blocks(_mixed_blocks(k_blocks, seed))
+    assert 0 < cp.m.dim < k_blocks
+    dense = [Subspace(orthonormal_columns(p)) for p in cp.factors]
+    m = intersection(dense)
+    assert m.dim == cp.m.dim
+    assert friedrichs_number(cp) == pytest.approx(friedrichs_number(dense, m), abs=1e-13)
+    assert iota2(cp) == pytest.approx(iota2(dense, m), rel=1e-12)
+    assert ell2_direct(cp) == pytest.approx(ell2_direct(dense, m), rel=1e-12)
+    for kind in ("global", "inner"):
+        lo, hi = minimax_inclination_estimate(cp, kind=kind)
+        dense_lo, dense_hi = minimax_inclination_estimate(dense, m, kind=kind)
+        assert lo == pytest.approx(dense_lo, rel=1e-9)
+        assert lo <= hi and dense_lo <= hi * (1 + 1e-12) and lo <= dense_hi * (1 + 1e-12)
+    rep = geometry_report(cp)
+    assert all(ok for _, ok, _ in sandwich_check(rep))
+
+
+def test_a_product_carries_its_own_intersection():
+    cp = block_aligned(3, "1/k").cyclic()
+    with pytest.raises(ValueError, match="its own intersection"):
+        friedrichs_number(cp, cp.m)
+
+
+def test_a_dense_product_gives_the_bits_of_its_family():
+    subs = random_instance(7, (2, 4, 3), seed=5)
+    cp = build_cyclic(subs)
+    assert geometry_report(cp) == geometry_report(subs)
+    assert friedrichs_number_sampled(cp, None, 500, seed=2) == \
+        friedrichs_number_sampled(subs, None, 500, seed=2)
