@@ -21,6 +21,17 @@ max over the simplex of lambda_min(sum_k lam_k A_k) (Overton 1992): any
 weights give a lower bound and any explicit x an upper one.  With at
 most three active subspaces the two meet; with four or more the dual can
 have a gap, and the pair then reports it.
+
+Every quantity takes a sequence of Subspace objects or a
+``CyclicProduct`` and reads it through ``_family``: per factor a span
+(the basis of M_k, or the projector blocks of a block-built product) and
+M's basis, all as (n, b, .) stacks of diagonal blocks.  On a
+block-diagonal family every feasible set, Gram matrix and quadratic form
+is block-diagonal too: c is the largest block Gram eigenvalue, the l2
+floors are minima over stacked block ``eigh`` calls, and the dual path
+takes lambda_min(sum_k lam_k A_k) as the minimum over blocks.  No d x d
+or d x K array is formed for a block-built product; a Subspace family is
+the one-block case.
 """
 
 import math
@@ -225,9 +236,9 @@ _PRIMAL_WEIGHT = 1e-8
 _CLUSTER = 1e-7  # spread of the bottom eigenspace; dual weights of inactive forms
 
 
-def _eigh_weighted(weights, forms: list, shift: float) -> list:
-    """``eigh_sym`` of sum_k weights_k A_k - shift I on each rank group's stack."""
-    return [eigh_sym(np.tensordot(weights, f, 1) - shift * np.eye(f.shape[-1])) for f in forms]
+def _barrier_eigh(mu, forms: list) -> list:
+    """``eigh_sym`` of S = sum_k mu_k A_k - I on each rank group's stack."""
+    return [eigh_sym(np.tensordot(mu, f, 1) - np.eye(f.shape[-1])) for f in forms]
 
 
 def _dual_path(forms: list):
@@ -245,7 +256,7 @@ def _dual_path(forms: list):
     q = sum(f.shape[1] * f.shape[2] for f in forms)
     mu = np.full(n, 2.0 / min(np.linalg.eigvalsh(f.sum(axis=0))[..., 0].min()
                               for f in forms))  # S >= I
-    sig_u = _eigh_weighted(mu, forms, 1.0)
+    sig_u = _barrier_eigh(mu, forms)
     x_mat = [np.broadcast_to(np.eye(f.shape[-1]) / q, f.shape[1:]) for f in forms]
     try:
         for weight, tau in zip(_BARRIER_WEIGHTS, mu.sum() * _BARRIER_WEIGHTS):
@@ -263,7 +274,7 @@ def _dual_path(forms: list):
                 decrement = np.sqrt(max(step @ hess @ step, 0.0))
                 # the damped step stays feasible in exact arithmetic
                 trial = mu + (step / (1.0 + decrement) if decrement > 0.25 else step)
-                sig_u_t = _eigh_weighted(trial, forms, 1.0)
+                sig_u_t = _barrier_eigh(trial, forms)
                 if min(sig[..., 0].min() for sig, _ in sig_u_t) <= 0.0 or trial.min() <= 0.0:
                     raise np.linalg.LinAlgError("rounding left the feasible set")
                 mu, sig_u = trial, sig_u_t
@@ -338,7 +349,7 @@ def _minimax_bounds(spans, groups: list) -> tuple:
         rs = [f - x[idx] @ (x[idx].conj().swapaxes(-1, -2) @ f) for x in spans]
         forms.append(sym(np.stack([r.conj().swapaxes(-1, -2) @ r for r in rs])))
     lam, x_mat = _dual_path(forms)
-    eig = _eigh_weighted(lam, forms, 0.0)
+    eig = [eigh_sym(np.tensordot(lam, f, 1)) for f in forms]
     low = min(w[..., 0].min() for w, _ in eig)
     pieces = []  # (group, block, its bottom eigenvectors)
     for g, (w, v) in enumerate(eig):
@@ -366,7 +377,8 @@ def _minimax_bounds(spans, groups: list) -> tuple:
 
 def _distance(x: np.ndarray, span: np.ndarray) -> float:
     """||x - P x|| for an (n, b) block vector x and the (n, b, s) span of P."""
-    return float(np.linalg.norm(x - (span @ (span.conj().swapaxes(-1, -2) @ x[..., None]))[..., 0]))
+    projected = span @ (span.conj().swapaxes(-1, -2) @ x[..., None])
+    return float(np.linalg.norm(x - projected[..., 0]))
 
 
 def _minimax(spans, mb, kind: str) -> tuple:
