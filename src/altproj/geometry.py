@@ -109,6 +109,7 @@ def _rank_groups(f: np.ndarray) -> list:
 
 
 def _friedrichs(spans, mb) -> float:
+    """``friedrichs_number`` of the spans and M's basis blocks."""
     bases = _feasible(spans, mb, "inner")
     if not bases:
         return 0.0
@@ -382,6 +383,7 @@ def _distance(x: np.ndarray, span: np.ndarray) -> float:
 
 
 def _minimax(spans, mb, kind: str) -> tuple:
+    """``minimax_inclination_estimate`` of the spans and M's basis blocks."""
     bounds = [_minimax_bounds(spans, _rank_groups(f)) for f in _feasible(spans, mb, kind)]
     lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
     return min(lows), min(highs)
