@@ -19,7 +19,6 @@ from .fracpow import (
     frac_power_apply,
     make_alpha_vector,
     partial_sum_characterization,
-    super_poly_vector,
 )
 from .geometry import (
     GeometryReport,
@@ -129,7 +128,6 @@ __all__ = [
     "slow_vector",
     "stolz_contains",
     "stolz_margin",
-    "super_poly_vector",
     "sweep_diagnostic",
     "theta0",
     "theta_recursion",

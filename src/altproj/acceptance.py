@@ -116,9 +116,9 @@ def build_pool(count: int = N_POOL) -> list:
                 seed=seed,
                 subspaces=subs,
                 cp=cp,
-                c=friedrichs_number(subs, cp.m),
-                i2=iota2(subs, cp.m),
-                l2d=ell2_direct(subs, cp.m),
+                c=friedrichs_number(cp),
+                i2=iota2(cp),
+                l2d=ell2_direct(cp),
             )
         )
     return pool
@@ -181,7 +181,7 @@ def _friedrichs_oracle(pool):
         total = sum(s.dim for s in e.subspaces) - len(e.subspaces) * e.m.dim
         if not 0 < total <= 6:
             continue
-        cs = friedrichs_number_sampled(e.subspaces, e.m, 10**5, e.seed ^ _SALT_SAMPLER)
+        cs = friedrichs_number_sampled(e.cp, None, 10**5, e.seed ^ _SALT_SAMPLER)
         below = min(below, e.c - cs + 1e-6)
         above = min(above, cs + 0.05 - e.c)
         sampled += 1
@@ -230,12 +230,11 @@ def _numerical_range_containment(pool):
     for e in pool[:100]:
         check(e.cp, e.c, e.cp.N)
     subs_a = random_instance(6, (3, 3), 1001)
-    subs_b = random_instance(6, (2, 4), 1002)
-    ca = friedrichs_number(subs_a)
-    cb = friedrichs_number(subs_b)
+    cp_a, cp_b = build_cyclic(subs_a), build_cyclic(random_instance(6, (2, 4), 1002))
+    ca = friedrichs_number(cp_a)
+    cb = friedrichs_number(cp_b)
     # averaging products enlarges neither region: check at the larger c
-    check(convex_combination([build_cyclic(subs_a), build_cyclic(subs_b)], [0.5, 0.5]),
-          max(ca, cb), 2)
+    check(convex_combination([cp_a, cp_b], [0.5, 0.5]), max(ca, cb), 2)
     p1, p2 = (s.basis @ s.basis.conj().T for s in subs_a)
     check(0.5 * (p1 + p2), ca, 2)
     ok = escapes == 0

@@ -14,7 +14,8 @@ and reruns produce byte-identical CSVs.
 
 Exit codes: 0 ok; 2 malformed instance file or invalid configuration;
 3 numerical contract violation (including any failed suite criterion);
-4 capacity limit reached (e.g. an infeasible slow-vector horizon).
+4 capacity limit reached (e.g. an infeasible slow-vector horizon, or an
+allocation that runs out of memory).
 """
 
 import argparse
@@ -45,7 +46,7 @@ exit codes:
   0  success
   2  parse error: malformed instance file or invalid configuration
   3  numerical contract violation (includes any failed suite criterion)
-  4  capacity limit reached (e.g. slow-vector horizon infeasible)
+  4  capacity limit reached (e.g. slow-vector horizon infeasible, out of memory)
 """
 
 
@@ -548,6 +549,10 @@ def main(argv=None) -> int:
         return 3
     except CapacityError as exc:
         print(f"capacity limit: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"capacity limit: out of memory{detail}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

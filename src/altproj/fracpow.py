@@ -27,7 +27,6 @@ __all__ = [
     "make_alpha_vector",
     "decay_slope",
     "partial_sum_characterization",
-    "super_poly_vector",
 ]
 
 _TERM_CAP = 10**6  # hard cap on series terms
@@ -308,18 +307,3 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
         return sup, False
     head = sup if head_sup is None else head_sup
     return sup, (sup - head) < 1e-6
-
-
-def super_poly_vector(cp, alphas, seed) -> np.ndarray:
-    """A vector in the intersection of every requested regularity class.
-
-    In finite dimension Ran(I-T)^alpha does not depend on alpha > 0 on
-    the complement of M whenever I - T is invertible there, so the
-    construction applies the largest requested power.
-    """
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    if not all(a > 0.0 for a in alphas):
-        raise ValueError("alphas must be positive")
-    return make_alpha_vector(cp, max(alphas), seed).x

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, NumericalContractError
 from .geometry import _rate_base_squared
 from .linalg import _finite, diagonalize, spectral_norm
-from .subspace import Subspace, _freeze, _top_eigenspace, intersection
+from .subspace import Subspace, _dense_columns, _freeze, _top_eigenspace, intersection
 
 __all__ = [
     "CyclicProduct",
@@ -48,33 +48,37 @@ class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
     Stored as one (n, b, b) stack of diagonal blocks per factor, applied
-    in order, and the (n, b, r) stack of a basis of M: ``build_cyclic``
-    gives one d x d block (n = 1), ``from_blocks`` 2x2 blocks (b = 2).
-    Each factor also keeps a span, an (n, b, s) stack of blocks X with
-    X X^H = P_k: the family's basis of M_k for ``build_cyclic``, the
-    projector blocks themselves for ``from_blocks``.  The angle
-    quantities of ``geometry`` read the spans and M's basis blocks.
-    Construction forms the blocks of T and P_M and checks, block by
-    block, that T is a contraction, that T P_M = P_M T = P_M, and that M
-    is fixed pointwise.  ``factors`` (the P_k), ``matrix`` (T) and ``pm``
-    (P_M) are read-only complex d x d arrays assembled on first access; a
-    single block is returned as is.  ``m`` is the intersection M.
-    ``apply`` and ``pm_apply`` never read them: on a vector or on stacked
-    columns they run one ``einsum`` per factor over 2x2 blocks, O(d) per
-    column, which agrees with the dense ``p @ x`` to rounding and, on the
-    block model, bit for bit (a stacked ``matmul`` does not); a single
-    block keeps ``p @ x``.  The kernels read T's blocks, and their
-    eigendecomposition is computed on first use and kept.
+    in order, and the (n, b, r) stack of a basis of M, the one stored form
+    of M (zero columns allowed; ``from_blocks`` keeps the (n, b, b) stack
+    of its eigenvalue cut): ``build_cyclic`` gives one d x d block
+    (n = 1), ``from_blocks`` 2x2 blocks (b = 2).  Each factor also keeps a
+    span, an (n, b, s) stack of blocks X with X X^H = P_k: the family's
+    basis of M_k for ``build_cyclic``, the projector blocks themselves for
+    ``from_blocks``.  The angle quantities of ``geometry`` read the spans
+    and M's basis blocks.  Construction forms the blocks of T and P_M and
+    checks, block by block, that T is a contraction, that
+    T P_M = P_M T = P_M, and that M is fixed pointwise.  ``factors`` (the
+    P_k), ``matrix`` (T) and ``pm`` (P_M) are read-only complex d x d
+    arrays assembled on first access; a single block is returned as is.
+    ``m``, the intersection M as a ``Subspace`` of the nonzero basis
+    columns, is built on first access too; ``dim`` reads the block shapes
+    and ``pm_apply`` the basis stack.  ``apply`` and ``pm_apply`` never
+    read a dense member: on a vector or on stacked columns they run one
+    ``einsum`` per factor over 2x2 blocks, O(d) per column, which agrees
+    with the dense ``p @ x`` to rounding and, on the block model, bit for
+    bit (a stacked ``matmul`` does not); a single block keeps ``p @ x``.
+    The kernels read T's blocks, and their eigendecomposition is computed
+    on first use and kept.
     """
 
-    def __init__(self, blocks, basis: np.ndarray, m: Subspace, spans):
+    def __init__(self, blocks, basis: np.ndarray, spans):
         blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
         t = blocks[0]
         for b in blocks[1:]:
             t = b @ t
         pm = basis @ basis.conj().swapaxes(-1, -2)
         _check_product(t, pm, basis)
-        vars(self).update(m=m, _blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
+        vars(self).update(_blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
                           _m_blocks=_freeze(basis), _spans=tuple(spans))
 
     @classmethod
@@ -92,8 +96,7 @@ class CyclicProduct:
             if not (np.allclose(b @ b, b, atol=1e-12)
                     and np.allclose(b, b.conj().swapaxes(-1, -2), atol=1e-12)):
                 raise ValueError("blocks must be orthogonal projections")
-        basis, m = _top_eigenspace(blocks)
-        return cls(blocks, basis, Subspace(m), blocks)  # a projector is its own span
+        return cls(blocks, _top_eigenspace(blocks), blocks)  # a projector is its own span
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicProduct is immutable")
@@ -110,13 +113,18 @@ class CyclicProduct:
     def pm(self) -> np.ndarray:
         return _block_diagonal(self._pm_blocks)
 
+    @cached_property
+    def m(self) -> Subspace:
+        return Subspace(_dense_columns(self._m_blocks))
+
     @property
     def N(self) -> int:
         return len(self._blocks)
 
     @property
     def dim(self) -> int:
-        return self.m.ambient_dim
+        n, b, _ = self._blocks[0].shape
+        return n * b
 
     @cached_property
     def _eigenbasis(self):
@@ -146,7 +154,7 @@ class CyclicProduct:
 
     def pm_apply(self, x: np.ndarray) -> np.ndarray:
         """P_M x, block by block: complex zeros when M = {0}."""
-        if self.m.dim == 0:
+        if not self._m_blocks.any():
             return np.zeros(np.shape(x), dtype=np.complex128)
         return _block_apply(self._pm_blocks, x)
 
@@ -195,7 +203,7 @@ def build_cyclic(subspaces) -> CyclicProduct:
         raise ValueError("need at least two subspaces")
     m = intersection(subspaces)  # also refuses mixed ambient dimensions
     factors = [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
-    return CyclicProduct(factors, m.basis[None], m, [s.basis[None] for s in subspaces])
+    return CyclicProduct(factors, m.basis[None], [s.basis[None] for s in subspaces])
 
 
 @dataclass(frozen=True)
@@ -203,7 +211,6 @@ class IterationTrace:
     """Errors e_n = ||x_n - P_M x|| of one alternating-projection run."""
 
     errors: np.ndarray
-    x0_norm: float
     bound_c: np.ndarray | None = None
     bound_iota2: np.ndarray | None = None
 
@@ -278,8 +285,7 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(c, cp.N), n_max)
     bound_i = None if iota2 is None else e0 * _half_powers(_iota2_base_squared(iota2, cp.N),
                                                            n_max)
-    return IterationTrace(errors=errors, x0_norm=float(e0),
-                          bound_c=bound_c, bound_iota2=bound_i)
+    return IterationTrace(errors=errors, bound_c=bound_c, bound_iota2=bound_i)
 
 
 def operator_error_norm(cp: CyclicProduct, n: int) -> float:

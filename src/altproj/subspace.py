@@ -99,8 +99,7 @@ def _top_eigenspace(projectors):
     """Eigenvalue cut of ``intersection`` on (n, b, b) projector stacks, block by block.
 
     Returns the eigenvectors of the mean above ``1 - _EIG_TOL`` as an
-    (n, b, b) stack with the other columns zeroed, and as the (n b, r)
-    columns of the block-diagonal space they span.  An accepted vector
+    (n, b, b) stack with the other columns zeroed.  An accepted vector
     that some projector moves by more than sqrt(_EIG_TOL) raises
     ``NumericalContractError``.
     """
@@ -113,11 +112,17 @@ def _top_eigenspace(projectors):
             raise NumericalContractError(
                 "ill-conditioned intersection; a projector moves an accepted vector"
             )
-    n, b, _ = basis.shape
-    ks, js = np.nonzero(keep)
+    return basis
+
+
+def _dense_columns(mb: np.ndarray) -> np.ndarray:
+    """The nonzero columns of an (n, b, w) block stack as (n b, r) columns of the
+    block-diagonal space they span, block by block and in column order."""
+    n, b, _ = mb.shape
+    ks, js = np.nonzero(np.any(mb != 0, axis=-2))
     cols = np.zeros((n, b, len(ks)), dtype=np.complex128)
-    cols[ks, :, np.arange(len(ks))] = basis[ks, :, js]
-    return basis, cols.reshape(n * b, -1)
+    cols[ks, :, np.arange(len(ks))] = mb[ks, :, js]
+    return cols.reshape(n * b, -1)
 
 
 def intersection(subspaces) -> Subspace:
@@ -137,8 +142,8 @@ def intersection(subspaces) -> Subspace:
     d = subspaces[0].ambient_dim
     if any(s.ambient_dim != d for s in subspaces):
         raise ValueError("subspaces live in different ambient dimensions")
-    _, basis = _top_eigenspace([(s.basis @ s.basis.conj().T)[None] for s in subspaces])
-    return Subspace(orthonormal_columns(basis, rank_tol=1e-12))
+    basis = _top_eigenspace([(s.basis @ s.basis.conj().T)[None] for s in subspaces])
+    return Subspace(orthonormal_columns(_dense_columns(basis), rank_tol=1e-12))
 
 
 def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:

@@ -315,7 +315,7 @@ def test_angle_commands_on_block_instances_stay_small(tmp_path, monkeypatch, k_b
     assert peak < 32 * 2**20
     (instance,) = loaded
     assert not {"m1", "m2"} & set(vars(instance.model))
-    assert not {"factors", "matrix", "pm"} & set(vars(instance.cyclic()))
+    assert not {"factors", "matrix", "pm", "m"} & set(vars(instance.cyclic()))
 
 
 def test_slowvec_infeasible_horizon_exits_4(tmp_path, capsys):
@@ -396,6 +396,21 @@ def test_suite_failure_exits_3(monkeypatch, capsys):
     stdout = capsys.readouterr().out
     assert "FAIL" in stdout
     assert "1/2 criteria passed" in stdout
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 1.00 TiB for an array",
+     "capacity limit: out of memory (Unable to allocate 1.00 TiB for an array)"),
+    ("", "capacity limit: out of memory"),
+])
+def test_out_of_memory_exits_4(tmp_path, monkeypatch, capsys, message, line):
+    # a command that fails to allocate is patched in; nothing large is allocated
+    def exhausted(path):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_load_instance", exhausted)
+    assert main(["geometry", "--instance", _path(tmp_path, BLOCKS12)]) == 4
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_help_exits_zero_and_documents_exit_codes(capsys):

@@ -12,12 +12,10 @@ from altproj import (
     build_cyclic,
     decay_slope,
     frac_power_apply,
-    iterate,
     make_alpha_vector,
     orthonormalize,
     partial_sum_characterization,
     random_instance,
-    super_poly_vector,
     two_lines,
 )
 
@@ -116,8 +114,6 @@ def test_fracpow_input_validation():
         frac_power_apply(cp, 0.5, x, np.nan)
     with pytest.raises(ValueError):
         make_alpha_vector(cp, np.nan, seed=1)
-    with pytest.raises(ValueError):
-        super_poly_vector(cp, [0.5, np.nan], seed=1)
     with pytest.raises(ValueError):
         frac_power_apply(1.5 * np.eye(2), 0.5, x, 1e-8)  # not a contraction
 
@@ -262,14 +258,6 @@ def test_partial_sums_diverge_along_the_fixed_space():
     sup, bounded = partial_sum_characterization(cp, e[0], 1.0, 50_000)
     assert not bounded
     assert sup > 1.0
-
-
-def test_super_poly_vector_is_in_every_listed_class():
-    model = block_aligned(60, "1/k")
-    cp = model.cyclic()
-    x = super_poly_vector(cp, (0.5, 1.0, 2.0), seed=9)
-    trace = iterate(cp, x, 500)
-    assert decay_slope(trace, (50, 500)) <= -1.5
 
 
 def _literal_partial_sums(t, x, alpha, n_max, sample):

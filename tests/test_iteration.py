@@ -14,6 +14,7 @@ from altproj import (
     Subspace,
     block_aligned,
     build_cyclic,
+    ell2_direct,
     frac_power_apply,
     friedrichs_number,
     iota2,
@@ -321,7 +322,7 @@ def test_block_built_product_forms_dense_members_on_first_use():
     ]
     for kernel in kernels:
         kernel()
-        assert not {"factors", "matrix", "pm"} & set(vars(cp))
+        assert not {"factors", "matrix", "pm", "m"} & set(vars(cp))
     for name in ("factors", "matrix", "pm"):
         assert getattr(cp, name) is getattr(cp, name)  # kept once built
     for a in cp.factors + (cp.matrix, cp.pm):
@@ -329,6 +330,41 @@ def test_block_built_product_forms_dense_members_on_first_use():
             a[0, 0] = 1.0
     with pytest.raises(AttributeError):
         cp.m = None
+
+
+@pytest.mark.parametrize("d, dims, seed", [(6, (4, 5), 3), (7, (5, 5, 6), 8), (5, (2, 3), 1)])
+def test_intersection_of_a_dense_build_is_built_on_first_read(d, dims, seed):
+    subs = random_instance(d, dims, seed)
+    cp = build_cyclic(subs)
+    assert "m" not in vars(cp)
+    m = intersection(subs)
+    assert cp.m is cp.m and cp.m.dim == m.dim == max(0, sum(dims) - (len(dims) - 1) * d)
+    assert np.array_equal(_bits(cp.m.basis), _bits(m.basis))
+
+
+def test_block_intersection_at_four_thousand_blocks_stays_in_block_stacks():
+    # (line, whole block) pairs: M is the line of every block, so the parent's
+    # dense (n b, r) basis would be an 8000 x 4000 complex array (512 MB)
+    k_blocks = 4000
+    u = np.eye(2)[np.arange(k_blocks) % 2]  # e1, e2, e1, ...: exact answers
+    line = u[:, :, None] * u[:, None, :]
+    whole = np.broadcast_to(np.eye(2), (k_blocks, 2, 2))
+    x = np.random.default_rng(4).standard_normal(2 * k_blocks)
+    tracemalloc.start()
+    try:
+        cp = CyclicProduct.from_blocks((line, whole))
+        px = cp.pm_apply(x)
+        values = (cp.dim, friedrichs_number(cp), iota2(cp), ell2_direct(cp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert values == (2 * k_blocks, 0.0, 1.0, 1.0)
+    coef = np.einsum("ki,ki->k", u, x.reshape(k_blocks, 2))
+    assert np.array_equal(px, (coef[:, None] * u).reshape(-1))
+    assert "m" not in vars(cp)
+    arrays = [a for v in vars(cp).values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert all(a.shape[0] == k_blocks and a.ndim == 3 for a in arrays)
 
 
 def test_from_blocks_validation():
@@ -399,9 +435,9 @@ def test_iterate_requires_at_least_one_sweep():
 
 def test_trace_validation():
     with pytest.raises(NumericalContractError):
-        IterationTrace(errors=np.array([1.0, 0.5, 0.7]), x0_norm=1.0)
+        IterationTrace(errors=np.array([1.0, 0.5, 0.7]))
     with pytest.raises(NumericalContractError):
-        IterationTrace(errors=np.array([-1.0, -2.0]), x0_norm=1.0)
+        IterationTrace(errors=np.array([-1.0, -2.0]))
 
 
 def test_sweep_diagnostic_closed_form_on_two_lines():
