@@ -181,7 +181,7 @@ def _friedrichs_oracle(pool):
         total = sum(s.dim for s in e.subspaces) - len(e.subspaces) * e.m.dim
         if not 0 < total <= 6:
             continue
-        cs = friedrichs_number_sampled(e.cp, None, 10**5, e.seed ^ _SALT_SAMPLER)
+        cs = friedrichs_number_sampled(e.cp, 10**5, e.seed ^ _SALT_SAMPLER)
         below = min(below, e.c - cs + 1e-6)
         above = min(above, cs + 0.05 - e.c)
         sampled += 1

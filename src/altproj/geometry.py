@@ -22,16 +22,16 @@ weights give a lower bound and any explicit x an upper one.  With at
 most three active subspaces the two meet; with four or more the dual can
 have a gap, and the pair then reports it.
 
-Every quantity takes a sequence of Subspace objects or a
-``CyclicProduct`` and reads it through ``_family``: per factor a span
-(the basis of M_k, or the projector blocks of a block-built product) and
-M's basis, all as (n, b, .) stacks of diagonal blocks.  On a
-block-diagonal family every feasible set, Gram matrix and quadratic form
-is block-diagonal too: c is the largest block Gram eigenvalue, the l2
-floors are minima over stacked block ``eigh`` calls, and the dual path
-takes lambda_min(sum_k lam_k A_k) as the minimum over blocks.  No d x d
-or d x K array is formed for a block-built product; a Subspace family is
-the one-block case.
+Every quantity takes the ``CyclicProduct`` of the family and reads it
+through ``_family``: per factor a span (the basis of M_k, or the
+projector blocks of a block-built product) and M's basis, all as
+(n, b, .) stacks of diagonal blocks.  On a block-diagonal family every
+feasible set, Gram matrix and quadratic form is block-diagonal too: c is
+the largest block Gram eigenvalue, the l2 floors are minima over stacked
+block ``eigh`` calls, and the dual path takes lambda_min(sum_k lam_k A_k)
+as the minimum over blocks.  No d x d or d x K array is formed for a
+block-built product; ``build_cyclic`` of a Subspace family is the
+one-block case.
 """
 
 import math
@@ -40,13 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .iteration import CyclicProduct, _rate_base_squared
 from .linalg import eigh_sym, sym
-from .subspace import (
-    Subspace,
-    _complement_within_blocks,
-    _orthogonal_complement_blocks,
-    intersection,
-)
+from .spectral import theta0
+from .subspace import _complement_within_blocks, _orthogonal_complement_blocks
 
 __all__ = [
     "GeometryReport",
@@ -62,23 +59,13 @@ __all__ = [
 ]
 
 
-def _family(family, m):
-    """The spans of the factors and M's basis, as (n, b, .) block stacks.
-
-    ``family`` is a sequence of Subspace objects, one d x d block whose
-    spans are the bases (M is computed when ``m`` is None), or a
-    ``CyclicProduct``, which carries its spans and M's basis blocks (see
-    there; ``m`` must then be None).  Fewer than two subspaces are refused.
-    """
-    if hasattr(family, "_spans"):
-        if m is not None:
-            raise ValueError("a product carries its own intersection")
-        return family._spans, family._m_blocks
-    subspaces = list(family)
-    if len(subspaces) < 2:
-        raise ValueError("need at least two subspaces")
-    m = intersection(subspaces) if m is None else m
-    return [s.basis[None] for s in subspaces], m.basis[None]
+def _family(cp):
+    """The spans of the factors and M's basis, as (n, b, .) block stacks of
+    the product ``cp`` (see ``CyclicProduct``); anything else is refused."""
+    if not isinstance(cp, CyclicProduct):
+        raise TypeError(f"need a CyclicProduct, not {type(cp).__name__}; "
+                        "for a family of subspaces pass build_cyclic(subspaces)")
+    return cp._spans, cp._m_blocks
 
 
 def _feasible(spans, mb: np.ndarray, kind: str) -> list:
@@ -120,7 +107,7 @@ def _friedrichs(spans, mb) -> float:
     return float(np.clip((w[..., -1].max() - 1.0) / (len(spans) - 1), 0.0, 1.0))
 
 
-def friedrichs_number(family, m: Subspace | None = None) -> float:
+def friedrichs_number(cp: CyclicProduct) -> float:
     """Friedrichs number c of the family, via the Gram-matrix reduction.
 
     Equals (lambda_max(B^H B) - 1)/(N - 1) with B the stacked orthonormal
@@ -130,13 +117,13 @@ def friedrichs_number(family, m: Subspace | None = None) -> float:
     is the largest over the blocks.  Gram eigenvalues outside [0, n]
     beyond 1e-8 raise ``ValueError``.  When every M_k ∩ M^perp is zero
     the constraint set is empty and c = 0 by convention.  The result is
-    clamped to [0, 1].  ``family`` is a Subspace sequence or a
-    ``CyclicProduct``, as for every angle quantity (see ``_family``).
+    clamped to [0, 1].  ``cp`` is the family's product, as for every
+    angle quantity (see ``_family``).
     """
-    return _friedrichs(*_family(family, m))
+    return _friedrichs(*_family(cp))
 
 
-def friedrichs_number_sampled(family, m: Subspace | None, num_samples: int, seed) -> float:
+def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> float:
     """Sphere-sampling maximizer of the supremum defining c.
 
     Draws ``num_samples`` uniform points on the unit sphere of the
@@ -145,7 +132,7 @@ def friedrichs_number_sampled(family, m: Subspace | None, num_samples: int, seed
     estimate of c kept as an oracle for the eigenvalue route; it is not
     clamped.
     """
-    spans, mb = _family(family, m)
+    spans, mb = _family(cp)
     bases = _feasible(spans, mb, "inner")
     if not bases:
         return 0.0
@@ -206,7 +193,7 @@ def _l2_floor(spans, mb: np.ndarray, kind: str) -> float:
                for basis in bases)
 
 
-def ell2_direct(family, m: Subspace | None = None) -> float:
+def ell2_direct(cp: CyclicProduct) -> float:
     """l2-inclination by its definition, as an extreme eigenvalue.
 
     Returns sqrt(lambda_min(Q^H (sum_k (I - P_k)) Q)) with Q an
@@ -215,10 +202,10 @@ def ell2_direct(family, m: Subspace | None = None) -> float:
     some M_k ∩ M^perp is nonzero.  If M is the whole space the +inf
     sentinel is returned with a warning, as by ``iota2``.
     """
-    return float(np.sqrt(_l2_floor(*_family(family, m), "global")))
+    return float(np.sqrt(_l2_floor(*_family(cp), "global")))
 
 
-def iota2(family, m: Subspace | None = None) -> float:
+def iota2(cp: CyclicProduct) -> float:
     """Inner l2-inclination: the l2 infimum restricted to each M_n.
 
     min over n of sqrt(lambda_min(B_n^H (sum_k (I - P_k)) B_n)) with B_n
@@ -226,7 +213,7 @@ def iota2(family, m: Subspace | None = None) -> float:
     skipped.  If all of them equal M the +inf sentinel is returned with a
     warning.
     """
-    return float(np.sqrt(_l2_floor(*_family(family, m), "inner")))
+    return float(np.sqrt(_l2_floor(*_family(cp), "inner")))
 
 
 # Barrier weights of the dual path relative to its start, down to the
@@ -389,35 +376,20 @@ def _minimax(spans, mb, kind: str) -> tuple:
     return min(lows), min(highs)
 
 
-def minimax_inclination_estimate(family, m: Subspace | None = None, *,
-                                 kind: str = "global") -> tuple:
+def minimax_inclination_estimate(cp: CyclicProduct, *, kind: str = "global") -> tuple:
     """Certified (lower, upper) bounds of the minimax inclination ell or iota.
 
     ell (``kind="global"``): inf of max_k dist(x, M_k)/dist(x, M) over
     x in M^perp; iota (``kind="inner"``): the same over x in M_n ∩ M^perp,
     minimized over n.  The bounds meet to rounding when at most three
-    subspaces are active at the optimum.  Empty feasible sets give (inf, inf);
-    a family of fewer than two subspaces is refused, as by every angle quantity.
+    subspaces are active at the optimum.  Empty feasible sets give (inf, inf).
     """
-    return _minimax(*_family(family, m), kind)
-
-
-def _rate_base_squared(c: float, n: int) -> float:
-    """b = 1 - 3(N-1)(1-c)/N^3 clipped to [0, 1], the squared rate base.
-
-    The one copy behind ``rate_base``, ``iteration.rate_bound`` and
-    ``spectral.theta0``.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("c must lie in [0, 1]")
-    if n < 2:
-        raise ValueError("need at least two subspaces")
-    return float(np.clip(1.0 - 3.0 * (n - 1) * (1.0 - c) / n**3, 0.0, 1.0))
+    return _minimax(*_family(cp), kind)
 
 
 def rate_base(c: float, n: int) -> float:
     """The per-step contraction base (1 - 3(N-1)(1-c)/N^3)^{1/2}."""
-    return float(np.sqrt(_rate_base_squared(c, n)))
+    return float(np.sqrt(_rate_base_squared(n, c=c)))
 
 
 @dataclass(frozen=True)
@@ -450,11 +422,9 @@ class GeometryReport:
             raise ValueError("rate_base outside [0, 1]")
 
 
-def geometry_report(family, m: Subspace | None = None) -> GeometryReport:
+def geometry_report(cp: CyclicProduct) -> GeometryReport:
     """Compute every GeometryReport field for one instance."""
-    from .spectral import theta0 as theta0_fn
-
-    spans, mb = _family(family, m)
+    spans, mb = _family(cp)
     n = len(spans)
     c = _friedrichs(spans, mb)
     ell_lo, ell_hi = _minimax(spans, mb, "global")
@@ -469,7 +439,7 @@ def geometry_report(family, m: Subspace | None = None) -> GeometryReport:
         ell_hi=ell_hi,
         iota_lo=iota_lo,
         iota_hi=iota_hi,
-        theta0=theta0_fn(c, n),
+        theta0=theta0(c, n),
         rate_base=rate_base(c, n),
     )
 

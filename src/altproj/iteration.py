@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .geometry import _rate_base_squared
 from .linalg import _finite, diagonalize, spectral_norm
 from .subspace import Subspace, _dense_columns, _freeze, _top_eigenspace, intersection
 
@@ -55,11 +54,12 @@ class CyclicProduct:
     span, an (n, b, s) stack of blocks X with X X^H = P_k: the family's
     basis of M_k for ``build_cyclic``, the projector blocks themselves for
     ``from_blocks``.  The angle quantities of ``geometry`` read the spans
-    and M's basis blocks.  Construction forms the blocks of T and P_M and
-    checks, block by block, that T is a contraction, that
-    T P_M = P_M T = P_M, and that M is fixed pointwise.  ``factors`` (the
-    P_k), ``matrix`` (T) and ``pm`` (P_M) are read-only complex d x d
-    arrays assembled on first access; a single block is returned as is.
+    and M's basis blocks.  Construction refuses fewer than two factors,
+    forms the blocks of T and P_M and checks, block by block, that T is a
+    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.
+    ``factors`` (the P_k), ``matrix`` (T) and ``pm`` (P_M) are read-only
+    complex d x d arrays assembled on first access; a single block is
+    returned as is.
     ``m``, the intersection M as a ``Subspace`` of the nonzero basis
     columns, is built on first access too; ``dim`` reads the block shapes
     and ``pm_apply`` the basis stack.  ``apply`` and ``pm_apply`` never
@@ -73,6 +73,8 @@ class CyclicProduct:
 
     def __init__(self, blocks, basis: np.ndarray, spans):
         blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
+        if len(blocks) < 2:
+            raise ValueError("need at least two subspaces")
         t = blocks[0]
         for b in blocks[1:]:
             t = b @ t
@@ -87,9 +89,7 @@ class CyclicProduct:
         blocks per factor, in the order they are applied; M is the cut of
         ``intersection`` run on each block."""
         blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
-        if len(blocks) < 2:
-            raise ValueError("need at least two subspaces")
-        if blocks[0].ndim != 3 or blocks[0].shape[1:] != (2, 2) \
+        if not blocks or blocks[0].ndim != 3 or blocks[0].shape[1:] != (2, 2) \
                 or any(b.shape != blocks[0].shape for b in blocks):
             raise ValueError("need one (K, 2, 2) stack of blocks per factor")
         for b in blocks:
@@ -199,8 +199,6 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
 def build_cyclic(subspaces) -> CyclicProduct:
     """T = P_N ... P_1 and P_M of a family of subspaces, as one d x d block each."""
     subspaces = list(subspaces)
-    if len(subspaces) < 2:
-        raise ValueError("need at least two subspaces")
     m = intersection(subspaces)  # also refuses mixed ambient dimensions
     factors = [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
     return CyclicProduct(factors, m.basis[None], [s.basis[None] for s in subspaces])
@@ -225,21 +223,34 @@ class IterationTrace:
         return len(self.errors)
 
 
+def _rate_base_squared(n_subspaces: int, *, c: float | None = None,
+                       iota2: float | None = None) -> float:
+    """The squared rate base 1 - k q/N^3 clipped to [0, 1], from ``c`` or ``iota2``.
+
+    (k, q) is (3(N-1), 1-c) for the Friedrichs factor and (3, iota2^2) for
+    the inner one; the +inf iota2 sentinel gives 0.  The one copy behind
+    both rate bounds, ``iterate``'s bound sequences, ``geometry.rate_base``
+    and ``spectral.theta0``.
+    """
+    if iota2 is None:
+        if not 0.0 <= c <= 1.0:
+            raise ValueError("c must lie in [0, 1]")
+        k, q = 3.0 * (n_subspaces - 1), 1.0 - c
+    else:
+        if not iota2 >= 0.0:
+            raise ValueError("iota2 must be >= 0")
+        k, q = 3.0, iota2**2
+    if n_subspaces < 2:
+        raise ValueError("need at least two subspaces")
+    return float(np.clip(1.0 - k * q / n_subspaces**3, 0.0, 1.0))
+
+
 def rate_bound(c: float, n_subspaces: int, n: int) -> float:
     """(1 - 3(N-1)(1-c)/N^3)^{n/2}, the Friedrichs-number rate factor."""
-    base = _rate_base_squared(c, n_subspaces)
+    base = _rate_base_squared(n_subspaces, c=c)
     if n < 0:
         raise ValueError("n must be >= 0")
     return float(base ** (n / 2.0))
-
-
-def _iota2_base_squared(iota2: float, n_subspaces: int) -> float:
-    """b = 1 - 3 iota2^2/N^3 clipped to [0, 1]; 0 for the +inf sentinel."""
-    if not iota2 >= 0.0:
-        raise ValueError("iota2 must be >= 0")
-    if n_subspaces < 2:
-        raise ValueError("need at least two subspaces")
-    return np.clip(1.0 - 3.0 * iota2**2 / n_subspaces**3, 0.0, 1.0)
 
 
 def iota2_rate_bound(iota2: float, n_subspaces: int, n: int) -> float:
@@ -249,7 +260,7 @@ def iota2_rate_bound(iota2: float, n_subspaces: int, n: int) -> float:
     base to 0, i.e. the bound asserts immediate convergence, which is
     what actually happens for such instances.
     """
-    base = _iota2_base_squared(iota2, n_subspaces)
+    base = _rate_base_squared(n_subspaces, iota2=iota2)
     if n < 0:
         raise ValueError("n must be >= 0")
     return float(base ** (n / 2.0))
@@ -282,9 +293,9 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
         cur = cp.apply(cur)
         errors[n] = np.linalg.norm(cur - target)
     e0 = errors[0]
-    bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(c, cp.N), n_max)
-    bound_i = None if iota2 is None else e0 * _half_powers(_iota2_base_squared(iota2, cp.N),
-                                                           n_max)
+    bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(cp.N, c=c), n_max)
+    bound_i = (None if iota2 is None
+               else e0 * _half_powers(_rate_base_squared(cp.N, iota2=iota2), n_max))
     return IterationTrace(errors=errors, bound_c=bound_c, bound_iota2=bound_i)
 
 

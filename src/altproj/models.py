@@ -297,11 +297,9 @@ class Instance:
     """A realized instance: a subspace family and/or a dense operator.
 
     A convex combination keeps its realized ``components`` and a
-    block_aligned instance its ``model``.  ``subspaces`` is the realized
-    ``family``, or the model's subspaces, which are built on first read.
-    ``cyclic()`` builds the projection product on first use, through
-    ``model.cyclic()`` when there is a model, and returns that object
-    afterwards.
+    block_aligned instance its ``model``.  ``cyclic()`` builds the
+    projection product on first use, through ``model.cyclic()`` when there
+    is a model, and returns that object afterwards.
     """
 
     spec: "InstanceSpec"
@@ -309,10 +307,6 @@ class Instance:
     matrix: np.ndarray | None
     components: tuple = ()
     model: BlockAlignedModel | None = None
-
-    @property
-    def subspaces(self) -> tuple | None:
-        return self.model.subspaces if self.model is not None else self.family
 
     def cyclic(self) -> CyclicProduct:
         if self.model is None and self.family is None:

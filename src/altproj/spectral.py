@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalContractError
-from .geometry import _rate_base_squared
+from .iteration import _rate_base_squared
 from .linalg import _stack, eigh_sym
 
 __all__ = [
@@ -62,7 +62,7 @@ def theta0(c: float, n: int) -> float:
     c = 1 returns the pi/2 sentinel (the domain degenerates to the
     closed unit disc) so aligned instances still flow through reporting.
     """
-    return float(np.arcsin(np.sqrt(_rate_base_squared(c, n))))
+    return float(np.arcsin(np.sqrt(_rate_base_squared(n, c=c))))
 
 
 def _check_slack(slack: float) -> None:

@@ -32,41 +32,42 @@ from altproj import (
 
 @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3, 1.0, 1.4])
 def test_two_lines_friedrichs_is_the_cosine(theta):
-    assert friedrichs_number(two_lines(theta)) == pytest.approx(np.cos(theta), abs=1e-12)
+    assert friedrichs_number(build_cyclic(two_lines(theta))) == pytest.approx(np.cos(theta),
+                                                                            abs=1e-12)
 
 
 def test_orthogonal_lines_are_maximally_inclined():
-    subs = two_lines(np.pi / 2)
-    assert friedrichs_number(subs) == pytest.approx(0.0, abs=1e-12)
-    assert ell2_direct(subs) == pytest.approx(1.0, abs=1e-12)
-    assert iota2(subs) == pytest.approx(1.0, abs=1e-12)
+    cp = build_cyclic(two_lines(np.pi / 2))
+    assert friedrichs_number(cp) == pytest.approx(0.0, abs=1e-12)
+    assert ell2_direct(cp) == pytest.approx(1.0, abs=1e-12)
+    assert iota2(cp) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthogonal_lines_minimax_bounds():
-    subs = two_lines(np.pi / 2)
+    cp = build_cyclic(two_lines(np.pi / 2))
     # the worst direction sits halfway between the lines; the bottom
     # eigenspace of the dual is the whole plane, so it has to be combined
-    g = minimax_inclination_estimate(subs, kind="global")
-    i = minimax_inclination_estimate(subs, kind="inner")
+    g = minimax_inclination_estimate(cp, kind="global")
+    i = minimax_inclination_estimate(cp, kind="inner")
     assert g == pytest.approx((np.sqrt(0.5), np.sqrt(0.5)), abs=1e-12)
     assert i == pytest.approx((1.0, 1.0), abs=1e-12)
     with pytest.raises(ValueError):
-        minimax_inclination_estimate(subs, kind="sideways")
+        minimax_inclination_estimate(cp, kind="sideways")
 
 
 def test_equal_subspaces_degenerate_quantities():
     # M_1 = M_2 = M: no complement directions remain anywhere
     s = orthonormalize(np.eye(3)[:, :2])
-    subs = [s, s]
-    assert friedrichs_number(subs) == 0.0
-    assert ell2_direct(subs) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    cp = build_cyclic([s, s])
+    assert friedrichs_number(cp) == 0.0
+    assert ell2_direct(cp) == pytest.approx(np.sqrt(2.0), abs=1e-12)
     with pytest.warns(UserWarning):
-        assert iota2(subs) == np.inf
+        assert iota2(cp) == np.inf
 
 
 _ENTRY_POINTS = [
     friedrichs_number,
-    lambda subs: friedrichs_number_sampled(subs, None, 100, seed=1),
+    lambda cp: friedrichs_number_sampled(cp, 100, seed=1),
     ell2_direct,
     iota2,
     minimax_inclination_estimate,
@@ -74,28 +75,42 @@ _ENTRY_POINTS = [
 ]
 
 
+def _one_factor():
+    s = orthonormalize(np.eye(3)[:, :2])
+    return CyclicProduct([(s.basis @ s.basis.conj().T)[None]], s.basis[None], [s.basis[None]])
+
+
+# (input, the error it raises, its message): a family goes in as its
+# product, and a product of one factor is refused when it is built
+_REFUSED = {
+    "subspace list": (lambda: two_lines(1.0), TypeError, "build_cyclic"),
+    "one factor": (_one_factor, ValueError, "at least two"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED)
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
-def test_every_angle_quantity_refuses_a_single_subspace(entry):
-    with pytest.raises(ValueError, match="at least two"):
-        entry([orthonormalize(np.eye(3)[:, :2])])
+def test_every_angle_quantity_takes_a_product_of_two_or_more_factors(entry, case):
+    make, error, message = _REFUSED[case]
+    with pytest.raises(error, match=message):
+        entry(make())
 
 
 def test_empty_feasible_sets_keep_their_answers():
     # M is the whole plane: M^perp and every M_n ∩ M^perp are zero
-    subs = [Subspace(np.eye(2))] * 2
-    m = intersection(subs)
-    assert friedrichs_number(subs) == 0.0
-    assert friedrichs_number_sampled(subs, m, 100, seed=1) == 0.0
+    cp = build_cyclic([Subspace(np.eye(2))] * 2)
+    assert friedrichs_number(cp) == 0.0
+    assert friedrichs_number_sampled(cp, 100, seed=1) == 0.0
     with pytest.warns(UserWarning, match="l2 inclination is \\+inf"):
-        assert ell2_direct(subs) == np.inf
+        assert ell2_direct(cp) == np.inf
     with pytest.warns(UserWarning, match="inner inclination is \\+inf"):
-        assert iota2(subs) == np.inf
+        assert iota2(cp) == np.inf
     with pytest.warns(UserWarning, match="is \\+inf"):
-        rep = geometry_report(subs)
+        rep = geometry_report(cp)
     assert (rep.c, rep.ell2, rep.ell2_direct, rep.iota2) == (0.0, 1.0, np.inf, np.inf)
     assert (rep.ell_lo, rep.ell_hi, rep.iota_lo, rep.iota_hi) == (np.inf,) * 4
     for kind in ("global", "inner"):
-        assert minimax_inclination_estimate(subs, kind=kind) == (np.inf, np.inf)
+        assert minimax_inclination_estimate(cp, kind=kind) == (np.inf, np.inf)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -104,18 +119,17 @@ def test_inclination_identity_on_random_instances(seed):
     n = int(rng.integers(2, 5))
     d = int(rng.integers(3, 10))
     dims = tuple(int(rng.integers(1, d)) for _ in range(n))
-    subs = random_instance(d, dims, seed=int(rng.integers(0, 2**31)))
-    c = friedrichs_number(subs)
-    direct = ell2_direct(subs)
+    cp = build_cyclic(random_instance(d, dims, seed=int(rng.integers(0, 2**31))))
+    c = friedrichs_number(cp)
+    direct = ell2_direct(cp)
     assert direct == pytest.approx(ell2(c, n), abs=1e-8)
-    assert iota2(subs) >= direct - 1e-9
+    assert iota2(cp) >= direct - 1e-9
 
 
 def test_sampled_friedrichs_brackets_the_eigenvalue_route():
-    subs = random_instance(6, (2, 3), seed=42)
-    m = intersection(subs)
-    c = friedrichs_number(subs, m)
-    cs = friedrichs_number_sampled(subs, m, 20000, seed=7)
+    cp = build_cyclic(random_instance(6, (2, 3), seed=42))
+    c = friedrichs_number(cp)
+    cs = friedrichs_number_sampled(cp, 20000, seed=7)
     assert cs <= c + 1e-9  # sampling never exceeds the supremum
     assert cs >= c - 0.05  # and comes close at this sample count
 
@@ -124,11 +138,12 @@ def test_two_subspace_friedrichs_is_the_largest_singular_value():
     subs = random_instance(5, (2, 2), seed=11)
     b1, b2 = subs[0].basis, subs[1].basis
     sigma = np.linalg.svd(b1.conj().T @ b2, compute_uv=False).max()
-    assert friedrichs_number(subs) == pytest.approx(sigma, abs=1e-9)
+    assert friedrichs_number(build_cyclic(subs)) == pytest.approx(sigma, abs=1e-9)
 
 
 def test_friedrichs_number_reuses_the_validated_eigenvalues(monkeypatch):
     subs = random_instance(6, (2, 3, 3), seed=4)
+    cp = build_cyclic(subs)
     m = intersection(subs)
     b = np.concatenate([complement_within(s, m).basis for s in subs], axis=1)
     w, _ = eigh_sym(b.conj().T @ b)
@@ -140,7 +155,7 @@ def test_friedrichs_number_reuses_the_validated_eigenvalues(monkeypatch):
         return eigh_sym(a)
 
     monkeypatch.setattr(geometry, "eigh_sym", counted)
-    assert friedrichs_number(subs, m) == expected  # bit-identical
+    assert friedrichs_number(cp) == expected  # bit-identical
     assert len(calls) == 1  # one eigh gives both the range check and c
 
 
@@ -155,8 +170,7 @@ def test_scalar_input_validation():
 
 
 def test_geometry_report_and_sandwich_check():
-    subs = random_instance(6, (2, 2, 3), seed=3)
-    rep = geometry_report(subs)
+    rep = geometry_report(build_cyclic(random_instance(6, (2, 2, 3), seed=3)))
     assert rep.N == 3
     assert rep.ell2 == pytest.approx(ell2(rep.c, 3), abs=1e-12)
     assert 0.0 <= rep.rate_base < 1.0
@@ -165,33 +179,33 @@ def test_geometry_report_and_sandwich_check():
 
 
 def test_geometry_report_refuses_crossed_bounds():
-    rep = geometry_report(two_lines(1.0))
+    rep = geometry_report(build_cyclic(two_lines(1.0)))
     with pytest.raises(ValueError, match="lower bound exceeds"):
         dataclasses.replace(rep, ell_lo=rep.ell_hi + 1e-3)
 
 
 def test_geometry_report_is_deterministic():
-    subs = random_instance(5, (2, 2), seed=4)
-    assert geometry_report(subs) == geometry_report(subs)
+    cp = build_cyclic(random_instance(5, (2, 2), seed=4))
+    assert geometry_report(cp) == geometry_report(cp)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.floats(np.log(1e-3), np.log(np.pi / 2)))
 def test_two_lines_minimax_inclinations(log_theta):
     theta = min(float(np.exp(log_theta)), np.pi / 2)
-    subs = two_lines(theta)
-    ell = minimax_inclination_estimate(subs, kind="global")
-    iota = minimax_inclination_estimate(subs, kind="inner")
+    cp = build_cyclic(two_lines(theta))
+    ell = minimax_inclination_estimate(cp, kind="global")
+    iota = minimax_inclination_estimate(cp, kind="inner")
     assert ell == pytest.approx((np.sin(theta / 2),) * 2, abs=1e-12)
     assert iota == pytest.approx((np.sin(theta),) * 2, abs=1e-12)
 
 
 @pytest.mark.parametrize("k_blocks", [1, 5, 12])
 def test_block_model_minimax_inclinations_sit_in_the_last_block(k_blocks):
-    subs = block_aligned(k_blocks, "1/k").subspaces
+    cp = build_cyclic(block_aligned(k_blocks, "1/k").subspaces)
     theta = 1.0 / k_blocks
-    ell = minimax_inclination_estimate(subs, kind="global")
-    iota = minimax_inclination_estimate(subs, kind="inner")
+    ell = minimax_inclination_estimate(cp, kind="global")
+    iota = minimax_inclination_estimate(cp, kind="inner")
     assert ell == pytest.approx((np.sin(theta / 2),) * 2, abs=1e-12)
     assert iota == pytest.approx((np.sin(theta),) * 2, abs=1e-12)
 
@@ -227,7 +241,8 @@ def test_rank_reduction_never_raises_the_active_value():
 # primal point must be leveled and rank-reduced inside it
 @pytest.mark.parametrize("d,dims,seed", [(3, (1, 1, 1), 782407891), (7, (2, 4, 3), 1382147062)])
 def test_degenerate_three_subspace_bounds_meet(d, dims, seed):
-    lo, hi = minimax_inclination_estimate(random_instance(d, dims, seed=seed), kind="global")
+    lo, hi = minimax_inclination_estimate(build_cyclic(random_instance(d, dims, seed=seed)),
+                                          kind="global")
     assert 0.0 <= hi - lo <= 1e-12
 
 
@@ -235,11 +250,10 @@ def test_degenerate_three_subspace_bounds_meet(d, dims, seed):
 @given(st.integers(2, 4), st.integers(3, 10), st.integers(0, 2**31 - 1), st.data())
 def test_minimax_bounds_on_random_families(n, d, seed, data):
     dims = data.draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n))
-    subs = random_instance(d, dims, seed=seed)
-    m = intersection(subs)
-    l2 = ell2_direct(subs, m)
-    ell_lo, ell_hi = minimax_inclination_estimate(subs, m, kind="global")
-    iota_lo, iota_hi = minimax_inclination_estimate(subs, m, kind="inner")
+    cp = build_cyclic(random_instance(d, dims, seed=seed))
+    l2 = ell2_direct(cp)
+    ell_lo, ell_hi = minimax_inclination_estimate(cp, kind="global")
+    iota_lo, iota_hi = minimax_inclination_estimate(cp, kind="inner")
     # max_k dist^2 >= (1/N) sum_k dist^2, and max_k dist <= the l2 norm
     assert l2 / np.sqrt(n) - 1e-12 <= ell_lo <= ell_hi
     assert ell_lo <= l2 + 1e-12
@@ -251,7 +265,7 @@ def test_minimax_bounds_on_random_families(n, d, seed, data):
 def test_sandwich_check_holds_on_empty_feasible_sets():
     # M is the whole plane: every angle quantity is its empty-set answer
     with pytest.warns(UserWarning, match="is \\+inf"):
-        rep = geometry_report([Subspace(np.eye(2))] * 2)
+        rep = geometry_report(build_cyclic([Subspace(np.eye(2))] * 2))
     checks = sandwich_check(rep)
     assert all(ok for _, ok, _ in checks)
     assert not any(np.isnan(slack) for _, _, slack in checks)
@@ -263,8 +277,7 @@ def test_families_with_a_whole_space_member(d, dims, seed):
     # must not add rounding noise to the feasible sets.  The f whole-space
     # members each have feasible set M^perp, so c = (f - 1)/(N - 1), and
     # each l2 floor is the N - f members equal to M, which P_k moves fully
-    subs = random_instance(d, dims, seed=seed)
-    rep = geometry_report(subs)
+    rep = geometry_report(build_cyclic(random_instance(d, dims, seed=seed)))
     n, f = len(dims), sum(r == d for r in dims)
     assert rep.c == pytest.approx((f - 1) / (n - 1), abs=1e-12)
     expected = np.sqrt(n - f)
@@ -277,17 +290,17 @@ def _angle_rules(k_blocks):
     return ["1/k", "1/sqrt(k)", list(np.geomspace(1.2, 1e-3, k_blocks))]
 
 
-def _quantities(family):
-    return (friedrichs_number(family), iota2(family), ell2_direct(family))
+def _quantities(cp):
+    return (friedrichs_number(cp), iota2(cp), ell2_direct(cp))
 
 
 @pytest.mark.parametrize("k_blocks", [2, 12, 200])
 @pytest.mark.parametrize("rule", range(3), ids=["1/k", "1/sqrt(k)", "list"])
 def test_block_route_matches_the_dense_family(k_blocks, rule):
     model = block_aligned(k_blocks, _angle_rules(k_blocks)[rule])
-    cp = model.cyclic()
+    cp, dense = model.cyclic(), build_cyclic(model.subspaces)
     c, i2, l2d = _quantities(cp)
-    dense_c, dense_i2, dense_l2d = _quantities(model.subspaces)
+    dense_c, dense_i2, dense_l2d = _quantities(dense)
     assert c == pytest.approx(dense_c, abs=1e-14)
     assert i2 == pytest.approx(dense_i2, rel=1e-13)
     assert l2d == pytest.approx(dense_l2d, rel=1e-13)
@@ -296,7 +309,7 @@ def test_block_route_matches_the_dense_family(k_blocks, rule):
     if k_blocks <= 12:
         for kind in ("global", "inner"):
             assert minimax_inclination_estimate(cp, kind=kind) == pytest.approx(
-                minimax_inclination_estimate(model.subspaces, kind=kind), rel=1e-13)
+                minimax_inclination_estimate(dense, kind=kind), rel=1e-13)
     # the bounds bracket the last block's angle; at K = 200 two or more
     # blocks share the bottom cluster, which leaves a gap of about 1e-8
     for kind, exact in (("global", np.sin(theta / 2)), ("inner", np.sin(theta))):
@@ -334,30 +347,16 @@ def _mixed_blocks(k_blocks, seed):
 def test_block_route_on_blocks_of_mixed_ranks(k_blocks, seed):
     cp = CyclicProduct.from_blocks(_mixed_blocks(k_blocks, seed))
     assert 0 < cp.m.dim < k_blocks
-    dense = [Subspace(orthonormal_columns(p)) for p in cp.factors]
-    m = intersection(dense)
-    assert m.dim == cp.m.dim
-    assert friedrichs_number(cp) == pytest.approx(friedrichs_number(dense, m), abs=1e-13)
-    assert iota2(cp) == pytest.approx(iota2(dense, m), rel=1e-12)
-    assert ell2_direct(cp) == pytest.approx(ell2_direct(dense, m), rel=1e-12)
+    dense = build_cyclic([Subspace(orthonormal_columns(p)) for p in cp.factors])
+    assert dense.m.dim == cp.m.dim
+    assert friedrichs_number(cp) == pytest.approx(friedrichs_number(dense), abs=1e-13)
+    assert iota2(cp) == pytest.approx(iota2(dense), rel=1e-12)
+    assert ell2_direct(cp) == pytest.approx(ell2_direct(dense), rel=1e-12)
     for kind in ("global", "inner"):
         lo, hi = minimax_inclination_estimate(cp, kind=kind)
-        dense_lo, dense_hi = minimax_inclination_estimate(dense, m, kind=kind)
+        dense_lo, dense_hi = minimax_inclination_estimate(dense, kind=kind)
         assert lo == pytest.approx(dense_lo, rel=1e-9)
         assert lo <= hi and dense_lo <= hi * (1 + 1e-12) and lo <= dense_hi * (1 + 1e-12)
     rep = geometry_report(cp)
     assert all(ok for _, ok, _ in sandwich_check(rep))
 
-
-def test_a_product_carries_its_own_intersection():
-    cp = block_aligned(3, "1/k").cyclic()
-    with pytest.raises(ValueError, match="its own intersection"):
-        friedrichs_number(cp, cp.m)
-
-
-def test_a_dense_product_gives_the_bits_of_its_family():
-    subs = random_instance(7, (2, 4, 3), seed=5)
-    cp = build_cyclic(subs)
-    assert geometry_report(cp) == geometry_report(subs)
-    assert friedrichs_number_sampled(cp, None, 500, seed=2) == \
-        friedrichs_number_sampled(subs, None, 500, seed=2)

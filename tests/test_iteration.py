@@ -414,8 +414,8 @@ def test_non_finite_start_vectors_are_refused(bad):
 def test_iterate_trace_and_attached_bounds():
     subs = random_instance(6, (2, 3), seed=21)
     cp = build_cyclic(subs)
-    c = friedrichs_number(subs)
-    i2 = iota2(subs)
+    c = friedrichs_number(cp)
+    i2 = iota2(cp)
     x = np.random.default_rng(0).standard_normal(6)
     trace = iterate(cp, x, 50, c=c, iota2=i2)
     assert len(trace.errors) == 51
@@ -519,7 +519,7 @@ def test_unconditional_sum_stops_at_a_zero_term():
 def test_iterate_bounds_equal_the_per_n_rate_bounds(i2):
     subs = random_instance(6, (2, 3), seed=21)
     cp = build_cyclic(subs)
-    c = friedrichs_number(subs)
+    c = friedrichs_number(cp)
     trace = iterate(cp, np.random.default_rng(0).standard_normal(6), 40, c=c, iota2=i2)
     e0 = trace.errors[0]
     assert np.array_equal(trace.bound_c,
