@@ -92,10 +92,6 @@ class PoolEntry:
     i2: float
     l2d: float
 
-    @property
-    def m(self):
-        return self.cp.m
-
 
 def build_pool(count: int = N_POOL) -> list:
     """The instance pool: sizes, ranks and seeds all from the MASTER_SEED stream."""
@@ -178,7 +174,7 @@ def _friedrichs_oracle(pool):
     sampled = 0
     for e in pool:
         # dim(M_k ∩ M^perp) = dim M_k - dim M since M ⊆ M_k
-        total = sum(s.dim for s in e.subspaces) - len(e.subspaces) * e.m.dim
+        total = sum(s.dim for s in e.subspaces) - len(e.subspaces) * e.cp.m.dim
         if not 0 < total <= 6:
             continue
         cs = friedrichs_number_sampled(e.cp, 10**5, e.seed ^ _SALT_SAMPLER)
@@ -188,7 +184,7 @@ def _friedrichs_oracle(pool):
     dev = 0.0
     pairs = 0
     for e in pool:
-        if len(e.subspaces) == 2 and e.m.dim == 0:
+        if len(e.subspaces) == 2 and e.cp.m.dim == 0:
             sv = np.linalg.svd(
                 e.subspaces[0].basis.conj().T @ e.subspaces[1].basis, compute_uv=False
             )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .linalg import _finite, diagonalize, spectral_norm
-from .subspace import Subspace, _dense_columns, _freeze, _top_eigenspace, intersection
+from .subspace import Subspace, _dense_columns, _freeze, _projectors, _top_eigenspace
 
 __all__ = [
     "CyclicProduct",
@@ -47,37 +47,39 @@ class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
     Stored as one (n, b, b) stack of diagonal blocks per factor, applied
-    in order, and the (n, b, r) stack of a basis of M, the one stored form
-    of M (zero columns allowed; ``from_blocks`` keeps the (n, b, b) stack
-    of its eigenvalue cut): ``build_cyclic`` gives one d x d block
-    (n = 1), ``from_blocks`` 2x2 blocks (b = 2).  Each factor also keeps a
-    span, an (n, b, s) stack of blocks X with X X^H = P_k: the family's
-    basis of M_k for ``build_cyclic``, the projector blocks themselves for
-    ``from_blocks``.  The angle quantities of ``geometry`` read the spans
-    and M's basis blocks.  Construction refuses fewer than two factors,
-    forms the blocks of T and P_M and checks, block by block, that T is a
-    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.
-    ``factors`` (the P_k), ``matrix`` (T) and ``pm`` (P_M) are read-only
-    complex d x d arrays assembled on first access; a single block is
-    returned as is.
-    ``m``, the intersection M as a ``Subspace`` of the nonzero basis
-    columns, is built on first access too; ``dim`` reads the block shapes
-    and ``pm_apply`` the basis stack.  ``apply`` and ``pm_apply`` never
-    read a dense member: on a vector or on stacked columns they run one
-    ``einsum`` per factor over 2x2 blocks, O(d) per column, which agrees
-    with the dense ``p @ x`` to rounding and, on the block model, bit for
-    bit (a stacked ``matmul`` does not); a single block keeps ``p @ x``.
-    The kernels read T's blocks, and their eigendecomposition is computed
-    on first use and kept.
+    in order: ``build_cyclic`` gives one d x d block (n = 1),
+    ``from_blocks`` 2x2 blocks (b = 2).  Each factor also keeps a span,
+    an (n, b, s) stack of blocks X with X X^H = P_k: the family's basis
+    of M_k for ``build_cyclic``, the projector blocks themselves for
+    ``from_blocks``.  Construction refuses fewer than two factors and
+    finds M itself, with the cut of ``intersection`` run on the factor
+    blocks: M is stored once, as the (n, b, r) stack of the kept
+    eigenvectors (zero columns where a block does not keep one; r = 0
+    when M = {0}).  It then forms the blocks of T and P_M and checks,
+    block by block, that T is a contraction, that T P_M = P_M T = P_M,
+    and that M is fixed pointwise.  The angle quantities of ``geometry``
+    read the spans and M's basis blocks.  ``factors`` (the P_k) and
+    ``matrix`` (T) are read-only complex d x d arrays assembled on first
+    access; a single block is returned as is.  ``m``, the intersection M
+    as a ``Subspace`` of the nonzero basis columns, is built on first
+    access too; ``dim`` reads the block shapes and ``pm_apply`` the
+    blocks of P_M.  ``apply`` and ``pm_apply`` never read a dense member:
+    on a vector or on stacked columns they run one ``einsum`` per factor
+    over 2x2 blocks, O(d) per column, which agrees with the dense
+    ``p @ x`` to rounding and, on the block model, bit for bit (a stacked
+    ``matmul`` does not); a single block keeps ``p @ x``.  The kernels
+    read T's blocks, and their eigendecomposition is computed on first
+    use and kept.
     """
 
-    def __init__(self, blocks, basis: np.ndarray, spans):
+    def __init__(self, blocks, spans):
         blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two subspaces")
         t = blocks[0]
         for b in blocks[1:]:
             t = b @ t
+        basis = _top_eigenspace(blocks)
         pm = basis @ basis.conj().swapaxes(-1, -2)
         _check_product(t, pm, basis)
         vars(self).update(_blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
@@ -86,8 +88,8 @@ class CyclicProduct:
     @classmethod
     def from_blocks(cls, blocks) -> "CyclicProduct":
         """The product of projections given by one (K, 2, 2) stack of diagonal
-        blocks per factor, in the order they are applied; M is the cut of
-        ``intersection`` run on each block."""
+        blocks per factor, in the order they are applied; each projector
+        block is its own span."""
         blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
         if not blocks or blocks[0].ndim != 3 or blocks[0].shape[1:] != (2, 2) \
                 or any(b.shape != blocks[0].shape for b in blocks):
@@ -96,7 +98,7 @@ class CyclicProduct:
             if not (np.allclose(b @ b, b, atol=1e-12)
                     and np.allclose(b, b.conj().swapaxes(-1, -2), atol=1e-12)):
                 raise ValueError("blocks must be orthogonal projections")
-        return cls(blocks, _top_eigenspace(blocks), blocks)  # a projector is its own span
+        return cls(blocks, blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicProduct is immutable")
@@ -108,10 +110,6 @@ class CyclicProduct:
     @cached_property
     def matrix(self) -> np.ndarray:
         return _block_diagonal(self._t_blocks)
-
-    @cached_property
-    def pm(self) -> np.ndarray:
-        return _block_diagonal(self._pm_blocks)
 
     @cached_property
     def m(self) -> Subspace:
@@ -154,7 +152,7 @@ class CyclicProduct:
 
     def pm_apply(self, x: np.ndarray) -> np.ndarray:
         """P_M x, block by block: complex zeros when M = {0}."""
-        if not self._m_blocks.any():
+        if not self._m_blocks.size:
             return np.zeros(np.shape(x), dtype=np.complex128)
         return _block_apply(self._pm_blocks, x)
 
@@ -197,11 +195,10 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
 
 
 def build_cyclic(subspaces) -> CyclicProduct:
-    """T = P_N ... P_1 and P_M of a family of subspaces, as one d x d block each."""
+    """T = P_N ... P_1 of a family of subspaces, as one d x d block per factor
+    with the family's bases as spans; M is found by the constructor."""
     subspaces = list(subspaces)
-    m = intersection(subspaces)  # also refuses mixed ambient dimensions
-    factors = [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
-    return CyclicProduct(factors, m.basis[None], [s.basis[None] for s in subspaces])
+    return CyclicProduct(_projectors(subspaces), [s.basis[None] for s in subspaces])
 
 
 @dataclass(frozen=True)

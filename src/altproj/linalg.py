@@ -93,16 +93,13 @@ def diagonalize(a: np.ndarray):
     return lam, v
 
 
-def orthonormal_columns(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of ``a``.
 
-    Rank is decided by singular values larger than ``rank_tol`` times the
+    Rank is decided by singular values larger than 1e-10 times the
     largest one, so the cut is relative to the scale of the input.  An
-    all-zero (or empty) input yields a ``(d, 0)`` array, and a non-finite
-    ``rank_tol`` is refused.
+    all-zero (or empty) input yields a ``(d, 0)`` array.
     """
-    if not np.isfinite(rank_tol):
-        raise ValueError("rank_tol must be finite")
     a = as_complex_matrix(a)
     d = a.shape[0]
     if a.shape[1] == 0:
@@ -110,5 +107,5 @@ def orthonormal_columns(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((d, 0), dtype=np.complex128)
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
     return u[:, :rank]

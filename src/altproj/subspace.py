@@ -96,23 +96,24 @@ def orthonormalize(vectors) -> Subspace:
 
 
 def _top_eigenspace(projectors):
-    """Eigenvalue cut of ``intersection`` on (n, b, b) projector stacks, block by block.
+    """The intersection cut on (n, b, b) projector stacks, block by block.
 
     Returns the eigenvectors of the mean above ``1 - _EIG_TOL`` as an
-    (n, b, b) stack with the other columns zeroed.  An accepted vector
-    that some projector moves by more than sqrt(_EIG_TOL) raises
+    (n, b, r) stack: the columns that some block keeps, zeroed in the
+    blocks that do not keep them, so r = 0 when M = {0}.  An accepted
+    vector that some projector moves by more than sqrt(_EIG_TOL) raises
     ``NumericalContractError``.
     """
     w, v = eigh_sym(sum(projectors) / len(projectors))
     keep = w > 1.0 - _EIG_TOL
-    basis = np.where(keep[:, None, :], v, 0.0)
-    kept = basis[..., keep.any(axis=0)]  # O(b^2 r) per block, not O(b^3)
-    for p in projectors:
+    cols = keep.any(axis=0)
+    kept = np.where(keep[:, None, cols], v[..., cols], 0.0)
+    for p in projectors:  # p @ kept is O(b^2 r) per block, not O(b^3)
         if kept.size and np.linalg.norm(p @ kept - kept, axis=-2).max() > np.sqrt(_EIG_TOL):
             raise NumericalContractError(
                 "ill-conditioned intersection; a projector moves an accepted vector"
             )
-    return basis
+    return kept
 
 
 def _dense_columns(mb: np.ndarray) -> np.ndarray:
@@ -125,25 +126,30 @@ def _dense_columns(mb: np.ndarray) -> np.ndarray:
     return cols.reshape(n * b, -1)
 
 
-def intersection(subspaces) -> Subspace:
-    """Intersection of finitely many subspaces of one ambient space.
-
-    Computed as the top eigenspace of the averaged projector
-    (1/N) sum_k P_k: eigenvalues exceeding 1 - 1e-10 are taken.  Every
-    accepted eigenvector is cross-checked against each individual
-    projector; a vector moved by more than 1e-5 means the eigenvalue cut
-    is not trustworthy at this scale.  The same cut, run block by block
-    in ``_top_eigenspace``, gives the intersection of a block-built
-    ``CyclicProduct``.
-    """
-    subspaces = list(subspaces)
+def _projectors(subspaces: list) -> list:
+    """The (1, d, d) projector stacks B B^H of a list of subspaces; an empty
+    list and mixed ambient dimensions are refused."""
     if not subspaces:
         raise ValueError("need at least one subspace")
     d = subspaces[0].ambient_dim
     if any(s.ambient_dim != d for s in subspaces):
         raise ValueError("subspaces live in different ambient dimensions")
-    basis = _top_eigenspace([(s.basis @ s.basis.conj().T)[None] for s in subspaces])
-    return Subspace(orthonormal_columns(_dense_columns(basis), rank_tol=1e-12))
+    return [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
+
+
+def intersection(subspaces) -> Subspace:
+    """Intersection of finitely many subspaces of one ambient space.
+
+    Computed as the top eigenspace of the averaged projector
+    (1/N) sum_k P_k: eigenvalues exceeding 1 - 1e-10 are taken, and the
+    basis is their eigenvectors.  Every accepted eigenvector is
+    cross-checked against each individual projector; a vector moved by
+    more than 1e-5 means the eigenvalue cut is not trustworthy at this
+    scale.  This is the cut that ``CyclicProduct`` runs on its own
+    blocks, so the result equals ``build_cyclic(subspaces).m`` bit for
+    bit.
+    """
+    return Subspace(_dense_columns(_top_eigenspace(_projectors(list(subspaces)))))
 
 
 def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:

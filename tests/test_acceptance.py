@@ -40,7 +40,7 @@ _PINNED_LINES = {
     3: ("criterion 03 inclination_identity: PASS (max |ell2_direct - ell2(c)| = "
         "8.75e-14; min iota2 - ell2 = 2.41e-06)"),
     4: ("criterion 04 friedrichs_oracle: PASS (68 sampled instances, min margins "
-        "1.0e-06 below / 3.27e-02 above; 40 two-subspace instances, max |c - "
+        "1.0e-06 below / 3.15e-02 above; 40 two-subspace instances, max |c - "
         "sigma_max| = 1.6e-15)"),
     5: ("criterion 05 sweep_energy_inequality: PASS (10000 (instance, x) pairs, 0 "
         "violations at 1e-10)"),

@@ -77,7 +77,7 @@ _ENTRY_POINTS = [
 
 def _one_factor():
     s = orthonormalize(np.eye(3)[:, :2])
-    return CyclicProduct([(s.basis @ s.basis.conj().T)[None]], s.basis[None], [s.basis[None]])
+    return CyclicProduct([(s.basis @ s.basis.conj().T)[None]], [s.basis[None]])
 
 
 # (input, the error it raises, its message): a family goes in as its
@@ -94,6 +94,20 @@ def test_every_angle_quantity_takes_a_product_of_two_or_more_factors(entry, case
     make, error, message = _REFUSED[case]
     with pytest.raises(error, match=message):
         entry(make())
+
+
+def test_the_raw_constructor_finds_the_intersection_itself():
+    # two planes of R^3 meeting in the first axis at pi/4: a product rebuilt
+    # from the blocks and spans alone finds that line, so c is the angle's
+    # cosine, not 1, and P_M fixes the line
+    e = np.eye(3)
+    planes = [orthonormalize([e[0], e[1]]),
+              orthonormalize([e[0], np.cos(np.pi / 4) * e[1] + np.sin(np.pi / 4) * e[2]])]
+    cp = build_cyclic(planes)
+    raw = CyclicProduct(cp._blocks, cp._spans)
+    assert raw.m.dim == 1
+    assert friedrichs_number(raw) == pytest.approx(np.cos(np.pi / 4), abs=1e-15)
+    assert np.allclose(raw.pm_apply(e[0]), e[0], rtol=0.0, atol=1e-15)
 
 
 def test_empty_feasible_sets_keep_their_answers():

@@ -102,16 +102,12 @@ def test_intersection_input_validation():
         intersection([Subspace(np.eye(2)), Subspace(np.eye(3))])
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
-def test_non_finite_tolerances_are_refused(tol):
-    with pytest.raises(ValueError):
-        orthonormal_columns(np.eye(3), rank_tol=tol)
-
-
 def test_subspace_constructors_take_no_tolerance():
     lines = [orthonormalize([[1.0, 0.0]]), orthonormalize([[np.cos(1.0), np.sin(1.0)]])]
     with pytest.raises(TypeError):
         orthonormalize(np.eye(3), rank_tol=1e-10)
+    with pytest.raises(TypeError):
+        orthonormal_columns(np.eye(3), rank_tol=1e-10)
     with pytest.raises(TypeError):
         intersection(lines, eig_tol=1e-10)
     with pytest.raises(TypeError):
