@@ -130,8 +130,10 @@ def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> floa
     stacked complement coordinates and evaluates
     (||sum_k m_k||^2 - 1)/(N - 1) at each.  This is an independent lower
     estimate of c kept as an oracle for the eigenvalue route; it is not
-    clamped.
+    clamped.  Fewer than one sample raises ``ValueError``.
     """
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
     spans, mb = _family(cp)
     bases = _feasible(spans, mb, "inner")
     if not bases:

@@ -180,6 +180,10 @@ def test_scalar_input_validation():
         ell2(0.5, 1)
     with pytest.raises(ValueError):
         rate_base(-0.1, 3)
+    cp = build_cyclic(two_lines(0.5))
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="num_samples"):
+            friedrichs_number_sampled(cp, count, 1)
     assert ell2(1.0, 4) == 0.0
 
 
