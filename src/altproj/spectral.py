@@ -42,6 +42,8 @@ __all__ = [
     "resolvent_diagnostic",
 ]
 
+_ANGLES_PER_RADIUS = 64  # angle grid on each circle of ``resolvent_diagnostic``
+
 
 def theta_recursion(n: int) -> float:
     """Angle theta_N: theta_1 = 0 and
@@ -248,32 +250,32 @@ def ritt_power_diagnostic(t, n_max: int):
     return float(profile[argmax - 1]), argmax, profile
 
 
-def resolvent_diagnostic(t, radii=None, angles_per_radius: int = 64) -> float:
+def resolvent_diagnostic(t, radii=None) -> float:
     """Sampled lower estimate of sup |lambda - 1| ||(lambda I - T)^{-1}||.
 
-    lambda runs over ``angles_per_radius`` equally spaced points on each
-    circle |lambda| = r; the default radii 1 + 2^{-k}, k = 1..10, shrink
-    geometrically toward the unit circle.  The angle grid includes pi
-    when the count is even.  The supremum over all |lambda| > 1 cannot be
-    sampled exhaustively, so this is a measured value on a declared grid,
-    and an empty grid raises.  The stacks lambda I - T over T's (n, b, b)
-    block stack go to the SVD at most ``stack_chunk(b) // n`` values of
-    lambda per call, with the same smallest singular values, each the
-    smallest over the blocks, as one call per lambda.
+    lambda runs over ``_ANGLES_PER_RADIUS`` (64) equally spaced points on
+    each circle |lambda| = r, pi among them; the default radii
+    1 + 2^{-k}, k = 1..10, shrink geometrically toward the unit circle.
+    The supremum over all |lambda| > 1 cannot be sampled exhaustively, so
+    this is a measured value on a declared grid, and an empty grid
+    raises.  The stacks lambda I - T over T's (n, b, b) block stack go to
+    the SVD at most ``stack_chunk(b) // n`` values of lambda per call,
+    with the same smallest singular values, each the smallest over the
+    blocks, as one call per lambda.
     """
     t, chunk = _stack(t)
     if radii is None:
         radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
     radii = list(radii)
-    if not radii or angles_per_radius < 1:
-        raise ValueError("need at least one radius and one angle per radius")
+    if not radii:
+        raise ValueError("need at least one radius")
     if not all(1.0 < r < np.inf for r in radii):
         raise ValueError("all radii must be finite and exceed 1")
     eye = np.eye(t.shape[-1], dtype=np.complex128)[None]
-    phis = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
+    phis = 2.0 * np.pi * np.arange(_ANGLES_PER_RADIUS) / _ANGLES_PER_RADIUS
     best = 0.0
     for r in radii:
-        for start in range(0, angles_per_radius, chunk):
+        for start in range(0, _ANGLES_PER_RADIUS, chunk):
             lams = [r * np.exp(1j * phi) for phi in phis[start:start + chunk]]
             sigma_min = np.linalg.svd(np.array([lam * eye - t for lam in lams]),
                                       compute_uv=False)[..., -1].min(axis=-1)

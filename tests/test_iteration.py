@@ -35,7 +35,7 @@ from altproj import (
     two_lines,
     unconditional_sum_test,
 )
-from altproj import fracpow
+from altproj import fracpow, spectral
 from altproj.acceptance import _pool
 from altproj.iteration import _block_diagonal
 
@@ -305,7 +305,8 @@ def test_block_built_product_refuses_what_the_dense_build_refuses(last):
             build()
 
 
-def test_block_built_product_forms_dense_members_on_first_use():
+def test_block_built_product_forms_dense_members_on_first_use(monkeypatch):
+    monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", 8)  # for speed
     cp = block_aligned(12, "1/k").cyclic()
     x = np.arange(24.0)
     assert (cp.N, cp.dim) == (2, 24)
@@ -318,7 +319,7 @@ def test_block_built_product_forms_dense_members_on_first_use():
         lambda: operator_error_norm(cp, 3),
         lambda: numrange_boundary(cp, 16),
         lambda: ritt_power_diagnostic(cp, 10),
-        lambda: resolvent_diagnostic(cp, angles_per_radius=8),
+        lambda: resolvent_diagnostic(cp),
         lambda: frac_power_apply(cp, 0.5, x, 1e-8),
         lambda: fracpow._eig_apply(cp, 0.5, x),
         lambda: make_alpha_vector(cp, 0.5, seed=1),

@@ -21,6 +21,7 @@ from altproj import (
     theta_recursion,
     two_lines,
 )
+from altproj import spectral
 from altproj.linalg import eigh_sym, stack_chunk, sym
 
 
@@ -222,8 +223,6 @@ def test_resolvent_diagnostic_of_the_zero_operator():
     # a constant measured from no samples at all is refused
     with pytest.raises(ValueError):
         resolvent_diagnostic(cp, radii=[])
-    with pytest.raises(ValueError):
-        resolvent_diagnostic(cp, radii=[1.5], angles_per_radius=0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             resolvent_diagnostic(cp, radii=[1.5, bad])
@@ -290,15 +289,15 @@ def _resolvent_loop(t, radius, count):
 
 
 @pytest.mark.parametrize("k", [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 5])
-def test_resolvent_matches_a_per_lambda_loop(t64, k):
+def test_resolvent_matches_a_per_lambda_loop(t64, k, monkeypatch):
     # T's top eigenvalue is real; scaled to modulus 0.99 and turned to the
     # k-th grid angle it puts a sharp supremum on that sample, so each
     # chunk edge in turn carries the maximum
     count = 2 * CHUNK + 6
+    monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", count)
     rho = np.abs(np.linalg.eigvals(t64)).max()
     t = (0.99 / rho) * np.exp(2j * np.pi * k / count) * t64
-    assert resolvent_diagnostic(t, radii=[1.01], angles_per_radius=count) == \
-        _resolvent_loop(t, 1.01, count)
+    assert resolvent_diagnostic(t, radii=[1.01]) == _resolvent_loop(t, 1.01, count)
 
 
 def test_numrange_boundary_matches_a_per_angle_loop(t64):
@@ -316,16 +315,18 @@ def _bits(a):
 
 @pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])
 @pytest.mark.parametrize("k_blocks", [2, 12, 200])
-def test_spectral_kernels_on_the_block_stack_match_the_dense_matrix(k_blocks, rule):
+def test_spectral_kernels_on_the_block_stack_match_the_dense_matrix(k_blocks, rule,
+                                                                   monkeypatch):
     # the norms and support values split exactly over T's 2x2 blocks; the
     # boundary points and sigma_min come from 2x2 factorizations instead
     # of d x d ones and agree to rounding
     angles = np.geomspace(1.5, 1e-3, k_blocks) if rule == "custom" else rule
     cp = block_aligned(k_blocks, angles).cyclic()
     radii = [1.5, 1.0 + 2.0**-10]
+    monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", 4)  # d x d SVDs at d = 400
     boundary = numrange_boundary(cp, 8)
     _, n_star, profile = ritt_power_diagnostic(cp, 8)
-    constant = resolvent_diagnostic(cp, radii, 4)
+    constant = resolvent_diagnostic(cp, radii)
     assert not {"factors", "matrix", "pm"} & set(vars(cp))
     t = cp.matrix
     dense = numrange_boundary(t, 8)
@@ -333,16 +334,17 @@ def test_spectral_kernels_on_the_block_stack_match_the_dense_matrix(k_blocks, ru
     assert np.abs(boundary.points - dense.points).max() <= 1e-15
     _, dense_n_star, dense_profile = ritt_power_diagnostic(t, 8)
     assert np.array_equal(_bits(profile), _bits(dense_profile)) and n_star == dense_n_star
-    assert abs(constant - resolvent_diagnostic(t, radii, 4)) <= 1e-15
+    assert abs(constant - resolvent_diagnostic(t, radii)) <= 1e-15
 
 
-def test_block_kernels_split_their_stacks_at_chunk_edges():
+def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
     # at 1100 blocks a capped stack holds stack_chunk(2) // 1100 = 29
     # angles, powers or values of lambda, so every call spans three chunks
     k_blocks = 1100
     cp = block_aligned(k_blocks, "1/sqrt(k)").cyclic()
     t = cp._t_blocks
     count = 2 * (stack_chunk(2) // k_blocks) + 3
+    monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", count)
     b = numrange_boundary(cp, count)
     w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in b.angles]))
     top = np.argmax(w[:, :, -1], axis=1)
@@ -362,4 +364,4 @@ def test_block_kernels_split_their_stacks_at_chunk_edges():
         lam = 1.01 * np.exp(1j * phi)
         sigma_min = np.linalg.svd(lam * eye - t, compute_uv=False)[:, -1].min()
         best = max(best, abs(lam - 1.0) / sigma_min)
-    assert resolvent_diagnostic(cp, radii=[1.01], angles_per_radius=count) == best
+    assert resolvent_diagnostic(cp, radii=[1.01]) == best
