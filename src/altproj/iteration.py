@@ -47,29 +47,23 @@ class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
     Stored as one (n, b, b) stack of diagonal blocks per factor, applied
-    in order: ``build_cyclic`` gives one d x d block (n = 1),
-    ``from_blocks`` 2x2 blocks (b = 2).  Each factor also keeps a span,
-    an (n, b, s) stack of blocks X with X X^H = P_k: the family's basis
-    of M_k for ``build_cyclic``, the projector blocks themselves for
-    ``from_blocks``.  Construction refuses fewer than two factors and
-    finds M itself, with the cut of ``intersection`` run on the factor
-    blocks: M is stored once, as the (n, b, r) stack of the kept
-    eigenvectors (zero columns where a block does not keep one; r = 0
-    when M = {0}).  It then forms the blocks of T and P_M and checks,
-    block by block, that T is a contraction, that T P_M = P_M T = P_M,
-    and that M is fixed pointwise.  The angle quantities of ``geometry``
-    read the spans and M's basis blocks.  ``factors`` (the P_k) and
-    ``matrix`` (T) are read-only complex d x d arrays assembled on first
-    access; a single block is returned as is.  ``m``, the intersection M
-    as a ``Subspace`` of the nonzero basis columns, is built on first
-    access too; ``dim`` reads the block shapes and ``pm_apply`` the
-    blocks of P_M.  ``apply`` and ``pm_apply`` never read a dense member:
-    on a vector or on stacked columns they run one ``einsum`` per factor
-    over 2x2 blocks, O(d) per column, which agrees with the dense
-    ``p @ x`` to rounding and, on the block model, bit for bit (a stacked
-    ``matmul`` does not); a single block keeps ``p @ x``.  The kernels
-    read T's blocks, and their eigendecomposition is computed on first
-    use and kept.
+    in order (one d x d block from ``build_cyclic``, 2x2 blocks from
+    ``from_blocks``), and per factor a span, an (n, b, s) stack of blocks
+    X with X X^H = P_k (the family's basis of M_k, or the projector blocks
+    themselves).  Construction refuses fewer than two factors and finds M
+    itself, by the cut of ``intersection`` on its blocks: M is stored once,
+    as the (n, b, r) stack of the kept eigenvectors, zero where a block
+    keeps none (r = 0 when M = {0}).  It then checks, block by block, that
+    T is a contraction, that T P_M = P_M T = P_M, and that M is fixed
+    pointwise.  The angle quantities of ``geometry`` read the spans and
+    M's basis blocks.  ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M
+    as a ``Subspace``) are read-only and built on first access; a single
+    block is returned as is.  ``apply`` and ``pm_apply`` run one
+    ``einsum`` per factor over 2x2 blocks, O(d) per column, which agrees
+    with the dense ``p @ x`` to rounding and, on the block model, bit for
+    bit (a stacked ``matmul`` does not); a single block keeps ``p @ x``.
+    The kernels read T's blocks, whose eigendecomposition is computed on
+    first use and kept.
     """
 
     def __init__(self, blocks, spans):

@@ -140,14 +140,11 @@ def _projectors(subspaces: list) -> list:
 def intersection(subspaces) -> Subspace:
     """Intersection of finitely many subspaces of one ambient space.
 
-    Computed as the top eigenspace of the averaged projector
-    (1/N) sum_k P_k: eigenvalues exceeding 1 - 1e-10 are taken, and the
-    basis is their eigenvectors.  Every accepted eigenvector is
-    cross-checked against each individual projector; a vector moved by
-    more than 1e-5 means the eigenvalue cut is not trustworthy at this
-    scale.  This is the cut that ``CyclicProduct`` runs on its own
-    blocks, so the result equals ``build_cyclic(subspaces).m`` bit for
-    bit.
+    The eigenvectors of the averaged projector (1/N) sum_k P_k with
+    eigenvalues above 1 - 1e-10, each cross-checked against every P_k: a
+    vector moved by more than 1e-5 means the cut is not trustworthy at
+    this scale.  ``CyclicProduct`` runs the same cut on its own blocks, so
+    this equals ``build_cyclic(subspaces).m`` bit for bit.
     """
     return Subspace(_dense_columns(_top_eigenspace(_projectors(list(subspaces)))))
 
