@@ -9,11 +9,13 @@ sum_n T^n(I - T)x under permutations and sign flips.
 
 Sweeps always apply the factor projectors one at a time, never the
 assembled dense T; that preserves the per-factor contraction structure
-(and hence monotone error decay) in floating point.  A product is stored
-as stacks of diagonal blocks, one d x d block for a dense family and 2x2
-blocks for the block-aligned model; it forms dense matrices only when a
-routine reads them, and ``sweep_diagnostic`` reads the steps of its own
-sweep.  The routines that take a start vector refuse a non-finite one
+(and hence monotone error decay) in floating point.  The one exception is
+the series diagnostic, which advances its terms in chunks of T's block
+powers and agrees with the per-factor sweeps to rounding.  A product is
+stored as stacks of diagonal blocks, one d x d block for a dense family
+and 2x2 blocks for the block-aligned model; it forms dense matrices only
+when a routine reads them, and ``sweep_diagnostic`` reads the steps of its
+own sweep.  The routines that take a start vector refuse a non-finite one
 once, up front.
 """
 
@@ -23,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .linalg import _finite, diagonalize, spectral_norm
+from .linalg import _finite, _stack, diagonalize, spectral_norm
 from .subspace import Subspace, _dense_columns, _freeze, _projectors, _top_eigenspace
 
 __all__ = [
@@ -343,18 +345,35 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     x - P_M x (``target`` is P_M x) by exactly e_K = ||T^K x - P_M x||.
     The run stops at the first K with safety(10) * e_K <= trunc_tol; a
     hard cap of 1e5 terms applies.  Returns the (K, d) terms, e_K and T^K x.
-    The terms fill the leading rows of one buffer sized for the cap; the
-    rows past K are never written, so their pages are never touched.
+    The series advances B terms per step: T's block powers T^0..T^B are
+    formed once, by doubling, with B = min(256, ``linalg._stack``'s chunk)
+    so the power stack stays near 2 MiB, and one ``einsum`` gives
+    T^{k..k+B} x, whose B errors take one vectorized norm.  The terms fill
+    the leading rows of one buffer sized for the cap; at most one chunk past
+    K is written, so the pages of the rows beyond it are never touched.
     """
+    t, chunk = _stack(cp)
+    size = min(256, chunk)
+    powers = np.empty((size + 1,) + t.shape, dtype=np.complex128)
+    powers[0] = np.eye(t.shape[-1])
+    powers[1] = t
+    h = 1
+    while h < size:
+        g = min(h, size - h)
+        np.matmul(powers[1:g + 1], powers[h], out=powers[h + 1:h + g + 1])
+        h += g
     ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.complex128)
-    cur = x
-    for k in range(_SERIES_CAP):
-        nxt = cp.apply(cur)
-        ys[k] = cur - nxt
-        cur = nxt
-        error = float(np.linalg.norm(cur - target))
-        if _TAIL_SAFETY * error <= trunc_tol:
-            return ys[:k + 1], error, cur
+    cur = x.reshape(t.shape[:2])
+    for k in range(0, _SERIES_CAP, size):
+        m = min(size, _SERIES_CAP - k)
+        v = np.einsum("jkab,kb->jka", powers[:m + 1], cur).reshape(m + 1, -1)
+        np.subtract(v[:-1], v[1:], out=ys[k:k + m])
+        errors = np.linalg.norm(v[1:] - target, axis=-1)
+        hit = np.flatnonzero(_TAIL_SAFETY * errors <= trunc_tol)
+        if hit.size:
+            j = int(hit[0])
+            return ys[:k + j + 1], float(errors[j]), v[j + 1]
+        cur = v[-1].reshape(t.shape[:2])
     raise CapacityError("aligned or near-aligned instance; increase cap or tolerance")
 
 

@@ -35,9 +35,10 @@ from altproj import (
     two_lines,
     unconditional_sum_test,
 )
-from altproj import fracpow, spectral
+from altproj import fracpow, iteration, spectral
 from altproj.acceptance import _pool
 from altproj.iteration import _block_diagonal
+from altproj.linalg import _finite
 
 
 def _pm(cp):
@@ -484,13 +485,27 @@ def test_unconditional_sum_input_validation(num_perms, trunc_tol):
         unconditional_sum_test(cp, np.array([1.0, 0.0]), num_perms, trunc_tol, seed=1)
 
 
-def _exact_truncation(cp, x, trunc_tol):
-    """K of the series' stopping rule: the first K with 10 ||T^K x - P_M x|| <= trunc_tol."""
-    target, cur, k = _pm(cp) @ x, x, 0
+def _reiterated_terms(cp, x, trunc_tol):
+    """The series' terms T^n (I - T) x by per-factor sweeps, up to the first K
+    with 10 ||T^K x - P_M x|| <= trunc_tol, the stopping rule of the series."""
+    target, cur, terms = _pm(cp) @ x, x, []
     while True:
-        cur, k = cp.apply(cur), k + 1
+        nxt = cp.apply(cur)
+        terms.append(cur - nxt)
+        cur = nxt
         if 10.0 * np.linalg.norm(cur - target) <= trunc_tol:
-            return k
+            return np.array(terms)
+
+
+def _assert_series_matches_the_reiteration(cp, x, trunc_tol):
+    """``_series_terms`` stops at the reiteration's K, and every term agrees with
+    the reiterated one to 1e-14 relative to the largest term; returns K."""
+    ys, _, _ = iteration._series_terms(cp, x, cp.pm_apply(x), trunc_tol)
+    ref = _reiterated_terms(cp, x, trunc_tol)
+    assert len(ys) == len(ref)
+    scale = np.linalg.norm(ref, axis=1).max()
+    assert np.abs(ys - ref).max() <= 1e-14 * scale
+    return len(ys)
 
 
 @pytest.mark.parametrize("d, dims, seed", [(6, (2, 3), 0), (7, (3, 2, 4), 10),
@@ -499,15 +514,8 @@ def test_unconditional_sum_matches_an_explicit_reiteration(d, dims, seed):
     cp = build_cyclic(random_instance(d, dims, seed=seed + 21))
     x = np.random.default_rng(seed).standard_normal(d).astype(np.complex128)
     rep = unconditional_sum_test(cp, x, 5, 1e-6, seed=seed)
-    assert rep.K == _exact_truncation(cp, x, 1e-6)
-    terms = []
-    t_k_x = x
-    for _ in range(rep.K):
-        nxt = cp.apply(t_k_x)
-        terms.append(t_k_x - nxt)
-        t_k_x = nxt
-    total = np.array(terms).sum(axis=0)
-    assert rep.telescoping_residual == float(np.linalg.norm(total - (x - t_k_x)))
+    assert rep.K == len(_reiterated_terms(cp, x, 1e-6))
+    assert _assert_series_matches_the_reiteration(cp, x, 1e-6) == rep.K
 
 
 def test_unconditional_sum_stops_at_a_zero_term():
