@@ -52,10 +52,11 @@ class CyclicProduct:
     in order (one d x d block from ``build_cyclic``, 2x2 blocks from
     ``from_blocks``), and per factor a span, an (n, b, s) stack of blocks
     X with X X^H = P_k (the family's basis of M_k, or the projector blocks
-    themselves).  Construction refuses fewer than two factors and finds M
-    itself, by the cut of ``intersection`` on its blocks: M is stored once,
-    as the (n, b, r) stack of the kept eigenvectors, zero where a block
-    keeps none (r = 0 when M = {0}).  It then checks, block by block, that
+    themselves).  Construction refuses fewer than two factors and any span
+    whose X X^H is not its factor's blocks to 1e-10, and finds M itself,
+    by the cut of ``intersection`` on its blocks: M is stored once, as the
+    (n, b, r) stack of the kept eigenvectors, zero where a block keeps
+    none (r = 0 when M = {0}).  It then checks, block by block, that
     T is a contraction, that T P_M = P_M T = P_M, and that M is fixed
     pointwise.  The angle quantities of ``geometry`` read the spans and
     M's basis blocks.  ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M
@@ -72,6 +73,8 @@ class CyclicProduct:
         blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two subspaces")
+        spans = tuple(spans)
+        _check_spans(blocks, spans)
         t = blocks[0]
         for b in blocks[1:]:
             t = b @ t
@@ -79,7 +82,7 @@ class CyclicProduct:
         pm = basis @ basis.conj().swapaxes(-1, -2)
         _check_product(t, pm, basis)
         vars(self).update(_blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
-                          _m_blocks=_freeze(basis), _spans=tuple(spans))
+                          _m_blocks=_freeze(basis), _spans=spans)
 
     @classmethod
     def from_blocks(cls, blocks) -> "CyclicProduct":
@@ -161,6 +164,19 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     y = x.reshape(blocks.shape[:2] + x.shape[1:])
     return np.einsum("kij,kj...->ki...", blocks, y).reshape(x.shape)
+
+
+def _check_spans(blocks, spans):
+    """``ValueError`` unless each span is an (n, b, s) stack with X X^H equal to
+    its factor's (n, b, b) blocks within 1e-10, entry by entry."""
+    if len(spans) != len(blocks):
+        raise ValueError("need one span per factor")
+    for p, x in zip(blocks, spans):
+        x = np.asarray(x)
+        if x.ndim != 3 or x.shape[:2] != p.shape[:2]:
+            raise ValueError("span stack does not match its factor's blocks")
+        if np.abs(x @ x.conj().swapaxes(-1, -2) - p).max() > 1e-10:
+            raise ValueError("span does not span its factor: X X^H differs from P_k")
 
 
 def _check_product(t, p, basis):

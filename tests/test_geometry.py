@@ -110,6 +110,22 @@ def test_the_raw_constructor_finds_the_intersection_itself():
     assert np.allclose(raw.pm_apply(e[0]), e[0], rtol=0.0, atol=1e-15)
 
 
+def test_the_raw_constructor_refuses_spans_of_other_factors():
+    # spans of two lines at 1.2 with the blocks of two lines at 0.3 would
+    # give c = 0.3624 where the product's value is cos 0.3 = 0.9553
+    near, far = build_cyclic(two_lines(0.3)), build_cyclic(two_lines(1.2))
+    with pytest.raises(ValueError, match="X X\\^H"):
+        CyclicProduct(near._blocks, far._spans)
+    model = block_aligned(3, "1/k").cyclic()
+    for blocks, spans in [(near._blocks, near._spans[:1]),  # one span for two factors
+                          (near._blocks, [s[0] for s in near._spans]),  # not stacks
+                          (model._blocks, [np.zeros((3, 2, 1))] * 2)]:  # X X^H = 0
+        with pytest.raises(ValueError):
+            CyclicProduct(blocks, spans)
+    rebuilt = CyclicProduct(near._blocks, near._spans)
+    assert friedrichs_number(rebuilt) == pytest.approx(np.cos(0.3), abs=1e-15)
+
+
 def test_empty_feasible_sets_keep_their_answers():
     # M is the whole plane: M^perp and every M_n ∩ M^perp are zero
     cp = build_cyclic([Subspace(np.eye(2))] * 2)
