@@ -36,7 +36,7 @@ from altproj import (
     unconditional_sum_test,
 )
 from altproj import fracpow, iteration, spectral
-from altproj.acceptance import _pool
+from altproj.acceptance import _pool, _start_vector
 from altproj.iteration import _block_diagonal
 from altproj.linalg import _finite
 
@@ -516,6 +516,44 @@ def test_unconditional_sum_matches_an_explicit_reiteration(d, dims, seed):
     rep = unconditional_sum_test(cp, x, 5, 1e-6, seed=seed)
     assert rep.K == len(_reiterated_terms(cp, x, 1e-6))
     assert _assert_series_matches_the_reiteration(cp, x, 1e-6) == rep.K
+
+
+def test_series_matches_the_reiteration_on_the_whole_pool():
+    # the chunked powers of T stop where the per-factor sweeps stop, on every
+    # instance of the acceptance pool, up to its longest series (K = 92904)
+    for e in _pool():
+        _assert_series_matches_the_reiteration(e.cp, _finite(_start_vector(e)), 1e-6)
+
+
+def _line_and_whole_block(k_blocks):
+    u = np.eye(2)[np.arange(k_blocks) % 2]
+    return u[:, :, None] * u[:, None, :], np.broadcast_to(np.eye(2), (k_blocks, 2, 2))
+
+
+# the block model (M = {0}), (line, whole block) pairs (T = P_M, so the
+# first term is exact) and planted intersections in generic blocks (dim M = 4)
+@pytest.mark.parametrize("blocks, k", [
+    (block_aligned(12, "1/k").cyclic()._blocks, 2261),
+    (_line_and_whole_block(12), 1),
+    (_planted_blocks(12, True), 235),
+], ids=["block_model", "line_whole", "planted"])
+def test_series_of_block_products_matches_the_reiteration(blocks, k):
+    cp = CyclicProduct.from_blocks(blocks)
+    x = np.random.default_rng(0).standard_normal(cp.dim)
+    assert unconditional_sum_test(cp, x, 5, 1e-6, seed=1).K == k
+    assert _assert_series_matches_the_reiteration(cp, _finite(x), 1e-6) == k
+
+
+@pytest.mark.parametrize("cap", [12, 13])
+def test_series_cap_cuts_the_last_chunk(monkeypatch, cap):
+    # two lines at pi/3 need K = 13 terms; neither cap is a multiple of a chunk
+    monkeypatch.setattr(iteration, "_SERIES_CAP", cap)
+    cp = build_cyclic(two_lines(np.pi / 3))
+    if cap < 13:
+        with pytest.raises(CapacityError):
+            unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1)
+    else:
+        assert unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1).K == 13
 
 
 def test_unconditional_sum_stops_at_a_zero_term():
