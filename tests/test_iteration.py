@@ -544,16 +544,14 @@ def test_series_of_block_products_matches_the_reiteration(blocks, k):
     assert _assert_series_matches_the_reiteration(cp, _finite(x), 1e-6) == k
 
 
-@pytest.mark.parametrize("cap", [12, 13])
-def test_series_cap_cuts_the_last_chunk(monkeypatch, cap):
+def test_series_cap_cuts_the_last_chunk(monkeypatch):
     # two lines at pi/3 need K = 13 terms; neither cap is a multiple of a chunk
-    monkeypatch.setattr(iteration, "_SERIES_CAP", cap)
-    cp = build_cyclic(two_lines(np.pi / 3))
-    if cap < 13:
-        with pytest.raises(CapacityError):
-            unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1)
-    else:
-        assert unconditional_sum_test(cp, np.array([1.0, 0.0]), 3, 1e-6, seed=1).K == 13
+    cp, x = build_cyclic(two_lines(np.pi / 3)), np.array([1.0, 0.0])
+    monkeypatch.setattr(iteration, "_SERIES_CAP", 13)
+    assert unconditional_sum_test(cp, x, 3, 1e-6, seed=1).K == 13
+    monkeypatch.setattr(iteration, "_SERIES_CAP", 12)
+    with pytest.raises(CapacityError):
+        unconditional_sum_test(cp, x, 3, 1e-6, seed=1)
 
 
 def test_unconditional_sum_stops_at_a_zero_term():
