@@ -43,6 +43,7 @@ __all__ = [
 
 _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
 _TAIL_SAFETY = 10.0  # safety factor applied to the truncation error
+_RESUM_CHUNK = 2048  # rows per step of the permuted and sign-flipped re-sums
 
 
 class CyclicProduct:
@@ -393,6 +394,23 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     raise CapacityError("aligned or near-aligned instance; increase cap or tolerance")
 
 
+def _chunked_sum(k: int, buf: np.ndarray, fill) -> np.ndarray:
+    """Sum of k rows that ``fill(a, m, out)`` writes, rows a..a+m-1 into ``out``.
+
+    Rows go into ``buf[1:]`` a chunk at a time, and ``buf[0]`` carries the
+    running sum.  NumPy adds the rows of an axis-0 sum one after the
+    other, so this has the bits of one sum over all k rows without
+    holding them.  Returns a view of ``buf[0]``.
+    """
+    buf[0] = 0.0
+    size = len(buf) - 1
+    for a in range(0, k, size):
+        m = min(size, k - a)
+        fill(a, m, buf[1:m + 1])
+        buf[0] = buf[:m + 1].sum(axis=0)
+    return buf[0]
+
+
 def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
                            trunc_tol: float, seed) -> UnconditionalReport:
     """Probe unconditional convergence of sum_n T^n(I-T)x to x - P_M x.
@@ -421,10 +439,11 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     limit_dev = float(np.linalg.norm(total - (x - target)))
 
     rng = np.random.default_rng(seed)
+    buf = np.empty((min(k, _RESUM_CHUNK) + 1,) + x.shape, dtype=np.complex128)
     perm_devs = np.empty(num_perms)
     for j in range(num_perms):
         perm = rng.permutation(k)
-        s = stack[perm].sum(axis=0)
+        s = _chunked_sum(k, buf, lambda a, m, out: np.take(stack, perm[a:a + m], axis=0, out=out))
         perm_devs[j] = np.linalg.norm(s - (x - target))
     if perm_devs.max(initial=0.0) > 2.0 * trunc_tol:
         raise NumericalContractError(
@@ -436,7 +455,8 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     sign_sums = np.empty(10)
     for j in range(10):
         signs = rng.integers(0, 2, size=k) * 2 - 1
-        sign_sums[j] = np.linalg.norm((signs[:, None] * stack).sum(axis=0))
+        sign_sums[j] = np.linalg.norm(_chunked_sum(
+            k, buf, lambda a, m, out: np.multiply(signs[a:a + m, None], stack[a:a + m], out=out)))
     if sign_sums.max() > norm_budget + 1e-9:
         raise NumericalContractError("sign-flipped sum exceeded the triangle bound")
     xn = float(np.linalg.norm(x))

@@ -176,7 +176,7 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     points = np.empty(m, dtype=np.complex128)
     for start in range(0, m, chunk):
         part = angles[start:start + chunk]
-        w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in part]))
+        w, v = eigh_sym(np.exp(-1j * part)[:, None, None, None] * t)
         top = np.argmax(w[:, :, -1], axis=1)
         support[start:start + len(part)] = w[np.arange(len(part)), top, -1]
         for j, k in enumerate(top.tolist()):
@@ -226,25 +226,28 @@ def ritt_power_diagnostic(t, n_max: int):
 
     Returns (sup value, argmax n, full profile).  Boundedness of the
     profile is one operational face of the Ritt property.  The products
-    T^n (I - T) are formed one by one on T's (n, b, b) block stack and
-    collected into stacks of at most ``stack_chunk(b) // n`` powers; one
-    SVD call per stack gives the same norms, each the largest over the
-    blocks, as one call per power.
+    T^n (I - T) are formed on T's (n, b, b) block stack in stacks of at
+    most ``stack_chunk(b) // n`` powers: each power is the one before
+    times T, and one stacked product with I - T and one SVD call per
+    stack give the same norms, each the largest over the blocks, as one
+    product and one call per power.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t, chunk = _stack(t)
     eye = np.eye(t.shape[-1], dtype=np.complex128)
     defect = eye - t
-    stack = np.empty((min(chunk, n_max),) + t.shape, dtype=np.complex128)
+    # powers[0] holds the last power of the previous stack
+    powers = np.empty((min(chunk, n_max) + 1,) + t.shape, dtype=np.complex128)
+    powers[0] = eye
     norms = np.empty(n_max)
-    power = np.broadcast_to(eye, t.shape)
     for start in range(0, n_max, chunk):
         count = min(chunk, n_max - start)
-        for j in range(count):
-            power = power @ t
-            np.matmul(power, defect, out=stack[j])
-        norms[start:start + count] = np.linalg.svd(stack[:count], compute_uv=False).max((1, 2))
+        for j in range(1, count + 1):
+            np.matmul(powers[j - 1], t, out=powers[j])
+        stack = powers[1:count + 1] @ defect
+        norms[start:start + count] = np.linalg.svd(stack, compute_uv=False).max((1, 2))
+        powers[0] = powers[count]
     profile = np.arange(1, n_max + 1) * norms
     argmax = int(np.argmax(profile)) + 1
     return float(profile[argmax - 1]), argmax, profile
@@ -276,8 +279,8 @@ def resolvent_diagnostic(t, radii=None) -> float:
     best = 0.0
     for r in radii:
         for start in range(0, _ANGLES_PER_RADIUS, chunk):
-            lams = [r * np.exp(1j * phi) for phi in phis[start:start + chunk]]
-            sigma_min = np.linalg.svd(np.array([lam * eye - t for lam in lams]),
+            lams = r * np.exp(1j * phis[start:start + chunk])
+            sigma_min = np.linalg.svd(lams[:, None, None, None] * eye - t,
                                       compute_uv=False)[..., -1].min(axis=-1)
             for lam, s in zip(lams, sigma_min):
                 if s <= 0.0:

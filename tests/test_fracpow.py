@@ -1,9 +1,12 @@
 """Fractional powers (I - T)^alpha: series and spectral application, decay."""
 
+import math
+
 import numpy as np
 import pytest
 
 from altproj import fracpow
+from altproj.acceptance import _pool
 from altproj.linalg import diagonalize
 from altproj import (
     CapacityError,
@@ -150,8 +153,9 @@ def test_literal_partial_sums_of_a_defective_matrix():
 
 
 def test_block_model_is_eigendecomposed_once(monkeypatch):
-    # the auto path falls back to the eigenbasis here (the series budget at
-    # d = 400 is too small), and the partial sums reuse the same one
+    # the auto path proves from the eigenbasis that the series would outgrow
+    # its budget at d = 400 and applies the power there; the partial sums
+    # reuse the same one
     calls = []
     eig = np.linalg.eig
 
@@ -166,6 +170,84 @@ def test_block_model_is_eigendecomposed_once(monkeypatch):
     partial_sum_characterization(cp, x, 0.5, 100)
     partial_sum_characterization(cp, x, 1.0, 100)
     assert calls == [(200, 2, 2)]  # one call on the stack of T's blocks
+
+
+def _series_then_eig(cp, alpha, x, tol):
+    """The auto path without the exhaustion proof: the budgeted series, then the eigenbasis."""
+    try:
+        return fracpow._series_apply(cp.apply, alpha, x, tol, fracpow._auto_terms(len(x)))
+    except CapacityError:
+        return fracpow._eig_apply(cp, alpha, x)
+
+
+def _unit_vector(d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return x / np.linalg.norm(x)
+
+
+def test_an_exhaustion_proof_is_never_wrong():
+    # whenever the eigencoordinates prove that the series cannot stop within
+    # its budget, the series does run out of terms
+    cps = [e.cp for e in _pool()[::4]]
+    cps += [block_aligned(k, rule).cyclic() for k in (12, 50) for rule in ("1/k", "1/sqrt(k)")]
+    proofs = cases = 0
+    for i, cp in enumerate(cps):
+        x = _unit_vector(cp.dim, i)
+        for alpha in (0.3, 0.5, 1.5, 2.5, 7.5):
+            for terms in (8, 64, 256):
+                for tol in (1e-4, 1e-7, 1e-10, 1e-13):
+                    cases += 1
+                    if fracpow._series_exhausts(cp, alpha, x, tol, terms) is None:
+                        continue
+                    proofs += 1
+                    with pytest.raises(CapacityError):
+                        fracpow._series_apply(cp.apply, alpha, x, tol, terms)
+    assert cases == 3240
+    assert proofs > cases // 4
+
+
+@pytest.mark.parametrize("k_blocks", [12, 200, 400])
+def test_auto_path_is_the_series_then_the_eigenbasis_bit_for_bit(k_blocks):
+    cp = block_aligned(k_blocks, "1/k").cyclic()
+    x = _unit_vector(cp.dim, k_blocks)
+    terms = fracpow._auto_terms(cp.dim)
+    for alpha in (0.3, 0.5, 1.5):
+        for tol in (1e-6, 1e-10):
+            auto = frac_power_apply(cp, alpha, x, tol)
+            assert auto.tobytes() == _series_then_eig(cp, alpha, x, tol).tobytes()
+    # at K = 12 the series meets its stop rule; beyond, the proof skips it
+    skipped = fracpow._series_exhausts(cp, 0.5, x, 1e-10, terms) is not None
+    assert skipped == (k_blocks > 12)
+
+
+@pytest.mark.parametrize("alpha", [100.5, 200.5, 400.5])
+def test_extreme_alpha_runs_the_series_as_before(alpha):
+    # the coefficients reach about 2^alpha, so the series' rounding swamps
+    # its tail factor and no proof is attempted; Gamma(1 - alpha) alone
+    # underflows to zero here, which lgamma avoids
+    cp = block_aligned(50, "1/k").cyclic()
+    x = _unit_vector(cp.dim, 5)
+    assert fracpow._series_exhausts(cp, alpha, x, 1e-10, fracpow._auto_terms(cp.dim)) is None
+    auto = frac_power_apply(cp, alpha, x, 1e-10)
+    assert auto.tobytes() == _series_then_eig(cp, alpha, x, 1e-10).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
+def test_closed_form_tail_matches_the_coefficient_recurrence(alpha):
+    # the series' own recurrence and compensated sum of the coefficients
+    c, total, comp = 1.0, 1.0, 0.0
+    recurrence, closed = [], []
+    for n in range(1, 3126):
+        c = c * (n - 1 - alpha) / n
+        y = c - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if n >= alpha:
+            recurrence.append(abs(total))
+            closed.append(math.exp(fracpow._log_tail(alpha, n)))
+    np.testing.assert_allclose(closed, recurrence, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])
