@@ -8,12 +8,13 @@ eigendecomposition of T's blocks, used when the eigenvector basis is
 well-conditioned.  When x's eigencoordinates prove that the series
 cannot meet its stop rule within the budget (``_series_exhausts``), the
 auto path skips the series and goes straight to the spectral path, where
-the series would have ended, so the result is the same bit for bit.  On
-top of these the module builds vectors of the
-regularity class Fix(T) + Ran(I-T)^alpha, fits the polynomial decay
-exponent of their iteration error, and probes boundedness of the
-weighted partial sums sum_{k<=n} k^{-(1-alpha)} T^k x that characterize
-membership in the class.
+the series would have ended, so the result is the same bit for bit.
+
+On top of these the module builds vectors of the regularity class
+Fix(T) + Ran(I-T)^alpha, fits the polynomial decay exponent of their
+iteration error, and probes boundedness of the weighted partial sums
+sum_{k<=n} k^{-(1-alpha)} T^k x that characterize membership in the
+class.
 """
 
 import math
