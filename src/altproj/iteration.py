@@ -53,13 +53,13 @@ class CyclicProduct:
     in order (one d x d block from ``build_cyclic``, 2x2 blocks from
     ``from_blocks``), and per factor a span, an (n, b, s) stack of blocks
     X with X X^H = P_k (the family's basis of M_k, or the projector blocks
-    themselves).  Construction refuses fewer than two factors and any span
-    whose X X^H is not its factor's blocks to 1e-10, and finds M itself,
-    by the cut of ``intersection`` on its blocks: M is stored once, as the
-    (n, b, r) stack of the kept eigenvectors, zero where a block keeps
-    none (r = 0 when M = {0}).  It then checks, block by block, that
-    T is a contraction, that T P_M = P_M T = P_M, and that M is fixed
-    pointwise.  The angle quantities of ``geometry`` read the spans and
+    themselves).  Construction refuses fewer than two factors, a NaN or
+    infinite entry in a block or span, and any span whose X X^H is not its
+    factor's blocks to 1e-10, and finds M itself, by the cut of
+    ``intersection`` on its blocks: M is stored once, as the (n, b, r)
+    stack of the kept eigenvectors, zero where a block keeps none (r = 0
+    when M = {0}).  It then checks, block by block, that T is a
+    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.  The angle quantities of ``geometry`` read the spans and
     M's basis blocks.  ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M
     as a ``Subspace``) are read-only and built on first access; a single
     block is returned as is.  ``apply`` and ``pm_apply`` run one
@@ -71,7 +71,7 @@ class CyclicProduct:
     """
 
     def __init__(self, blocks, spans):
-        blocks = tuple(_freeze(np.asarray(b, dtype=np.complex128)) for b in blocks)
+        blocks = tuple(_freeze(_finite(b, "projector blocks")) for b in blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two subspaces")
         spans = tuple(spans)
@@ -168,15 +168,16 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _check_spans(blocks, spans):
-    """``ValueError`` unless each span is an (n, b, s) stack with X X^H equal to
-    its factor's (n, b, b) blocks within 1e-10, entry by entry."""
+    """``ValueError`` unless each span is a finite (n, b, s) stack with X X^H
+    equal to its factor's (n, b, b) blocks within 1e-10, entry by entry;
+    a NaN entry of X X^H (from an overflow) fails the comparison."""
     if len(spans) != len(blocks):
         raise ValueError("need one span per factor")
     for p, x in zip(blocks, spans):
-        x = np.asarray(x)
+        x = _finite(x, "span")
         if x.ndim != 3 or x.shape[:2] != p.shape[:2]:
             raise ValueError("span stack does not match its factor's blocks")
-        if np.abs(x @ x.conj().swapaxes(-1, -2) - p).max() > 1e-10:
+        if not np.abs(x @ x.conj().swapaxes(-1, -2) - p).max() <= 1e-10:  # NaN fails
             raise ValueError("span does not span its factor: X X^H differs from P_k")
 
 

@@ -388,6 +388,22 @@ def test_from_blocks_validation():
     assert np.array_equal(cp.pm_apply(np.array([2.0, 3.0])), np.array([2.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_the_raw_constructor_refuses_non_finite_blocks_and_spans(bad):
+    # a NaN span once built (X X^H - P_k was NaN, which failed no tolerance
+    # check) and a NaN block ended in LAPACK's "SVD did not converge"
+    cp = build_cyclic(two_lines(0.3))
+    for k in range(2):
+        spans = [np.array(x) for x in cp._spans]
+        spans[k][0, 0, 0] = bad
+        with pytest.raises(ValueError, match="span must be finite"):
+            CyclicProduct(cp._blocks, spans)
+        blocks = [np.array(b) for b in cp._blocks]
+        blocks[k][0, 0, 0] = bad
+        with pytest.raises(ValueError, match="blocks must be finite"):
+            CyclicProduct(blocks, cp._spans)
+
+
 def test_block_model_at_two_thousand_blocks_stays_small():
     # one dense d x d complex array would take 256 MB at d = 4000
     tracemalloc.start()

@@ -238,6 +238,21 @@ def test_non_finite_slack_is_refused(slack):
         containment_check(build_cyclic(two_lines(1.0)), 0.5, 2, slack=slack)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda t: ritt_power_diagnostic(t, 10),
+    resolvent_diagnostic,
+    lambda t: numrange_boundary(t, 8),
+], ids=["ritt_power_diagnostic", "resolvent_diagnostic", "numrange_boundary"])
+def test_non_finite_plain_matrices_are_refused(kernel):
+    # before LAPACK, which would fail with "did not converge"
+    with pytest.raises(ValueError, match="T must be finite"):
+        kernel(np.full((3, 3), np.nan))
+    t = np.zeros((3, 3))
+    t[1, 2] = np.inf
+    with pytest.raises(ValueError, match="T must be finite"):
+        kernel(t)
+
+
 # The stacked kernels against literal one-matrix-per-call loops, with exact
 # equality, at d = 64 where a stack holds CHUNK matrices and so splits.
 D = 64
