@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .linalg import _finite, _stack, diagonalize, spectral_norm
+from .linalg import _finite, _powers, _stack, diagonalize, spectral_norm
 from .subspace import Subspace, _dense_columns, _freeze, _projectors, _top_eigenspace
 
 __all__ = [
@@ -364,22 +364,16 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     The run stops at the first K with safety(10) * e_K <= trunc_tol; a
     hard cap of 1e5 terms applies.  Returns the (K, d) terms, e_K and T^K x.
     The series advances B terms per step: T's block powers T^0..T^B are
-    formed once, by doubling, with B = min(256, ``linalg._stack``'s chunk)
-    so the power stack stays near 2 MiB, and one ``einsum`` gives
-    T^{k..k+B} x, whose B errors take one vectorized norm.  The terms fill
-    the leading rows of one buffer sized for the cap; at most one chunk past
-    K is written, so the pages of the rows beyond it are never touched.
+    formed once, by doubling (``linalg._powers``), with B = min(256,
+    ``linalg._stack``'s chunk) so the power stack stays near 2 MiB, and
+    one ``einsum`` gives T^{k..k+B} x, whose B errors take one vectorized
+    norm.  The terms fill the leading rows of one buffer sized for the
+    cap; at most one chunk past K is written, so the pages of the rows
+    beyond it are never touched.
     """
     t, chunk = _stack(cp)
     size = min(256, chunk)
-    powers = np.empty((size + 1,) + t.shape, dtype=np.complex128)
-    powers[0] = np.eye(t.shape[-1])
-    powers[1] = t
-    h = 1
-    while h < size:
-        g = min(h, size - h)
-        np.matmul(powers[1:g + 1], powers[h], out=powers[h + 1:h + g + 1])
-        h += g
+    powers = _powers(t, size + 1)
     ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.complex128)
     cur = x.reshape(t.shape[:2])
     for k in range(0, _SERIES_CAP, size):

@@ -7,7 +7,9 @@ accept a single matrix or a ``(..., d, d)`` stack; LAPACK factors each
 matrix of a stack on its own, so one call over a stack returns the same
 bits as a loop of calls.  Kernels that stack many matrices cut the stack
 into chunks of ``stack_chunk(d)`` matrices (about 2 MiB of complex data),
-which bounds their memory and changes no result.
+which bounds their memory and changes no result.  ``_powers`` forms the
+powers of a stack by doubling, for the series of ``iteration`` and the
+power profile of ``spectral``.
 """
 
 import numpy as np
@@ -52,6 +54,24 @@ def _stack(t):
     else:
         blocks = _finite(as_complex_matrix(t), "T")[None]
     return blocks, max(1, stack_chunk(blocks.shape[-1]) // len(blocks))
+
+
+def _powers(a: np.ndarray, count: int) -> np.ndarray:
+    """a^0, ..., a^{count-1} of an (n, b, b) stack, as one (count, n, b, b) array.
+
+    Built by doubling: once a^0..a^h are known, one stacked ``matmul``
+    a^j a^h gives the next min(h, count - 1 - h) of them, so count powers
+    take about log2(count) calls.
+    """
+    powers = np.empty((count,) + a.shape, dtype=np.complex128)
+    powers[0] = np.eye(a.shape[-1])
+    powers[1:2] = a  # nothing when count is 1
+    h = 1
+    while h < count - 1:
+        g = min(h, count - 1 - h)
+        np.matmul(powers[1:g + 1], powers[h], out=powers[h + 1:h + g + 1])
+        h += g
+    return powers
 
 
 _STACK_BYTES = 2**21  # cap on one stack of complex matrices

@@ -16,7 +16,12 @@ of the disc and sector slacks of ``OmegaRegion.margin``.
 The power profile n ||T^n (I - T)|| and the sampled resolvent quantity
 |lambda - 1| ||(lambda I - T)^{-1}|| are the two operational faces of the
 Ritt property; both are reported as measured values on declared grids,
-never asserted as universal constants.
+never asserted as universal constants.  The profile is measured on the
+core of T: with X_k X_k^H = P_k for the first and last factors, T^n (I - T)
+has the singular values of X_N^H T^n (I - T) X_1 = C^{n-1} K_1, where
+C = X_N^H T X_N and K_1 = X_N^H T (I - T) X_1 are r_N x r_N and r_N x r_1
+per block (X_k has r_k columns, dim M_k for a family's basis), and C's
+powers come by doubling.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .iteration import _rate_base_squared
-from .linalg import _stack, eigh_sym
+from .linalg import _powers, _stack, eigh_sym, stack_chunk
 
 __all__ = [
     "OmegaRegion",
@@ -225,29 +230,40 @@ def ritt_power_diagnostic(t, n_max: int):
     """Profile n ||T^n (I - T)|| for n = 1..n_max.
 
     Returns (sup value, argmax n, full profile).  Boundedness of the
-    profile is one operational face of the Ritt property.  The products
-    T^n (I - T) are formed on T's (n, b, b) block stack in stacks of at
-    most ``stack_chunk(b) // n`` powers: each power is the one before
-    times T, and one stacked product with I - T and one SVD call per
-    stack give the same norms, each the largest over the blocks, as one
-    product and one call per power.
+    profile is one operational face of the Ritt property.  The norms are
+    taken on the r_N x r_1 core of T.  With X_k the product's (n, b, r_k)
+    spans (X_k X_k^H = P_k; the identity for a plain matrix), Ran T ⊆ M_N
+    and T P_1 = T give T^n (I - T) = P_N T^n (I - T) P_1, so
+
+        K_n = X_N^H T^n (I - T) X_1 = C^{n-1} K_1,  C = X_N^H T X_N,
+
+    has the singular values of T^n (I - T).  C^0..C^{B-1} are formed
+    once, by doubling (``linalg._powers``), with B =
+    ``stack_chunk(max(r_N, r_1)) // n`` over the n blocks.  Each chunk of
+    B norms is one stacked product C^j K_m (j < B) and one SVD call, each
+    norm the largest over the blocks (0 on an empty core), and the next
+    chunk starts from K_{m+B} = C K_{m+B-1}.  The profile agrees with one
+    product T^n (I - T) per power to rounding, not bit for bit.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    t, chunk = _stack(t)
-    eye = np.eye(t.shape[-1], dtype=np.complex128)
-    defect = eye - t
-    # powers[0] holds the last power of the previous stack
-    powers = np.empty((min(chunk, n_max) + 1,) + t.shape, dtype=np.complex128)
-    powers[0] = eye
+    blocks, _ = _stack(t)
+    if hasattr(t, "_spans"):
+        first, last = t._spans[0], t._spans[-1]
+    else:
+        first = last = np.eye(blocks.shape[-1], dtype=np.complex128)[None]
+    last_h = last.conj().swapaxes(-1, -2)
+    core = last_h @ (blocks @ last)
+    head = last_h @ (blocks @ (first - blocks @ first))  # K_1, then each chunk's first K_m
+    width = max(core.shape[-1], head.shape[-1], 1)
+    powers = _powers(core, min(max(1, stack_chunk(width) // len(blocks)), n_max))
     norms = np.empty(n_max)
-    for start in range(0, n_max, chunk):
-        count = min(chunk, n_max - start)
-        for j in range(1, count + 1):
-            np.matmul(powers[j - 1], t, out=powers[j])
-        stack = powers[1:count + 1] @ defect
-        norms[start:start + count] = np.linalg.svd(stack, compute_uv=False).max((1, 2))
-        powers[0] = powers[count]
+    for start in range(0, n_max, len(powers)):
+        count = min(len(powers), n_max - start)
+        stack = powers[:count] @ head
+        sigma = np.linalg.svd(stack, compute_uv=False)
+        norms[start:start + count] = sigma.max((1, 2), initial=0.0)
+        head = core @ stack[count - 1]
     profile = np.arange(1, n_max + 1) * norms
     argmax = int(np.argmax(profile)) + 1
     return float(profile[argmax - 1]), argmax, profile
