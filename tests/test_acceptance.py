@@ -47,7 +47,7 @@ _PINNED_LINES = {
     6: ("criterion 06 numerical_range_containment: PASS (100 instances + 2 averaged "
         "fixtures, 0 escapes, worst margin -3.3e-15)"),
     7: ("criterion 07 ritt_diagnostics: PASS (sup n||T^n(I-T)|| <= 0.499; norm "
-        "profile non-increasing past the peak (slack -7.0e-17); 28/200 weighted "
+        "profile non-increasing past the peak (slack -2.0e-17); 28/200 weighted "
         "profiles multi-modal; resolvent variation 0.078%; zero-product constant "
         "1.9990)"),
     8: ("criterion 08 unconditional_convergence: PASS (max permuted deviation "
