@@ -254,7 +254,8 @@ def test_non_finite_plain_matrices_are_refused(kernel):
 
 
 # The stacked kernels against literal one-matrix-per-call loops, with exact
-# equality, at d = 64 where a stack holds CHUNK matrices and so splits.
+# equality (the power profile to rounding), at d = 64 where a stack holds
+# CHUNK matrices and so splits.
 D = 64
 CHUNK = stack_chunk(D)
 
@@ -290,8 +291,10 @@ def test_power_profile_matches_a_per_power_loop(t64, n_max):
         power = power @ t64
         expected[n - 1] = n * float(np.linalg.norm(power @ defect, 2))
     sup, n_star, profile = ritt_power_diagnostic(t64, n_max)
-    assert np.array_equal(profile, expected)
-    assert n_star == int(np.argmax(expected)) + 1 and sup == expected[n_star - 1]
+    # the profile comes from T's core and C's powers by doubling, so it
+    # agrees with the per-power products to rounding (2.5e-16 measured)
+    assert np.abs(profile - expected).max() <= 1e-12 * expected.max()
+    assert n_star == int(np.argmax(expected)) + 1 and sup == profile[n_star - 1]
 
 
 def _resolvent_loop(t, radius, count):
