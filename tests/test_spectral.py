@@ -335,9 +335,10 @@ def _bits(a):
 @pytest.mark.parametrize("k_blocks", [2, 12, 200])
 def test_spectral_kernels_on_the_block_stack_match_the_dense_matrix(k_blocks, rule,
                                                                    monkeypatch):
-    # the norms and support values split exactly over T's 2x2 blocks; the
-    # boundary points and sigma_min come from 2x2 factorizations instead
-    # of d x d ones and agree to rounding
+    # the support values split exactly over T's 2x2 blocks; the boundary
+    # points and sigma_min come from 2x2 factorizations instead of d x d
+    # ones, the power profile from the cores of the blocks instead of the
+    # d x d matrix, and they agree to rounding
     angles = np.geomspace(1.5, 1e-3, k_blocks) if rule == "custom" else rule
     cp = block_aligned(k_blocks, angles).cyclic()
     radii = [1.5, 1.0 + 2.0**-10]
@@ -351,7 +352,7 @@ def test_spectral_kernels_on_the_block_stack_match_the_dense_matrix(k_blocks, ru
     assert np.array_equal(_bits(boundary.support), _bits(dense.support))
     assert np.abs(boundary.points - dense.points).max() <= 1e-15
     _, dense_n_star, dense_profile = ritt_power_diagnostic(t, 8)
-    assert np.array_equal(_bits(profile), _bits(dense_profile)) and n_star == dense_n_star
+    assert np.abs(profile - dense_profile).max() <= 1e-14 and n_star == dense_n_star
     assert abs(constant - resolvent_diagnostic(t, radii)) <= 1e-15
 
 
