@@ -377,7 +377,9 @@ def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
     for n in range(1, count + 1):
         power = power @ t
         expected[n - 1] = n * np.linalg.svd(power @ (eye - t), compute_uv=False).max()
-    assert np.array_equal(ritt_power_diagnostic(cp, count)[2], expected)
+    # the profile from the blocks' cores agrees to rounding (1.5e-14 of the
+    # supremum measured)
+    assert np.abs(ritt_power_diagnostic(cp, count)[2] - expected).max() <= 1e-12 * expected.max()
     best = 0.0
     for phi in 2.0 * np.pi * np.arange(count) / count:
         lam = 1.01 * np.exp(1j * phi)
