@@ -3,15 +3,19 @@ and the power/resolvent diagnostics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altproj import (
     NumericalContractError,
     OmegaRegion,
+    Subspace,
     block_aligned,
     build_cyclic,
     containment_check,
+    convex_combination,
     numrange_boundary,
     omega_contains,
+    orthonormalize,
     random_instance,
     resolvent_diagnostic,
     ritt_power_diagnostic,
@@ -386,3 +390,84 @@ def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
         sigma_min = np.linalg.svd(lam * eye - t, compute_uv=False)[:, -1].min()
         best = max(best, abs(lam - 1.0) / sigma_min)
     assert resolvent_diagnostic(cp, radii=[1.01]) == best
+
+
+# The power profile on T's core against one product T^n (I - T) and one
+# SVD per power: equal to 1e-12 of the supremum, and the argmax a maximizer
+# of the reference to that tolerance.  The tolerance adds the rounding
+# bound d n_max eps of a product of n_max d x d contractions, which decides
+# when the supremum is tiny: 1.4e-3 for one family with a plane in M, where
+# values n ||T^n (I - T)|| of 1e-15 and below differ by up to 5e-15.
+
+
+def _per_power_profile(t, n_max):
+    """n ||T^n (I - T)|| of a matrix, or over the blocks of an (n, b, b) stack."""
+    eye = np.eye(t.shape[-1], dtype=np.complex128)
+    power = np.broadcast_to(eye, t.shape)
+    profile = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        power = power @ t
+        profile[n - 1] = n * np.linalg.svd(power @ (eye - t), compute_uv=False).max()
+    return profile
+
+
+def _assert_matches_per_power_profile(t, reference, n_max):
+    sup, n_star, profile = ritt_power_diagnostic(t, n_max)
+    expected = _per_power_profile(reference, n_max)
+    tol = 1e-12 * expected.max() + reference.shape[-1] * n_max * np.finfo(float).eps
+    assert np.abs(profile - expected).max() <= tol
+    assert sup == profile[n_star - 1] == profile.max()
+    assert expected[n_star - 1] >= expected.max() - tol
+
+
+@st.composite
+def _profile_families(draw):
+    # N = 2-4 subspaces of C^d (d <= 12), real or complex, holding a planted
+    # common subspace of dimension p; the first or last factor may be a line
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 12))
+    line = draw(st.sampled_from([None, 0, -1]))
+    p = draw(st.integers(0, min(1, d - 2) if line is not None else d - 2))
+    dims = draw(st.lists(st.integers(p + 1, d - 1), min_size=n, max_size=n))
+    if line is not None:
+        dims[line] = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    draw_complex = draw(st.booleans())
+
+    def gauss(cols):
+        g = rng.standard_normal((d, cols))
+        return g + 1j * rng.standard_normal((d, cols)) if draw_complex else g
+
+    planted = gauss(p)
+    return [orthonormalize(np.hstack([planted, gauss(r - p)])) for r in dims]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_profile_families())
+def test_core_profile_matches_the_per_power_loop_on_random_families(family):
+    cp = build_cyclic(family)
+    _assert_matches_per_power_profile(cp, cp.matrix, 200)
+
+
+def test_core_profile_of_a_zero_dimensional_factor_is_zero():
+    zero, line, plane = (Subspace(np.eye(3)[:, :r]) for r in (0, 1, 2))
+    for family in ([zero, line], [line, zero], [line, zero, plane], [plane, line, zero]):
+        sup, n_star, profile = ritt_power_diagnostic(build_cyclic(family), 40)
+        assert sup == 0.0 and n_star == 1 and np.array_equal(profile, np.zeros(40))
+
+
+def test_core_profile_of_convex_combinations_matches_the_per_power_loop():
+    products = [build_cyclic(random_instance(8, dims, seed))
+                for seed, dims in enumerate([(3, 5), (4, 2, 6), (7, 1)])]
+    for weights in ([0.5, 0.5, 0.0], [0.2, 0.3, 0.5]):
+        kept = [(p, w) for p, w in zip(products, weights) if w > 0.0]
+        t = convex_combination([p for p, _ in kept], [w for _, w in kept])
+        _assert_matches_per_power_profile(t, t, 300)
+
+
+@pytest.mark.parametrize("k_blocks", [12, 1100])
+def test_core_profile_of_the_block_model_matches_the_per_power_loop(k_blocks):
+    # at 1100 blocks 90 powers span four chunks of 29; at 12 blocks the
+    # reference is the dense 24 x 24 matrix
+    cp = block_aligned(k_blocks, "1/k").cyclic()
+    reference = cp.matrix if k_blocks == 12 else cp._t_blocks
+    _assert_matches_per_power_profile(cp, reference, 90)
