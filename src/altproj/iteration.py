@@ -59,15 +59,17 @@ class CyclicProduct:
     ``intersection`` on its blocks: M is stored once, as the (n, b, r)
     stack of the kept eigenvectors, zero where a block keeps none (r = 0
     when M = {0}).  It then checks, block by block, that T is a
-    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.  The angle quantities of ``geometry`` read the spans and
-    M's basis blocks.  ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M
-    as a ``Subspace``) are read-only and built on first access; a single
-    block is returned as is.  ``apply`` and ``pm_apply`` run one
-    ``einsum`` per factor over 2x2 blocks, O(d) per column, which agrees
-    with the dense ``p @ x`` to rounding and, on the block model, bit for
-    bit (a stacked ``matmul`` does not); a single block keeps ``p @ x``.
-    The kernels read T's blocks, whose eigendecomposition is computed on
-    first use and kept.
+    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.
+    The angle quantities of ``geometry`` read the spans and M's basis
+    blocks, and the power profile of ``spectral`` the first and last
+    spans.  ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M as a
+    ``Subspace``) are read-only and built on first access; a single block
+    is returned as is.  ``apply`` and ``pm_apply`` run one ``einsum`` per
+    factor over 2x2 blocks, O(d) per column, which agrees with the dense
+    ``p @ x`` to rounding and, on the block model, bit for bit (a stacked
+    ``matmul`` does not); a single block keeps ``p @ x``.  The kernels
+    read T's blocks, whose eigendecomposition is computed on first use
+    and kept.
     """
 
     def __init__(self, blocks, spans):
