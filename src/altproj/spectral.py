@@ -257,12 +257,13 @@ def ritt_power_diagnostic(t, n_max: int):
     head = last_h @ (blocks @ (first - blocks @ first))  # K_1, then each chunk's first K_m
     width = max(core.shape[-1], head.shape[-1], 1)
     powers = _powers(core, min(max(1, stack_chunk(width) // len(blocks)), n_max))
+    stack = np.empty(powers.shape[:-1] + head.shape[-1:], dtype=np.complex128)
     norms = np.empty(n_max)
     for start in range(0, n_max, len(powers)):
         count = min(len(powers), n_max - start)
-        stack = powers[:count] @ head
-        sigma = np.linalg.svd(stack, compute_uv=False)
-        norms[start:start + count] = sigma.max((1, 2), initial=0.0)
+        np.matmul(powers[:count], head, out=stack[:count])
+        norms[start:start + count] = np.linalg.svd(
+            stack[:count], compute_uv=False).max((1, 2), initial=0.0)
         head = core @ stack[count - 1]
     profile = np.arange(1, n_max + 1) * norms
     argmax = int(np.argmax(profile)) + 1
