@@ -172,14 +172,17 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _check_spans(blocks, spans):
     """``ValueError`` unless each span is a finite (n, b, s) stack with X X^H
     equal to its factor's (n, b, b) blocks within 1e-10, entry by entry;
-    a NaN entry of X X^H (from an overflow) fails the comparison."""
+    an infinite or NaN entry of X X^H (from an overflow, formed without a
+    warning) fails the comparison."""
     if len(spans) != len(blocks):
         raise ValueError("need one span per factor")
     for p, x in zip(blocks, spans):
         x = _finite(x, "span")
         if x.ndim != 3 or x.shape[:2] != p.shape[:2]:
             raise ValueError("span stack does not match its factor's blocks")
-        if not np.abs(x @ x.conj().swapaxes(-1, -2) - p).max() <= 1e-10:  # NaN fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.abs(x @ x.conj().swapaxes(-1, -2) - p).max()
+        if not gap <= 1e-10:  # NaN fails
             raise ValueError("span does not span its factor: X X^H differs from P_k")
 
 

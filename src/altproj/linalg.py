@@ -46,13 +46,16 @@ def _finite(x, name: str = "x") -> np.ndarray:
 def _stack(t):
     """T's (n, b, b) block stack (a matrix is one block) and its chunk ``stack_chunk(b) // n``.
 
-    A plain matrix with a NaN or infinite entry is refused with ``ValueError``;
-    a product's blocks are finite by construction.
+    An empty plain matrix, or one with a NaN or infinite entry, is refused
+    with ``ValueError``; a product's blocks are finite and non-empty by
+    construction.
     """
     if hasattr(t, "_t_blocks"):
         blocks = t._t_blocks
     else:
         blocks = _finite(as_complex_matrix(t), "T")[None]
+        if blocks.size == 0:
+            raise ValueError("T must not be empty")
     return blocks, max(1, stack_chunk(blocks.shape[-1]) // len(blocks))
 
 

@@ -22,6 +22,14 @@ has the singular values of X_N^H T^n (I - T) X_1 = C^{n-1} K_1, where
 C = X_N^H T X_N and K_1 = X_N^H T (I - T) X_1 are r_N x r_N and r_N x r_1
 per block (X_k has r_k columns, dim M_k for a family's basis), and C's
 powers come by doubling.
+
+For a real T both angle grids are symmetric under conjugation: W(T) is
+its own mirror image, with h(-phi) = h(phi), and ||(lambda I - T)^{-1}||
+and |lambda - 1| do not change when lambda is conjugated.  So for a T
+whose block stack has no nonzero imaginary entry, ``numrange_boundary``
+and ``resolvent_diagnostic`` factor only the closed upper half of their
+grid, angles 2 pi j / m for j = 0..m // 2, and mirror the rest; a complex
+T goes through the full grid.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +56,16 @@ __all__ = [
 ]
 
 _ANGLES_PER_RADIUS = 64  # angle grid on each circle of ``resolvent_diagnostic``
+
+
+def _grid_count(blocks: np.ndarray, count: int) -> int:
+    """Points to evaluate of a ``count``-point angle grid 2 pi j / count.
+
+    For real blocks the closed upper half, j = 0..count // 2: the support
+    values and resolvent norms at the conjugate multipliers are the same,
+    so the rest of the grid mirrors it.  For complex blocks all count.
+    """
+    return count if blocks.imag.any() else count // 2 + 1
 
 
 def theta_recursion(n: int) -> float:
@@ -171,22 +189,29 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     On T's (n, b, b) block stack h(phi) is the largest block value and x
     lies in the top block.  The rotated stacks go to ``eigh_sym`` at most
     ``stack_chunk(b) // n`` angles per call, with the same bits as one
-    call per angle and block.
+    call per angle and block.  For a real T only rows j = 0..m // 2 are
+    factored; row m - j copies h from row j and takes the conjugate of its
+    point, which is the boundary point at the multiplier conj(e^{-i phi_j})
+    (within an ulp of e^{-i phi_{m-j}}).  The angles stay 2 pi j / m.
     """
     if m < 8:
         raise ValueError("need at least 8 support angles")
     t, chunk = _stack(t)
+    count = _grid_count(t, m)
     angles = 2.0 * np.pi * np.arange(m) / m
     support = np.empty(m)
     points = np.empty(m, dtype=np.complex128)
-    for start in range(0, m, chunk):
-        part = angles[start:start + chunk]
+    for start in range(0, count, chunk):
+        part = angles[start:min(start + chunk, count)]
         w, v = eigh_sym(np.exp(-1j * part)[:, None, None, None] * t)
         top = np.argmax(w[:, :, -1], axis=1)
         support[start:start + len(part)] = w[np.arange(len(part)), top, -1]
         for j, k in enumerate(top.tolist()):
             x = v[j, k, :, -1]
             points[start + j] = x.conj() @ (t[k] @ x)
+    # real T: row m - j is row j at the conjugate multiplier
+    support[count:] = support[m - count:0:-1]
+    np.conjugate(points[m - count:0:-1], out=points[count:])
     return NumericalRangeBoundary(angles=angles, support=support, points=points)
 
 
@@ -278,10 +303,13 @@ def resolvent_diagnostic(t, radii=None) -> float:
     1 + 2^{-k}, k = 1..10, shrink geometrically toward the unit circle.
     The supremum over all |lambda| > 1 cannot be sampled exhaustively, so
     this is a measured value on a declared grid, and an empty grid
-    raises.  The stacks lambda I - T over T's (n, b, b) block stack go to
-    the SVD at most ``stack_chunk(b) // n`` values of lambda per call,
-    with the same smallest singular values, each the smallest over the
-    blocks, as one call per lambda.
+    raises.  For a real T only the closed upper half of each circle,
+    angles 2 pi j / 64 for j = 0..32, is evaluated: sigma_min and
+    |lambda - 1| are the same at conj(lambda).  The stacks lambda I - T
+    over T's (n, b, b) block stack go to the SVD at most
+    ``stack_chunk(b) // n`` values of lambda per call, with the same
+    smallest singular values, each the smallest over the blocks, as one
+    call per lambda.
     """
     t, chunk = _stack(t)
     if radii is None:
@@ -292,10 +320,11 @@ def resolvent_diagnostic(t, radii=None) -> float:
     if not all(1.0 < r < np.inf for r in radii):
         raise ValueError("all radii must be finite and exceed 1")
     eye = np.eye(t.shape[-1], dtype=np.complex128)[None]
-    phis = 2.0 * np.pi * np.arange(_ANGLES_PER_RADIUS) / _ANGLES_PER_RADIUS
+    count = _grid_count(t, _ANGLES_PER_RADIUS)
+    phis = 2.0 * np.pi * np.arange(count) / _ANGLES_PER_RADIUS
     best = 0.0
     for r in radii:
-        for start in range(0, _ANGLES_PER_RADIUS, chunk):
+        for start in range(0, count, chunk):
             lams = r * np.exp(1j * phis[start:start + chunk])
             sigma_min = np.linalg.svd(lams[:, None, None, None] * eye - t,
                                       compute_uv=False)[..., -1].min(axis=-1)

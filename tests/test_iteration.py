@@ -1,6 +1,7 @@
 """Cyclic products: error traces, rate bounds, sweep energy, series sums."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,17 @@ def test_the_raw_constructor_refuses_non_finite_blocks_and_spans(bad):
         blocks[k][0, 0, 0] = bad
         with pytest.raises(ValueError, match="blocks must be finite"):
             CyclicProduct(blocks, cp._spans)
+
+
+def test_a_huge_finite_span_is_refused_without_an_overflow_warning():
+    # X X^H overflows to infinite and NaN entries, which fail the comparison;
+    # forming them must not warn first (a RuntimeWarning is an error here)
+    cp = build_cyclic(two_lines(0.3))
+    spans = [np.array([[[1e200, 1e200], [1e200, -1e200]]]), cp._spans[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="span does not span its factor"):
+            CyclicProduct(cp._blocks, spans)
 
 
 def test_block_model_at_two_thousand_blocks_stays_small():

@@ -26,6 +26,7 @@ from altproj import (
     two_lines,
 )
 from altproj import spectral
+from altproj.acceptance import _pool
 from altproj.linalg import eigh_sym, stack_chunk, sym
 
 
@@ -242,11 +243,14 @@ def test_non_finite_slack_is_refused(slack):
         containment_check(build_cyclic(two_lines(1.0)), 0.5, 2, slack=slack)
 
 
-@pytest.mark.parametrize("kernel", [
+_KERNELS = pytest.mark.parametrize("kernel", [
     lambda t: ritt_power_diagnostic(t, 10),
     resolvent_diagnostic,
     lambda t: numrange_boundary(t, 8),
 ], ids=["ritt_power_diagnostic", "resolvent_diagnostic", "numrange_boundary"])
+
+
+@_KERNELS
 def test_non_finite_plain_matrices_are_refused(kernel):
     # before LAPACK, which would fail with "did not converge"
     with pytest.raises(ValueError, match="T must be finite"):
@@ -255,6 +259,13 @@ def test_non_finite_plain_matrices_are_refused(kernel):
     t[1, 2] = np.inf
     with pytest.raises(ValueError, match="T must be finite"):
         kernel(t)
+
+
+@_KERNELS
+def test_empty_plain_matrices_are_refused(kernel):
+    # before the chunk size of a 0 x 0 stack, which divides by zero
+    with pytest.raises(ValueError, match="T must not be empty"):
+        kernel(np.zeros((0, 0)))
 
 
 # The stacked kernels against literal one-matrix-per-call loops, with exact
@@ -301,12 +312,18 @@ def test_power_profile_matches_a_per_power_loop(t64, n_max):
     assert n_star == int(np.argmax(expected)) + 1 and sup == profile[n_star - 1]
 
 
-def _resolvent_loop(t, radius, count):
-    eye = np.eye(t.shape[0], dtype=np.complex128)
+def _grid(count):
+    return 2.0 * np.pi * np.arange(count) / count
+
+
+def _resolvent_loop(t, lams):
+    """max |lambda - 1| / sigma_min(lambda I - T) over lams, one SVD call per
+    lambda; sigma_min of an (n, b, b) stack is the smallest over its blocks."""
+    eye = np.eye(t.shape[-1], dtype=np.complex128)
     best = 0.0
-    for phi in 2.0 * np.pi * np.arange(count) / count:
-        lam = radius * np.exp(1j * phi)
-        best = max(best, abs(lam - 1.0) / np.linalg.svd(lam * eye - t, compute_uv=False)[-1])
+    for lam in lams:
+        sigma_min = np.linalg.svd(lam * eye - t, compute_uv=False)[..., -1].min()
+        best = max(best, abs(lam - 1.0) / sigma_min)
     return float(best)
 
 
@@ -319,13 +336,23 @@ def test_resolvent_matches_a_per_lambda_loop(t64, k, monkeypatch):
     monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", count)
     rho = np.abs(np.linalg.eigvals(t64)).max()
     t = (0.99 / rho) * np.exp(2j * np.pi * k / count) * t64
-    assert resolvent_diagnostic(t, radii=[1.01]) == _resolvent_loop(t, 1.01, count)
+    assert resolvent_diagnostic(t, radii=[1.01]) == _resolvent_loop(t, 1.01 * np.exp(1j * _grid(count)))
+
+
+def _mirrored(mu):
+    """A real T's multipliers as the kernels use them: rows j = 0..m // 2 as
+    given, each row j > m // 2 the conjugate of row m - j."""
+    mu = np.array(mu)
+    m = len(mu)
+    j = np.arange(m // 2 + 1, m)
+    mu[j] = mu[m - j].conj()
+    return mu
 
 
 def test_numrange_boundary_matches_a_per_angle_loop(t64):
     b = numrange_boundary(t64, 256)
-    for i, phi in enumerate(2.0 * np.pi * np.arange(256) / 256):
-        w, v = eigh_sym(np.exp(-1j * phi) * t64)
+    for i, mu in enumerate(_mirrored(np.exp(-1j * b.angles))):
+        w, v = eigh_sym(mu * t64)
         x = v[:, -1]
         assert b.support[i] == w[-1]
         assert b.points[i] == x.conj() @ (t64 @ x)
@@ -369,7 +396,7 @@ def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
     count = 2 * (stack_chunk(2) // k_blocks) + 3
     monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", count)
     b = numrange_boundary(cp, count)
-    w, v = eigh_sym(np.array([np.exp(-1j * phi) * t for phi in b.angles]))
+    w, v = eigh_sym(np.array([mu * t for mu in _mirrored(np.exp(-1j * b.angles))]))
     top = np.argmax(w[:, :, -1], axis=1)
     for i, k in enumerate(top):
         x = v[i, k, :, -1]
@@ -384,12 +411,87 @@ def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
     # the profile from the blocks' cores agrees to rounding (1.5e-14 of the
     # supremum measured)
     assert np.abs(ritt_power_diagnostic(cp, count)[2] - expected).max() <= 1e-12 * expected.max()
-    best = 0.0
-    for phi in 2.0 * np.pi * np.arange(count) / count:
-        lam = 1.01 * np.exp(1j * phi)
-        sigma_min = np.linalg.svd(lam * eye - t, compute_uv=False)[:, -1].min()
-        best = max(best, abs(lam - 1.0) / sigma_min)
-    assert resolvent_diagnostic(cp, radii=[1.01]) == best
+    expected = _resolvent_loop(t, _mirrored(1.01 * np.exp(1j * _grid(count))))
+    assert resolvent_diagnostic(cp, radii=[1.01]) == expected
+
+
+# For a real T the kernels factor the closed upper half of each angle grid
+# and mirror the rest; a complex T goes through the full grid.
+
+
+def _numrange_loop(t, mus):
+    """Support values and boundary points of an (n, b, b) stack, one
+    ``eigh_sym`` call per multiplier."""
+    support = np.empty(len(mus))
+    points = np.empty(len(mus), dtype=np.complex128)
+    for i, mu in enumerate(mus):
+        w, v = eigh_sym(mu * t)
+        k = int(np.argmax(w[:, -1]))
+        x = v[k, :, -1]
+        support[i], points[i] = w[k, -1], x.conj() @ (t[k] @ x)
+    return support, points
+
+
+def _complex_product(d, dims, seed):
+    rng = np.random.default_rng(seed)
+    return build_cyclic([orthonormalize(rng.standard_normal((d, r))
+                                        + 1j * rng.standard_normal((d, r))) for r in dims])
+
+
+@pytest.mark.parametrize("m", [61, 64])
+def test_real_kernels_match_per_angle_loops_at_their_multipliers(t64, m, monkeypatch):
+    # the mirrored rows j > m // 2 are the eigh_sym and SVD results at the
+    # conjugate of row m - j's multiplier, bit for bit
+    monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", m)
+    radii = [1.5, 1.01]
+    operators = [entry.cp for entry in _pool()[:20:4]]
+    operators += [block_aligned(12, "1/k").cyclic(), t64]
+    for t in operators:
+        blocks = t._t_blocks if hasattr(t, "_t_blocks") else t[None]
+        assert not blocks.imag.any()
+        b = numrange_boundary(t, m)
+        support, points = _numrange_loop(blocks, _mirrored(np.exp(-1j * b.angles)))
+        assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
+        expected = max(_resolvent_loop(blocks, _mirrored(r * np.exp(1j * _grid(m))))
+                       for r in radii)
+        assert resolvent_diagnostic(t, radii) == expected
+
+
+def test_complex_operators_get_the_full_grid():
+    # W(T) of a complex product is not its own mirror image
+    cp = _complex_product(8, (3, 5, 4), 7)
+    b = numrange_boundary(cp, 64)
+    support, points = _numrange_loop(cp._t_blocks, np.exp(-1j * b.angles))
+    assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
+    assert np.abs(b.support[1:] - b.support[:0:-1]).max() > 1e-3  # h(phi) != h(-phi)
+    radii = [1.5, 1.01]
+    expected = max(_resolvent_loop(cp._t_blocks, r * np.exp(1j * _grid(64))) for r in radii)
+    assert resolvent_diagnostic(cp, radii) == expected
+
+
+def test_kernels_factor_half_of_each_grid_for_a_real_operator(t64, monkeypatch):
+    # matrices per boundary and per radius, counted over the angles of
+    # every stacked call (at d = 64 the 33 angles of a real T split 32 + 1)
+    counts = []
+
+    def spy(kernel):
+        def counted(a, *args, **kwargs):
+            counts.append(len(a))
+            return kernel(a, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(spectral, "eigh_sym", spy(eigh_sym))
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+    radii = [1.5, 1.2, 1.01]
+    for t, real in [(t64, True), (block_aligned(12, "1/k").cyclic(), True),
+                    (_complex_product(D, (20, 30, 40), 64), False)]:
+        for m in (64, 61):
+            counts.clear()
+            numrange_boundary(t, m)
+            assert sum(counts) == (m // 2 + 1 if real else m)
+        counts.clear()
+        resolvent_diagnostic(t, radii)
+        assert sum(counts) == len(radii) * (33 if real else 64)
 
 
 # The power profile on T's core against one product T^n (I - T) and one
