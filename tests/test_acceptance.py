@@ -45,7 +45,7 @@ _PINNED_LINES = {
     5: ("criterion 05 sweep_energy_inequality: PASS (10000 (instance, x) pairs, 0 "
         "violations at 1e-10)"),
     6: ("criterion 06 numerical_range_containment: PASS (100 instances + 2 averaged "
-        "fixtures, 0 escapes, worst margin -3.3e-15)"),
+        "fixtures, 0 escapes, worst margin -2.7e-15)"),
     7: ("criterion 07 ritt_diagnostics: PASS (sup n||T^n(I-T)|| <= 0.499; norm "
         "profile non-increasing past the peak (slack -2.0e-17); 28/200 weighted "
         "profiles multi-modal; resolvent variation 0.078%; zero-product constant "
