@@ -209,7 +209,7 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
         for j, k in enumerate(top.tolist()):
             x = v[j, k, :, -1]
             points[start + j] = x.conj() @ (t[k] @ x)
-    # real T: row m - j is row j at the conjugate multiplier
+    # real T: row m - j is row j at the conjugate multiplier (nothing when count is m)
     support[count:] = support[m - count:0:-1]
     np.conjugate(points[m - count:0:-1], out=points[count:])
     return NumericalRangeBoundary(angles=angles, support=support, points=points)

@@ -336,7 +336,8 @@ def test_resolvent_matches_a_per_lambda_loop(t64, k, monkeypatch):
     monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", count)
     rho = np.abs(np.linalg.eigvals(t64)).max()
     t = (0.99 / rho) * np.exp(2j * np.pi * k / count) * t64
-    assert resolvent_diagnostic(t, radii=[1.01]) == _resolvent_loop(t, 1.01 * np.exp(1j * _grid(count)))
+    expected = _resolvent_loop(t, 1.01 * np.exp(1j * _grid(count)))
+    assert resolvent_diagnostic(t, radii=[1.01]) == expected
 
 
 def _mirrored(mu):
