@@ -72,7 +72,6 @@ from .subspace import (
     Subspace,
     complement_within,
     intersection,
-    orthogonal_complement,
     orthonormalize,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "numrange_boundary",
     "omega_contains",
     "operator_error_norm",
-    "orthogonal_complement",
     "orthonormalize",
     "partial_sum_characterization",
     "random_instance",

@@ -1,14 +1,12 @@
 """Fractional powers (I - T)^alpha of the projection product.
 
 The binomial series (I - T)^alpha = sum_n (-1)^n binom(alpha, n) T^n is
-the reference computation (``method="series"``).  The default
-``method="auto"`` runs the series within a practical term budget and,
-past it, takes the fast route: a spectral path through an
-eigendecomposition of T's blocks, used when the eigenvector basis is
-well-conditioned.  When x's eigencoordinates prove that the series
-cannot meet its stop rule within the budget (``_series_exhausts``), the
-auto path skips the series and goes straight to the spectral path, where
-the series would have ended, so the result is the same bit for bit.
+the reference computation (``method="series"``), certified to ``tol``.
+The default ``method="auto"`` takes the fast route for a non-integer
+alpha: a spectral path through an eigendecomposition of T's blocks, used
+when the eigenvector basis is well-conditioned.  An integer alpha makes
+the series a polynomial in T, which it sums exactly, and a defective or
+ill-conditioned T has no usable eigenbasis; both run the series.
 
 On top of these the module builds vectors of the regularity class
 Fix(T) + Ran(I-T)^alpha, fits the polynomial decay exponent of their
@@ -24,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .iteration import CyclicProduct
-from .linalg import _finite, _stack, as_complex_matrix, diagonalize, spectral_norm
+from .linalg import _finite, _stack, diagonalize, spectral_norm
 
 __all__ = [
     "AlphaVector",
@@ -35,21 +33,18 @@ __all__ = [
 ]
 
 _TERM_CAP = 10**6  # hard cap on series terms
-_AUTO_CAP = 20_000  # practical series budget before switching paths
 _CAP_MSG = "alpha too small / tol too tight"
-_EPS = float(np.finfo(float).eps)
-
-
-def _auto_terms(d: int) -> int:
-    """Series budget for the auto path: roughly constant work, d^2 per term."""
-    return min(_AUTO_CAP, max(256, int(4e9 // (8 * d * d))))
 
 
 def _matvec(t):
-    """Return the sweep x -> T x of a CyclicProduct or a plain matrix."""
+    """Return the sweep x -> T x of a CyclicProduct or a plain matrix.
+
+    A plain matrix is checked by ``_stack`` and must be a contraction;
+    otherwise ``ValueError``.
+    """
     if hasattr(t, "apply"):
         return t.apply
-    dense = as_complex_matrix(t)
+    dense = _stack(t)[0][0]
     if spectral_norm(dense) > 1.0 + 1e-10:
         raise ValueError("operator is not a contraction")
     return lambda v: dense @ v
@@ -108,83 +103,22 @@ def _eigencoordinates(t, x: np.ndarray):
     return lam, v, np.linalg.solve(v, x.reshape(lam.shape + (1,)))[..., 0]
 
 
-def _eig_apply(t, alpha: float, x: np.ndarray, coords=None) -> np.ndarray:
-    """(I-T)^alpha x through an eigendecomposition, principal branch.
-
-    ``coords`` is x's ``_eigencoordinates`` when the caller already has them.
-    """
-    lam, v, w = coords or _eigencoordinates(t, x.astype(np.complex128))
+def _eig_apply(t, alpha: float, x: np.ndarray) -> np.ndarray:
+    """(I-T)^alpha x through an eigendecomposition, principal branch."""
+    lam, v, w = _eigencoordinates(t, x.astype(np.complex128))
     scale = (1.0 - lam).astype(np.complex128) ** alpha
     return (v @ (scale * w)[..., None]).reshape(x.shape)
 
 
-def _log_tail(alpha: float, n: int) -> float:
-    """log |binom(alpha - 1, n)| for alpha not an integer: the log of the series'
-    tail factor |sum_{m<=n} (-1)^m binom(alpha, m)|.
-
-    In ``lgamma`` throughout; Gamma(1 - alpha) itself underflows to zero
-    near alpha = 200.
-    """
-    return math.lgamma(n + 1 - alpha) - math.lgamma(n + 1) - math.lgamma(1 - alpha)
-
-
-def _series_exhausts(cp, alpha: float, x: np.ndarray, tol: float, terms: int):
-    """x's eigencoordinates (lam, v, w) when they prove that ``_series_apply``
-    cannot meet its stop rule within ``terms`` terms, else None.
-
-    For n >= alpha neither the tail factor tail(n) = |binom(alpha - 1, n)|
-    nor ||T^n x|| increases, so the series runs out of terms once
-    tail(B) ||T^B x|| > tol at B = ``terms``.  Block by block,
-    ||V Lam^B w|| >= sigma_min(V) ||Lam^B w|| bounds ||T^B x|| from below
-    through the cached eigenbasis.  Two allowances for the series' own
-    rounding are subtracted: (B + 1) eps 2^(ceil(alpha) + 2) from tail(B),
-    since the coefficient recurrence and its compensated sum carry
-    relative errors of about 3B eps on coefficients whose magnitudes sum
-    to at most 2^(ceil(alpha) + 1); and B N (b + 2) sqrt(b) eps ||x|| from
-    the norm, the drift of B sweeps over N factors of b x b blocks.  The
-    product must then exceed 2 tol; the factor 2 absorbs the rounding of
-    the norms, of lgamma and of the eigendecomposition.
-
-    None, so the series runs, for an integer alpha (its series ends), for
-    B < alpha, a plain matrix, an eigenbasis that ``diagonalize`` refuses
-    or that fails to compute, coefficients small enough to underflow to
-    zero by step B (the series has its own exit there), and whenever the
-    bound falls short.
-    """
-    if alpha == math.floor(alpha) or terms < alpha or not isinstance(cp, CyclicProduct):
-        return None
-    # |binom(alpha, n)| is smallest over n <= B at n = 0 or n = B
-    if _log_tail(alpha + 1.0, terms) < math.log(1e-300):
-        return None
-    log_tail = _log_tail(alpha, terms)
-    log_err = math.log((terms + 1) * _EPS) + (math.ceil(alpha) + 2) * math.log(2.0)
-    if log_err > log_tail - math.log(2.0):
-        return None
-    tail = math.exp(log_tail) - math.exp(log_err)
-    b = cp._blocks[0].shape[-1]
-    xnorm = float(np.linalg.norm(x))
-    drift = terms * cp.N * (b + 2) * math.sqrt(b) * _EPS * xnorm
-    if tail * (xnorm - drift) <= 2.0 * tol:  # no eigenbasis needed to fail
-        return None
-    try:
-        lam, v, w = coords = _eigencoordinates(cp, x)
-    except (np.linalg.LinAlgError, NumericalContractError):
-        return None
-    sigma_min = np.linalg.svd(v, compute_uv=False)[:, -1]
-    decayed = (np.abs(lam) ** (2 * terms) * np.abs(w) ** 2).sum(axis=1)
-    lower = math.sqrt(float(sigma_min**2 @ decayed))
-    return coords if tail * (lower - drift) > 2.0 * tol else None
-
-
 def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") -> np.ndarray:
-    """Apply (I - T)^alpha to x with truncation error at most tol.
+    """Apply (I - T)^alpha to x.
 
-    ``method`` is "series" (the reference; works for defective T) or
-    "auto" (series within a practical term budget, then the spectral
-    path, then the series at its full cap for defective T).  On a
-    ``CyclicProduct`` the auto path skips the budgeted series when x's
-    eigencoordinates prove it would run out of terms, and so returns the
-    same result sooner.  A non-finite ``x`` raises ``ValueError``.
+    ``method`` is "series" (the reference; works for defective T, with
+    truncation error at most ``tol``) or "auto": the spectral path for a
+    non-integer alpha when T's eigenvector basis is well-conditioned, and
+    the reference series otherwise.  ``tol`` bounds the truncation only
+    where the series runs; the spectral path has none.  A non-finite
+    ``x`` raises ``ValueError``.
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -194,22 +128,13 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
     if alpha == 0.0:
         return x.copy()
     apply_t = _matvec(t)
-    if method == "series":
-        return _series_apply(apply_t, alpha, x, tol, _TERM_CAP)
-    if method != "auto":
+    if method not in ("auto", "series"):
         raise ValueError("method must be 'auto' or 'series'")
-    terms = _auto_terms(len(x))
-    coords = _series_exhausts(t, alpha, x, tol, terms)
-    if coords is None:
+    if method == "auto" and not float(alpha).is_integer():
         try:
-            return _series_apply(apply_t, alpha, x, tol, terms)
-        except CapacityError:
-            pass
-    try:
-        return _eig_apply(t, alpha, x, coords)
-    except NumericalContractError:
-        pass
-    # defective and slowly contracting: the reference series, full cap
+            return _eig_apply(t, alpha, x)
+        except (np.linalg.LinAlgError, NumericalContractError):
+            pass  # defective or ill-conditioned: the reference series
     return _series_apply(apply_t, alpha, x, tol, _TERM_CAP)
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "orthonormalize",
     "intersection",
     "complement_within",
-    "orthogonal_complement",
 ]
 
 _EIG_TOL = 1e-10  # eigenvalue cut of ``intersection``
@@ -68,16 +67,6 @@ class Subspace:
         if self.dim == 0:
             return np.zeros_like(np.asarray(x, dtype=np.complex128))
         return self.basis @ (self.basis.conj().T @ np.asarray(x, dtype=np.complex128))
-
-    def contains(self, x: np.ndarray) -> bool:
-        """Membership of ``x`` to 1e-10, relative to max(1, ||x||)."""
-        x = np.asarray(x, dtype=np.complex128)
-        return bool(np.linalg.norm(self.project(x) - x) <= 1e-10 * max(1.0, np.linalg.norm(x)))
-
-    def distance(self, x: np.ndarray) -> float:
-        """dist(x, subspace) = ||x - Px||."""
-        x = np.asarray(x, dtype=np.complex128)
-        return float(np.linalg.norm(x - self.project(x)))
 
 
 def orthonormalize(vectors) -> Subspace:
@@ -202,8 +191,3 @@ def complement_within(mk: Subspace, m: Subspace) -> Subspace:
     if mk.ambient_dim != m.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
     return Subspace(_complement_within_blocks(mk.basis[None], m.basis[None])[0])
-
-
-def orthogonal_complement(s: Subspace) -> Subspace:
-    """The full orthogonal complement of ``s`` in its ambient space."""
-    return Subspace(_orthogonal_complement_blocks(s.basis[None])[0])

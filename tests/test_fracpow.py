@@ -100,6 +100,13 @@ def test_defective_block_matches_the_closed_form():
     assert np.allclose(auto, closed[:, 1], atol=1e-10)
 
 
+@pytest.mark.parametrize("method", ["auto", "series"])
+def test_non_square_matrices_are_refused(method):
+    # a contraction, but no operator on the space of x
+    with pytest.raises(ValueError, match="T must be square"):
+        frac_power_apply(np.zeros((2, 3)), 0.5, np.ones(3), 1e-8, method=method)
+
+
 def test_fracpow_input_validation():
     cp = build_cyclic(two_lines(1.0))
     x = np.array([1.0, 0.0])
@@ -153,9 +160,8 @@ def test_literal_partial_sums_of_a_defective_matrix():
 
 
 def test_block_model_is_eigendecomposed_once(monkeypatch):
-    # the auto path proves from the eigenbasis that the series would outgrow
-    # its budget at d = 400 and applies the power there; the partial sums
-    # reuse the same one
+    # the auto path applies the power at alpha = 0.5 through the eigenbasis,
+    # and the partial sums reuse the same one
     calls = []
     eig = np.linalg.eig
 
@@ -172,82 +178,78 @@ def test_block_model_is_eigendecomposed_once(monkeypatch):
     assert calls == [(200, 2, 2)]  # one call on the stack of T's blocks
 
 
-def _series_then_eig(cp, alpha, x, tol):
-    """The auto path without the exhaustion proof: the budgeted series, then the eigenbasis."""
-    try:
-        return fracpow._series_apply(cp.apply, alpha, x, tol, fracpow._auto_terms(len(x)))
-    except CapacityError:
-        return fracpow._eig_apply(cp, alpha, x)
-
-
 def _unit_vector(d, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return x / np.linalg.norm(x)
 
 
-def test_an_exhaustion_proof_is_never_wrong():
-    # whenever the eigencoordinates prove that the series cannot stop within
-    # its budget, the series does run out of terms
-    cps = [e.cp for e in _pool()[::4]]
-    cps += [block_aligned(k, rule).cyclic() for k in (12, 50) for rule in ("1/k", "1/sqrt(k)")]
-    proofs = cases = 0
-    for i, cp in enumerate(cps):
-        x = _unit_vector(cp.dim, i)
-        for alpha in (0.3, 0.5, 1.5, 2.5, 7.5):
-            for terms in (8, 64, 256):
-                for tol in (1e-4, 1e-7, 1e-10, 1e-13):
-                    cases += 1
-                    if fracpow._series_exhausts(cp, alpha, x, tol, terms) is None:
-                        continue
-                    proofs += 1
-                    with pytest.raises(CapacityError):
-                        fracpow._series_apply(cp.apply, alpha, x, tol, terms)
-    assert cases == 3240
-    assert proofs > cases // 4
+# the lines, rand6, rand12 and rand64 CLI fixtures
+_FIXTURES = ((two_lines(math.pi / 3),)
+             + tuple(random_instance(d, dims, seed=s)
+                     for d, dims, s in ((6, (2, 3), 11), (12, (4, 5, 6), 12),
+                                        (64, (20, 30, 40), 64))))
 
 
 @pytest.mark.parametrize("k_blocks", [12, 200, 400])
-def test_auto_path_is_the_series_then_the_eigenbasis_bit_for_bit(k_blocks):
-    cp = block_aligned(k_blocks, "1/k").cyclic()
-    x = _unit_vector(cp.dim, k_blocks)
-    terms = fracpow._auto_terms(cp.dim)
-    for alpha in (0.3, 0.5, 1.5):
-        for tol in (1e-6, 1e-10):
-            auto = frac_power_apply(cp, alpha, x, tol)
-            assert auto.tobytes() == _series_then_eig(cp, alpha, x, tol).tobytes()
-    # at K = 12 the series meets its stop rule; beyond, the proof skips it
-    skipped = fracpow._series_exhausts(cp, 0.5, x, 1e-10, terms) is not None
-    assert skipped == (k_blocks > 12)
+def test_auto_path_is_the_eigenbasis_for_non_integer_alpha(k_blocks):
+    rand12 = build_cyclic(random_instance(12, (4, 5, 6), seed=k_blocks))
+    for cp in (block_aligned(k_blocks, "1/k").cyclic(), rand12):
+        x = _unit_vector(cp.dim, k_blocks)
+        for alpha in (0.3, 0.5, 1.5, 100.5, 200.5, 400.5):
+            auto = frac_power_apply(cp, alpha, x, 1e-10)
+            assert auto.tobytes() == fracpow._eig_apply(cp, alpha, x).tobytes()
+    t = rand12.matrix  # a plain matrix takes the same path
+    x = _unit_vector(12, 1)
+    assert frac_power_apply(t, 0.5, x, 1e-10).tobytes() == fracpow._eig_apply(t, 0.5, x).tobytes()
 
 
-@pytest.mark.parametrize("alpha", [100.5, 200.5, 400.5])
-def test_extreme_alpha_runs_the_series_as_before(alpha):
-    # the coefficients reach about 2^alpha, so the series' rounding swamps
-    # its tail factor and no proof is attempted; Gamma(1 - alpha) alone
-    # underflows to zero here, which lgamma avoids
-    cp = block_aligned(50, "1/k").cyclic()
-    x = _unit_vector(cp.dim, 5)
-    assert fracpow._series_exhausts(cp, alpha, x, 1e-10, fracpow._auto_terms(cp.dim)) is None
-    auto = frac_power_apply(cp, alpha, x, 1e-10)
-    assert auto.tobytes() == _series_then_eig(cp, alpha, x, 1e-10).tobytes()
+def test_auto_path_is_the_series_for_integer_alpha_and_a_defective_t():
+    # an integer alpha makes the series a polynomial in T, summed exactly
+    for cp in (block_aligned(12, "1/k").cyclic(),
+               build_cyclic(random_instance(12, (4, 5, 6), seed=12))):
+        x = _unit_vector(cp.dim, 3)
+        for alpha in (1.0, 2.0, 3.0):
+            auto = frac_power_apply(cp, alpha, x, 1e-10)
+            assert auto.tobytes() == frac_power_apply(cp, alpha, x, 1e-10,
+                                                      method="series").tobytes()
+    # a Jordan block has no eigenbasis
+    j = np.array([[0.4, 0.3], [0.0, 0.4]])
+    for alpha in (0.5, 1.5, 2.0):
+        for col in np.eye(2):
+            auto = frac_power_apply(j, alpha, col, 1e-12)
+            assert auto.tobytes() == frac_power_apply(j, alpha, col, 1e-12,
+                                                      method="series").tobytes()
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
-def test_closed_form_tail_matches_the_coefficient_recurrence(alpha):
-    # the series' own recurrence and compensated sum of the coefficients
-    c, total, comp = 1.0, 1.0, 0.0
-    recurrence, closed = [], []
-    for n in range(1, 3126):
-        c = c * (n - 1 - alpha) / n
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if n >= alpha:
-            recurrence.append(abs(total))
-            closed.append(math.exp(fracpow._log_tail(alpha, n)))
-    np.testing.assert_allclose(closed, recurrence, rtol=1e-11, atol=0.0)
+def test_auto_path_falls_back_to_the_series_when_eig_fails(monkeypatch):
+    def failing_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    cp = block_aligned(12, "1/k").cyclic()  # its eigenbasis is not cached yet
+    for t, d in ((cp, cp.dim), (build_cyclic(two_lines(0.8)).matrix, 2)):
+        x = _unit_vector(d, 2)
+        auto = frac_power_apply(t, 0.5, x, 1e-10)
+        assert auto.tobytes() == frac_power_apply(t, 0.5, x, 1e-10, method="series").tobytes()
+
+
+def test_auto_path_meets_tol_wherever_the_series_does():
+    # the series certifies its truncation to tol; within 2000 terms it does
+    # so in most of these cases, and there the eigen path lies within tol of it
+    cps = [e.cp for e in _pool()[::4]] + [build_cyclic(f) for f in _FIXTURES]
+    checked = 0
+    for i, cp in enumerate(cps):
+        x = _unit_vector(cp.dim, i)
+        for alpha in (0.3, 0.5, 1.5):
+            for tol in (1e-6, 1e-10):
+                try:
+                    series = fracpow._series_apply(cp.apply, alpha, x, tol, 2000)
+                except CapacityError:
+                    continue
+                checked += 1
+                assert np.linalg.norm(frac_power_apply(cp, alpha, x, tol) - series) <= tol
+    assert checked >= 250
 
 
 @pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)", "custom"])

@@ -35,10 +35,10 @@ FIXTURES = {
     # pins ritt and numrange at d = 64, where a matrix stack capped at
     # 2 MiB holds 32 matrices, so every stack spans several chunks
     "rand64": f"{_HEADER}kind random\nseed 64\nd 64\ndims 20 30 40\n",
-    # pins the eigen path of fracpow: at d = 400 the series would outgrow
-    # the auto path's budget, so (I - T)^alpha is applied through the
-    # eigenbasis (without running the series, once that is proven), and
-    # the block route of every angle quantity in geometry and iterate
+    # pins the eigen path of fracpow on the block stack at d = 400, where
+    # (I - T)^alpha at a non-integer alpha is applied through the
+    # eigenbasis of T's 2x2 blocks, and the block route of every angle
+    # quantity in geometry and iterate
     "blocks200": f"{_HEADER}kind block_aligned\nk_blocks 200\nangle_rule 1/k\n",
 }
 

@@ -268,6 +268,13 @@ def test_empty_plain_matrices_are_refused(kernel):
         kernel(np.zeros((0, 0)))
 
 
+@_KERNELS
+def test_non_square_plain_matrices_are_refused(kernel):
+    # before NumPy's broadcasting or matmul core-dimension errors
+    with pytest.raises(ValueError, match="T must be square"):
+        kernel(np.zeros((2, 3)))
+
+
 # The stacked kernels against literal one-matrix-per-call loops, with exact
 # equality (the power profile to rounding), at d = 64 where a stack holds
 # CHUNK matrices and so splits.
