@@ -131,6 +131,32 @@ class CyclicProduct:
         """``diagonalize`` of T's blocks: (lam, v) stacks, or None when ill-conditioned."""
         return diagonalize(self._t_blocks)
 
+    @cached_property
+    def _core(self):
+        """(Q, C): T compressed to a 2m-dimensional subspace S per block, or None.
+
+        With X_1 and X_N the first and last spans (r_1 and r_N columns),
+        T = X_N K X_1^H for K = X_N^H T X_1, and m = min(r_1, r_N).  Q is
+        the (n, b, 2m) reduced QR factor of [X_N Q_K, X_1 Q_{K^H}], where
+        Q_K and Q_{K^H} are the first m columns of the QR factors of K and
+        K^H, and C = Q^H T Q is (n, 2m, 2m).  S = span Q holds Ran T and
+        Ran T^H, so T maps S into itself and vanishes on S^perp: T is C
+        on S and 0 beside it.  Householder QR gives 2m orthonormal columns
+        even when the stacked columns are dependent, and dim S = 2m > m
+        >= rank T puts a kernel vector of T in S, so C is singular.  None
+        unless 0 < 2m < b, where there is nothing to compress.
+        """
+        first, last = self._spans[0], self._spans[-1]
+        m = min(first.shape[-1], last.shape[-1])
+        t = self._t_blocks
+        if not 0 < 2 * m < t.shape[-1]:
+            return None
+        k = last.conj().swapaxes(-1, -2) @ (t @ first)
+        q_k = np.linalg.qr(k)[0][..., :m]
+        q_kh = np.linalg.qr(k.conj().swapaxes(-1, -2))[0][..., :m]
+        q = np.linalg.qr(np.concatenate([last @ q_k, first @ q_kh], axis=-1))[0]
+        return _freeze(q), _freeze(q.conj().swapaxes(-1, -2) @ (t @ q))
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
         # ``_block_apply`` inlined: a call per factor costs the pool's small

@@ -68,6 +68,18 @@ def _grid_count(blocks: np.ndarray, count: int) -> int:
     return count if blocks.imag.any() else count // 2 + 1
 
 
+def _core_stack(t):
+    """The blocks that ``numrange_boundary`` and ``resolvent_diagnostic``
+    factor, and their chunk: C of a product's ``_core`` where it has one,
+    else ``_stack(t)``.  T is C on S and 0 on S^perp, and C is singular, so
+    W(T) = W(C) and sigma_min(lambda I - T) = sigma_min(lambda I - C)."""
+    core = getattr(t, "_core", None)
+    if core is None:
+        return _stack(t)
+    c = core[1]
+    return c, max(1, stack_chunk(c.shape[-1]) // len(c))
+
+
 def theta_recursion(n: int) -> float:
     """Angle theta_N: theta_1 = 0 and
     theta_{k+1} = arctan(2 tan(theta_k)/(1 + 2^{-k}) + sqrt((1 - 2^{-k})/(1 + 2^{-k}))).
@@ -196,7 +208,7 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     """
     if m < 8:
         raise ValueError("need at least 8 support angles")
-    t, chunk = _stack(t)
+    t, chunk = _core_stack(t)
     count = _grid_count(t, m)
     angles = 2.0 * np.pi * np.arange(m) / m
     support = np.empty(m)
@@ -311,7 +323,7 @@ def resolvent_diagnostic(t, radii=None) -> float:
     smallest singular values, each the smallest over the blocks, as one
     call per lambda.
     """
-    t, chunk = _stack(t)
+    t, chunk = _core_stack(t)
     if radii is None:
         radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
     radii = list(radii)

@@ -440,6 +440,14 @@ def _numrange_loop(t, mus):
     return support, points
 
 
+def _factored(t):
+    """The stack the kernels factor: C of ``t._core`` where it exists, else
+    T's blocks (a plain matrix is one block)."""
+    if not hasattr(t, "_t_blocks"):
+        return t[None]
+    return t._t_blocks if t._core is None else t._core[1]
+
+
 def _complex_product(d, dims, seed):
     rng = np.random.default_rng(seed)
     return build_cyclic([orthonormalize(rng.standard_normal((d, r))
@@ -455,7 +463,7 @@ def test_real_kernels_match_per_angle_loops_at_their_multipliers(t64, m, monkeyp
     operators = [entry.cp for entry in _pool()[:20:4]]
     operators += [block_aligned(12, "1/k").cyclic(), t64]
     for t in operators:
-        blocks = t._t_blocks if hasattr(t, "_t_blocks") else t[None]
+        blocks = _factored(t)
         assert not blocks.imag.any()
         b = numrange_boundary(t, m)
         support, points = _numrange_loop(blocks, _mirrored(np.exp(-1j * b.angles)))
@@ -469,11 +477,11 @@ def test_complex_operators_get_the_full_grid():
     # W(T) of a complex product is not its own mirror image
     cp = _complex_product(8, (3, 5, 4), 7)
     b = numrange_boundary(cp, 64)
-    support, points = _numrange_loop(cp._t_blocks, np.exp(-1j * b.angles))
+    support, points = _numrange_loop(_factored(cp), np.exp(-1j * b.angles))
     assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
     assert np.abs(b.support[1:] - b.support[:0:-1]).max() > 1e-3  # h(phi) != h(-phi)
     radii = [1.5, 1.01]
-    expected = max(_resolvent_loop(cp._t_blocks, r * np.exp(1j * _grid(64))) for r in radii)
+    expected = max(_resolvent_loop(_factored(cp), r * np.exp(1j * _grid(64))) for r in radii)
     assert resolvent_diagnostic(cp, radii) == expected
 
 
@@ -500,6 +508,76 @@ def test_kernels_factor_half_of_each_grid_for_a_real_operator(t64, monkeypatch):
         counts.clear()
         resolvent_diagnostic(t, radii)
         assert sum(counts) == len(radii) * (33 if real else 64)
+
+
+# A product with 0 < 2m < b, m = min(r_1, r_N), has a core (Q, C): T is
+# C = Q^H T Q on span Q and 0 beside it, and C is singular, so the numerical
+# range and the resolvent factor C and agree with T's d x d block to
+# rounding.  A boundary point is fixed only up to eps / gap in its tangential
+# part, where gap is the distance of the top eigenvalue of the Hermitian part
+# to the next (2e-3 at worst on the pool, where points move by 2.3e-14).
+
+
+def _family(d, dims, first_last, seed):
+    """Real bases of R^d of the given dimensions; every basis holds the
+    vector e_1 when ``first_last`` is "all" (so M holds it), only the
+    first and last do when it is "ends" (M_1 ∩ M_N holds it, M = {0})."""
+    rng = np.random.default_rng(seed)
+    u = np.eye(d)[:, :1]
+    shared = {"all": range(len(dims)), "ends": (0, len(dims) - 1)}[first_last]
+    return [orthonormalize(np.hstack([u, rng.standard_normal((d, r - 1))]) if k in shared
+                           else rng.standard_normal((d, r))) for k, r in enumerate(dims)]
+
+
+def _compressed_products():
+    pool = [e.cp for e in _pool() if e.cp._core is not None]
+    assert len(pool) == 140
+    return pool + [_complex_product(8, (3, 5, 4), 7),
+                   build_cyclic(_family(8, (4, 5, 3), "all", 1)),
+                   build_cyclic(_family(8, (3, 5, 3), "ends", 2))]
+
+
+def test_core_kernels_match_the_full_blocks_to_rounding():
+    eps = np.finfo(float).eps
+    *_, planted, ends = products = _compressed_products()
+    assert planted.m.dim == 1 and ends.m.dim == 0
+    # the QR columns of the "ends" family lie in M_1 + M_N, of dimension 5 < 2m = 6
+    assert np.linalg.matrix_rank(np.hstack([ends._spans[0][0], ends._spans[-1][0]])) == 5
+    lams = np.concatenate([r * np.exp(1j * _grid(64)) for r in (1.5, 1.01)])
+    for cp in products:
+        q, c = (a[0] for a in cp._core)
+        t = cp.matrix
+        assert q.shape[1] < cp.dim and np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-14
+        assert np.abs(q @ c @ q.conj().T - t).max() <= 1e-14
+        assert np.linalg.svd(c, compute_uv=False)[-1] <= 1e-14  # a kernel vector of T in S
+        core, full = numrange_boundary(cp, 64), numrange_boundary(t, 64)
+        assert np.abs(core.support - full.support).max() <= 1e-14
+        w = eigh_sym(np.exp(-1j * full.angles)[:, None, None] * t)[0]
+        with np.errstate(divide="ignore"):
+            tol = 1e-14 + 8.0 * eps / (w[:, -1] - w[:, -2])
+        assert (np.abs(core.points - full.points) <= tol).all()
+        eye = np.eye(len(c))
+        sigma_core = np.linalg.svd(lams[:, None, None] * eye - c, compute_uv=False)[:, -1]
+        sigma_full = np.linalg.svd(lams[:, None, None] * np.eye(cp.dim) - t,
+                                   compute_uv=False)[:, -1]
+        assert np.abs(sigma_core - sigma_full).max() <= 1e-14
+
+
+def test_products_without_a_core_keep_their_blocks():
+    # m = 0 (a zero-dimensional first or last factor) and 2m >= b leave
+    # nothing to compress; the zero-dimensional families keep T = 0's values
+    plane, zero = Subspace(np.eye(4)[:, :2]), Subspace(np.zeros((4, 0)))
+    for family in ([plane, zero], [zero, plane]):
+        cp = build_cyclic(family)
+        assert cp._core is None
+        assert resolvent_diagnostic(cp, radii=[1.5]) == 5.0 / 3.0
+        assert resolvent_diagnostic(cp) == (2.0 + 2.0**-10) / (1.0 + 2.0**-10)
+        b = numrange_boundary(cp, 16)
+        assert np.array_equal(b.support, np.zeros(16)) and not np.abs(b.points).any()
+        assert ritt_power_diagnostic(cp, 10)[0] == 0.0
+    for cp in (build_cyclic(two_lines(1.0)), block_aligned(12, "1/k").cyclic(),
+               build_cyclic(random_instance(6, (3, 4), seed=1))):
+        assert cp._core is None
 
 
 # The power profile on T's core against one product T^n (I - T) and one
