@@ -1,12 +1,13 @@
 """Fractional powers (I - T)^alpha of the projection product.
 
-The binomial series (I - T)^alpha = sum_n (-1)^n binom(alpha, n) T^n is
-the reference computation (``method="series"``), certified to ``tol``.
-The default ``method="auto"`` takes the fast route for a non-integer
-alpha: a spectral path through an eigendecomposition of T's blocks, used
-when the eigenvector basis is well-conditioned.  An integer alpha makes
-the series a polynomial in T, which it sums exactly, and a defective or
-ill-conditioned T has no usable eigenbasis; both run the series.
+The reference computation (``method="series"``) splits alpha = m + f
+with m = floor(alpha): it applies I - T m times, then the binomial series
+(I - T)^f = sum_n (-1)^n binom(f, n) T^n for f in [0, 1), certified to
+``tol``.  The default ``method="auto"`` takes the fast route for a
+non-integer alpha: a spectral path through an eigendecomposition of T's
+blocks, used when the eigenvector basis is well-conditioned.  An integer
+alpha is m sweeps and no series, and a defective or ill-conditioned T
+has no usable eigenbasis; both run the reference.
 
 On top of these the module builds vectors of the regularity class
 Fix(T) + Ran(I-T)^alpha, fits the polynomial decay exponent of their
@@ -52,28 +53,42 @@ def _matvec(t):
 
 def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
                   max_terms: int) -> np.ndarray:
-    """Certified series sum: stops once tail(coeffs) * ||T^n x|| <= tol.
+    """(I - T)^m (I - T)^f x for alpha = m + f, m = floor(alpha), f in [0, 1).
 
-    Because T is a contraction, ||T^m x|| <= ||T^n x|| for m >= n, so
-    sum_{m>n} |c_m| ||T^m x|| <= |sum_{m<=n} c_m| * ||T^n x|| once the
-    coefficient signs have settled (n >= alpha).  This refines the
-    coarser rule based on ||T^n|| <= 1 alone and shares its guarantee.
+    The integer part is m sweeps x <- x - T x, exact polynomial evaluation
+    that carries only rounding; an integer alpha stops there.  The
+    fractional part is the certified series sum, which stops once
+    tail(coeffs) * ||T^n x|| <= tol.  Past n = 0 its coefficients
+    c_n = (-1)^n binom(f, n) are all negative, so the sum does not cancel,
+    and because T is a contraction, ||T^k x|| <= ||T^n x|| for k >= n, so
+    sum_{k>n} |c_k| ||T^k x|| <= |sum_{k<=n} c_k| * ||T^n x||.  This
+    refines the coarser rule based on ||T^n|| <= 1 alone and shares its
+    guarantee.  The m sweeps count against ``max_terms`` with the terms.
     """
-    acc = x.astype(np.complex128).copy()
+    m = math.floor(alpha)
+    f = alpha - m
+    if m > max_terms:
+        raise CapacityError(_CAP_MSG)
+    x = x.astype(np.complex128)
+    for _ in range(m):
+        x = x - apply_t(x)
+    if f == 0.0:
+        return x
+    acc = x.copy()
     comp = np.zeros_like(acc)
-    cur = x.astype(np.complex128)
+    cur = x
     c = 1.0
     partial = 1.0
     pcomp = 0.0
     n = 0
     while True:
-        # |sum_{m > n} c_m| is the running partial sum once n >= alpha
-        tail = abs(partial + pcomp) if n >= alpha else math.inf
-        if c == 0.0 or tail * np.linalg.norm(cur) <= tol:
+        # |sum_{k > n} c_k| is the running partial sum once n >= 1
+        tail = abs(partial + pcomp) if n >= 1 else math.inf
+        if tail * np.linalg.norm(cur) <= tol:
             return acc + comp
-        if n >= max_terms:
+        if m + n >= max_terms:
             raise CapacityError(_CAP_MSG)
-        c = c * (n - alpha) / (n + 1)
+        c = c * (n - f) / (n + 1)
         n += 1
         cur = apply_t(cur)
         # Kahan step for the vector accumulation
@@ -113,7 +128,8 @@ def _eig_apply(t, alpha: float, x: np.ndarray) -> np.ndarray:
 def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") -> np.ndarray:
     """Apply (I - T)^alpha to x.
 
-    ``method`` is "series" (the reference; works for defective T, with
+    ``method`` is "series" (the reference: floor(alpha) sweeps of I - T,
+    then the series at the fractional part; works for defective T, with
     truncation error at most ``tol``) or "auto": the spectral path for a
     non-integer alpha when T's eigenvector basis is well-conditioned, and
     the reference series otherwise.  ``tol`` bounds the truncation only

@@ -1,9 +1,11 @@
 """Fractional powers (I - T)^alpha: series and spectral application, decay."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altproj import fracpow
 from altproj.acceptance import _pool
@@ -45,7 +47,7 @@ def test_series_error_stays_within_tol(alpha, tol):
 
 
 def test_integer_alpha_series_terminates():
-    # c_3 = 0 for alpha = 2, so the series is (I - T)^2 exactly
+    # alpha = 2 is two sweeps x <- x - T x and no series terms
     t = np.array([[0.5, 0.2], [0.1, 0.3]])
     x = np.array([1.0, 2.0])
     out = frac_power_apply(t, 2.0, x, 1e-15, method="series")
@@ -194,7 +196,7 @@ def test_auto_path_is_the_eigenbasis_for_non_integer_alpha(k_blocks):
 
 
 def test_auto_path_is_the_series_for_integer_alpha_and_a_defective_t():
-    # an integer alpha makes the series a polynomial in T, summed exactly
+    # an integer alpha is that many sweeps of I - T, with no series terms
     for cp in (block_aligned(12, "1/k").cyclic(),
                build_cyclic(random_instance(12, (4, 5, 6), seed=12))):
         x = _unit_vector(cp.dim, 3)
@@ -221,6 +223,52 @@ def test_auto_path_falls_back_to_the_series_when_eig_fails(monkeypatch):
         x = _unit_vector(d, 2)
         auto = frac_power_apply(t, 0.5, x, 1e-10)
         assert auto.tobytes() == frac_power_apply(t, 0.5, x, 1e-10, method="series").tobytes()
+
+
+# The reference takes alpha = m + f as m sweeps of I - T and the series at
+# f in [0, 1), whose coefficients do not change sign past n = 0.  The whole
+# series at alpha cancelled: on the block model its error against the
+# eigenbasis was 4.6e-11 at alpha = 20, 45 at 60 and 1.4e13 at 100.  The
+# sweeps carry rounding that grows with m, about m eps relative to the
+# result (5.4e-13 measured at m = 1938), and the eigen path its own.
+
+
+@functools.cache
+def _eigen_products():
+    products = [e.cp for e in _pool()] + [block_aligned(12, "1/k").cyclic()]
+    return [cp for cp in products if cp._eigenbasis is not None]
+
+
+@st.composite
+def _alpha_cases(draw):
+    # an instance with an accepted eigenbasis, alpha in [0, 2000] (half of
+    # them integers) and a seeded start vector with no component in M, so
+    # that T^n x decays and the series at f < 1 stops within its cap
+    products = _eigen_products()
+    cp = products[draw(st.integers(0, len(products) - 1))]
+    alpha = draw(st.one_of(st.floats(0.0, 2000.0), st.integers(0, 2000).map(float)))
+    x = _unit_vector(cp.dim, draw(st.integers(0, 2**31 - 1)))
+    return cp, alpha, x - cp.pm_apply(x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_alpha_cases())
+def test_series_matches_the_eigenbasis_for_every_alpha(case):
+    cp, alpha, x = case
+    tol = 1e-10
+    series = frac_power_apply(cp, alpha, x, tol, method="series")
+    eigen = fracpow._eig_apply(cp, alpha, x)
+    scale = (alpha + 1.0) * np.finfo(float).eps * np.linalg.norm(eigen)
+    assert np.linalg.norm(series - eigen) <= tol + 8.0 * scale
+
+
+def test_large_integer_alpha_runs_sweeps_not_the_series():
+    # the coefficients binom(1100, n) overflow, and the whole series ran to
+    # its 10^6-term cap and raised CapacityError
+    cp = build_cyclic(two_lines(1.0))
+    x = np.array([1.0, 0.5])
+    out = frac_power_apply(cp, 1100.0, x, 1e-10)
+    assert np.linalg.norm(out - fracpow._eig_apply(cp, 1100.0, x)) <= 1e-12
 
 
 def test_auto_path_meets_tol_wherever_the_series_does():
