@@ -144,6 +144,8 @@ def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> floa
     # a real instance has a real maximizer: sampling the real sphere
     # halves the dimension and sharpens the oracle considerably
     real = np.all(b.imag == 0.0)
+    if real:
+        b = b.real  # a real GEMM in b @ coords, same values
     rng = np.random.default_rng(seed)
     best = -np.inf
     # chunked so 1e5 samples in dimension <= 12 stay cache-friendly
