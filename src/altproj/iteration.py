@@ -69,7 +69,12 @@ class CyclicProduct:
     ``p @ x`` to rounding and, on the block model, bit for bit (a stacked
     ``matmul`` does not); a single block keeps ``p @ x``.  The kernels
     read T's blocks, whose eigendecomposition is computed on first use
-    and kept.
+    and kept.  So is T's 2m-dimensional core (``_core``), m = min(r_1,
+    r_N) for first and last spans of r_1 and r_N columns, where
+    0 < 2m < b: Q^H T Q on a 2m-dimensional subspace S that holds Ran T,
+    Ran T^H and, as dim S > m >= rank T, a kernel vector of T.  T is 0
+    on S^perp, so the numerical range and sigma_min(lambda I - T) of
+    ``spectral`` are those of the singular 2m x 2m core.
     """
 
     def __init__(self, blocks, spans):
@@ -144,7 +149,7 @@ class CyclicProduct:
         on S and 0 beside it.  Householder QR gives 2m orthonormal columns
         even when the stacked columns are dependent, and dim S = 2m > m
         >= rank T puts a kernel vector of T in S, so C is singular.  None
-        unless 0 < 2m < b, where there is nothing to compress.
+        unless 0 < 2m < b: otherwise there is nothing to compress.
         """
         first, last = self._spans[0], self._spans[-1]
         m = min(first.shape[-1], last.shape[-1])

@@ -23,13 +23,23 @@ C = X_N^H T X_N and K_1 = X_N^H T (I - T) X_1 are r_N x r_N and r_N x r_1
 per block (X_k has r_k columns, dim M_k for a family's basis), and C's
 powers come by doubling.
 
+The numerical range and the resolvent are measured on T's 2m-dimensional
+core, m = min(r_1, r_N), where a product has one (``CyclicProduct._core``,
+when 0 < 2m < b): an (n, b, 2m) stack Q with orthonormal columns whose
+span S holds Ran T and Ran T^H, and C = Q^H T Q.  T maps S into itself and
+vanishes on S^perp, and since dim S = 2m > m >= rank T, S holds a kernel
+vector of T, so C is singular.  Hence W(T) = W(C), which contains 0, and
+sigma_min(lambda I - T) = sigma_min(lambda I - C), which is at most
+|lambda|: the zero block beside C adds nothing to either.  Plain matrices
+and products without a core factor T's blocks.
+
 For a real T both angle grids are symmetric under conjugation: W(T) is
 its own mirror image, with h(-phi) = h(phi), and ||(lambda I - T)^{-1}||
 and |lambda - 1| do not change when lambda is conjugated.  So for a T
-whose block stack has no nonzero imaginary entry, ``numrange_boundary``
-and ``resolvent_diagnostic`` factor only the closed upper half of their
-grid, angles 2 pi j / m for j = 0..m // 2, and mirror the rest; a complex
-T goes through the full grid.
+whose factored stack (T's blocks or C) has no nonzero imaginary entry,
+``numrange_boundary`` and ``resolvent_diagnostic`` factor only the closed
+upper half of their grid, angles 2 pi j / m for j = 0..m // 2, and mirror
+the rest; a complex T goes through the full grid.
 """
 
 from dataclasses import dataclass, field
@@ -199,7 +209,11 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     e^{-i phi} T and the boundary point is <Tx, x> at the corresponding
     top eigenvector, so Re(e^{-i phi} z(phi)) = h(phi) by construction.
     On T's (n, b, b) block stack h(phi) is the largest block value and x
-    lies in the top block.  The rotated stacks go to ``eigh_sym`` at most
+    lies in the top block.  Where the product has a 2m-dimensional core,
+    its (n, 2m, 2m) stack C takes the place of T's blocks, with b = 2m: T is
+    C on span Q and 0 beside it, and C is singular, so W(T) = W(C) and
+    the support values and points are C's (see the module docstring).
+    The rotated stacks go to ``eigh_sym`` at most
     ``stack_chunk(b) // n`` angles per call, with the same bits as one
     call per angle and block.  For a real T only rows j = 0..m // 2 are
     factored; row m - j copies h from row j and takes the conjugate of its
@@ -317,8 +331,11 @@ def resolvent_diagnostic(t, radii=None) -> float:
     this is a measured value on a declared grid, and an empty grid
     raises.  For a real T only the closed upper half of each circle,
     angles 2 pi j / 64 for j = 0..32, is evaluated: sigma_min and
-    |lambda - 1| are the same at conj(lambda).  The stacks lambda I - T
-    over T's (n, b, b) block stack go to the SVD at most
+    |lambda - 1| are the same at conj(lambda).  Where the product has a
+    2m-dimensional core, sigma_min(lambda I - T) = sigma_min(lambda I - C)
+    exactly, since C is singular and T is 0 beside it, and the (n, 2m, 2m)
+    stack C takes the place of T's blocks, with b = 2m.  The stacks
+    lambda I - T over the (n, b, b) block stack go to the SVD at most
     ``stack_chunk(b) // n`` values of lambda per call, with the same
     smallest singular values, each the smallest over the blocks, as one
     call per lambda.
