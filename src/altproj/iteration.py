@@ -143,8 +143,8 @@ class CyclicProduct:
         With X_1 and X_N the first and last spans (r_1 and r_N columns),
         T = X_N K X_1^H for K = X_N^H T X_1, and m = min(r_1, r_N).  Q is
         the (n, b, 2m) reduced QR factor of [X_N Q_K, X_1 Q_{K^H}], where
-        Q_K and Q_{K^H} are the first m columns of the QR factors of K and
-        K^H, and C = Q^H T Q is (n, 2m, 2m).  S = span Q holds Ran T and
+        Q_K and Q_{K^H}, the reduced QR factors of K and K^H, have m
+        columns each, and C = Q^H T Q is (n, 2m, 2m).  S = span Q holds Ran T and
         Ran T^H, so T maps S into itself and vanishes on S^perp: T is C
         on S and 0 beside it.  Householder QR gives 2m orthonormal columns
         even when the stacked columns are dependent, and dim S = 2m > m
@@ -157,8 +157,8 @@ class CyclicProduct:
         if not 0 < 2 * m < t.shape[-1]:
             return None
         k = last.conj().swapaxes(-1, -2) @ (t @ first)
-        q_k = np.linalg.qr(k)[0][..., :m]
-        q_kh = np.linalg.qr(k.conj().swapaxes(-1, -2))[0][..., :m]
+        q_k = np.linalg.qr(k)[0]
+        q_kh = np.linalg.qr(k.conj().swapaxes(-1, -2))[0]
         q = np.linalg.qr(np.concatenate([last @ q_k, first @ q_kh], axis=-1))[0]
         return _freeze(q), _freeze(q.conj().swapaxes(-1, -2) @ (t @ q))
 
