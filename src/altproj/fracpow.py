@@ -74,9 +74,8 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
         x = x - apply_t(x)
     if f == 0.0:
         return x
-    acc = x.copy()
+    acc = cur = x
     comp = np.zeros_like(acc)
-    cur = x
     c = 1.0
     partial = 1.0
     pcomp = 0.0

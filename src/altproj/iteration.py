@@ -144,9 +144,9 @@ class CyclicProduct:
         T = X_N K X_1^H for K = X_N^H T X_1, and m = min(r_1, r_N).  Q is
         the (n, b, 2m) reduced QR factor of [X_N Q_K, X_1 Q_{K^H}], where
         Q_K and Q_{K^H}, the reduced QR factors of K and K^H, have m
-        columns each, and C = Q^H T Q is (n, 2m, 2m).  S = span Q holds Ran T and
-        Ran T^H, so T maps S into itself and vanishes on S^perp: T is C
-        on S and 0 beside it.  Householder QR gives 2m orthonormal columns
+        columns each, and C = Q^H T Q is (n, 2m, 2m).  S = span Q holds
+        Ran T and Ran T^H, so T maps S into itself and vanishes on S^perp:
+        T is C on S and 0 beside it.  Householder QR gives 2m orthonormal columns
         even when the stacked columns are dependent, and dim S = 2m > m
         >= rank T puts a kernel vector of T in S, so C is singular.  None
         unless 0 < 2m < b: otherwise there is nothing to compress.

@@ -79,10 +79,9 @@ def _grid_count(blocks: np.ndarray, count: int) -> int:
 
 
 def _core_stack(t):
-    """The blocks that ``numrange_boundary`` and ``resolvent_diagnostic``
-    factor, and their chunk: C of a product's ``_core`` where it has one,
-    else ``_stack(t)``.  T is C on S and 0 on S^perp, and C is singular, so
-    W(T) = W(C) and sigma_min(lambda I - T) = sigma_min(lambda I - C)."""
+    """The stack that ``numrange_boundary`` and ``resolvent_diagnostic``
+    factor, and its chunk: C of a product's ``_core`` where it has one,
+    else ``_stack(t)``."""
     core = getattr(t, "_core", None)
     if core is None:
         return _stack(t)
