@@ -518,29 +518,25 @@ def test_kernels_factor_half_of_each_grid_for_a_real_operator(t64, monkeypatch):
 # to the next (2e-3 at worst on the pool, where points move by 2.3e-14).
 
 
-def _family(d, dims, first_last, seed):
+def _family(d, dims, shared_by, seed):
     """Real bases of R^d of the given dimensions; every basis holds the
-    vector e_1 when ``first_last`` is "all" (so M holds it), only the
+    vector e_1 when ``shared_by`` is "all" (so M holds it), only the
     first and last do when it is "ends" (M_1 ∩ M_N holds it, M = {0})."""
     rng = np.random.default_rng(seed)
     u = np.eye(d)[:, :1]
-    shared = {"all": range(len(dims)), "ends": (0, len(dims) - 1)}[first_last]
+    shared = {"all": range(len(dims)), "ends": (0, len(dims) - 1)}[shared_by]
     return [orthonormalize(np.hstack([u, rng.standard_normal((d, r - 1))]) if k in shared
                            else rng.standard_normal((d, r))) for k, r in enumerate(dims)]
 
 
-def _compressed_products():
-    pool = [e.cp for e in _pool() if e.cp._core is not None]
-    assert len(pool) == 140
-    return pool + [_complex_product(8, (3, 5, 4), 7),
-                   build_cyclic(_family(8, (4, 5, 3), "all", 1)),
-                   build_cyclic(_family(8, (3, 5, 3), "ends", 2))]
-
-
 def test_core_kernels_match_the_full_blocks_to_rounding():
     eps = np.finfo(float).eps
-    *_, planted, ends = products = _compressed_products()
+    pool = [e.cp for e in _pool() if e.cp._core is not None]
+    assert len(pool) == 140
+    planted = build_cyclic(_family(8, (4, 5, 3), "all", 1))
+    ends = build_cyclic(_family(8, (3, 5, 3), "ends", 2))
     assert planted.m.dim == 1 and ends.m.dim == 0
+    products = pool + [_complex_product(8, (3, 5, 4), 7), planted, ends]
     # the QR columns of the "ends" family lie in M_1 + M_N, of dimension 5 < 2m = 6
     assert np.linalg.matrix_rank(np.hstack([ends._spans[0][0], ends._spans[-1][0]])) == 5
     lams = np.concatenate([r * np.exp(1j * _grid(64)) for r in (1.5, 1.01)])
