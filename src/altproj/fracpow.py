@@ -132,8 +132,10 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
     truncation error at most ``tol``) or "auto": the spectral path for a
     non-integer alpha when T's eigenvector basis is well-conditioned, and
     the reference series otherwise.  ``tol`` bounds the truncation only
-    where the series runs; the spectral path has none.  A non-finite
-    ``x`` raises ``ValueError``.
+    where the series runs; the spectral path has none.  On a
+    CyclicProduct the reference runs on x - P_M x, which (I - T)^alpha
+    maps to the same vector for alpha > 0, so a part of x in M does not
+    stall the series.  A non-finite ``x`` raises ``ValueError``.
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -150,6 +152,10 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
             return _eig_apply(t, alpha, x)
         except (np.linalg.LinAlgError, NumericalContractError):
             pass  # defective or ill-conditioned: the reference series
+    if isinstance(t, CyclicProduct):
+        # (I - T)^alpha P_M = 0 for alpha > 0, and T^n P_M x = P_M x does
+        # not decay, so the series stops only on x - P_M x
+        x = x - t.pm_apply(x)
     return _series_apply(apply_t, alpha, x, tol, _TERM_CAP)
 
 

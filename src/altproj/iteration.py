@@ -4,8 +4,10 @@ Provides the operator object itself, the alternating-projection sweep
 x_{n+1} = P_N ... P_1 x_n with its error trace e_n = ||x_n - P_M x||,
 the two exponential rate bounds (one from the Friedrichs number, a
 sharper one from the inner l2-inclination), the per-sweep energy
-inequality, and the series diagnostic: unconditional convergence of
-sum_n T^n(I - T)x under permutations and sign flips.
+inequality, for one start vector or a stack of them, and the series
+diagnostic: unconditional convergence of sum_n T^n(I - T)x under
+permutations and sign flips, re-summed several permutations or sign
+patterns at a time, each sum with the bits of an ordered one.
 
 Sweeps always apply the factor projectors one at a time, never the
 assembled dense T; that preserves the per-factor contraction structure
@@ -364,18 +366,31 @@ def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:
     checked against the per-sweep energy inequality
     ||u_{k-1} - u_k||^2 <= ||x - P_M x||^2 - ||Tx - P_M x||^2 (within
     1e-10); a violation would falsify the implementation and raises.
+    ``x`` is a vector, giving N steps, or a (d, k) stack of columns,
+    giving (N, k) steps, each column checked against its own budget; one
+    violating column raises for the stack.
     """
     x = _finite(x)
     target = cp.pm_apply(x)
     us = [x - target] + [u - target for u in cp._iterates(x)]
-    steps = np.array([float(np.linalg.norm(us[k - 1] - us[k]) ** 2)
-                      for k in range(1, len(us))])
-    budget = float(np.linalg.norm(us[0]) ** 2 - np.linalg.norm(us[-1]) ** 2)
-    if steps.size and steps.max() > budget + 1e-10:
+    steps = np.array([_squared_norm(a - b) for a, b in zip(us, us[1:])])
+    budget = _squared_norm(us[0]) - _squared_norm(us[-1])
+    worst = steps.max(axis=0)
+    bad = np.flatnonzero(worst > budget + 1e-10)
+    if bad.size:
+        j = bad[0]
         raise NumericalContractError(
-            f"sweep step {steps.max():.3e} exceeds the energy budget {budget:.3e}"
+            f"sweep step {np.ravel(worst)[j]:.3e} exceeds the energy budget "
+            f"{np.ravel(budget)[j]:.3e}"
         )
     return steps
+
+
+def _squared_norm(u: np.ndarray):
+    """||u||^2 of a vector as a float, or of each column of a (d, k) stack."""
+    if u.ndim == 1:
+        return float(np.linalg.norm(u) ** 2)
+    return np.linalg.norm(u, axis=0) ** 2
 
 
 @dataclass(frozen=True)
@@ -425,21 +440,37 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     raise CapacityError("aligned or near-aligned instance; increase cap or tolerance")
 
 
-def _chunked_sum(k: int, buf: np.ndarray, fill) -> np.ndarray:
-    """Sum of k rows that ``fill(a, m, out)`` writes, rows a..a+m-1 into ``out``.
+def _resums(stack: np.ndarray, count: int, draw, place) -> np.ndarray:
+    """The (count, d) sums of ``count`` permutations or sign patterns of the
+    (K, d) ``stack``'s rows.
 
-    Rows go into ``buf[1:]`` a chunk at a time, and ``buf[0]`` carries the
+    ``draw(h)`` returns a (K, h) block of the next h of them, one per
+    column, and ``place(block, a, m, out)`` writes their rows a..a+m-1 into
+    the (m, h, d) ``out``.  g = max(1, min(count, 2048 // K)) sums are
+    formed at a time from a (rows, g, d) buffer of at most 2049 x d
+    entries: for K <= 2048 the K rows of g sums at once, and for larger K
+    one sum at a time, 2048 rows per chunk after a row that carries the
     running sum.  NumPy adds the rows of an axis-0 sum one after the
-    other, so this has the bits of one sum over all k rows without
-    holding them.  Returns a view of ``buf[0]``.
+    other, so each sum has the bits of one ordered sum over its K rows.
     """
-    buf[0] = 0.0
-    size = len(buf) - 1
-    for a in range(0, k, size):
-        m = min(size, k - a)
-        fill(a, m, buf[1:m + 1])
-        buf[0] = buf[:m + 1].sum(axis=0)
-    return buf[0]
+    k, d = stack.shape
+    g = max(1, min(count, _RESUM_CHUNK // k))
+    size = min(k, _RESUM_CHUNK)
+    carry = int(k > size)
+    buf = np.empty((carry + size) * g * d, dtype=np.complex128)
+    sums = np.empty((count, d), dtype=np.complex128)
+    for j in range(0, count, g):
+        h = min(g, count - j)
+        rows = buf[:(carry + size) * h * d].reshape(carry + size, h, d)
+        block = draw(h)
+        rows[:carry] = 0.0
+        for a in range(0, k, size):
+            m = min(size, k - a)
+            place(block, a, m, rows[carry:carry + m])
+            s = rows[:carry + m].sum(axis=0)
+            rows[:carry] = s
+        sums[j:j + h] = s
+    return sums
 
 
 def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
@@ -453,7 +484,10 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     sign patterns (each flipped sum must respect the triangle bound
     sum ||y_n||).  The largest flipped sum divided by ||x|| is reported
     as a measured lower estimate of the unconditional constant; no
-    universal value is asserted.
+    universal value is asserted.  The re-sums run g = max(1, min(count,
+    2048 // K)) at a time through one bounded buffer (``_resums``), in
+    the order the seeded draws come: the permutations first, then the
+    sign patterns.
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
@@ -467,27 +501,35 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     total = stack.sum(axis=0)
     # telescoping: the ordered sum collapses to x - T^K x
     telescoping = float(np.linalg.norm(total - (x - t_k_x)))
-    limit_dev = float(np.linalg.norm(total - (x - target)))
+    limit = x - target
+    limit_dev = float(np.linalg.norm(total - limit))
 
     rng = np.random.default_rng(seed)
-    buf = np.empty((min(k, _RESUM_CHUNK) + 1,) + x.shape, dtype=np.complex128)
-    perm_devs = np.empty(num_perms)
-    for j in range(num_perms):
-        perm = rng.permutation(k)
-        s = _chunked_sum(k, buf, lambda a, m, out: np.take(stack, perm[a:a + m], axis=0, out=out))
-        perm_devs[j] = np.linalg.norm(s - (x - target))
+    perm_sums = _resums(stack, num_perms,
+                        lambda h: np.column_stack([rng.permutation(k) for _ in range(h)]),
+                        # permutation indices are in range: "clip" skips the
+                        # buffered bounds check of the default mode
+                        lambda idx, a, m, out: np.take(stack, idx[a:a + m], axis=0, out=out,
+                                                       mode="clip"))
+    # one 1-D norm per sum: the axis= form rounds differently
+    perm_devs = np.array([np.linalg.norm(s - limit) for s in perm_sums])
     if perm_devs.max(initial=0.0) > 2.0 * trunc_tol:
         raise NumericalContractError(
             f"permuted series strayed {perm_devs.max():.3e} from the limit "
             f"(allowed {2.0 * trunc_tol:.3e})"
         )
 
-    norm_budget = float(np.linalg.norm(stack, axis=1).sum())
-    sign_sums = np.empty(10)
-    for j in range(10):
-        signs = rng.integers(0, 2, size=k) * 2 - 1
-        sign_sums[j] = np.linalg.norm(_chunked_sum(
-            k, buf, lambda a, m, out: np.multiply(signs[a:a + m, None], stack[a:a + m], out=out)))
+    # the row norms a chunk at a time: one call over all K rows makes two
+    # K x d temporaries
+    row_norms = np.empty(k)
+    for a in range(0, k, _RESUM_CHUNK):
+        row_norms[a:a + _RESUM_CHUNK] = np.linalg.norm(stack[a:a + _RESUM_CHUNK], axis=1)
+    norm_budget = float(row_norms.sum())
+    sign_sums = np.array([np.linalg.norm(s) for s in _resums(
+        stack, 10,
+        lambda h: np.column_stack([rng.integers(0, 2, size=k) * 2 - 1 for _ in range(h)]),
+        lambda signs, a, m, out: np.multiply(signs[a:a + m, :, None], stack[a:a + m, None],
+                                             out=out))])
     if sign_sums.max() > norm_budget + 1e-9:
         raise NumericalContractError("sign-flipped sum exceeded the triangle bound")
     xn = float(np.linalg.norm(x))

@@ -13,6 +13,7 @@ from altproj.linalg import diagonalize
 from altproj import (
     CapacityError,
     NumericalContractError,
+    Subspace,
     block_aligned,
     build_cyclic,
     decay_slope,
@@ -242,24 +243,38 @@ def _eigen_products():
 @st.composite
 def _alpha_cases(draw):
     # an instance with an accepted eigenbasis, alpha in [0, 2000] (half of
-    # them integers) and a seeded start vector with no component in M, so
-    # that T^n x decays and the series at f < 1 stops within its cap
+    # them integers) and a seeded start vector that keeps or drops its
+    # component in M
     products = _eigen_products()
     cp = products[draw(st.integers(0, len(products) - 1))]
     alpha = draw(st.one_of(st.floats(0.0, 2000.0), st.integers(0, 2000).map(float)))
     x = _unit_vector(cp.dim, draw(st.integers(0, 2**31 - 1)))
-    return cp, alpha, x - cp.pm_apply(x)
+    return cp, alpha, x if draw(st.booleans()) else x - cp.pm_apply(x)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_alpha_cases())
 def test_series_matches_the_eigenbasis_for_every_alpha(case):
+    # (I - T)^alpha x = (I - T)^alpha (x - P_M x) for alpha > 0; the eigen
+    # path is given x - P_M x, since at small alpha the tiny 1 - lambda of
+    # M's eigenvalues, rounded away from 0, would scale up M's part
     cp, alpha, x = case
     tol = 1e-10
     series = frac_power_apply(cp, alpha, x, tol, method="series")
-    eigen = fracpow._eig_apply(cp, alpha, x)
+    eigen = x if alpha == 0.0 else fracpow._eig_apply(cp, alpha, x - cp.pm_apply(x))
     scale = (alpha + 1.0) * np.finfo(float).eps * np.linalg.norm(eigen)
     assert np.linalg.norm(series - eigen) <= tol + 8.0 * scale
+
+
+def test_series_ignores_the_part_of_x_in_m():
+    # M = span(e0): T^n x tends to P_M x = e0, and the series at alpha = 0.5
+    # ran to its 10^6-term cap and raised CapacityError after about 10 s
+    e = np.eye(3)
+    cp = build_cyclic([Subspace(e[:, [0, 1]]), Subspace(e[:, [0, 2]])])
+    x = np.array([1.0, 0.3, 0.2])
+    out = frac_power_apply(cp, 0.5, x, 1e-10, method="series")
+    assert np.array_equal(out, fracpow._eig_apply(cp, 0.5, x))
+    assert np.array_equal(out, [0.0, 0.3, 0.2])
 
 
 def test_large_integer_alpha_runs_sweeps_not_the_series():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +38,13 @@ from altproj import (
     unconditional_sum_test,
 )
 from altproj import fracpow, iteration, spectral
-from altproj.acceptance import _pool, _start_vector
+from altproj.acceptance import (
+    _SALT_PERM,
+    _SALT_SWEEP,
+    _pool,
+    _start_vector,
+    _sweep_energy_inequality,
+)
 from altproj.iteration import _block_diagonal
 from altproj.linalg import _finite
 
@@ -496,6 +503,59 @@ def test_sweep_energy_inequality_on_random_draws(seed):
         assert steps.min() >= 0.0
 
 
+def test_stacked_sweep_diagnostic_matches_per_column_calls():
+    # stacked columns go through one matmul or einsum per factor and one
+    # norm per step, so they agree with the per-column calls to rounding,
+    # on the pool, the block model and a dense d = 64 product
+    rng = np.random.default_rng(57)
+    products = [e.cp for e in _pool()] + [block_aligned(200, "1/k").cyclic(),
+                                          build_cyclic(random_instance(64, (20, 30, 40), 64))]
+    for cp in products:
+        xs = rng.standard_normal((cp.dim, 7)) + 1j * rng.standard_normal((cp.dim, 7))
+        steps = sweep_diagnostic(cp, xs)
+        assert steps.shape == (cp.N, xs.shape[1])
+        ref = np.column_stack([sweep_diagnostic(cp, x) for x in xs.T])
+        scale = np.linalg.norm(xs, axis=0) ** 2
+        assert (np.abs(steps - ref).max(axis=0) <= 1e-14 * scale).all()
+
+
+class _Doubling:
+    """A fake product on C^2 whose one factor doubles a column with |x_0| > 1
+    and fixes the others: such a column breaks its energy budget."""
+
+    def pm_apply(self, x):
+        return np.zeros(np.shape(x), dtype=np.complex128)
+
+    def _iterates(self, x):
+        yield x * np.where(np.abs(x[:1]) > 1.0, 2.0, 1.0)
+
+
+def test_stacked_sweep_diagnostic_raises_when_one_column_breaks_its_budget():
+    xs = np.array([[0.5, 0.2, 0.9], [1.0, 3.0, -2.0]])
+    assert np.array_equal(sweep_diagnostic(_Doubling(), xs), np.zeros((1, 3)))
+    xs[0, 1] = 1.5  # budget 1.5^2 + 3^2 - 4 (1.5^2 + 3^2) < 0
+    with pytest.raises(NumericalContractError, match="exceeds the energy budget"):
+        sweep_diagnostic(_Doubling(), xs)
+    assert np.array_equal(sweep_diagnostic(_Doubling(), xs[:, [0, 2]]), np.zeros((1, 2)))
+
+
+def test_sweep_criterion_counts_the_violating_columns():
+    # a stack that raises is checked column by column; the expected count
+    # comes from the 50 vectors drawn one at a time, real part then
+    # imaginary part, which the stacked draw must reproduce
+    pool = [SimpleNamespace(seed=seed, d=2, cp=_Doubling()) for seed in (3, 4, 5)]
+    expected = 0
+    for e in pool:
+        rng = np.random.default_rng(e.seed ^ _SALT_SWEEP)
+        for _ in range(50):
+            x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            expected += bool(abs(x[0]) > 1.0)
+    assert 0 < expected < 150
+    ok, detail = _sweep_energy_inequality(pool)
+    assert not ok
+    assert detail == f"150 (instance, x) pairs, {expected} violations at 1e-10"
+
+
 def test_unconditional_sum_on_two_lines():
     cp = build_cyclic(two_lines(np.pi / 3))
     rep = unconditional_sum_test(cp, np.array([1.0, 0.0]), 20, 1e-6, seed=99)
@@ -592,6 +652,80 @@ def test_unconditional_sum_stops_at_a_zero_term():
     assert rep.tail_estimate == 0.0
     assert rep.telescoping_residual == 0.0
     assert rep.limit_deviation <= 1e-15
+
+
+def _per_permutation_reference(cp, x, num_perms, trunc_tol, seed):
+    """``unconditional_sum_test`` as it re-summed one permutation and one
+    sign pattern at a time, through a (min(K, 2048) + 1, d) buffer whose
+    first row carries the running sum, with all its report fields."""
+    x = _finite(x)
+    target = cp.pm_apply(x)
+    stack, tail, t_k_x = iteration._series_terms(cp, x, target, trunc_tol)
+    k = len(stack)
+    total = stack.sum(axis=0)
+    buf = np.empty((min(k, 2048) + 1,) + x.shape, dtype=np.complex128)
+
+    def chunked_sum(fill):
+        buf[0] = 0.0
+        size = len(buf) - 1
+        for a in range(0, k, size):
+            m = min(size, k - a)
+            fill(a, m, buf[1:m + 1])
+            buf[0] = buf[:m + 1].sum(axis=0)
+        return buf[0]
+
+    rng = np.random.default_rng(seed)
+    perm_devs = np.empty(num_perms)
+    for j in range(num_perms):
+        perm = rng.permutation(k)
+        s = chunked_sum(lambda a, m, out: np.take(stack, perm[a:a + m], axis=0, out=out))
+        perm_devs[j] = np.linalg.norm(s - (x - target))
+    sign_sums = np.empty(10)
+    for j in range(10):
+        signs = rng.integers(0, 2, size=k) * 2 - 1
+        sign_sums[j] = np.linalg.norm(chunked_sum(
+            lambda a, m, out: np.multiply(signs[a:a + m, None], stack[a:a + m], out=out)))
+    return dict(K=k, tail_estimate=tail,
+                telescoping_residual=float(np.linalg.norm(total - (x - t_k_x))),
+                limit_deviation=float(np.linalg.norm(total - (x - target))),
+                perm_deviations=perm_devs, sign_sums=sign_sums,
+                constant_estimate=float(sign_sums.max() / np.linalg.norm(x)),
+                trunc_tol=trunc_tol)
+
+
+def test_grouped_resums_keep_the_bits_of_one_sum_at_a_time():
+    # every pool instance with K <= 2048 (several sums per buffer), the
+    # longest pool series (K = 92904, one sum in 2048-row chunks) and the
+    # block model (K = 2261), with criterion 8's arguments
+    cases = [(e.cp, _start_vector(e), e.seed ^ _SALT_PERM) for e in _pool()]
+    model = block_aligned(12, "1/k").cyclic()
+    cases.append((model, np.random.default_rng(0).standard_normal(model.dim), 1))
+    checked = []
+    for i, (cp, x, seed) in enumerate(cases):
+        rep = unconditional_sum_test(cp, x, 50, 1e-6, seed)
+        if rep.K > 2048 and i not in (178, len(cases) - 1):
+            continue
+        ref = _per_permutation_reference(cp, x, 50, 1e-6, seed)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(rep, name), value), (i, name)
+        checked.append(rep.K)
+    assert len(checked) == 194 and max(checked) == 92904 and checked[-1] == 2261
+
+
+def test_resums_of_the_longest_pool_series_stay_small():
+    # pool instance 178 (K = 92904, d = 7): the terms' buffer sized for the
+    # series cap is 11.2 MB; the parent's peak of 24,096,580 bytes adds two
+    # K x d temporaries of the row norms, and this one measured 14.4 MB
+    e = _pool()[178]
+    x = _start_vector(e)
+    tracemalloc.start()
+    try:
+        rep = unconditional_sum_test(e.cp, x, 50, 1e-6, e.seed ^ _SALT_PERM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.K == 92904
+    assert peak <= 24_096_580
 
 
 @pytest.mark.parametrize("i2", [0.4, np.inf])
