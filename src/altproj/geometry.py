@@ -23,13 +23,12 @@ most three active subspaces the two meet; with four or more the dual can
 have a gap, and the pair then reports it.
 
 Every quantity takes the ``CyclicProduct`` of the family and reads it
-through ``_family``: per factor a span (the basis of M_k, or the
-projector blocks of a block-built product) and M's basis, all as
-(n, b, .) stacks of diagonal blocks.  On a block-diagonal family every
-feasible set, Gram matrix and quadratic form is block-diagonal too: c is
-the largest block Gram eigenvalue, the l2 floors are minima over stacked
-block ``eigh`` calls, and the dual path takes lambda_min(sum_k lam_k A_k)
-as the minimum over blocks.  No d x d or d x K array is formed for a
+through ``_family``: per factor a span (a basis of M_k) and M's basis,
+all as (n, b, .) stacks of diagonal blocks.  On a block-diagonal family
+every feasible set, Gram matrix and quadratic form is block-diagonal
+too: c is the largest block Gram eigenvalue, the l2 floors are minima
+over stacked block ``eigh`` calls, and the dual path takes
+lambda_min(sum_k lam_k A_k) as the minimum over blocks.  No d x d or d x K array is formed for a
 block-built product; ``build_cyclic`` of a Subspace family is the
 one-block case.
 """
@@ -173,7 +172,7 @@ def ell2(c: float, n: int) -> float:
     return float(np.sqrt((n - 1) * (1.0 - c)))
 
 
-def _l2_floor(spans, mb: np.ndarray, kind: str) -> float:
+def _l2_floor(cp: CyclicProduct, kind: str) -> float:
     """Smallest max(lambda_min(B^H (sum_k (I - P_k)) B), 0) over the feasible bases B.
 
     The squared l2-inclination over the feasible sets of ``kind``, the one
@@ -183,6 +182,7 @@ def _l2_floor(spans, mb: np.ndarray, kind: str) -> float:
     nonzero feasible set the infimum is over the empty set: +inf, with a
     warning.
     """
+    spans, mb = _family(cp)
     bases = _feasible(spans, mb, kind)
     if not bases:
         warnings.warn(f"empty feasible set; {'l2' if kind == 'global' else 'inner'} "
@@ -190,8 +190,8 @@ def _l2_floor(spans, mb: np.ndarray, kind: str) -> float:
         return math.inf
     n, b, _ = spans[0].shape
     defect = np.repeat(len(spans) * np.eye(b, dtype=np.complex128)[None], n, axis=0)
-    for x in spans:
-        defect -= x @ x.conj().swapaxes(-1, -2)
+    for p in cp._blocks:
+        defect -= p
     return min(max(min(float(eigh_sym(f.conj().swapaxes(-1, -2) @ defect[idx] @ f)[0][..., 0].min())
                        for idx, f in _rank_groups(basis)), 0.0)
                for basis in bases)
@@ -206,7 +206,7 @@ def ell2_direct(cp: CyclicProduct) -> float:
     some M_k ∩ M^perp is nonzero.  If M is the whole space the +inf
     sentinel is returned with a warning, as by ``iota2``.
     """
-    return float(np.sqrt(_l2_floor(*_family(cp), "global")))
+    return float(np.sqrt(_l2_floor(cp, "global")))
 
 
 def iota2(cp: CyclicProduct) -> float:
@@ -217,7 +217,7 @@ def iota2(cp: CyclicProduct) -> float:
     skipped.  If all of them equal M the +inf sentinel is returned with a
     warning.
     """
-    return float(np.sqrt(_l2_floor(*_family(cp), "inner")))
+    return float(np.sqrt(_l2_floor(cp, "inner")))
 
 
 # Barrier weights of the dual path relative to its start, down to the
@@ -437,8 +437,8 @@ def geometry_report(cp: CyclicProduct) -> GeometryReport:
         N=n,
         c=c,
         ell2=ell2(c, n),
-        ell2_direct=float(np.sqrt(_l2_floor(spans, mb, "global"))),
-        iota2=float(np.sqrt(_l2_floor(spans, mb, "inner"))),
+        ell2_direct=float(np.sqrt(_l2_floor(cp, "global"))),
+        iota2=float(np.sqrt(_l2_floor(cp, "inner"))),
         ell_lo=ell_lo,
         ell_hi=ell_hi,
         iota_lo=iota_lo,

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .linalg import _finite, _powers, _stack, diagonalize, spectral_norm
-from .subspace import Subspace, _dense_columns, _freeze, _projectors, _top_eigenspace
+from .subspace import (Subspace, _basis_stacks, _dense_columns, _freeze, _projector,
+                       _top_eigenspace)
 
 __all__ = [
     "CyclicProduct",
@@ -51,40 +52,43 @@ _RESUM_CHUNK = 2048  # rows per step of the permuted and sign-flipped re-sums
 class CyclicProduct:
     """T = P_N ... P_1 together with its factors and the limit projector.
 
-    Stored as one (n, b, b) stack of diagonal blocks per factor, applied
-    in order (one d x d block from ``build_cyclic``, 2x2 blocks from
-    ``from_blocks``), and per factor a span, an (n, b, s) stack of blocks
-    X with X X^H = P_k (the family's basis of M_k, or the projector blocks
-    themselves).  Construction refuses fewer than two factors, a NaN or
-    infinite entry in a block or span, and any span whose X X^H is not its
-    factor's blocks to 1e-10, and finds M itself, by the cut of
-    ``intersection`` on its blocks: M is stored once, as the (n, b, r)
-    stack of the kept eigenvectors, zero where a block keeps none (r = 0
-    when M = {0}).  It then checks, block by block, that T is a
-    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.
-    The angle quantities of ``geometry`` read the spans and M's basis
-    blocks, and the power profile of ``spectral`` the first and last
-    spans.  ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M as a
-    ``Subspace``) are read-only and built on first access; a single block
-    is returned as is.  ``apply`` and ``pm_apply`` run one ``einsum`` per
-    factor over 2x2 blocks, O(d) per column, which agrees with the dense
-    ``p @ x`` to rounding and, on the block model, bit for bit (a stacked
-    ``matmul`` does not); a single block keeps ``p @ x``.  The kernels
-    read T's blocks, whose eigendecomposition is computed on first use
-    and kept.  So is T's 2m-dimensional core (``_core``), m = min(r_1,
-    r_N) for first and last spans of r_1 and r_N columns, where
-    0 < 2m < b: Q^H T Q on a 2m-dimensional subspace S that holds Ran T,
-    Ran T^H and, as dim S > m >= rank T, a kernel vector of T.  T is 0
-    on S^perp, so the numerical range and sigma_min(lambda I - T) of
-    ``spectral`` are those of the singular 2m x 2m core.
+    Built from one span per factor, applied in order: an (n, b, r) stack
+    of blocks X, the diagonal blocks of a basis of M_k, with zero columns
+    where a block has lower rank (one d x r block from ``build_cyclic``,
+    K line bases from the block model).  Each factor's (n, b, b) blocks
+    are P_k = X X^H.  Construction refuses fewer than two factors, spans
+    that are not 3-d stacks of one nonempty (n, b), a NaN or infinite
+    entry in a span or in its X X^H, and an X X^H that is not idempotent
+    to 1e-12, and finds M itself, by the cut of ``intersection`` on the
+    blocks: M is stored once, as the (n, b, r) stack of the kept
+    eigenvectors, zero where a block keeps none (r = 0 when M = {0}).  It
+    then checks, block by block, that T is a contraction, that
+    T P_M = P_M T = P_M, and that M is fixed pointwise.  The angle
+    quantities of ``geometry`` read the spans and M's basis blocks, and
+    the power profile of ``spectral`` the first and last spans.
+    ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M as a ``Subspace``)
+    are read-only and built on first access; a single block is returned
+    as is.  ``apply`` and ``pm_apply`` run one ``einsum`` per factor over
+    2x2 blocks, O(d) per column, which agrees with the dense ``p @ x`` to
+    rounding and, on the block model, bit for bit (a stacked ``matmul``
+    does not); a single block keeps ``p @ x``.  The kernels read T's
+    blocks, whose eigendecomposition is computed on first use and kept.
+    So is T's 2m-dimensional core (``_core``), m = min(r_1, r_N) for
+    first and last spans of r_1 and r_N columns, where 0 < 2m < b: Q^H T Q
+    on a 2m-dimensional subspace S that holds Ran T, Ran T^H and, as
+    dim S > m >= rank T, a kernel vector of T.  T is 0 on S^perp, so the
+    numerical range and sigma_min(lambda I - T) of ``spectral`` are those
+    of the singular 2m x 2m core.
     """
 
-    def __init__(self, blocks, spans):
-        blocks = tuple(_freeze(_finite(b, "projector blocks")) for b in blocks)
-        if len(blocks) < 2:
+    def __init__(self, spans):
+        spans = tuple(_freeze(_finite(x, "span")) for x in spans)
+        if len(spans) < 2:
             raise ValueError("need at least two subspaces")
-        spans = tuple(spans)
-        _check_spans(blocks, spans)
+        if any(x.ndim != 3 or x.shape[:2] != spans[0].shape[:2] for x in spans) \
+                or 0 in spans[0].shape[:2]:
+            raise ValueError("need one (n, b, r) span stack per factor, all of one nonempty (n, b)")
+        blocks = tuple(_freeze(_projector(x)) for x in spans)
         t = blocks[0]
         for b in blocks[1:]:
             t = b @ t
@@ -93,21 +97,6 @@ class CyclicProduct:
         _check_product(t, pm, basis)
         vars(self).update(_blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
                           _m_blocks=_freeze(basis), _spans=spans)
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "CyclicProduct":
-        """The product of projections given by one (K, 2, 2) stack of diagonal
-        blocks per factor, in the order they are applied; each projector
-        block is its own span."""
-        blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
-        if not blocks or blocks[0].ndim != 3 or blocks[0].shape[1:] != (2, 2) \
-                or any(b.shape != blocks[0].shape for b in blocks):
-            raise ValueError("need one (K, 2, 2) stack of blocks per factor")
-        for b in blocks:
-            if not (np.allclose(b @ b, b, atol=1e-12)
-                    and np.allclose(b, b.conj().swapaxes(-1, -2), atol=1e-12)):
-                raise ValueError("blocks must be orthogonal projections")
-        return cls(blocks, blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicProduct is immutable")
@@ -170,8 +159,8 @@ class CyclicProduct:
         # dense sweeps about 15%
         n, b, _ = self._blocks[0].shape
         if n == 1:
-            for p in self.factors:
-                x = p @ x
+            for p in self._blocks:
+                x = p[0] @ x
             return x
         x = np.asarray(x)
         y = x.reshape((n, b) + x.shape[1:])
@@ -200,23 +189,6 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     y = x.reshape(blocks.shape[:2] + x.shape[1:])
     return np.einsum("kij,kj...->ki...", blocks, y).reshape(x.shape)
-
-
-def _check_spans(blocks, spans):
-    """``ValueError`` unless each span is a finite (n, b, s) stack with X X^H
-    equal to its factor's (n, b, b) blocks within 1e-10, entry by entry;
-    an infinite or NaN entry of X X^H (from an overflow, formed without a
-    warning) fails the comparison."""
-    if len(spans) != len(blocks):
-        raise ValueError("need one span per factor")
-    for p, x in zip(blocks, spans):
-        x = _finite(x, "span")
-        if x.ndim != 3 or x.shape[:2] != p.shape[:2]:
-            raise ValueError("span stack does not match its factor's blocks")
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = np.abs(x @ x.conj().swapaxes(-1, -2) - p).max()
-        if not gap <= 1e-10:  # NaN fails
-            raise ValueError("span does not span its factor: X X^H differs from P_k")
 
 
 def _check_product(t, p, basis):
@@ -249,8 +221,7 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
 def build_cyclic(subspaces) -> CyclicProduct:
     """T = P_N ... P_1 of a family of subspaces, as one d x d block per factor
     with the family's bases as spans; M is found by the constructor."""
-    subspaces = list(subspaces)
-    return CyclicProduct(_projectors(subspaces), [s.basis[None] for s in subspaces])
+    return CyclicProduct(_basis_stacks(list(subspaces)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ truncation), the slow-vector construction with its norm guarantee, and
 convex combinations of projection products.  Every generator is
 deterministic given its seed, so instances can be reproduced
 bit-for-bit from a short description.  The block model stores only its
-angles and hands the 2x2 blocks of its projections to the product, so
+angles and hands the line bases of its 2x2 blocks to the product, so
 building and sweeping it takes O(K) memory at K blocks.
 """
 
@@ -65,7 +65,7 @@ class BlockAlignedModel:
 
     The model stores its angles only.  The d x K bases ``m1`` and ``m2``
     are built on first access, and ``cyclic()`` builds the product from
-    its 2x2 blocks P1_k = e1 e1^T and P2_k = u u^T, u = (cos, sin)(theta_k),
+    its line bases, e1 and u_k = (cos, sin)(theta_k) as (K, 2, 1) spans,
     so no d x d or d x K array is formed unless a routine reads one.
     """
 
@@ -115,11 +115,10 @@ class BlockAlignedModel:
         return (self.m1, self.m2)
 
     def cyclic(self) -> CyclicProduct:
-        """T = P_2 P_1 from the 2x2 blocks of its factors; see ``CyclicProduct``."""
-        u = self._directions
-        p1 = np.zeros((self.k_blocks, 2, 2))
-        p1[:, 0, 0] = 1.0
-        return CyclicProduct.from_blocks((p1, u[:, :, None] * u[:, None, :]))
+        """T = P_2 P_1 from the line bases of its factors; see ``CyclicProduct``."""
+        e1 = np.zeros((self.k_blocks, 2, 1))
+        e1[:, 0] = 1.0
+        return CyclicProduct((e1, self._directions[:, :, None]))
 
     def _block_coefficients(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)

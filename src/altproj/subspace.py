@@ -115,15 +115,26 @@ def _dense_columns(mb: np.ndarray) -> np.ndarray:
     return cols.reshape(n * b, -1)
 
 
-def _projectors(subspaces: list) -> list:
-    """The (1, d, d) projector stacks B B^H of a list of subspaces; an empty
+def _basis_stacks(subspaces: list) -> list:
+    """The (1, d, r) span stacks of a list of subspaces, their bases; an empty
     list and mixed ambient dimensions are refused."""
     if not subspaces:
         raise ValueError("need at least one subspace")
     d = subspaces[0].ambient_dim
     if any(s.ambient_dim != d for s in subspaces):
         raise ValueError("subspaces live in different ambient dimensions")
-    return [(s.basis @ s.basis.conj().T)[None] for s in subspaces]
+    return [s.basis[None] for s in subspaces]
+
+
+def _projector(x: np.ndarray) -> np.ndarray:
+    """The blocks X X^H of a finite, nonempty (n, b, r) span stack, formed
+    without an overflow warning; ``ValueError`` unless they are finite and
+    idempotent to 1e-12, entry by entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x @ x.conj().swapaxes(-1, -2)
+        if not (np.isfinite(p).all() and np.abs(p @ p - p).max() <= 1e-12):
+            raise ValueError("span does not give a projection: X X^H is not finite and idempotent")
+    return p
 
 
 def intersection(subspaces) -> Subspace:
@@ -135,20 +146,20 @@ def intersection(subspaces) -> Subspace:
     this scale.  ``CyclicProduct`` runs the same cut on its own blocks, so
     this equals ``build_cyclic(subspaces).m`` bit for bit.
     """
-    return Subspace(_dense_columns(_top_eigenspace(_projectors(list(subspaces)))))
+    blocks = [_projector(x) for x in _basis_stacks(list(subspaces))]
+    return Subspace(_dense_columns(_top_eigenspace(blocks)))
 
 
 def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
     """Orthonormal bases of M_k ∩ M^perp, block by block, as an (n, b, w) stack.
 
-    ``span`` is an (n, b, s) stack of blocks X with X X^H = P_k, an
-    orthonormal basis of M_k or its projector, and ``mb`` an (n, b, r)
-    stack of M's basis (zero columns allowed).  M must lie in M_k: a
-    basis vector of M that P_k moves by more than 1e-10 raises
-    ``ValueError``.  The singular values of (I - P_M) X are 0 or 1 up to
-    rounding, so a block's rank is the count above 1/2; a block where M_k
-    equals M has rank 0.  Each block keeps its rank's leading columns and
-    zeros after them, and w is the largest rank.
+    ``span`` is an (n, b, s) stack of blocks X with X X^H = P_k and ``mb``
+    an (n, b, r) stack of M's basis, zero columns allowed in both.  M
+    must lie in M_k: a basis vector of M that P_k moves by more than
+    1e-10 raises ``ValueError``.  The singular values of (I - P_M) X are
+    0 or 1 up to rounding, so a block's rank is the count above 1/2; a
+    block where M_k equals M has rank 0.  Each block keeps its rank's
+    leading columns and zeros after them, and w is the largest rank.
     """
     if mb.shape[-1]:
         drift = np.linalg.norm(span @ (span.conj().swapaxes(-1, -2) @ mb) - mb, axis=-2)

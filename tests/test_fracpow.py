@@ -286,6 +286,24 @@ def test_large_integer_alpha_runs_sweeps_not_the_series():
     assert np.linalg.norm(out - fracpow._eig_apply(cp, 1100.0, x)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 20.0, 60.5])
+def test_block_model_fractional_powers_match_mpmath(alpha):
+    # per 2x2 block, I - T_k = [[sin^2, 0], [-cos sin, 1]] of the block's
+    # float angle, raised to alpha by mpmath.powm at 30 digits; the auto
+    # path takes the eigenbasis at a non-integer alpha and 20 sweeps at 20
+    mpmath = pytest.importorskip("mpmath")
+    model = block_aligned(12, "1/k")
+    x = _unit_vector(model.ambient_dim, 12)
+    out = frac_power_apply(model.cyclic(), alpha, x, 1e-12).reshape(-1, 2)
+    with mpmath.workdps(30):
+        for k, theta in enumerate(model.angles):
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            power = mpmath.powm(mpmath.matrix([[s * s, 0], [-c * s, 1]]), alpha)
+            want = power * mpmath.matrix([mpmath.mpc(z) for z in x[2 * k:2 * k + 2]])
+            err = mpmath.norm(mpmath.matrix([mpmath.mpc(z) for z in out[k]]) - want)
+            assert err <= 8.0 * (alpha + 1.0) * np.finfo(float).eps * mpmath.norm(want)
+
+
 def test_auto_path_meets_tol_wherever_the_series_does():
     # on every 4th pool instance and the lines, rand6, rand12 and rand64 CLI
     # fixtures: wherever the series certifies its truncation to tol within

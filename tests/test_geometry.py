@@ -1,6 +1,7 @@
 """Friedrichs numbers, inclinations, and the assembled geometry report."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from altproj import (
     sandwich_check,
     two_lines,
 )
+from blockspans import spans_of
 
 
 @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3, 1.0, 1.4])
@@ -77,7 +79,7 @@ _ENTRY_POINTS = [
 
 def _one_factor():
     s = orthonormalize(np.eye(3)[:, :2])
-    return CyclicProduct([(s.basis @ s.basis.conj().T)[None]], [s.basis[None]])
+    return CyclicProduct([s.basis[None]])
 
 
 # (input, the error it raises, its message): a family goes in as its
@@ -98,32 +100,16 @@ def test_every_angle_quantity_takes_a_product_of_two_or_more_factors(entry, case
 
 def test_the_raw_constructor_finds_the_intersection_itself():
     # two planes of R^3 meeting in the first axis at pi/4: a product rebuilt
-    # from the blocks and spans alone finds that line, so c is the angle's
-    # cosine, not 1, and P_M fixes the line
+    # from the spans alone finds that line, so c is the angle's cosine, not
+    # 1, and P_M fixes the line
     e = np.eye(3)
     planes = [orthonormalize([e[0], e[1]]),
               orthonormalize([e[0], np.cos(np.pi / 4) * e[1] + np.sin(np.pi / 4) * e[2]])]
     cp = build_cyclic(planes)
-    raw = CyclicProduct(cp._blocks, cp._spans)
+    raw = CyclicProduct(cp._spans)
     assert raw.m.dim == 1
     assert friedrichs_number(raw) == pytest.approx(np.cos(np.pi / 4), abs=1e-15)
     assert np.allclose(raw.pm_apply(e[0]), e[0], rtol=0.0, atol=1e-15)
-
-
-def test_the_raw_constructor_refuses_spans_of_other_factors():
-    # spans of two lines at 1.2 with the blocks of two lines at 0.3 would
-    # give c = 0.3624 where the product's value is cos 0.3 = 0.9553
-    near, far = build_cyclic(two_lines(0.3)), build_cyclic(two_lines(1.2))
-    with pytest.raises(ValueError, match="X X\\^H"):
-        CyclicProduct(near._blocks, far._spans)
-    model = block_aligned(3, "1/k").cyclic()
-    for blocks, spans in [(near._blocks, near._spans[:1]),  # one span for two factors
-                          (near._blocks, [s[0] for s in near._spans]),  # not stacks
-                          (model._blocks, [np.zeros((3, 2, 1))] * 2)]:  # X X^H = 0
-        with pytest.raises(ValueError):
-            CyclicProduct(blocks, spans)
-    rebuilt = CyclicProduct(near._blocks, near._spans)
-    assert friedrichs_number(rebuilt) == pytest.approx(np.cos(0.3), abs=1e-15)
 
 
 def test_empty_feasible_sets_keep_their_answers():
@@ -361,6 +347,23 @@ def test_block_route_minimax_bounds_at_two_hundred_blocks():
         (0.0049999791666926084, 0.0049999791666927081), rel=1e-13)
 
 
+@pytest.mark.parametrize("rule", ["1/k", "1/sqrt(k)"])
+@pytest.mark.parametrize("k_blocks", [12, 200, 400, 2000])
+def test_block_model_friedrichs_number_is_the_last_cosine_to_one_ulp(k_blocks, rule):
+    # the line bases are the spans, so the slowest block's Gram matrix is
+    # [[1, cos], [cos, 1]]; projector blocks as spans left c up to 7 ulp off
+    model = block_aligned(k_blocks, rule)
+    expected = math.cos(model.angles[-1])
+    assert abs(friedrichs_number(model.cyclic()) - expected) <= np.spacing(expected)
+
+
+def test_block_model_ell2_of_c_matches_the_direct_route():
+    # ell2(c) = sqrt(1 - c) at N = 2 is the ill-conditioned side: 1.8e-11
+    # relative apart when the spans were the projector blocks
+    cp = block_aligned(200, "1/k").cyclic()
+    assert ell2(friedrichs_number(cp), 2) == pytest.approx(ell2_direct(cp), rel=1e-12, abs=0.0)
+
+
 def _mixed_blocks(k_blocks, seed):
     """Three (K, 2, 2) projector stacks whose blocks cycle through four
     patterns: M = {0} with feasible ranks (1, 1, 2); M a line with every
@@ -379,7 +382,7 @@ def _mixed_blocks(k_blocks, seed):
 
 @pytest.mark.parametrize("k_blocks,seed", [(4, 0), (12, 1), (30, 2)])
 def test_block_route_on_blocks_of_mixed_ranks(k_blocks, seed):
-    cp = CyclicProduct.from_blocks(_mixed_blocks(k_blocks, seed))
+    cp = CyclicProduct(spans_of(*_mixed_blocks(k_blocks, seed)))
     assert 0 < cp.m.dim < k_blocks
     dense = build_cyclic([Subspace(orthonormal_columns(p)) for p in cp.factors])
     assert dense.m.dim == cp.m.dim

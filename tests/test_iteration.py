@@ -47,6 +47,7 @@ from altproj.acceptance import (
 )
 from altproj.iteration import _block_diagonal
 from altproj.linalg import _finite
+from blockspans import spans_of
 
 
 def _pm(cp):
@@ -162,8 +163,8 @@ def test_block_product_with_an_intersection_never_reads_dense_members(k_blocks, 
     # on the block model every sum has one nonzero term, so the bits agree
     # exactly, and on generic blocks to rounding
     same = (lambda a, b: np.allclose(a, b, rtol=0.0, atol=1e-14)) if generic else np.array_equal
-    blocks = _planted_blocks(k_blocks, generic)
-    cp, twin = CyclicProduct.from_blocks(blocks), CyclicProduct.from_blocks(blocks)
+    spans = spans_of(*_planted_blocks(k_blocks, generic))
+    cp, twin = CyclicProduct(spans), CyclicProduct(spans)
     assert cp.m.dim == 4
     rng = np.random.default_rng(k_blocks)
     d = cp.dim
@@ -203,12 +204,13 @@ def test_dense_build_holds_one_block_per_factor():
     for cp in dense:
         d = cp.dim
         assert [b.shape for b in cp._blocks] == [(1, d, d)] * cp.N
-        assert all(np.shares_memory(p, b) for p, b in zip(cp.factors, cp._blocks))
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         y = x
         for b in cp._blocks:
             y = b[0] @ y
         assert np.array_equal(cp.apply(x), y)
+        assert "factors" not in vars(cp)  # the sweep reads the blocks
+        assert all(np.shares_memory(p, b) for p, b in zip(cp.factors, cp._blocks))
 
 
 def test_sweep_diagnostic_of_the_block_model_matches_the_dense_build():
@@ -363,12 +365,11 @@ def test_block_intersection_at_four_thousand_blocks_stays_in_block_stacks():
     # dense (n b, r) basis would be an 8000 x 4000 complex array (512 MB)
     k_blocks = 4000
     u = np.eye(2)[np.arange(k_blocks) % 2]  # e1, e2, e1, ...: exact answers
-    line = u[:, :, None] * u[:, None, :]
     whole = np.broadcast_to(np.eye(2), (k_blocks, 2, 2))
     x = np.random.default_rng(4).standard_normal(2 * k_blocks)
     tracemalloc.start()
     try:
-        cp = CyclicProduct.from_blocks((line, whole))
+        cp = CyclicProduct((u[:, :, None], whole))
         px = cp.pm_apply(x)
         values = (cp.dim, friedrichs_number(cp), iota2(cp), ell2_direct(cp))
         peak = tracemalloc.get_traced_memory()[1]
@@ -383,46 +384,51 @@ def test_block_intersection_at_four_thousand_blocks_stays_in_block_stacks():
     assert all(a.shape[0] == k_blocks and a.ndim == 3 for a in arrays)
 
 
-def test_from_blocks_validation():
-    e1 = np.array([[[1.0, 0.0], [0.0, 0.0]]])
-    with pytest.raises(ValueError):
-        CyclicProduct.from_blocks((e1,))
-    with pytest.raises(ValueError):
-        CyclicProduct.from_blocks((e1, np.eye(2)))  # not a stack
-    with pytest.raises(ValueError):
-        CyclicProduct.from_blocks((e1, np.concatenate([e1, e1])))
-    with pytest.raises(ValueError):
-        CyclicProduct.from_blocks((e1, 2.0 * e1))  # not a projection
-    cp = CyclicProduct.from_blocks((e1, e1))
+def test_constructor_validation():
+    e1 = np.array([[[1.0], [0.0]]])
+    for spans in [(e1,),  # one factor
+                  (e1, np.eye(2)),  # not a stack
+                  (e1, np.concatenate([e1, e1])),  # another block count
+                  (e1, np.ones((1, 3, 1))),  # another block size
+                  (e1[:0], e1[:0]),  # no blocks
+                  (e1, 2.0 * e1),  # X X^H is not a projection
+                  (e1, (1.0 + 1e-6) * e1)]:  # nor one to 1e-12: 2e-6 off
+        with pytest.raises(ValueError):
+            CyclicProduct(spans)
+    cp = CyclicProduct((e1, e1))
     assert cp.m.dim == 1
     assert np.array_equal(cp.pm_apply(np.array([2.0, 3.0])), np.array([2.0, 0.0]))
+    # zero columns stand for a lower rank: the block model's line basis
+    # padded by a zero column builds the same product, bit for bit
+    model = block_aligned(12, "1/k").cyclic()
+    padded = CyclicProduct([np.concatenate([x, np.zeros_like(x)], axis=-1) for x in model._spans])
+    assert all(np.array_equal(p, q) for p, q in zip(padded._blocks, model._blocks))
+    assert friedrichs_number(padded) == friedrichs_number(model)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_the_raw_constructor_refuses_non_finite_blocks_and_spans(bad):
-    # a NaN span once built (X X^H - P_k was NaN, which failed no tolerance
-    # check) and a NaN block ended in LAPACK's "SVD did not converge"
+def test_the_constructor_refuses_non_finite_spans(bad):
+    # a NaN span once built a product (X X^H - P_k was NaN, which failed no
+    # tolerance check)
     cp = build_cyclic(two_lines(0.3))
     for k in range(2):
         spans = [np.array(x) for x in cp._spans]
         spans[k][0, 0, 0] = bad
         with pytest.raises(ValueError, match="span must be finite"):
-            CyclicProduct(cp._blocks, spans)
-        blocks = [np.array(b) for b in cp._blocks]
-        blocks[k][0, 0, 0] = bad
-        with pytest.raises(ValueError, match="blocks must be finite"):
-            CyclicProduct(blocks, cp._spans)
+            CyclicProduct(spans)
 
 
 def test_a_huge_finite_span_is_refused_without_an_overflow_warning():
-    # X X^H overflows to infinite and NaN entries, which fail the comparison;
+    # X X^H overflows to infinite and NaN entries, which are refused;
     # forming them must not warn first (a RuntimeWarning is an error here)
     cp = build_cyclic(two_lines(0.3))
-    spans = [np.array([[[1e200, 1e200], [1e200, -1e200]]]), cp._spans[1]]
+    one = np.ones((1, 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="span does not span its factor"):
-            CyclicProduct(cp._blocks, spans)
+        for spans in ([np.array([[[1e200, 1e200], [1e200, -1e200]]]), cp._spans[1]],
+                      [1e200 * one, one], [one, 1e200 * one]):
+            with pytest.raises(ValueError, match="X X\\^H is not finite"):
+                CyclicProduct(spans)
 
 
 def test_block_model_at_two_thousand_blocks_stays_small():
@@ -622,13 +628,13 @@ def _line_and_whole_block(k_blocks):
 
 # the block model (M = {0}), (line, whole block) pairs (T = P_M, so the
 # first term is exact) and planted intersections in generic blocks (dim M = 4)
-@pytest.mark.parametrize("blocks, k", [
-    (block_aligned(12, "1/k").cyclic()._blocks, 2261),
-    (_line_and_whole_block(12), 1),
-    (_planted_blocks(12, True), 235),
+@pytest.mark.parametrize("spans, k", [
+    (block_aligned(12, "1/k").cyclic()._spans, 2261),
+    (spans_of(*_line_and_whole_block(12)), 1),
+    (spans_of(*_planted_blocks(12, True)), 235),
 ], ids=["block_model", "line_whole", "planted"])
-def test_series_of_block_products_matches_the_reiteration(blocks, k):
-    cp = CyclicProduct.from_blocks(blocks)
+def test_series_of_block_products_matches_the_reiteration(spans, k):
+    cp = CyclicProduct(spans)
     x = np.random.default_rng(0).standard_normal(cp.dim)
     assert unconditional_sum_test(cp, x, 5, 1e-6, seed=1).K == k
     assert _assert_series_matches_the_reiteration(cp, _finite(x), 1e-6) == k
