@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altproj import fracpow
-from altproj.acceptance import _pool
+from altproj.acceptance import _block_model, _pool, _start_vector
 from altproj.linalg import diagonalize
 from altproj import (
     CapacityError,
@@ -477,3 +477,77 @@ def test_block_model_partial_sums_meet_the_polylog_limit(alpha):
                      / mpmath.cos(theta) for i, theta in enumerate(model.angles)]
         limit = float(mpmath.sqrt(mpmath.fsum(b ** 2 for b in per_block)))
     assert 0.0 <= limit - sup <= 1e-6 + 1e-12
+
+
+def _jittered_input(seed, alpha):
+    # block_decay's start vector: the 1/k taper times a seeded jitter in [0.8, 1.2]
+    model = block_aligned(200, "1/k")
+    cp = model.cyclic()
+    k = np.arange(1.0, 201.0)
+    taper = np.random.default_rng(seed).uniform(0.8, 1.2, 200) / k
+    y = model.m1_vector(taper / np.linalg.norm(taper))
+    return cp, make_alpha_vector(cp, alpha, seed, y=y, z=np.zeros(model.ambient_dim)).x
+
+
+def _criterion_9_input(alpha):
+    model, cp = _block_model()
+    k = np.arange(1.0, model.k_blocks + 1.0)
+    y = model.m1_vector((1.0 / k) / np.linalg.norm(1.0 / k))
+    return cp, make_alpha_vector(cp, alpha, 1234, y=y, z=np.zeros(model.ambient_dim)).x
+
+
+def _complex_input():
+    # non-real eigenvalues, so the imaginary part of the lam^i table is used
+    rng = np.random.default_rng(7)
+    cp = build_cyclic([orthonormalize(rng.standard_normal((8, r))
+                                      + 1j * rng.standard_normal((8, r))) for r in (3, 5, 4)])
+    return cp, np.random.default_rng(8).standard_normal(8) + 0j
+
+
+def _pool_input(index):
+    entry = _pool()[index]
+    return entry.cp, _start_vector(entry)
+
+
+def _fixed_line_input():
+    e = np.eye(3)
+    cp = build_cyclic([orthonormalize([e[0], e[1]]), orthonormalize([e[0], e[2]])])
+    return cp, np.array([1.0, 0.5, 0.25])
+
+
+# (input, alpha, n_max) -> (sup.hex(), flag).  Every block of the 1/k model
+# has an exact zero eigenvalue (half of the coordinates), pool instances 38
+# (complex spectrum) and 45 (real) have one each, two orthogonal lines give
+# T = 0, and the fixed line makes the run go to n_max, past the last full
+# chunk, with an unbounded verdict
+_PINNED_PARTIAL_SUMS = [
+    (lambda: _jittered_input(1, 0.5), 0.5, 5 * 10**6, "0x1.f4113940edf8fp-1", True),
+    (lambda: _jittered_input(1, 1.0), 1.0, 5 * 10**6, "0x1.75c02f70752e0p-1", True),
+    (lambda: _jittered_input(2, 0.5), 0.5, 5 * 10**6, "0x1.012d40c9249bbp+0", True),
+    (lambda: _jittered_input(2, 1.0), 1.0, 5 * 10**6, "0x1.7a53d53eadf9cp-1", True),
+    (lambda: _jittered_input(3, 0.5), 0.5, 5 * 10**6, "0x1.095211ad6edb7p+0", True),
+    (lambda: _jittered_input(3, 1.0), 1.0, 5 * 10**6, "0x1.82738d9d5b706p-1", True),
+    (lambda: _criterion_9_input(0.5), 0.5, 5 * 10**6, "0x1.f12220c075006p-1", True),
+    (lambda: _criterion_9_input(1.0), 1.0, 5 * 10**6, "0x1.71fb09275b90bp-1", True),
+    (lambda: _jittered_input(1, 0.5), 0.5, 20000, "0x1.f357213007b1ap-1", False),
+    (lambda: _pool_input(38), 0.5, 20000, "0x1.63f0ea7f430cbp-2", True),
+    (lambda: _pool_input(38), 1.0, 20000, "0x1.7d49e98250a67p-2", True),
+    (lambda: _pool_input(45), 0.5, 20000, "0x1.b91bb10712b62p-2", True),
+    (lambda: _pool_input(45), 1.0, 20000, "0x1.e5dd5210a78d2p-2", True),
+    (_complex_input, 0.5, 20000, "0x1.22304704d9409p+1", True),
+    (lambda: (build_cyclic(two_lines(math.pi / 2)), np.array([1.0, 0.0])), 0.5, 20000,
+     "0x0.0p+0", True),
+    (_fixed_line_input, 1.0, 50000, "0x1.86a0000000000p+15", False),
+]
+
+
+@pytest.mark.parametrize("make,alpha,n_max,sup_hex,flag", _PINNED_PARTIAL_SUMS,
+                         ids=["jitter1-a0.5", "jitter1-a1", "jitter2-a0.5", "jitter2-a1",
+                              "jitter3-a0.5", "jitter3-a1", "criterion9-a0.5",
+                              "criterion9-a1", "stride1", "pool38-a0.5", "pool38-a1",
+                              "pool45-a0.5", "pool45-a1", "complex", "orthogonal-lines",
+                              "fixed-line"])
+def test_partial_sums_are_pinned_bit_for_bit(make, alpha, n_max, sup_hex, flag):
+    cp, x = make()
+    sup, bounded = partial_sum_characterization(cp, x, alpha, n_max)
+    assert (sup.hex(), bounded) == (sup_hex, flag)
