@@ -242,7 +242,11 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     The eigencoordinate sums advance in chunks of 2048 steps, built block
     by block: the inner sums sum_i lam^i (a + i)^(alpha-1) of every block
     in a chunk come from one real GEMM against a table of lam^i, and only
-    the partial sums at block ends are formed.  Runs of up to 65536
+    the partial sums at block ends are formed.  This chunk arithmetic runs
+    on the live coordinates only, those with lam != 0 (a zero eigenvalue
+    adds nothing to the sums; every 2x2 block of the block model has
+    one), and the GEMM against the imaginary part of the table runs only
+    for a non-real spectrum.  Runs of up to 65536
     steps use blocks of one step, so the sup is taken over every n.
     Longer runs use blocks of 256 steps: the sup is sampled every 256
     steps and at n_max, and the certificate decides the flag.  A
@@ -273,16 +277,22 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     # a block starting after step a adds w lam^a times the inner sum
     # sum_i lam^i (a + i)^(alpha-1), i = 1..stride; a chunk's inner sums are
     # one real GEMM of the table lam^i against weights that are zero past
-    # the chunk end
+    # the chunk end.  A zero eigenvalue adds nothing to the sums, so the
+    # chunk arithmetic runs on the live coordinates (lam != 0); their
+    # partial sums fill the live rows of ``full``, whose dead rows stay
+    # zero, and ``v @ full`` sees the matrix the full-length sums gave
     chunk = 2048
     stride = 1 if n_max <= 65536 else 256
     dlen = len(w)
-    table = np.cumprod(np.broadcast_to(lam[:, None], (dlen, stride)), axis=1)
+    live = lam != 0
+    nlive = int(live.sum())
+    table = np.cumprod(np.broadcast_to(lam[live, None], (nlive, stride)), axis=1)
     table_re = np.ascontiguousarray(table.real)
-    table_im = np.ascontiguousarray(table.imag)
+    table_im = np.ascontiguousarray(table.imag) if table.imag.any() else None
     offsets = np.arange(1.0, stride + 1.0)[:, None]
-    wp = w  # w lam^k at the chunk start
-    s = np.zeros(dlen, dtype=np.complex128)
+    wp = w[live]  # w lam^k at the chunk start
+    s = np.zeros(nlive, dtype=np.complex128)
+    full = np.zeros((dlen, chunk // stride), dtype=np.complex128)
     sup = 0.0
     head_sup = None
     head_cut = max(1, n_max // 10)
@@ -292,17 +302,21 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
         nb = -(-m // stride)
         steps = offsets + np.arange(k, k + nb * stride, stride, dtype=float)
         weights = np.where(steps <= k + m, steps ** (-(1.0 - alpha)), 0.0)
-        inner = table_re @ weights + 1j * (table_im @ weights)
+        if table_im is None:  # a real spectrum
+            inner = (table_re @ weights).astype(np.complex128)
+        else:
+            inner = table_re @ weights + 1j * (table_im @ weights)
         # w lam^(k + b*stride) for b = 0..nb; column nb starts the next
         # chunk, which follows only a full one
-        starts = np.empty((dlen, nb + 1), dtype=np.complex128)
+        starts = np.empty((nlive, nb + 1), dtype=np.complex128)
         starts[:, 0] = wp
         starts[:, 1:] = table[:, -1:]
         starts = np.cumprod(starts, axis=1)
         wp = starts[:, -1]
         partial = s[:, None] + np.cumsum(starts[:, :-1] * inner, axis=1)
         s = partial[:, -1]
-        vals = np.linalg.norm(v @ partial.reshape(v.shape[:2] + (-1,)), axis=(0, 1))
+        full[live, :nb] = partial
+        vals = np.linalg.norm(v @ full[:, :nb].reshape(v.shape[:2] + (-1,)), axis=(0, 1))
         sup = max(sup, float(vals.max()))
         k += m
         if head_sup is None and k >= head_cut:

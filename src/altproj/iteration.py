@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .linalg import _finite, _powers, _stack, diagonalize, spectral_norm
-from .subspace import (Subspace, _basis_stacks, _dense_columns, _freeze, _projector,
-                       _top_eigenspace)
+from .subspace import (Subspace, _basis_stacks, _dense_columns, _freeze, _frozen_copy,
+                       _projector, _top_eigenspace)
 
 __all__ = [
     "CyclicProduct",
@@ -82,7 +82,7 @@ class CyclicProduct:
     """
 
     def __init__(self, spans):
-        spans = tuple(_freeze(_finite(x, "span")) for x in spans)
+        spans = tuple(_finite(_frozen_copy(x), "span") for x in spans)
         if len(spans) < 2:
             raise ValueError("need at least two subspaces")
         if any(x.ndim != 3 or x.shape[:2] != spans[0].shape[:2] for x in spans) \

@@ -35,6 +35,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen_copy(x) -> np.ndarray:
+    """A read-only complex128 copy of the caller's ``x``, which stays writeable."""
+    return _freeze(np.array(x, dtype=np.complex128, order="C"))
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Column span of a matrix with orthonormal columns.
@@ -48,10 +53,10 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_complex_matrix(self.basis)
-        object.__setattr__(self, "basis", _freeze(b))
+        b = as_complex_matrix(_frozen_copy(self.basis))
+        object.__setattr__(self, "basis", b)
         gram = b.conj().T @ b
-        if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-12):
+        if not np.allclose(gram, np.eye(b.shape[1]), rtol=0.0, atol=1e-12):
             raise ValueError("basis columns are not orthonormal to 1e-12")
 
     @property

@@ -406,6 +406,21 @@ def test_constructor_validation():
     assert friedrichs_number(padded) == friedrichs_number(model)
 
 
+def test_the_constructor_copies_the_callers_spans():
+    # the product keeps read-only copies: the caller's arrays stay
+    # writeable, and writing to them later does not change the product
+    x = np.array([[[1.0], [0.0]]], dtype=np.complex128)
+    y = np.array([[[0.6], [0.8]]], dtype=np.complex128)
+    cp = CyclicProduct((x, y))
+    v = np.array([1.0, 2.0])
+    before = cp.apply(v)
+    assert x.flags.writeable and y.flags.writeable
+    x[0] = [[0.0], [1.0]]
+    y[0] = [[1.0], [0.0]]
+    assert np.array_equal(cp.apply(v), before)
+    assert np.array_equal(cp._spans[0], [[[1.0], [0.0]]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_the_constructor_refuses_non_finite_spans(bad):
     # a NaN span once built a product (X X^H - P_k was NaN, which failed no

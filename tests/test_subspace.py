@@ -57,12 +57,25 @@ def test_zero_and_full_subspaces():
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # the check is absolute: a Gram entry of 1.000008 once passed the
+    # relative part of np.allclose's default tolerance
+    with pytest.raises(ValueError, match="orthonormal to 1e-12"):
+        Subspace(np.array([[1.0 + 4e-6], [0.0]]))
+    Subspace(np.array([[1.0 + 4e-13], [0.0]]))
 
 
 def test_basis_is_immutable():
     s = Subspace(np.eye(2))
     with pytest.raises(ValueError):
         s.basis[0, 0] = 5.0
+
+
+def test_the_callers_basis_stays_writeable():
+    b = np.eye(3, 2, dtype=np.complex128)
+    s = Subspace(b)
+    assert b.flags.writeable
+    b[0, 0] = 5.0
+    assert np.array_equal(s.basis, np.eye(3, 2))
 
 
 @pytest.mark.parametrize("seed", range(6))
