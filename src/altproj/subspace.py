@@ -36,8 +36,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen_copy(x) -> np.ndarray:
-    """A read-only complex128 copy of the caller's ``x``, which stays writeable."""
-    return _freeze(np.array(x, dtype=np.complex128, order="C"))
+    """``x`` as a read-only complex128 array that no caller can write.
+
+    A read-only C-contiguous complex128 array over read-only memory (a
+    frozen basis or a view of one) is kept; anything else is copied, so a
+    caller's writeable array stays writeable and cannot change the copy.
+    """
+    a = np.asarray(x)
+    owner = a if a.base is None else a.base
+    if (a.dtype == np.complex128 and a.flags.c_contiguous
+            and isinstance(owner, np.ndarray) and not owner.flags.writeable):
+        return a
+    return _freeze(np.array(a, dtype=np.complex128, order="C"))
 
 
 @dataclass(frozen=True)

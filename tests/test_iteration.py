@@ -419,6 +419,16 @@ def test_the_constructor_copies_the_callers_spans():
     y[0] = [[1.0], [0.0]]
     assert np.array_equal(cp.apply(v), before)
     assert np.array_equal(cp._spans[0], [[[1.0], [0.0]]])
+    # a read-only view of a writeable array is copied too; a frozen basis,
+    # which no caller can write, is shared
+    view = y.view()
+    view.setflags(write=False)
+    cp = CyclicProduct((x, view))
+    y[0] = [[0.6], [0.8]]
+    assert np.array_equal(cp._spans[1], [[[1.0], [0.0]]])
+    family = two_lines(0.3)
+    cp = build_cyclic(family)
+    assert all(np.shares_memory(x, s.basis) for x, s in zip(cp._spans, family))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
