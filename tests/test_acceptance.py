@@ -1,7 +1,7 @@
 """End-to-end acceptance battery: one test per numbered criterion.
 
 All criteria share one seeded instance pool and the battery takes about
-15 seconds, so it runs exactly once per session; each test then prints
+5 seconds, so it runs exactly once per session; each test then prints
 the verdict line of its criterion and asserts it.
 """
 
