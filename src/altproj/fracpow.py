@@ -1,13 +1,15 @@
 """Fractional powers (I - T)^alpha of the projection product.
 
-The reference computation (``method="series"``) splits alpha = m + f
+Every routine takes the ``CyclicProduct`` T = P_N ... P_1 and refuses
+anything else with ``TypeError``.  ``frac_power_apply`` takes the
+spectral path for a non-integer alpha: an eigendecomposition of T's
+blocks, used when the eigenvector basis is well-conditioned.  An integer
+alpha is that many sweeps, and a defective or ill-conditioned T has no
+usable eigenbasis; both run the reference ``_series_apply``, which tests
+compare the spectral path against.  The reference splits alpha = m + f
 with m = floor(alpha): it applies I - T m times, then the binomial series
 (I - T)^f = sum_n (-1)^n binom(f, n) T^n for f in [0, 1), certified to
-``tol``.  The default ``method="auto"`` takes the fast route for a
-non-integer alpha: a spectral path through an eigendecomposition of T's
-blocks, used when the eigenvector basis is well-conditioned.  An integer
-alpha is m sweeps and no series, and a defective or ill-conditioned T
-has no usable eigenbasis; both run the reference.
+``tol``.
 
 On top of these the module builds vectors of the regularity class
 Fix(T) + Ran(I-T)^alpha, fits the polynomial decay exponent of their
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .iteration import CyclicProduct
-from .linalg import _finite, _stack, diagonalize, spectral_norm
+from .iteration import _require_product
+from .linalg import _finite
 
 __all__ = [
     "AlphaVector",
@@ -34,21 +36,6 @@ __all__ = [
 ]
 
 _TERM_CAP = 10**6  # hard cap on series terms
-_CAP_MSG = "alpha too small / tol too tight"
-
-
-def _matvec(t):
-    """Return the sweep x -> T x of a CyclicProduct or a plain matrix.
-
-    A plain matrix is checked by ``_stack`` and must be a contraction;
-    otherwise ``ValueError``.
-    """
-    if hasattr(t, "apply"):
-        return t.apply
-    dense = _stack(t)[0][0]
-    if spectral_norm(dense) > 1.0 + 1e-10:
-        raise ValueError("operator is not a contraction")
-    return lambda v: dense @ v
 
 
 def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
@@ -68,7 +55,7 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
     m = math.floor(alpha)
     f = alpha - m
     if m > max_terms:
-        raise CapacityError(_CAP_MSG)
+        raise CapacityError(f"floor(alpha) = {m} sweeps exceed the {max_terms}-term cap")
     x = x.astype(np.complex128)
     for _ in range(m):
         x = x - apply_t(x)
@@ -86,7 +73,7 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
         if tail * np.linalg.norm(cur) <= tol:
             return acc + comp
         if m + n >= max_terms:
-            raise CapacityError(_CAP_MSG)
+            raise CapacityError("alpha too small / tol too tight")
         c = c * (n - f) / (n + 1)
         n += 1
         cur = apply_t(cur)
@@ -101,15 +88,15 @@ def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
         partial = t
 
 
-def _eigencoordinates(t, x: np.ndarray):
+def _eigencoordinates(cp, x: np.ndarray):
     """Eigenvalues lam, eigenvectors v and the coordinates w of x with v w = x,
     as (n, b), (n, b, b) and (n, b) stacks over T's blocks.
 
-    ``t`` is a CyclicProduct, whose cached ``diagonalize`` result is used,
-    or a plain matrix.  Raises NumericalContractError when the eigenvector
-    basis is singular or too ill-conditioned (see ``diagonalize``).
+    Reads the product's cached ``diagonalize`` result.  Raises
+    NumericalContractError when the eigenvector basis is singular or too
+    ill-conditioned (see ``diagonalize``), and ``eig``'s LinAlgError.
     """
-    basis = t._eigenbasis if isinstance(t, CyclicProduct) else diagonalize(_stack(t)[0])
+    basis = cp._eigenbasis
     if basis is None:
         raise NumericalContractError(
             "eigenvector basis too ill-conditioned for the spectral path")
@@ -117,26 +104,27 @@ def _eigencoordinates(t, x: np.ndarray):
     return lam, v, np.linalg.solve(v, x.reshape(lam.shape + (1,)))[..., 0]
 
 
-def _eig_apply(t, alpha: float, x: np.ndarray) -> np.ndarray:
+def _eig_apply(cp, alpha: float, x: np.ndarray) -> np.ndarray:
     """(I-T)^alpha x through an eigendecomposition, principal branch."""
-    lam, v, w = _eigencoordinates(t, x.astype(np.complex128))
+    lam, v, w = _eigencoordinates(cp, x.astype(np.complex128))
     scale = (1.0 - lam).astype(np.complex128) ** alpha
     return (v @ (scale * w)[..., None]).reshape(x.shape)
 
 
-def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") -> np.ndarray:
-    """Apply (I - T)^alpha to x.
+def frac_power_apply(cp, alpha: float, x, tol: float) -> np.ndarray:
+    """Apply (I - T)^alpha to x for the product ``cp``.
 
-    ``method`` is "series" (the reference: floor(alpha) sweeps of I - T,
-    then the series at the fractional part; works for defective T, with
-    truncation error at most ``tol``) or "auto": the spectral path for a
-    non-integer alpha when T's eigenvector basis is well-conditioned, and
-    the reference series otherwise.  ``tol`` bounds the truncation only
-    where the series runs; the spectral path has none.  On a
-    CyclicProduct the reference runs on x - P_M x, which (I - T)^alpha
-    maps to the same vector for alpha > 0, so a part of x in M does not
-    stall the series.  A non-finite ``x`` raises ``ValueError``.
+    A non-integer alpha takes the spectral path when T's eigenvector
+    basis is well-conditioned.  Otherwise (an integer alpha, a refused
+    basis, or ``eig`` raising LinAlgError) it runs the reference series:
+    floor(alpha) sweeps of I - T, then the series at the fractional part,
+    with truncation error at most ``tol``; ``tol`` bounds the truncation
+    only there.  The reference runs on x - P_M x, which (I - T)^alpha maps
+    to the same vector for alpha > 0, so a part of x in M does not stall
+    the series.  Anything but a ``CyclicProduct`` raises ``TypeError``, and
+    a non-finite ``x`` raises ``ValueError``.
     """
+    _require_product(cp)
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
     if not tol > 0.0:
@@ -144,19 +132,14 @@ def frac_power_apply(t, alpha: float, x, tol: float, *, method: str = "auto") ->
     x = _finite(x)
     if alpha == 0.0:
         return x.copy()
-    apply_t = _matvec(t)
-    if method not in ("auto", "series"):
-        raise ValueError("method must be 'auto' or 'series'")
-    if method == "auto" and not float(alpha).is_integer():
+    if not float(alpha).is_integer():
         try:
-            return _eig_apply(t, alpha, x)
+            return _eig_apply(cp, alpha, x)
         except (np.linalg.LinAlgError, NumericalContractError):
             pass  # defective or ill-conditioned: the reference series
-    if isinstance(t, CyclicProduct):
-        # (I - T)^alpha P_M = 0 for alpha > 0, and T^n P_M x = P_M x does
-        # not decay, so the series stops only on x - P_M x
-        x = x - t.pm_apply(x)
-    return _series_apply(apply_t, alpha, x, tol, _TERM_CAP)
+    # (I - T)^alpha P_M = 0 for alpha > 0, and T^n P_M x = P_M x does not
+    # decay, so the series stops only on x - P_M x
+    return _series_apply(cp.apply, alpha, x - cp.pm_apply(x), tol, _TERM_CAP)
 
 
 @dataclass(frozen=True)
@@ -179,8 +162,10 @@ def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None,
 
     Explicit ``y``/``z`` override the draws, e.g. to shape the spectral
     profile of y while keeping the construction itself unchanged; a
-    non-finite one raises ``ValueError``.
+    non-finite one raises ``ValueError``, and anything but a
+    ``CyclicProduct`` ``TypeError``.
     """
+    _require_product(cp)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
@@ -250,21 +235,21 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     steps use blocks of one step, so the sup is taken over every n.
     Longer runs use blocks of 256 steps: the sup is sampled every 256
     steps and at n_max, and the certificate decides the flag.  A
-    non-finite ``x``, and a plain matrix that is not a contraction, raise
-    ``ValueError``.
+    non-finite ``x`` raises ``ValueError``, and anything but a
+    ``CyclicProduct`` ``TypeError``.
     """
+    _require_product(cp)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     x = _finite(x)
-    apply_t = _matvec(cp)
     if np.linalg.norm(x) == 0.0:
         return 0.0, True
     try:
         lam, v, w = _eigencoordinates(cp, x)
     except (np.linalg.LinAlgError, NumericalContractError):
-        return _partial_sum_literal(apply_t, x, alpha, n_max)
+        return _partial_sum_literal(cp.apply, x, alpha, n_max)
 
     # rigorous upper bound on ||V||_2 via Holder, avoids a large SVD
     v_norm = math.sqrt(np.abs(v).sum(axis=-2).max() * np.abs(v).sum(axis=-1).max())

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import CyclicProduct, _rate_base_squared
+from .iteration import CyclicProduct, _rate_base_squared, _require_product
 from .linalg import eigh_sym, sym
 from .spectral import theta0
 from .subspace import _complement_within_blocks, _orthogonal_complement_blocks
@@ -61,9 +61,7 @@ __all__ = [
 def _family(cp):
     """The spans of the factors and M's basis, as (n, b, .) block stacks of
     the product ``cp`` (see ``CyclicProduct``); anything else is refused."""
-    if not isinstance(cp, CyclicProduct):
-        raise TypeError(f"need a CyclicProduct, not {type(cp).__name__}; "
-                        "for a family of subspaces pass build_cyclic(subspaces)")
+    _require_product(cp)
     return cp._spans, cp._m_blocks
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .linalg import _finite, _powers, _stack, diagonalize, spectral_norm
+from .linalg import _finite, _powers, diagonalize, spectral_norm, stack_chunk
 from .subspace import (Subspace, _basis_stacks, _dense_columns, _freeze, _frozen_copy,
                        _projector, _top_eigenspace)
 
@@ -191,6 +191,15 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj...->ki...", blocks, y).reshape(x.shape)
 
 
+def _require_product(cp) -> None:
+    """Refuse anything but a ``CyclicProduct`` with ``TypeError``: the angle
+    quantities of ``geometry`` and the fractional powers of ``fracpow`` take
+    the product of a family, not the family or a plain matrix."""
+    if not isinstance(cp, CyclicProduct):
+        raise TypeError(f"need a CyclicProduct, not {type(cp).__name__}; "
+                        "for a family of subspaces pass build_cyclic(subspaces)")
+
+
 def _check_product(t, p, basis):
     """Contraction, commutation and fixed-M checks on (n, b, b) stacks of T
     and P_M and an (n, b, r) stack of M's basis."""
@@ -226,7 +235,11 @@ def build_cyclic(subspaces) -> CyclicProduct:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Errors e_n = ||x_n - P_M x|| of one alternating-projection run."""
+    """Errors e_n = ||x_n - P_M x|| of one alternating-projection run.
+
+    A negative error, and an increase along a sweep beyond 1e-12 of e_0,
+    raise NumericalContractError.
+    """
 
     errors: np.ndarray
     bound_c: np.ndarray | None = None
@@ -236,8 +249,8 @@ class IterationTrace:
         e = np.asarray(self.errors, dtype=float)
         if e.min(initial=0.0) < 0.0:
             raise NumericalContractError("negative error in trace")
-        if e.size > 1 and np.max(np.diff(e)) > 1e-12:
-            raise NumericalContractError("errors increased along a sweep beyond 1e-12")
+        if e.size > 1 and np.max(np.diff(e)) > 1e-12 * e[0]:
+            raise NumericalContractError("errors increased along a sweep beyond 1e-12 of e_0")
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -387,14 +400,14 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     hard cap of 1e5 terms applies.  Returns the (K, d) terms, e_K and T^K x.
     The series advances B terms per step: T's block powers T^0..T^B are
     formed once, by doubling (``linalg._powers``), with B = min(256,
-    ``linalg._stack``'s chunk) so the power stack stays near 2 MiB, and
-    one ``einsum`` gives T^{k..k+B} x, whose B errors take one vectorized
-    norm.  The terms fill the leading rows of one buffer sized for the
+    ``stack_chunk(b) // n``) over T's (n, b, b) blocks, so the power stack
+    stays near 2 MiB, and one ``einsum`` gives T^{k..k+B} x, whose B errors
+    take one vectorized norm.  The terms fill the leading rows of one buffer sized for the
     cap; at most one chunk past K is written, so the pages of the rows
     beyond it are never touched.
     """
-    t, chunk = _stack(cp)
-    size = min(256, chunk)
+    t = cp._t_blocks
+    size = min(256, max(1, stack_chunk(t.shape[-1]) // len(t)))
     powers = _powers(t, size + 1)
     ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.complex128)
     cur = x.reshape(t.shape[:2])

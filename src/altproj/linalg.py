@@ -43,24 +43,6 @@ def _finite(x, name: str = "x") -> np.ndarray:
     return a
 
 
-def _stack(t):
-    """T's (n, b, b) block stack (a matrix is one block) and its chunk ``stack_chunk(b) // n``.
-
-    A plain matrix that is not square, is empty or has a NaN or infinite
-    entry is refused with ``ValueError``; a product's blocks are square,
-    finite and non-empty by construction.
-    """
-    if hasattr(t, "_t_blocks"):
-        blocks = t._t_blocks
-    else:
-        blocks = _finite(as_complex_matrix(t), "T")[None]
-        if blocks.shape[-1] != blocks.shape[-2]:
-            raise ValueError("T must be square")
-        if blocks.size == 0:
-            raise ValueError("T must not be empty")
-    return blocks, max(1, stack_chunk(blocks.shape[-1]) // len(blocks))
-
-
 def _powers(a: np.ndarray, count: int) -> np.ndarray:
     """a^0, ..., a^{count-1} of an (n, b, b) stack, as one (count, n, b, b) array.
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .iteration import _rate_base_squared
-from .linalg import _powers, _stack, eigh_sym, stack_chunk
+from .linalg import _finite, _powers, as_complex_matrix, eigh_sym, stack_chunk
 
 __all__ = [
     "OmegaRegion",
@@ -78,14 +78,30 @@ def _grid_count(blocks: np.ndarray, count: int) -> int:
     return count if blocks.imag.any() else count // 2 + 1
 
 
+def _stack(t) -> np.ndarray:
+    """T's (n, b, b) block stack: a product's ``_t_blocks``, or a plain matrix as one block.
+
+    This module alone takes a plain matrix, for the convex combinations
+    of ``models.convex_combination``.  One that is not square, is empty or
+    has a NaN or infinite entry is refused with ``ValueError``; a
+    product's blocks are square, finite and non-empty by construction.
+    """
+    if hasattr(t, "_t_blocks"):
+        return t._t_blocks
+    blocks = _finite(as_complex_matrix(t), "T")[None]
+    if blocks.shape[-1] != blocks.shape[-2]:
+        raise ValueError("T must be square")
+    if blocks.size == 0:
+        raise ValueError("T must not be empty")
+    return blocks
+
+
 def _core_stack(t):
     """The stack that ``numrange_boundary`` and ``resolvent_diagnostic``
-    factor, and its chunk: C of a product's ``_core`` where it has one,
-    else ``_stack(t)``."""
+    factor, and its chunk ``stack_chunk(b) // n``: C of a product's
+    ``_core`` where it has one, else ``_stack(t)``."""
     core = getattr(t, "_core", None)
-    if core is None:
-        return _stack(t)
-    c = core[1]
+    c = _stack(t) if core is None else core[1]
     return c, max(1, stack_chunk(c.shape[-1]) // len(c))
 
 
@@ -297,7 +313,7 @@ def ritt_power_diagnostic(t, n_max: int):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    blocks, _ = _stack(t)
+    blocks = _stack(t)
     if hasattr(t, "_spans"):
         first, last = t._spans[0], t._spans[-1]
     else:

@@ -26,6 +26,31 @@ from altproj import (
 )
 
 
+def _reference(cp, alpha, x, tol):
+    """The reference series of (I - T)^alpha x, run as ``frac_power_apply`` runs it."""
+    x = np.asarray(x, dtype=complex)
+    if alpha == 0.0:
+        return x.copy()
+    return fracpow._series_apply(cp.apply, alpha, x - cp.pm_apply(x), tol, fracpow._TERM_CAP)
+
+
+def _series_of(t, alpha, x, tol, max_terms=fracpow._TERM_CAP):
+    """The reference series on a generic contraction ``t``, a plain matrix."""
+    return fracpow._series_apply(lambda v: t @ v, alpha, x, tol, max_terms)
+
+
+def _nilpotent_product():
+    # the lines e1, (e1 + e2)/sqrt 2 and e2: T = e2 e2^T (1 1; 1 1)/2 e1 e1^T
+    # = e2 e1^T / 2, with T^2 = 0 and M = {0}
+    e = np.eye(2)
+    return build_cyclic([Subspace(e[:, [0]]), Subspace(np.ones((2, 1)) / math.sqrt(2.0)),
+                         Subspace(e[:, [1]])])
+
+
+def _failing_eig(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 # diagonal T with spectrum in [0, 1), where (I - T)^alpha acts entrywise
 # as (1 - t)^alpha
 _SPECTRUM = np.array([0.0, 0.3, 0.9, 0.99])
@@ -33,7 +58,7 @@ _SPECTRUM = np.array([0.0, 0.3, 0.9, 0.99])
 
 def test_half_power_series_matches_the_closed_form():
     x = np.ones(4)
-    out = frac_power_apply(np.diag(_SPECTRUM), 0.5, x, 1e-3, method="series")
+    out = _series_of(np.diag(_SPECTRUM), 0.5, x, 1e-3)
     assert np.abs(out - np.sqrt(1.0 - _SPECTRUM)).max() <= 1e-3
 
 
@@ -43,7 +68,7 @@ def test_half_power_series_matches_the_closed_form():
                                        (1.7, 1e-8), (2.0, 1e-15)])
 def test_series_error_stays_within_tol(alpha, tol):
     x = np.array([1.0, -0.5, 0.25, 1.0])
-    out = frac_power_apply(np.diag(_SPECTRUM), alpha, x, tol, method="series")
+    out = _series_of(np.diag(_SPECTRUM), alpha, x, tol)
     assert np.linalg.norm(out - (1.0 - _SPECTRUM) ** alpha * x) <= tol + 1e-15
 
 
@@ -51,15 +76,22 @@ def test_integer_alpha_series_terminates():
     # alpha = 2 is two sweeps x <- x - T x and no series terms
     t = np.array([[0.5, 0.2], [0.1, 0.3]])
     x = np.array([1.0, 2.0])
-    out = frac_power_apply(t, 2.0, x, 1e-15, method="series")
+    out = _series_of(t, 2.0, x, 1e-15)
     assert np.allclose(out, x - 2.0 * t @ x + t @ (t @ x), atol=1e-15)
 
 
-def test_series_capacity_limit(monkeypatch):
+def test_series_capacity_limit():
     # at the fixed point t = 1 the tail decays only like n^-alpha
-    monkeypatch.setattr(fracpow, "_TERM_CAP", 10_000)
     with pytest.raises(CapacityError, match="alpha too small / tol too tight"):
-        frac_power_apply(np.eye(2), 1e-4, np.ones(2), 1e-12, method="series")
+        _series_of(np.eye(2), 1e-4, np.ones(2), 1e-12, 10_000)
+
+
+def test_sweeps_past_the_cap_name_their_cause():
+    # floor(alpha) = 2 * 10^6 sweeps of I - T exceed the 10^6-term cap
+    # before any series term is formed
+    with pytest.raises(CapacityError, match=r"floor\(alpha\) = 2000000 sweeps exceed "
+                                            r"the 1000000-term cap"):
+        frac_power_apply(_nilpotent_product(), 2e6, np.array([1.0, 0.3]), 1e-10)
 
 
 def test_alpha_zero_is_the_identity_and_alpha_one_is_i_minus_t():
@@ -80,11 +112,9 @@ def test_half_power_applied_twice_matches_one_application_of_i_minus_t():
 def test_series_and_spectral_paths_agree():
     cp = build_cyclic(random_instance(5, (2, 2), seed=14))
     x = np.random.default_rng(2).standard_normal(5)
-    a = frac_power_apply(cp, 0.5, x, 1e-11, method="series")
-    b = fracpow._eig_apply(cp.matrix, 0.5, x)
+    a = _reference(cp, 0.5, x, 1e-11)
+    b = fracpow._eig_apply(cp, 0.5, x)
     assert np.allclose(a, b, atol=1e-9)
-    with pytest.raises(ValueError):
-        frac_power_apply(cp, 0.5, x, 1e-11, method="newton")
 
 
 def test_defective_block_matches_the_closed_form():
@@ -93,14 +123,33 @@ def test_defective_block_matches_the_closed_form():
     j = np.array([[0.4, 0.3], [0.0, 0.4]])
     root = np.sqrt(0.6)
     closed = np.array([[root, -0.3 / (2.0 * root)], [0.0, root]])
+    assert diagonalize(j[None]) is None
     for col in np.eye(2):
-        out = frac_power_apply(j, 0.5, col, 1e-12, method="series")
+        out = _series_of(j, 0.5, col, 1e-12)
         assert np.allclose(out, closed @ col, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.5, 2.0])
+def test_a_nilpotent_product_takes_the_reference_series(alpha):
+    # T = N with N^2 = 0 has no eigenbasis, and (I - N)^alpha = I - alpha N
+    cp = _nilpotent_product()
+    assert cp._eigenbasis is None
+    x = np.array([1.0, 0.3])
     with pytest.raises(NumericalContractError):
-        fracpow._eig_apply(j, 0.5, np.array([1.0, 0.0]))
-    # auto falls back to the reference series on the defective block
-    auto = frac_power_apply(j, 0.5, np.array([0.0, 1.0]), 1e-12, method="auto")
-    assert np.allclose(auto, closed[:, 1], atol=1e-10)
+        fracpow._eig_apply(cp, alpha, x)
+    out = frac_power_apply(cp, alpha, x, 1e-12)
+    assert out.tobytes() == _reference(cp, alpha, x, 1e-12).tobytes()
+    assert np.allclose(out, x - alpha * np.array([0.0, 0.5]), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_a_nilpotent_product_sums_literally(alpha):
+    # T x = (0, 1/2) and T^k x = 0 for k >= 2, so every partial sum is T x
+    cp = _nilpotent_product()
+    x = np.array([1.0, 0.3])
+    got = partial_sum_characterization(cp, x, alpha, 100)
+    assert got == fracpow._partial_sum_literal(cp.apply, x.astype(complex), alpha, 100)
+    assert got[0] == pytest.approx(0.5, abs=1e-15) and got[1]
 
 
 def test_fracpow_input_validation():
@@ -120,11 +169,21 @@ def test_fracpow_input_validation():
         frac_power_apply(cp, 0.5, x, np.nan)
     with pytest.raises(ValueError):
         make_alpha_vector(cp, np.nan, seed=1)
-    with pytest.raises(ValueError):
-        frac_power_apply(1.5 * np.eye(2), 0.5, x, 1e-8)  # not a contraction
-    for method in ("auto", "series"):  # a contraction, but not square
-        with pytest.raises(ValueError, match="T must be square"):
-            frac_power_apply(np.zeros((2, 3)), 0.5, np.ones(3), 1e-8, method=method)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda t: frac_power_apply(t, 0.5, np.ones(2), 1e-8),
+    lambda t: partial_sum_characterization(t, np.ones(2), 0.5, 100),
+    lambda t: make_alpha_vector(t, 0.5, seed=1),
+], ids=["frac_power_apply", "partial_sum_characterization", "make_alpha_vector"])
+def test_fracpow_takes_a_product_only(entry):
+    # a plain matrix, even T's own, and a family of subspaces are refused
+    # with the angle quantities' message
+    family = two_lines(0.8)
+    for bad in (build_cyclic(family).matrix, 0.5 * np.eye(2), family):
+        with pytest.raises(TypeError, match=r"need a CyclicProduct, not \w+; for a family "
+                                            r"of subspaces pass build_cyclic\(subspaces\)"):
+            entry(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -143,19 +202,17 @@ def test_non_finite_vectors_are_refused(bad):
 
 
 def test_literal_partial_sums_of_a_defective_matrix():
-    # a Jordan block has no eigenbasis, so the sums are taken one sweep at a time
-    t = np.array([[0.5, 0.4], [0.0, 0.5]])
-    x = np.array([0.0, 1.0])
-    cur, s, norms = x.astype(complex), np.zeros(2, dtype=complex), []
+    # a Jordan block has no eigenbasis; the fallback sums one sweep at a time
+    t = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
+    x = np.array([0.0, 1.0], dtype=complex)
+    cur, s, norms = x, np.zeros(2, dtype=complex), []
     for k in range(1, 101):
-        cur = t.astype(complex) @ cur
+        cur = t @ cur
         s = s + k ** -0.5 * cur
         norms.append(np.linalg.norm(s))
     sup = max(norms)
-    assert partial_sum_characterization(t, x, 0.5, 100) == (sup, sup - max(norms[:10]) < 1e-6)
-    for bad in (2.0 * t, np.diag([1.5, 0.5])):
-        with pytest.raises(ValueError, match="contraction"):
-            partial_sum_characterization(bad, x, 0.5, 100)
+    assert fracpow._partial_sum_literal(lambda v: t @ v, x, 0.5, 100) == (
+        sup, sup - max(norms[:10]) < 1e-6)
 
 
 def test_block_model_is_eigendecomposed_once(monkeypatch):
@@ -191,39 +248,26 @@ def test_auto_path_is_the_eigenbasis_for_non_integer_alpha(k_blocks):
         for alpha in (0.3, 0.5, 1.5, 100.5, 200.5, 400.5):
             auto = frac_power_apply(cp, alpha, x, 1e-10)
             assert auto.tobytes() == fracpow._eig_apply(cp, alpha, x).tobytes()
-    t = rand12.matrix  # a plain matrix takes the same path
-    x = _unit_vector(12, 1)
-    assert frac_power_apply(t, 0.5, x, 1e-10).tobytes() == fracpow._eig_apply(t, 0.5, x).tobytes()
 
 
-def test_auto_path_is_the_series_for_integer_alpha_and_a_defective_t():
-    # an integer alpha is that many sweeps of I - T, with no series terms
+def test_integer_alpha_takes_the_reference_series():
+    # an integer alpha is that many sweeps of I - T, with no series terms;
+    # a defective T is test_a_nilpotent_product_takes_the_reference_series
     for cp in (block_aligned(12, "1/k").cyclic(),
                build_cyclic(random_instance(12, (4, 5, 6), seed=12))):
         x = _unit_vector(cp.dim, 3)
         for alpha in (1.0, 2.0, 3.0):
             auto = frac_power_apply(cp, alpha, x, 1e-10)
-            assert auto.tobytes() == frac_power_apply(cp, alpha, x, 1e-10,
-                                                      method="series").tobytes()
-    # a Jordan block has no eigenbasis
-    j = np.array([[0.4, 0.3], [0.0, 0.4]])
-    for alpha in (0.5, 1.5, 2.0):
-        for col in np.eye(2):
-            auto = frac_power_apply(j, alpha, col, 1e-12)
-            assert auto.tobytes() == frac_power_apply(j, alpha, col, 1e-12,
-                                                      method="series").tobytes()
+            assert auto.tobytes() == _reference(cp, alpha, x, 1e-10).tobytes()
 
 
 def test_auto_path_falls_back_to_the_series_when_eig_fails(monkeypatch):
-    def failing_eig(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eig", failing_eig)
-    cp = block_aligned(12, "1/k").cyclic()  # its eigenbasis is not cached yet
-    for t, d in ((cp, cp.dim), (build_cyclic(two_lines(0.8)).matrix, 2)):
-        x = _unit_vector(d, 2)
-        auto = frac_power_apply(t, 0.5, x, 1e-10)
-        assert auto.tobytes() == frac_power_apply(t, 0.5, x, 1e-10, method="series").tobytes()
+    monkeypatch.setattr(np.linalg, "eig", _failing_eig)
+    for cp in (block_aligned(12, "1/k").cyclic(), build_cyclic(two_lines(0.8))):
+        # neither eigenbasis is cached yet
+        x = _unit_vector(cp.dim, 2)
+        auto = frac_power_apply(cp, 0.5, x, 1e-10)
+        assert auto.tobytes() == _reference(cp, 0.5, x, 1e-10).tobytes()
 
 
 # The reference takes alpha = m + f as m sweeps of I - T and the series at
@@ -260,19 +304,22 @@ def test_series_matches_the_eigenbasis_for_every_alpha(case):
     # M's eigenvalues, rounded away from 0, would scale up M's part
     cp, alpha, x = case
     tol = 1e-10
-    series = frac_power_apply(cp, alpha, x, tol, method="series")
+    series = _reference(cp, alpha, x, tol)
     eigen = x if alpha == 0.0 else fracpow._eig_apply(cp, alpha, x - cp.pm_apply(x))
     scale = (alpha + 1.0) * np.finfo(float).eps * np.linalg.norm(eigen)
     assert np.linalg.norm(series - eigen) <= tol + 8.0 * scale
 
 
-def test_series_ignores_the_part_of_x_in_m():
+def test_series_ignores_the_part_of_x_in_m(monkeypatch):
     # M = span(e0): T^n x tends to P_M x = e0, and the series at alpha = 0.5
-    # ran to its 10^6-term cap and raised CapacityError after about 10 s
+    # ran to its 10^6-term cap and raised CapacityError after about 10 s.
+    # A failing eig sends frac_power_apply to the series
     e = np.eye(3)
     cp = build_cyclic([Subspace(e[:, [0, 1]]), Subspace(e[:, [0, 2]])])
     x = np.array([1.0, 0.3, 0.2])
-    out = frac_power_apply(cp, 0.5, x, 1e-10, method="series")
+    monkeypatch.setattr(np.linalg, "eig", _failing_eig)
+    out = frac_power_apply(cp, 0.5, x, 1e-10)
+    monkeypatch.undo()
     assert np.array_equal(out, fracpow._eig_apply(cp, 0.5, x))
     assert np.array_equal(out, [0.0, 0.3, 0.2])
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altproj import (
     CapacityError,
@@ -508,10 +508,24 @@ def test_iterate_requires_at_least_one_sweep():
 
 
 def test_trace_validation():
-    with pytest.raises(NumericalContractError):
+    with pytest.raises(NumericalContractError, match="beyond 1e-12 of e_0"):
         IterationTrace(errors=np.array([1.0, 0.5, 0.7]))
+    # the increase 1e-17 is below an absolute 1e-12, but 1e-9 of e_0
+    with pytest.raises(NumericalContractError, match="beyond 1e-12 of e_0"):
+        IterationTrace(errors=np.array([1e-8, 0.5e-8, 0.5e-8 + 1e-17]))
     with pytest.raises(NumericalContractError):
         IterationTrace(errors=np.array([-1.0, -2.0]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 199), st.floats(np.log(1e-8), np.log(1e8)))
+@example(23, np.log(1e8))  # its rounding increase is 5.7e-15 of e_0 at every scale
+def test_traces_are_accepted_at_every_scale(index, log_scale):
+    # a sweep rounds relative to the vector, so the monotonicity cut is
+    # relative to e_0: an absolute 1e-12 refused 26 of the 200 pool start
+    # vectors at scale 1e6
+    entry = _pool()[index]
+    iterate(entry.cp, np.exp(log_scale) * _start_vector(entry), 200)
 
 
 def test_sweep_diagnostic_closed_form_on_two_lines():
