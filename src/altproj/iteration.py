@@ -21,13 +21,13 @@ own sweep.  The routines that take a start vector refuse a non-finite one
 once, up front.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, NumericalContractError
-from .linalg import _finite, _powers, diagonalize, spectral_norm, stack_chunk
+from .linalg import _blocks_chunk, _finite, _powers, diagonalize, spectral_norm
 from .subspace import (Subspace, _basis_stacks, _dense_columns, _freeze, _frozen_copy,
                        _projector, _top_eigenspace)
 
@@ -192,9 +192,7 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _require_product(cp) -> None:
-    """Refuse anything but a ``CyclicProduct`` with ``TypeError``: the angle
-    quantities of ``geometry`` and the fractional powers of ``fracpow`` take
-    the product of a family, not the family or a plain matrix."""
+    """Refuse anything but a ``CyclicProduct`` (``geometry``, ``fracpow``) with ``TypeError``."""
     if not isinstance(cp, CyclicProduct):
         raise TypeError(f"need a CyclicProduct, not {type(cp).__name__}; "
                         "for a family of subspaces pass build_cyclic(subspaces)")
@@ -237,20 +235,23 @@ def build_cyclic(subspaces) -> CyclicProduct:
 class IterationTrace:
     """Errors e_n = ||x_n - P_M x|| of one alternating-projection run.
 
-    A negative error, and an increase along a sweep beyond 1e-12 of e_0,
-    raise NumericalContractError.
+    A negative error, or an increase along a sweep beyond 1e-12 of the
+    start vector's norm, raises NumericalContractError.  A sweep rounds
+    relative to all of x, its part in M included: ``iterate`` passes ||x||
+    as ``_scale``; errors alone take e_0, the ||x|| of an x orthogonal to M.
     """
 
     errors: np.ndarray
     bound_c: np.ndarray | None = None
     bound_iota2: np.ndarray | None = None
+    _scale: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _scale):
         e = np.asarray(self.errors, dtype=float)
         if e.min(initial=0.0) < 0.0:
             raise NumericalContractError("negative error in trace")
-        if e.size > 1 and np.max(np.diff(e)) > 1e-12 * e[0]:
-            raise NumericalContractError("errors increased along a sweep beyond 1e-12 of e_0")
+        if e.size > 1 and np.max(np.diff(e)) > 1e-12 * (e[0] if _scale is None else _scale):
+            raise NumericalContractError("errors increased along a sweep beyond 1e-12 of ||x||")
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -329,7 +330,7 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(cp.N, c=c), n_max)
     bound_i = (None if iota2 is None
                else e0 * _half_powers(_rate_base_squared(cp.N, iota2=iota2), n_max))
-    return IterationTrace(errors=errors, bound_c=bound_c, bound_iota2=bound_i)
+    return IterationTrace(errors, bound_c, bound_i, np.linalg.norm(x))
 
 
 def operator_error_norm(cp: CyclicProduct, n: int) -> float:
@@ -401,13 +402,13 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     The series advances B terms per step: T's block powers T^0..T^B are
     formed once, by doubling (``linalg._powers``), with B = min(256,
     ``stack_chunk(b) // n``) over T's (n, b, b) blocks, so the power stack
-    stays near 2 MiB, and one ``einsum`` gives T^{k..k+B} x, whose B errors
-    take one vectorized norm.  The terms fill the leading rows of one buffer sized for the
-    cap; at most one chunk past K is written, so the pages of the rows
-    beyond it are never touched.
+    stays near 2 MiB, and one ``einsum`` gives T^{k..k+B} x, whose B
+    errors take one vectorized norm.  The terms fill the leading rows of
+    one buffer sized for the cap; at most one chunk past K is written, so
+    the pages of the rows beyond it are never touched.
     """
     t = cp._t_blocks
-    size = min(256, max(1, stack_chunk(t.shape[-1]) // len(t)))
+    size = min(256, _blocks_chunk(len(t), t.shape[-1]))
     powers = _powers(t, size + 1)
     ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.complex128)
     cur = x.reshape(t.shape[:2])

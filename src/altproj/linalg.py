@@ -69,6 +69,11 @@ def stack_chunk(d: int) -> int:
     return max(1, _STACK_BYTES // (16 * d * d))
 
 
+def _blocks_chunk(n: int, b: int) -> int:
+    """Number of (n, b, b) block stacks that fit in one capped stack (at least 1)."""
+    return max(1, stack_chunk(b) // n)
+
+
 def sym(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^H)/2 of a matrix or of each matrix of a stack."""
     return 0.5 * (a + a.conj().swapaxes(-1, -2))

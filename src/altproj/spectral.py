@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .iteration import _rate_base_squared
-from .linalg import _finite, _powers, as_complex_matrix, eigh_sym, stack_chunk
+from .linalg import _blocks_chunk, _finite, _powers, as_complex_matrix, eigh_sym
 
 __all__ = [
     "OmegaRegion",
@@ -81,10 +81,8 @@ def _grid_count(blocks: np.ndarray, count: int) -> int:
 def _stack(t) -> np.ndarray:
     """T's (n, b, b) block stack: a product's ``_t_blocks``, or a plain matrix as one block.
 
-    This module alone takes a plain matrix, for the convex combinations
-    of ``models.convex_combination``.  One that is not square, is empty or
-    has a NaN or infinite entry is refused with ``ValueError``; a
-    product's blocks are square, finite and non-empty by construction.
+    Only this module takes a plain matrix (``models.convex_combination``);
+    one that is not square, is empty or is not finite raises ``ValueError``.
     """
     if hasattr(t, "_t_blocks"):
         return t._t_blocks
@@ -102,7 +100,7 @@ def _core_stack(t):
     ``_core`` where it has one, else ``_stack(t)``."""
     core = getattr(t, "_core", None)
     c = _stack(t) if core is None else core[1]
-    return c, max(1, stack_chunk(c.shape[-1]) // len(c))
+    return c, _blocks_chunk(len(c), c.shape[-1])
 
 
 def theta_recursion(n: int) -> float:
@@ -322,7 +320,7 @@ def ritt_power_diagnostic(t, n_max: int):
     core = last_h @ (blocks @ last)
     head = last_h @ (blocks @ (first - blocks @ first))  # K_1, then each chunk's first K_m
     width = max(core.shape[-1], head.shape[-1], 1)
-    powers = _powers(core, min(max(1, stack_chunk(width) // len(blocks)), n_max))
+    powers = _powers(core, min(_blocks_chunk(len(blocks), width), n_max))
     stack = np.empty(powers.shape[:-1] + head.shape[-1:], dtype=np.complex128)
     norms = np.empty(n_max)
     for start in range(0, n_max, len(powers)):

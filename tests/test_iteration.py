@@ -508,10 +508,11 @@ def test_iterate_requires_at_least_one_sweep():
 
 
 def test_trace_validation():
-    with pytest.raises(NumericalContractError, match="beyond 1e-12 of e_0"):
+    with pytest.raises(NumericalContractError, match=r"beyond 1e-12 of \|\|x\|\|"):
         IterationTrace(errors=np.array([1.0, 0.5, 0.7]))
-    # the increase 1e-17 is below an absolute 1e-12, but 1e-9 of e_0
-    with pytest.raises(NumericalContractError, match="beyond 1e-12 of e_0"):
+    # the increase 1e-17 is below an absolute 1e-12, but 1e-9 of e_0, the
+    # start vector's norm that a trace of errors alone assumes
+    with pytest.raises(NumericalContractError, match=r"beyond 1e-12 of \|\|x\|\|"):
         IterationTrace(errors=np.array([1e-8, 0.5e-8, 0.5e-8 + 1e-17]))
     with pytest.raises(NumericalContractError):
         IterationTrace(errors=np.array([-1.0, -2.0]))
@@ -522,10 +523,24 @@ def test_trace_validation():
 @example(23, np.log(1e8))  # its rounding increase is 5.7e-15 of e_0 at every scale
 def test_traces_are_accepted_at_every_scale(index, log_scale):
     # a sweep rounds relative to the vector, so the monotonicity cut is
-    # relative to e_0: an absolute 1e-12 refused 26 of the 200 pool start
+    # relative to ||x||: an absolute 1e-12 refused 26 of the 200 pool start
     # vectors at scale 1e6
     entry = _pool()[index]
     iterate(entry.cp, np.exp(log_scale) * _start_vector(entry), 200)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-6, 0.0])
+def test_traces_near_m_are_accepted(s):
+    # a sweep rounds relative to the whole vector, its part in M included,
+    # so the cut scales with ||x||, not e_0: with the cut at e_0, P_M x +
+    # s (x - P_M x) was refused on 8 of these 34 instances at s = 1e-3, on
+    # 31 at 1e-6, and a start vector in M (s = 0) at its first increase
+    entries = [e for e in _pool() if e.cp.m.dim > 0]
+    assert len(entries) == 34
+    for entry in entries:
+        x = _start_vector(entry)
+        pm_x = entry.cp.pm_apply(x)
+        iterate(entry.cp, pm_x + s * (x - pm_x), 200)
 
 
 def test_sweep_diagnostic_closed_form_on_two_lines():
