@@ -9,11 +9,11 @@ diagnostic: unconditional convergence of sum_n T^n(I - T)x under
 permutations and sign flips, re-summed several permutations or sign
 patterns at a time, each sum with the bits of an ordered one.
 
-Sweeps always apply the factor projectors one at a time, never the
-assembled dense T; that preserves the per-factor contraction structure
-(and hence monotone error decay) in floating point.  The one exception is
-the series diagnostic, which advances its terms in chunks of T's block
-powers and agrees with the per-factor sweeps to rounding.  A product is
+A sweep (``apply``, ``sweep_diagnostic``) applies the factor projectors
+one at a time, never the assembled dense T.  The orbit of ``iterate`` and
+the terms of the series diagnostic advance in chunks of T's block powers
+instead, one contraction per chunk, and agree with the per-factor sweeps
+to rounding.  A product is
 stored as stacks of diagonal blocks, one d x d block for a dense family
 and 2x2 blocks for the block-aligned model; it forms dense matrices only
 when a routine reads them, and ``sweep_diagnostic`` reads the steps of its
@@ -47,6 +47,7 @@ __all__ = [
 _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
 _TAIL_SAFETY = 10.0  # safety factor applied to the truncation error
 _RESUM_CHUNK = 2048  # rows per step of the permuted and sign-flipped re-sums
+_ORBIT_CHUNK = 32  # most iterates per chunk of ``iterate``: 16-32 measured fastest
 
 
 class CyclicProduct:
@@ -311,21 +312,47 @@ def _half_powers(base: float, n_max: int) -> np.ndarray:
 
 def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
             c: float | None = None, iota2: float | None = None) -> IterationTrace:
-    """Run n_max full sweeps from x and record the error after each.
+    """Errors e_n = ||T^n x - P_M x|| for n = 0..n_max, T^n x in chunks of T's powers.
 
-    When ``c`` or ``iota2`` are supplied the corresponding rate-bound
-    sequences rate^n * e_0 are attached to the trace.
+    ``x`` is one vector of length ``cp.dim``; anything else raises
+    ValueError.  T's block powers T^1..T^B are formed once, by doubling
+    (``linalg._powers``), with B = min(32, ``_blocks_chunk`` over T's
+    (n, b, b) blocks, n_max), so the power stack stays near 2 MiB.  Each
+    chunk takes the next B iterates from the last one in one contraction
+    (one ``matmul`` for a single block, a multiply-add over the b block
+    columns for a stack), and their B errors take one vectorized norm.
+    The orbit agrees with n_max per-factor sweeps to rounding, about
+    n eps ||x||.  When ``c`` or ``iota2`` are supplied the corresponding
+    rate-bound sequences rate^n * e_0 are attached to the trace.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     x = _finite(x)
+    if x.shape != (cp.dim,):
+        raise ValueError(f"x must be a vector of shape ({cp.dim},), not {x.shape}")
     target = cp.pm_apply(x)
+    t = cp._t_blocks
+    n, b, _ = t.shape
+    size = min(_ORBIT_CHUNK, _blocks_chunk(n, b), n_max)
+    powers = _powers(t, size + 1)[1:]
+    if n == 1:
+        rows = powers.reshape(size * b, b)  # T^1..T^B stacked
+    else:
+        cols = np.moveaxis(powers, -1, 0).copy()  # column j of every power, contiguous
     errors = np.empty(n_max + 1)
     errors[0] = np.linalg.norm(x - target)
-    cur = x
-    for n in range(1, n_max + 1):
-        cur = cp.apply(cur)
-        errors[n] = np.linalg.norm(cur - target)
+    cur = x.reshape(n, b)
+    for k in range(0, n_max, size):
+        m = min(size, n_max - k)
+        if n == 1:
+            v = rows[:m * b] @ cur[0]
+        else:
+            v = cols[0, :m] * cur[:, 0, None]
+            for j in range(1, b):
+                v += cols[j, :m] * cur[:, j, None]
+        v = v.reshape(m, -1)
+        errors[k + 1:k + m + 1] = np.linalg.norm(v - target, axis=-1)
+        cur = v[-1].reshape(n, b)
     e0 = errors[0]
     bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(cp.N, c=c), n_max)
     bound_i = (None if iota2 is None
