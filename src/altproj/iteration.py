@@ -334,11 +334,11 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     t = cp._t_blocks
     n, b, _ = t.shape
     size = min(_ORBIT_CHUNK, _blocks_chunk(n, b), n_max)
-    powers = _powers(t, size + 1)[1:]
     if n == 1:
-        rows = powers.reshape(size * b, b)  # T^1..T^B stacked
+        rows = _powers(t, size + 1)[1:].reshape(size * b, b)  # T^1..T^B stacked
     else:
-        cols = np.moveaxis(powers, -1, 0).copy()  # column j of every power, contiguous
+        # column j of every power, contiguous; the powers themselves are dropped
+        cols = np.moveaxis(_powers(t, size + 1)[1:], -1, 0).copy()
     errors = np.empty(n_max + 1)
     errors[0] = np.linalg.norm(x - target)
     cur = x.reshape(n, b)

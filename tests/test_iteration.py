@@ -37,7 +37,7 @@ from altproj import (
     two_lines,
     unconditional_sum_test,
 )
-from altproj import fracpow, iteration, spectral
+from altproj import fracpow, iteration, linalg, spectral
 from altproj.acceptance import (
     _SALT_PERM,
     _SALT_SWEEP,
@@ -541,6 +541,158 @@ def test_traces_near_m_are_accepted(s):
         x = _start_vector(entry)
         pm_x = entry.cp.pm_apply(x)
         iterate(entry.cp, pm_x + s * (x - pm_x), 200)
+
+
+def test_iterate_refuses_anything_but_one_vector_of_the_space():
+    cp = build_cyclic(two_lines(0.5))
+    # a (d, k) stack used to return a trace of Frobenius norms
+    with pytest.raises(ValueError, match=r"shape \(2,\), not \(2, 3\)"):
+        iterate(cp, np.ones((2, 3)), 5)
+    # a wrong length used to fail inside NumPy's matmul
+    with pytest.raises(ValueError, match=r"shape \(2,\), not \(3,\)"):
+        iterate(cp, np.ones(3), 5)
+    with pytest.raises(ValueError, match=r"shape \(24,\), not \(12,\)"):
+        iterate(block_aligned(12, "1/k").cyclic(), np.ones(12), 5)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _swept_errors(cp, x, n_max):
+    """e_0..e_{n_max} by n_max literal per-factor sweeps (``apply``), one norm
+    each: the reference for ``iterate``'s chunked orbit."""
+    x = _finite(x)
+    target = cp.pm_apply(x)
+    errors = [np.linalg.norm(x - target)]
+    for _ in range(n_max):
+        x = cp.apply(x)
+        errors.append(np.linalg.norm(x - target))
+    return np.array(errors)
+
+
+def _assert_orbit_matches_the_sweeps(cp, x, n_max):
+    """|iterate's e_n - the swept e_n| <= n (N + 2) sqrt(d) eps ||x||.
+
+    T's blocks and every power of them are contractions, so an error made at
+    one step is not amplified later, and the two orbits drift apart at most
+    by the sum of the errors of their steps.  Each step of either route is a
+    product of a contraction with a d-vector, which rounds by about
+    sqrt(d) eps of that vector's norm (<= ||x||; probabilistic rounding
+    analysis, the worst case being d eps): N of them per sweep on the
+    reference side; on the power side, about one per iterate to form T^i by
+    doubling (the error of T^i grows like i products, amortized over the i
+    iterates it serves) and one to apply it to the chunk's start.
+    """
+    got = iterate(cp, x, n_max).errors
+    ref = _swept_errors(cp, x, n_max)
+    assert len(got) == n_max + 1
+    assert got[0] == ref[0]
+    n = np.arange(n_max + 1)
+    assert np.all(np.abs(got - ref) <= n * (cp.N + 2) * np.sqrt(cp.dim) * _EPS
+                  * np.linalg.norm(x))
+
+
+def test_orbit_matches_the_sweeps_on_the_whole_pool():
+    # the largest drift is 0.96 n eps ||x||, a tenth of the bound
+    for e in _pool():
+        _assert_orbit_matches_the_sweeps(e.cp, _start_vector(e), 1000)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(np.log(2e-5), np.log(np.pi / 2)),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+@example(np.log(2e-5), [1.0, 0.0, 0.0, 1.0])
+@example(np.log(np.pi / 2), [0.3, -1.0, 0.5, 0.25])
+def test_orbit_matches_the_sweeps_on_two_lines(log_theta, v):
+    x = np.array(v[:2]) + 1j * np.array(v[2:])
+    _assert_orbit_matches_the_sweeps(build_cyclic(two_lines(np.exp(log_theta))), x, 2000)
+
+
+@pytest.mark.parametrize("k_blocks", [12, 200, 2000])
+def test_orbit_matches_the_sweeps_on_the_block_model(k_blocks):
+    # Per block: T_k = cos t_k u_k e_1^T maps every vector onto u_k, and
+    # T_k u_k = cos^2 t_k u_k.  So after the first step block k of the
+    # orbit shrinks by cos^2 t_k per sweep, while an error made in it at
+    # step j grows to at most ||T_k^{n-j}|| = cos^{2(n-j)-1} t_k of itself:
+    # each block's drift stays relative to that block's own iterate, within
+    # n (N + 2) sqrt(b) eps / cos t_1 of it (the step count of the bound
+    # above, on 2x2 blocks, t_1 = 1 the widest angle).  With M = {0} the
+    # blocks' iterates make up e_n, so e_n moves by that share of itself.
+    # The largest drift is 2.1 n eps e_n at K = 2000 (16 iterates a chunk,
+    # 3000 not a multiple of 16), a fifth of the bound.
+    model = block_aligned(k_blocks, "1/k")
+    cp = model.cyclic()
+    x = np.random.default_rng(k_blocks).standard_normal(cp.dim)
+    got = iterate(cp, x, 3000).errors
+    ref = _swept_errors(cp, x, 3000)
+    n = np.arange(3001)
+    assert got[0] == ref[0]
+    assert np.all(np.abs(got - ref) <= n * (cp.N + 2) * np.sqrt(2) * _EPS / np.cos(1.0) * ref)
+
+
+def _generic_block_stacks():
+    # complex 2x2 blocks with a planted M (dim 4), and three factors of
+    # random complex planes in 3x3 blocks: every column of T's blocks is live
+    rng = np.random.default_rng(3)
+    draws = rng.standard_normal((3, 2, 50, 3, 2))
+    planes = [np.linalg.qr(re + 1j * im)[0] for re, im in draws]
+    return [CyclicProduct(spans_of(*_planted_blocks(12, True))), CyclicProduct(planes)]
+
+
+def test_orbit_matches_the_sweeps_on_generic_block_stacks():
+    rng = np.random.default_rng(4)
+    for cp in _generic_block_stacks():
+        x = rng.standard_normal(cp.dim) + 1j * rng.standard_normal(cp.dim)
+        _assert_orbit_matches_the_sweeps(cp, x, 1000)
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 45])
+def test_orbit_at_the_chunk_edges(n_max):
+    # one sweep; fewer sweeps than a chunk of 32; a last chunk cut short
+    pool = _pool()
+    cases = [(build_cyclic(two_lines(0.5)), np.array([1.0, 0.0])),
+             (pool[0].cp, _start_vector(pool[0])),
+             (pool[178].cp, _start_vector(pool[178])),
+             (block_aligned(12, "1/k").cyclic(), np.ones(24))]
+    cases += [(cp, np.ones(cp.dim)) for cp in _generic_block_stacks()]
+    for cp, x in cases:
+        _assert_orbit_matches_the_sweeps(cp, x, n_max)
+
+
+def test_orbit_of_one_power_per_chunk():
+    # 20,000 blocks of 2x2: one power of T already fills the 2 MiB stack
+    assert linalg._blocks_chunk(20000, 2) == 1
+    cp = block_aligned(20000, "1/k").cyclic()
+    _assert_orbit_matches_the_sweeps(cp, np.random.default_rng(0).standard_normal(cp.dim), 4)
+
+
+def _outcome(cp, x, n_max):
+    """iterate's errors, or the type of the error it raised."""
+    try:
+        return iterate(cp, x, n_max).errors
+    except NumericalContractError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("k", [-40, 20, 40])
+def test_iterate_scales_with_its_start_vector_bit_for_bit(k):
+    # scaling by 2^k is exact in binary floating point away from underflow
+    # and overflow, and the trace's cut scales with ||x||.  The norms square
+    # the entries, so each e_n is compared where it is at least 2^-460 at
+    # both scales: a square dropped below 2^-1022 there is under 2^-100 of
+    # e_n^2, far below half an ulp.  Smaller e_n lose bits to that underflow
+    # at one scale and not the other.
+    model = block_aligned(200, "1/k")
+    cases = [(e.cp, _start_vector(e), 200) for e in _pool()]
+    cases.append((model.cyclic(), np.random.default_rng(1).standard_normal(400), 1000))
+    compared = 0
+    for cp, x, n_max in cases:
+        ref, got = _outcome(cp, x, n_max), _outcome(cp, 2.0**k * x, n_max)
+        assert isinstance(ref, np.ndarray) and isinstance(got, np.ndarray)
+        live = np.minimum(ref, 2.0**k * ref) >= 2.0**-460
+        assert np.array_equal(got[live], 2.0**k * ref[live])
+        compared += np.count_nonzero(live)
+    assert compared > 0.75 * (200 * 201 + 1001)
 
 
 def test_sweep_diagnostic_closed_form_on_two_lines():
