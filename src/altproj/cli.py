@@ -21,6 +21,7 @@ allocation that runs out of memory).
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -465,6 +466,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altproj",
@@ -510,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fracpow", "decay slopes of (I-T)^alpha starts", _cmd_fracpow)
     p.add_argument("--instance", required=True, help="instance file")
-    p.add_argument("--alpha", type=_alpha_list, default=[0.5, 1.0, 2.0],
+    p.add_argument("--alpha", type=_alpha_list, default=(0.5, 1.0, 2.0),
                    help="comma-separated exponents (default 0.5,1,2)")
     p.add_argument("--n-max", type=_positive_int, default=1000, help="sweeps (default 1000)")
     p.add_argument("--seed", required=True, type=int, help="seed for the y, z draws")

@@ -289,12 +289,15 @@ def test_spectral_commands_on_thousands_of_blocks_stay_small(tmp_path, k_blocks,
     assert peak < 32 * 2**20
 
 
-@pytest.mark.parametrize("k_blocks,argv", [(2000, ["iterate"]), (2000, ["numrange"]),
-                                           (400, ["geometry"])])
-def test_angle_commands_on_block_instances_stay_small(tmp_path, monkeypatch, k_blocks, argv):
+@pytest.mark.parametrize("k_blocks,argv,limit_mb", [(2000, ["iterate"], 10),
+                                                    (2000, ["numrange"], 32),
+                                                    (400, ["geometry"], 32)])
+def test_angle_commands_on_block_instances_stay_small(tmp_path, monkeypatch, k_blocks, argv,
+                                                      limit_mb):
     # the angle quantities read the product's block stacks, so these
     # commands form neither the model's d x K bases nor a d x d array;
-    # geometry stops at K = 400, where its rank reduction is still small
+    # geometry stops at K = 400, where its rank reduction is still small.
+    # iterate's chunk of T's powers is capped near 2 MiB (7.9 MB in all)
     loaded = []
 
     def load(path):
@@ -312,7 +315,7 @@ def test_angle_commands_on_block_instances_stay_small(tmp_path, monkeypatch, k_b
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < limit_mb * 2**20
     (instance,) = loaded
     assert not {"m1", "m2"} & set(vars(instance.model))
     assert not {"factors", "matrix", "pm", "m"} & set(vars(instance.cyclic()))
@@ -411,6 +414,18 @@ def test_out_of_memory_exits_4(tmp_path, monkeypatch, capsys, message, line):
     monkeypatch.setattr(cli, "_load_instance", exhausted)
     assert main(["geometry", "--instance", _path(tmp_path, BLOCKS12)]) == 4
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a flag of one call does not
+    # reach the next, which takes the defaults again
+    assert cli._build_parser() is cli._build_parser()
+    inst = _path(tmp_path, LINES)
+    assert main(["fracpow", "--instance", inst, "--alpha", "3", "--n-max", "20",
+                 "--seed", "1"]) == 0
+    assert [r[0] for r in _rows(capsys.readouterr().out)[1:]] == ["3"]
+    assert main(["fracpow", "--instance", inst, "--n-max", "20", "--seed", "1"]) == 0
+    assert [r[0] for r in _rows(capsys.readouterr().out)[1:]] == ["0.5", "1", "2"]
 
 
 def test_help_exits_zero_and_documents_exit_codes(capsys):
