@@ -13,12 +13,11 @@ A sweep (``apply``, ``sweep_diagnostic``) applies the factor projectors
 one at a time, never the assembled dense T.  The orbit of ``iterate`` and
 the terms of the series diagnostic advance in chunks of T's block powers
 instead, one contraction per chunk, and agree with the per-factor sweeps
-to rounding.  A product is
-stored as stacks of diagonal blocks, one d x d block for a dense family
-and 2x2 blocks for the block-aligned model; it forms dense matrices only
-when a routine reads them, and ``sweep_diagnostic`` reads the steps of its
-own sweep.  The routines that take a start vector refuse a non-finite one
-once, up front.
+to rounding.  A product is stored as stacks of diagonal blocks, one d x d
+block for a dense family and 2x2 blocks for the block-aligned model; it
+forms dense matrices only when a routine reads them, and
+``sweep_diagnostic`` reads the steps of its own sweep.  The routines that
+take a start vector refuse a non-finite one once, up front.
 """
 
 from dataclasses import InitVar, dataclass
