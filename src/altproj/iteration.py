@@ -316,11 +316,11 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     ``x`` is one vector of length ``cp.dim``; anything else raises
     ValueError.  T's block powers T^1..T^B are formed once, by doubling
     (``linalg._powers``), with B = min(32, ``_blocks_chunk`` over T's
-    (n, b, b) blocks, n_max), so the power stack stays near 2 MiB.  Each
-    chunk takes the next B iterates from the last one in one contraction
-    (one ``matmul`` for a single block, a multiply-add over the b block
-    columns for a stack), and their B errors take one vectorized norm.
-    The orbit agrees with n_max per-factor sweeps to rounding, about
+    (n, b, b) blocks, n_max), so the power stack stays within about
+    2 MiB.  Each chunk takes the next B iterates from the last one in one
+    contraction (one ``matmul`` for a single block, a multiply-add over the
+    b block columns for a stack), and their B errors take one vectorized
+    norm.  The orbit agrees with n_max per-factor sweeps to rounding, about
     n eps ||x||.  When ``c`` or ``iota2`` are supplied the corresponding
     rate-bound sequences rate^n * e_0 are attached to the trace.
     """
