@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,12 +527,12 @@ def test_block_model_partial_sums_meet_the_polylog_limit(alpha):
     assert 0.0 <= limit - sup <= 1e-6 + 1e-12
 
 
-def _jittered_input(seed, alpha):
+def _jittered_input(seed, alpha, k_blocks=200):
     # block_decay's start vector: the 1/k taper times a seeded jitter in [0.8, 1.2]
-    model = block_aligned(200, "1/k")
+    model = block_aligned(k_blocks, "1/k")
     cp = model.cyclic()
-    k = np.arange(1.0, 201.0)
-    taper = np.random.default_rng(seed).uniform(0.8, 1.2, 200) / k
+    k = np.arange(1.0, k_blocks + 1.0)
+    taper = np.random.default_rng(seed).uniform(0.8, 1.2, k_blocks) / k
     y = model.m1_vector(taper / np.linalg.norm(taper))
     return cp, make_alpha_vector(cp, alpha, seed, y=y, z=np.zeros(model.ambient_dim)).x
 
@@ -551,6 +552,29 @@ def _complex_input():
     return cp, np.random.default_rng(8).standard_normal(8) + 0j
 
 
+def _near_complex_input():
+    # three complex 3-planes in C^6 within about 0.01 of each other: non-real
+    # eigenvalues up to 1 - 4.4e-5 in modulus, so the run passes step 65536
+    # and the certificate stops it at step 315392, stride 256
+    rng = np.random.default_rng(1)
+    base = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    cp = build_cyclic([orthonormalize(base + 0.01 * (rng.standard_normal((6, 3))
+                                                     + 1j * rng.standard_normal((6, 3))))
+                       for _ in range(3)])
+    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    return cp, make_alpha_vector(cp, 0.5, 1, y=y, z=np.zeros(6)).x
+
+
+def _geometric_input():
+    # the geometric angles of test_blocked_partial_sums_match_a_per_step_loop,
+    # where the certificate cannot stop a run of 65537 steps
+    model = block_aligned(30, np.geomspace(1.0, 3e-3, 30))
+    cp = model.cyclic()
+    taper = 1.0 / np.arange(1.0, 31.0)
+    y = model.m1_vector(taper / np.linalg.norm(taper))
+    return cp, make_alpha_vector(cp, 0.5, seed=7, y=y, z=np.zeros(model.ambient_dim)).x
+
+
 def _pool_input(index):
     entry = _pool()[index]
     return entry.cp, _start_vector(entry)
@@ -566,7 +590,11 @@ def _fixed_line_input():
 # has an exact zero eigenvalue (half of the coordinates), pool instances 38
 # (complex spectrum) and 45 (real) have one each, two orthogonal lines give
 # T = 0, and the fixed line makes the run go to n_max, past the last full
-# chunk, with an unbounded verdict
+# chunk, with an unbounded verdict.  The last six sit at the edges of a pass
+# of several 2048-step chunks: a stop in the first chunk of a pass (K = 84)
+# and in its last (K = 80), the switch from stride 1 to stride 256, a complex
+# spectrum at stride 256, and the fixed line run past its last full pass
+# into a pass of three chunks and a short last chunk of 100 steps
 _PINNED_PARTIAL_SUMS = [
     (lambda: _jittered_input(1, 0.5), 0.5, 5 * 10**6, "0x1.f4113940edf8fp-1", True),
     (lambda: _jittered_input(1, 1.0), 1.0, 5 * 10**6, "0x1.75c02f70752e0p-1", True),
@@ -585,6 +613,12 @@ _PINNED_PARTIAL_SUMS = [
     (lambda: (build_cyclic(two_lines(math.pi / 2)), np.array([1.0, 0.0])), 0.5, 20000,
      "0x0.0p+0", True),
     (_fixed_line_input, 1.0, 50000, "0x1.86a0000000000p+15", False),
+    (lambda: _jittered_input(1, 0.75, 84), 0.75, 5 * 10**6, "0x1.a01fa4d118928p-1", True),
+    (lambda: _jittered_input(1, 1.0, 80), 1.0, 5 * 10**6, "0x1.750d424676b36p-1", True),
+    (_geometric_input, 0.5, 65536, "0x1.9ceabeaa22fd6p-1", False),
+    (_geometric_input, 0.5, 65537, "0x1.9ceabfb6d784fp-1", False),
+    (_near_complex_input, 0.5, 5 * 10**6, "0x1.6c82e3cf8e118p+1", True),
+    (_fixed_line_input, 1.0, 5 * 32768 + 3 * 2048 + 100, "0x1.4c32000000000p+17", False),
 ]
 
 
@@ -593,8 +627,28 @@ _PINNED_PARTIAL_SUMS = [
                               "jitter3-a0.5", "jitter3-a1", "criterion9-a0.5",
                               "criterion9-a1", "stride1", "pool38-a0.5", "pool38-a1",
                               "pool45-a0.5", "pool45-a1", "complex", "orthogonal-lines",
-                              "fixed-line"])
+                              "fixed-line", "pass-first-chunk", "pass-last-chunk",
+                              "stride1-edge", "stride256-edge", "complex-stride256",
+                              "fixed-line-past-passes"])
 def test_partial_sums_are_pinned_bit_for_bit(make, alpha, n_max, sup_hex, flag):
     cp, x = make()
     sup, bounded = partial_sum_characterization(cp, x, alpha, n_max)
     assert (sup.hex(), bounded) == (sup_hex, flag)
+
+
+# the tracemalloc peaks of one call with a chunk of 2048 steps per pass, in
+# bytes, as measured with NumPy 2.4.6
+@pytest.mark.parametrize("make,alpha,chunk_peak", [
+    (lambda: _jittered_input(1, 0.5), 0.5, 1570265),
+    (lambda: _criterion_9_input(0.5), 0.5, 3101897),
+], ids=["block-decay", "criterion9"])
+def test_partial_sums_stay_within_their_memory(make, alpha, chunk_peak):
+    cp, x = make()
+    partial_sum_characterization(cp, x, alpha, 5 * 10**6)  # caches the eigenbasis
+    tracemalloc.start()
+    try:
+        partial_sum_characterization(cp, x, alpha, 5 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunk_peak
