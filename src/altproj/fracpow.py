@@ -15,7 +15,10 @@ On top of these the module builds vectors of the regularity class
 Fix(T) + Ran(I-T)^alpha, fits the polynomial decay exponent of their
 iteration error, and probes boundedness of the weighted partial sums
 sum_{k<=n} k^{-(1-alpha)} T^k x that characterize membership in the
-class.
+class.  Those sums run in T's eigencoordinates, several 2048-step chunks
+to a pass of NumPy calls and in float64 where the spectrum, eigenvectors
+and coordinates are real, with the bits of one chunk per pass in complex
+arithmetic.
 """
 
 import math
@@ -36,6 +39,12 @@ __all__ = [
 ]
 
 _TERM_CAP = 10**6  # hard cap on series terms
+# bytes of a pass of ``partial_sum_characterization``, for its (d, columns)
+# sums and its (stride, columns) weights each.  256 KiB gives 10 chunks per
+# pass on block_decay's input (K = 200, real): 17-21 ms a call against
+# 38-43 ms for one chunk per pass, and a tracemalloc peak of 1.43 MB against
+# 1.57 MB (a 2 MiB pass peaked at 13.9 MB)
+_PASS_BYTES = 1 << 18
 
 
 def _series_apply(apply_t, alpha: float, x: np.ndarray, tol: float,
@@ -173,8 +182,9 @@ def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None,
     y = _unit(rng, d) if y is None else _finite(y, "y")
     z = _unit(rng, d) if z is None else _finite(z, "z")
     x = frac_power_apply(cp, alpha, y, tol) + cp.pm_apply(z)
+    # zero but for the rounding of P_M, which is relative to ||x||
     leak = np.linalg.norm(cp.pm_apply(x - cp.pm_apply(x)))
-    if leak > 1e-10:
+    if leak > 1e-10 * np.linalg.norm(x):
         raise NumericalContractError("x - P_M x is not orthogonal to M")
     return AlphaVector(alpha=float(alpha), x=x, provenance=(y, z))
 
@@ -212,6 +222,22 @@ def _partial_sum_literal(apply_t, x: np.ndarray, alpha: float, n_max: int):
     return sup, (sup - head) < 1e-6
 
 
+def _tails(absl, absw, stable, rest, alpha: float, n_max: int, ends) -> np.ndarray:
+    """Per-eigenvalue bounds on the remaining increase after each step k in
+    ``ends``, one row per k: geometric/polynomial tails on the stable
+    coordinates, worst-case growth up to n_max on the ``rest``."""
+    tails = np.zeros((len(ends), len(absl)))
+    a = absl[stable]
+    decay = np.array([(k + 1) ** (-(1.0 - alpha)) for k in ends])[:, None]
+    # a ** (k + 1) row by row, since a ** 2 squares where pow(a, 2.0) rounds
+    # differently
+    tails[:, stable] = absw[stable] * decay * np.array([a ** (k + 1) for k in ends]) / (1.0 - a)
+    if rest.any():
+        growth = np.array([(n_max + 1) ** alpha - k ** alpha + 1.0 for k in ends])[:, None]
+        tails[:, rest] = absw[rest] * growth / alpha
+    return tails
+
+
 def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     """sup_n ||sum_{k<=n} k^{-(1-alpha)} T^k x|| for n <= n_max, with a
     flag for whether the supremum has stabilized.
@@ -226,17 +252,28 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
 
     The eigencoordinate sums advance in chunks of 2048 steps, built block
     by block: the inner sums sum_i lam^i (a + i)^(alpha-1) of every block
-    in a chunk come from one real GEMM against a table of lam^i, and only
-    the partial sums at block ends are formed.  This chunk arithmetic runs
-    on the live coordinates only, those with lam != 0 (a zero eigenvalue
-    adds nothing to the sums; every 2x2 block of the block model has
-    one), and the GEMM against the imaginary part of the table runs only
-    for a non-real spectrum.  Runs of up to 65536
-    steps use blocks of one step, so the sup is taken over every n.
-    Longer runs use blocks of 256 steps: the sup is sampled every 256
-    steps and at n_max, and the certificate decides the flag.  A
-    non-finite ``x`` raises ``ValueError``, and anything but a
-    ``CyclicProduct`` ``TypeError``.
+    come from one real GEMM against a table of lam^i, and only the partial
+    sums at block ends are formed.  This chunk arithmetic runs on the live
+    coordinates only, those with lam != 0 (a zero eigenvalue adds nothing
+    to the sums; every 2x2 block of the block model has one), and the GEMM
+    against the imaginary part of the table runs only for a non-real
+    spectrum.  When lam, the eigenvectors and x's coordinates are all
+    real (the block model, two lines, a real pool instance), it runs in
+    float64, which gives the bits of the complex arithmetic.  Runs of up
+    to 65536 steps use blocks of one step, so the sup is taken over every
+    n.  Longer runs use blocks of 256 steps: the sup is sampled every 256
+    steps and at n_max, and the certificate decides the flag.
+
+    A pass takes as many full chunks as keep its (d, columns) sums and its
+    (stride, columns) weights within ``_PASS_BYTES`` (one chunk at stride
+    1, except in a few dimensions): one GEMM, one cumprod of the block
+    starts and one product with the eigenvectors, with its norms, serve
+    them all.  Each chunk keeps its own cumsum, carried from the chunk
+    before by an ordered cumsum of the chunk ends, and the sup, the head
+    cut and the certificate are taken at every chunk end in order, so a
+    run returns the bits of one chunk per pass.  A non-finite ``x``
+    raises ``ValueError``, and anything but a ``CyclicProduct``
+    ``TypeError``.
     """
     _require_product(cp)
     if not 0.0 < alpha <= 1.0:
@@ -254,71 +291,86 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
     # rigorous upper bound on ||V||_2 via Holder, avoids a large SVD
     v_norm = math.sqrt(np.abs(v).sum(axis=-2).max() * np.abs(v).sum(axis=-1).max())
     lam, w = lam.reshape(-1), w.reshape(-1)
-    absl = np.abs(lam)
+    absl, absw = np.abs(lam), np.abs(w)
     near_one = absl >= 1.0 - 1e-9
-    divergent = near_one & (np.abs(w) > 1e-12 * max(1.0, float(np.linalg.norm(w))))
+    divergent = near_one & (absw > 1e-12 * max(1.0, float(np.linalg.norm(w))))
     stable = ~near_one
+    # circle-adjacent components with negligible weight: worst-case
+    # polynomial growth up to n_max
+    rest = near_one & ~divergent
+    if not (lam.imag.any() or v.imag.any() or w.imag.any()):
+        # every product and sum below is then real, and float64 gives the
+        # complex arithmetic's bits at half the work
+        lam, v, w = lam.real, np.ascontiguousarray(v.real), w.real
 
     # a block starting after step a adds w lam^a times the inner sum
-    # sum_i lam^i (a + i)^(alpha-1), i = 1..stride; a chunk's inner sums are
+    # sum_i lam^i (a + i)^(alpha-1), i = 1..stride; a pass's inner sums are
     # one real GEMM of the table lam^i against weights that are zero past
-    # the chunk end.  A zero eigenvalue adds nothing to the sums, so the
+    # the run's end.  A zero eigenvalue adds nothing to the sums, so the
     # chunk arithmetic runs on the live coordinates (lam != 0); their
     # partial sums fill the live rows of ``full``, whose dead rows stay
     # zero, and ``v @ full`` sees the matrix the full-length sums gave
     chunk = 2048
     stride = 1 if n_max <= 65536 else 256
+    cols = chunk // stride  # block ends per chunk
     dlen = len(w)
+    # chunks per pass: its (dlen, columns) sums and (stride, columns) weights
+    # each stay within _PASS_BYTES
+    per_pass = max(1, _PASS_BYTES // (cols * max(dlen * w.itemsize, stride * 8)))
     live = lam != 0
     nlive = int(live.sum())
     table = np.cumprod(np.broadcast_to(lam[live, None], (nlive, stride)), axis=1)
     table_re = np.ascontiguousarray(table.real)
     table_im = np.ascontiguousarray(table.imag) if table.imag.any() else None
     offsets = np.arange(1.0, stride + 1.0)[:, None]
-    wp = w[live]  # w lam^k at the chunk start
-    s = np.zeros(nlive, dtype=np.complex128)
-    full = np.zeros((dlen, chunk // stride), dtype=np.complex128)
+    wp = w[live]  # w lam^k at the pass start
+    s = np.zeros(nlive, dtype=w.dtype)
+    full = np.zeros((dlen, per_pass * cols), dtype=w.dtype)
     sup = 0.0
     head_sup = None
     head_cut = max(1, n_max // 10)
     k = 0
     while k < n_max:
-        m = min(chunk, n_max - k)
+        # up to ``per_pass`` full chunks, or the short last one alone: below
+        # a full chunk's columns, a GEMM's bits depend on its width
+        nc = min(per_pass, (n_max - k) // chunk) or 1
+        m = min(nc * chunk, n_max - k)
         nb = -(-m // stride)
-        steps = offsets + np.arange(k, k + nb * stride, stride, dtype=float)
-        weights = np.where(steps <= k + m, steps ** (-(1.0 - alpha)), 0.0)
-        if table_im is None:  # a real spectrum
-            inner = (table_re @ weights).astype(np.complex128)
-        else:
-            inner = table_re @ weights + 1j * (table_im @ weights)
+        weights = offsets + np.arange(k, k + nb * stride, stride, dtype=float)  # steps
+        np.power(weights, -(1.0 - alpha), out=weights)
+        weights[m - (nb - 1) * stride:, -1] = 0.0  # the steps past k + m
+        inner = table_re @ weights
+        if table_im is not None:  # a non-real spectrum
+            inner = inner + 1j * (table_im @ weights)
         # w lam^(k + b*stride) for b = 0..nb; column nb starts the next
-        # chunk, which follows only a full one
-        starts = np.empty((nlive, nb + 1), dtype=np.complex128)
+        # pass, which follows only full chunks
+        starts = np.empty((nlive, nb + 1), dtype=w.dtype)
         starts[:, 0] = wp
         starts[:, 1:] = table[:, -1:]
-        starts = np.cumprod(starts, axis=1)
-        wp = starts[:, -1]
-        partial = s[:, None] + np.cumsum(starts[:, :-1] * inner, axis=1)
-        s = partial[:, -1]
-        full[live, :nb] = partial
+        np.cumprod(starts, axis=1, out=starts)
+        wp = starts[:, -1].copy()
+        # each chunk's partial sums, in place of its starts: the carried s
+        # plus a cumsum within the chunk, the carries an ordered cumsum of
+        # the chunk ends
+        sums = starts[:, :-1]
+        sums *= inner
+        sums = sums.reshape(nlive, nc, nb // nc)
+        np.cumsum(sums, axis=2, out=sums)
+        sums += np.cumsum(np.concatenate([s[:, None], sums[:, :-1, -1]], axis=1), axis=1)[..., None]
+        s = sums[:, -1, -1].copy()
+        full[live, :nb] = sums.reshape(nlive, nb)
+        del weights, inner, starts, sums  # the norms below need the room
         vals = np.linalg.norm(v @ full[:, :nb].reshape(v.shape[:2] + (-1,)), axis=(0, 1))
-        sup = max(sup, float(vals.max()))
-        k += m
-        if head_sup is None and k >= head_cut:
-            head_sup = sup
-        if not divergent.any():
-            # remaining increase: per-eigenvalue geometric/polynomial tail
-            tail = np.zeros(dlen)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                geo = np.abs(w) * (k + 1) ** (-(1.0 - alpha)) * absl ** (k + 1) \
-                    / (1.0 - absl)
-            tail[stable] = geo[stable]
-            # circle-adjacent components with negligible weight: worst-case
-            # polynomial growth up to n_max
-            rest = near_one & ~divergent
-            if rest.any():
-                tail[rest] = np.abs(w[rest]) * ((n_max + 1) ** alpha - k ** alpha + 1.0) / alpha
-            if v_norm * float(np.linalg.norm(tail)) < 1e-6:
+        ends = [min(k + chunk * (j + 1), k + m) for j in range(nc)]
+        tails = None if divergent.any() else _tails(absl, absw, stable, rest, alpha, n_max, ends)
+        # the sup, head cut and certificate at every chunk end, in order
+        for j, top in enumerate(vals.reshape(nc, -1).max(axis=1)):
+            sup = max(sup, float(top))
+            k = ends[j]
+            if head_sup is None and k >= head_cut:
+                head_sup = sup
+            # the 1-D norm of each row, as a dot product
+            if tails is not None and v_norm * float(np.linalg.norm(tails[j])) < 1e-6:
                 return sup, True
     if divergent.any():
         return sup, False

@@ -47,6 +47,9 @@ _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
 _TAIL_SAFETY = 10.0  # safety factor applied to the truncation error
 _RESUM_CHUNK = 2048  # rows per step of the permuted and sign-flipped re-sums
 _ORBIT_CHUNK = 32  # most iterates per chunk of ``iterate``: 16-32 measured fastest
+# NumPy's norm squares the entries; a norm in [2^-450, 2^450] keeps every
+# square that matters within the normal range
+_NORM_RANGE = (2.0**-450, 2.0**450)
 
 
 class CyclicProduct:
@@ -320,7 +323,9 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     2 MiB.  Each chunk takes the next B iterates from the last one in one
     contraction (one ``matmul`` for a single block, a multiply-add over the
     b block columns for a stack), and their B errors take one vectorized
-    norm.  The orbit agrees with n_max per-factor sweeps to rounding, about
+    norm; an error outside [2^-450, 2^450], where NumPy's squares would
+    leave the normal range, is taken again on its row scaled by a power of
+    two.  The orbit agrees with n_max per-factor sweeps to rounding, about
     n eps ||x||.  When ``c`` or ``iota2`` are supplied the corresponding
     rate-bound sequences rate^n * e_0 are attached to the trace.
     """
@@ -339,24 +344,47 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
         # column j of every power, contiguous; the powers themselves are dropped
         cols = np.moveaxis(_powers(t, size + 1)[1:], -1, 0).copy()
     errors = np.empty(n_max + 1)
-    errors[0] = np.linalg.norm(x - target)
     cur = x.reshape(n, b)
-    for k in range(0, n_max, size):
-        m = min(size, n_max - k)
-        if n == 1:
-            v = rows[:m * b] @ cur[0]
-        else:
-            v = cols[0, :m] * cur[:, 0, None]
-            for j in range(1, b):
-                v += cols[j, :m] * cur[:, j, None]
-        v = v.reshape(m, -1)
-        errors[k + 1:k + m + 1] = np.linalg.norm(v - target, axis=-1)
-        cur = v[-1].reshape(n, b)
+    with np.errstate(over="ignore"):  # ``_norm`` takes an overflowed norm again
+        errors[0] = _norm(x - target)
+        for k in range(0, n_max, size):
+            m = min(size, n_max - k)
+            if n == 1:
+                v = rows[:m * b] @ cur[0]
+            else:
+                v = cols[0, :m] * cur[:, 0, None]
+                for j in range(1, b):
+                    v += cols[j, :m] * cur[:, j, None]
+            v = v.reshape(m, -1)
+            errors[k + 1:k + m + 1] = _norm(v - target)
+            cur = v[-1].reshape(n, b)
+        x_norm = _norm(x)
     e0 = errors[0]
     bound_c = None if c is None else e0 * _half_powers(_rate_base_squared(cp.N, c=c), n_max)
     bound_i = (None if iota2 is None
                else e0 * _half_powers(_rate_base_squared(cp.N, iota2=iota2), n_max))
-    return IterationTrace(errors, bound_c, bound_i, np.linalg.norm(x))
+    return IterationTrace(errors, bound_c, bound_i, x_norm)
+
+
+def _norm(u: np.ndarray):
+    """``np.linalg.norm`` of a vector, or of each row of an (m, d) stack.
+
+    NumPy's norm squares the entries.  A norm outside ``_NORM_RANGE`` (an
+    exact zero and an overflow included) is taken again on its vector
+    scaled by 2^-k, k the exponent of the largest entry (at least -1000, so
+    that 2^-k stays finite): the scaling is exact and keeps the squares
+    normal.  Norms in range keep NumPy's bits.  An overflow warns unless
+    the caller silences it.
+    """
+    axis = None if u.ndim == 1 else -1
+    e = np.linalg.norm(u, axis=axis)
+    lo, hi = _NORM_RANGE
+    if lo <= e.min() and e.max() <= hi:
+        return e
+    k = np.frexp(np.abs(u).max(axis=-1, keepdims=True))[1]
+    scale = np.ldexp(1.0, -np.maximum(k, -1000))
+    scaled = np.linalg.norm(u * scale, axis=axis) / scale[..., 0]
+    return np.where((lo <= e) & (e <= hi), e, scaled)
 
 
 def operator_error_norm(cp: CyclicProduct, n: int) -> float:

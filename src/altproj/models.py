@@ -238,10 +238,13 @@ def slow_vector(model: BlockAlignedModel, r, horizon: int, eps: float) -> np.nda
         share /= 2.0
 
     x = model.m1_vector(coeffs)
-    # self-check against the exact per-block law
-    for n in range(horizon + 1):
-        if model.error_norm(coeffs, n) < r[n] * (1.0 - 1e-12):
-            raise NumericalContractError("constructed vector misses the target sequence")
+    # self-check against the exact per-block law (``error_norm``) for every
+    # n at once: a row coeffs_k cos^(2n-1) theta_k per n over the blocks in
+    # use, and coeffs_k itself at n = 0
+    powers = np.maximum(2.0 * np.arange(horizon + 1) - 1.0, 0.0)[:, None]
+    table = coeffs[used] * np.cos(model.angles[used]) ** powers
+    if (np.linalg.norm(table, axis=1) < r[: horizon + 1] * (1.0 - 1e-12)).any():
+        raise NumericalContractError("constructed vector misses the target sequence")
     if np.linalg.norm(x) > (1.0 + eps) * r[0] * (1.0 + 1e-12):
         raise NumericalContractError("constructed vector exceeds the norm budget")
     return x

@@ -425,6 +425,41 @@ def test_alpha_vector_with_explicit_components():
     assert np.allclose(av.x, y - cp.apply(y), atol=1e-10)
 
 
+@functools.cache
+def _products_with_an_intersection():
+    return [e.cp for e in _pool() if e.cp.m.dim > 0]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 33), st.integers(-40, 40), st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+       st.integers(0, 2**31 - 1))
+def test_alpha_vectors_are_accepted_at_every_scale(index, k, alpha, seed):
+    # the leak P_M (x - P_M x) is zero but for the rounding of the two P_M
+    # applications, a few eps of ||x||, and scaling y and z by 2^k scales x
+    # and the leak alike; so the cut is relative to ||x||, 1e-10 ||x||.  An
+    # absolute 1e-10 refused most of these 34 products at 2^20 (27 in one
+    # draw) and all of them at 2^40, and let the planted leak below pass at
+    # 2^-40
+    products = _products_with_an_intersection()
+    assert len(products) == 34
+    cp = products[index]
+    y, z = _unit_vector(cp.dim, seed), _unit_vector(cp.dim, seed + 1)
+    unit = make_alpha_vector(cp, alpha, 0, y=y, z=z)
+    scaled = make_alpha_vector(cp, alpha, 0, y=2.0**k * y, z=2.0**k * z)
+    assert np.array_equal(scaled.x, 2.0**k * unit.x)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_a_planted_leak_is_refused_at_every_scale(k, monkeypatch):
+    # a "projector" that halves its argument is not idempotent: it leaves
+    # P(x - P x) = x / 4, a quarter of ||x|| at every scale
+    cp = _products_with_an_intersection()[0]
+    monkeypatch.setattr(type(cp), "pm_apply", lambda self, v: 0.5 * v)
+    y, z = 2.0**k * _unit_vector(cp.dim, 1), 2.0**k * _unit_vector(cp.dim, 2)
+    with pytest.raises(NumericalContractError, match="not orthogonal to M"):
+        make_alpha_vector(cp, 0.5, 0, y=y, z=z)
+
+
 def test_decay_slope_recovers_a_power_law():
     ns = np.arange(301)
     errors = 1.0 / np.maximum(ns, 1) ** 2
@@ -565,12 +600,12 @@ def _near_complex_input():
     return cp, make_alpha_vector(cp, 0.5, 1, y=y, z=np.zeros(6)).x
 
 
-def _geometric_input():
+def _geometric_input(taper_power=1.0):
     # the geometric angles of test_blocked_partial_sums_match_a_per_step_loop,
     # where the certificate cannot stop a run of 65537 steps
     model = block_aligned(30, np.geomspace(1.0, 3e-3, 30))
     cp = model.cyclic()
-    taper = 1.0 / np.arange(1.0, 31.0)
+    taper = np.arange(1.0, 31.0) ** -taper_power
     y = model.m1_vector(taper / np.linalg.norm(taper))
     return cp, make_alpha_vector(cp, 0.5, seed=7, y=y, z=np.zeros(model.ambient_dim)).x
 
@@ -594,7 +629,10 @@ def _fixed_line_input():
 # of several 2048-step chunks: a stop in the first chunk of a pass (K = 84)
 # and in its last (K = 80), the switch from stride 1 to stride 256, a complex
 # spectrum at stride 256, and the fixed line run past its last full pass
-# into a pass of three chunks and a short last chunk of 100 steps
+# into a pass of three chunks and a short last chunk of 100 steps.  The
+# last one takes its head cut (step 7000) in the fourth of 16 chunks of its
+# first pass; the sup grows by more than 1e-6 after that chunk, but not
+# after the pass
 _PINNED_PARTIAL_SUMS = [
     (lambda: _jittered_input(1, 0.5), 0.5, 5 * 10**6, "0x1.f4113940edf8fp-1", True),
     (lambda: _jittered_input(1, 1.0), 1.0, 5 * 10**6, "0x1.75c02f70752e0p-1", True),
@@ -619,6 +657,7 @@ _PINNED_PARTIAL_SUMS = [
     (_geometric_input, 0.5, 65537, "0x1.9ceabfb6d784fp-1", False),
     (_near_complex_input, 0.5, 5 * 10**6, "0x1.6c82e3cf8e118p+1", True),
     (_fixed_line_input, 1.0, 5 * 32768 + 3 * 2048 + 100, "0x1.4c32000000000p+17", False),
+    (lambda: _geometric_input(2.25), 0.5, 70001, "0x1.2ffa2c03f3948p-1", False),
 ]
 
 
@@ -629,7 +668,7 @@ _PINNED_PARTIAL_SUMS = [
                               "pool45-a0.5", "pool45-a1", "complex", "orthogonal-lines",
                               "fixed-line", "pass-first-chunk", "pass-last-chunk",
                               "stride1-edge", "stride256-edge", "complex-stride256",
-                              "fixed-line-past-passes"])
+                              "fixed-line-past-passes", "head-cut-mid-pass"])
 def test_partial_sums_are_pinned_bit_for_bit(make, alpha, n_max, sup_hex, flag):
     cp, x = make()
     sup, bounded = partial_sum_characterization(cp, x, alpha, n_max)

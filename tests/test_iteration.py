@@ -667,22 +667,26 @@ def test_orbit_of_one_power_per_chunk():
     _assert_orbit_matches_the_sweeps(cp, np.random.default_rng(0).standard_normal(cp.dim), 4)
 
 
-@pytest.mark.parametrize("k", [-40, 20, 40])
+@pytest.mark.parametrize("k", [-600, -40, 20, 40, 600])
 def test_iterate_scales_with_its_start_vector_bit_for_bit(k):
     # scaling by 2^k is exact in binary floating point away from underflow
     # and overflow, and the trace's cut scales with ||x||, so the trace is
-    # accepted at every scale (iterate raises otherwise).  The norms square
-    # the entries, so each e_n is compared where it is at least 2^-460 at
-    # both scales: a square dropped below 2^-1022 there is under 2^-100 of
-    # e_n^2, far below half an ulp.  Smaller e_n lose bits to that underflow
-    # at one scale and not the other.
+    # accepted at every scale (iterate raises otherwise).  The norms scale
+    # their rows by a power of two where NumPy's squares would leave the
+    # normal range, so only the iterates themselves can lose bits, once
+    # their entries fall below 2^-1022.  Each e_n is compared where it is at
+    # least 2^-1000 at both scales: a bit lost there is at most 2^-1074 per
+    # entry, so over at most 1000 steps of 400 entries it stays under
+    # 2^-1050, below 2^-50 of e_n; the mismatches seen below that floor sit
+    # at e_n < 2^-1017.  At 2^-600 and 2^600 every square of the start
+    # vector leaves the normal range.
     model = block_aligned(200, "1/k")
     cases = [(e.cp, _start_vector(e), 200) for e in _pool()]
     cases.append((model.cyclic(), np.random.default_rng(1).standard_normal(400), 1000))
     compared = 0
     for cp, x, n_max in cases:
         ref, got = iterate(cp, x, n_max).errors, iterate(cp, 2.0**k * x, n_max).errors
-        live = np.minimum(ref, 2.0**k * ref) >= 2.0**-460
+        live = np.minimum(ref, 2.0**k * ref) >= 2.0**-1000
         assert np.array_equal(got[live], 2.0**k * ref[live])
         compared += np.count_nonzero(live)
     assert compared > 0.75 * (200 * 201 + 1001)

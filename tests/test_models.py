@@ -4,9 +4,11 @@ convex combinations, and reproducible instance specs."""
 import numpy as np
 import pytest
 
+from altproj import models
 from altproj import (
     BlockAlignedModel,
     CapacityError,
+    NumericalContractError,
     InstanceSpec,
     block_aligned,
     build_cyclic,
@@ -127,6 +129,18 @@ def test_slow_vector_frozen_allocation_and_guarantee():
     assert np.linalg.norm(x) <= 1.5 * r[0] * (1.0 + 1e-12)
     trace = iterate(model.cyclic(), x, 1000)
     assert np.all(trace.errors >= r - 1e-12)
+
+
+@pytest.mark.parametrize("theta_max", [0.3, 1.0])
+def test_slow_vector_self_check_catches_a_block_that_decays_too_fast(theta_max, monkeypatch):
+    # a block is chosen whose angle exceeds the one its range needs, so its
+    # cos^(2n-1) falls below the target before the range ends; the check
+    # evaluates error_norm's per-block law at every n <= horizon
+    model = block_aligned(400, "1/k")
+    r = 1.0 / np.log(np.arange(1001.0) + 2.0)
+    monkeypatch.setattr(models, "_theta_needed", lambda n_end, eps: theta_max)
+    with pytest.raises(NumericalContractError, match="misses the target sequence"):
+        slow_vector(model, r, 1000, 0.5)
 
 
 def test_slow_vector_capacity_error_names_the_smallest_sufficient_k():
