@@ -41,9 +41,9 @@ __all__ = [
 _TERM_CAP = 10**6  # hard cap on series terms
 # bytes of a pass of ``partial_sum_characterization``, for its (d, columns)
 # sums and its (stride, columns) weights each.  256 KiB gives 10 chunks per
-# pass on block_decay's input (K = 200, real): 17-21 ms a call against
+# pass on block_decay's input (K = 200, real): 16-21 ms a call against
 # 38-43 ms for one chunk per pass, and a tracemalloc peak of 1.43 MB against
-# 1.57 MB (a 2 MiB pass peaked at 13.9 MB)
+# 1.57 MB; a 2 MiB pass took 34-37 ms and peaked at 7.5 MB
 _PASS_BYTES = 1 << 18
 
 
@@ -266,7 +266,7 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
 
     A pass takes as many full chunks as keep its (d, columns) sums and its
     (stride, columns) weights within ``_PASS_BYTES`` (one chunk at stride
-    1, except in a few dimensions): one GEMM, one cumprod of the block
+    1 once d exceeds 8): one GEMM, one cumprod of the block
     starts and one product with the eigenvectors, with its norms, serve
     them all.  Each chunk keeps its own cumsum, carried from the chunk
     before by an ordered cumsum of the chunk ends, and the sup, the head
@@ -369,7 +369,8 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
             k = ends[j]
             if head_sup is None and k >= head_cut:
                 head_sup = sup
-            # the 1-D norm of each row, as a dot product
+            # the 1-D norm (a dot product) of each row, as one chunk per pass
+            # took it; an axis norm rounds differently
             if tails is not None and v_norm * float(np.linalg.norm(tails[j])) < 1e-6:
                 return sup, True
     if divergent.any():

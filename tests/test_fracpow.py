@@ -625,13 +625,13 @@ def _fixed_line_input():
 # has an exact zero eigenvalue (half of the coordinates), pool instances 38
 # (complex spectrum) and 45 (real) have one each, two orthogonal lines give
 # T = 0, and the fixed line makes the run go to n_max, past the last full
-# chunk, with an unbounded verdict.  The last six sit at the edges of a pass
-# of several 2048-step chunks: a stop in the first chunk of a pass (K = 84)
-# and in its last (K = 80), the switch from stride 1 to stride 256, a complex
+# chunk, with an unbounded verdict.  Six more sit at the edges of a pass of
+# several 2048-step chunks: a stop in the first chunk of a pass (K = 84) and
+# in its last (K = 80), the switch from stride 1 to stride 256, a complex
 # spectrum at stride 256, and the fixed line run past its last full pass
 # into a pass of three chunks and a short last chunk of 100 steps.  The
-# last one takes its head cut (step 7000) in the fourth of 16 chunks of its
-# first pass; the sup grows by more than 1e-6 after that chunk, but not
+# last input takes its head cut (step 7000) in the fourth of 16 chunks of
+# its first pass; the sup grows by more than 1e-6 after that chunk, but not
 # after the pass
 _PINNED_PARTIAL_SUMS = [
     (lambda: _jittered_input(1, 0.5), 0.5, 5 * 10**6, "0x1.f4113940edf8fp-1", True),

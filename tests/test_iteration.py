@@ -675,18 +675,18 @@ def test_iterate_scales_with_its_start_vector_bit_for_bit(k):
     # their rows by a power of two where NumPy's squares would leave the
     # normal range, so only the iterates themselves can lose bits, once
     # their entries fall below 2^-1022.  Each e_n is compared where it is at
-    # least 2^-1000 at both scales: a bit lost there is at most 2^-1074 per
-    # entry, so over at most 1000 steps of 400 entries it stays under
-    # 2^-1050, below 2^-50 of e_n; the mismatches seen below that floor sit
-    # at e_n < 2^-1017.  At 2^-600 and 2^600 every square of the start
-    # vector leaves the normal range.
+    # least 2^-980 at both scales: a subnormal rounding errs by at most
+    # 2^-1075, so over at most 1000 steps of 400 entries the iterates drift
+    # by under 2^-1055, below 2^-75 of e_n and far below half an ulp.  The
+    # mismatches seen sit at e_n < 2^-1017.  At 2^-600 and 2^600 every
+    # square of the start vector leaves the normal range.
     model = block_aligned(200, "1/k")
     cases = [(e.cp, _start_vector(e), 200) for e in _pool()]
     cases.append((model.cyclic(), np.random.default_rng(1).standard_normal(400), 1000))
     compared = 0
     for cp, x, n_max in cases:
         ref, got = iterate(cp, x, n_max).errors, iterate(cp, 2.0**k * x, n_max).errors
-        live = np.minimum(ref, 2.0**k * ref) >= 2.0**-1000
+        live = np.minimum(ref, 2.0**k * ref) >= 2.0**-980
         assert np.array_equal(got[live], 2.0**k * ref[live])
         compared += np.count_nonzero(live)
     assert compared > 0.75 * (200 * 201 + 1001)

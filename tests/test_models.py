@@ -8,8 +8,8 @@ from altproj import models
 from altproj import (
     BlockAlignedModel,
     CapacityError,
-    NumericalContractError,
     InstanceSpec,
+    NumericalContractError,
     block_aligned,
     build_cyclic,
     convex_combination,
@@ -131,16 +131,32 @@ def test_slow_vector_frozen_allocation_and_guarantee():
     assert np.all(trace.errors >= r - 1e-12)
 
 
-@pytest.mark.parametrize("theta_max", [0.3, 1.0])
-def test_slow_vector_self_check_catches_a_block_that_decays_too_fast(theta_max, monkeypatch):
-    # a block is chosen whose angle exceeds the one its range needs, so its
-    # cos^(2n-1) falls below the target before the range ends; the check
-    # evaluates error_norm's per-block law at every n <= horizon
+def test_slow_vector_self_check_agrees_with_the_per_n_error_norm(monkeypatch):
+    # blocks are chosen up to an angle theta_max in place of the one each
+    # range needs; past some theta_max a block's cos^(2n-1) falls below its
+    # target before its range ends.  The check refuses exactly the vectors
+    # on which error_norm, called once per n, finds a miss
     model = block_aligned(400, "1/k")
     r = 1.0 / np.log(np.arange(1001.0) + 2.0)
-    monkeypatch.setattr(models, "_theta_needed", lambda n_end, eps: theta_max)
-    with pytest.raises(NumericalContractError, match="misses the target sequence"):
-        slow_vector(model, r, 1000, 0.5)
+    built = []
+    m1_vector = BlockAlignedModel.m1_vector
+    monkeypatch.setattr(BlockAlignedModel, "m1_vector",
+                        lambda self, coeffs: built.append(coeffs.copy()) or m1_vector(self, coeffs))
+    verdicts = set()
+    for theta_max in np.geomspace(0.005, 1.0, 40):
+        monkeypatch.setattr(models, "_theta_needed", lambda n_end, eps: theta_max)
+        try:
+            slow_vector(model, r, 1000, 0.5)
+            refused = False
+        except NumericalContractError as e:
+            assert "misses the target sequence" in str(e)
+            refused = True
+        except CapacityError:
+            continue
+        misses = any(model.error_norm(built[-1], n) < r[n] * (1.0 - 1e-12) for n in range(1001))
+        assert refused == misses
+        verdicts.add(refused)
+    assert verdicts == {False, True}
 
 
 def test_slow_vector_capacity_error_names_the_smallest_sufficient_k():
