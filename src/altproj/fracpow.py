@@ -266,14 +266,14 @@ def partial_sum_characterization(cp, x, alpha: float, n_max: int):
 
     A pass takes as many full chunks as keep its (d, columns) sums and its
     (stride, columns) weights within ``_PASS_BYTES`` (one chunk at stride
-    1 once d exceeds 8): one GEMM, one cumprod of the block
-    starts and one product with the eigenvectors, with its norms, serve
-    them all.  Each chunk keeps its own cumsum, carried from the chunk
-    before by an ordered cumsum of the chunk ends, and the sup, the head
-    cut and the certificate are taken at every chunk end in order, so a
-    run returns the bits of one chunk per pass.  A non-finite ``x``
-    raises ``ValueError``, and anything but a ``CyclicProduct``
-    ``TypeError``.
+    1 once d exceeds 8), and the short last chunk of a run goes alone: one
+    GEMM, one cumprod of the block starts and one product with the
+    eigenvectors, with its norms, serve them all.  Each chunk keeps its
+    own cumsum, carried from the chunk before by an ordered cumsum of the
+    chunk ends, and the sup, the head cut and the certificate are taken at
+    every chunk end in order, so a run returns the bits of one chunk per
+    pass.  A non-finite ``x`` raises ``ValueError``, and anything but a
+    ``CyclicProduct`` ``TypeError``.
     """
     _require_product(cp)
     if not 0.0 < alpha <= 1.0:
