@@ -153,9 +153,17 @@ def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> floa
         if not real:
             a = a + 1j * rng.standard_normal((total, take))
         a /= np.linalg.norm(a, axis=0)
-        coords = np.zeros(kept.shape + (take,), dtype=a.dtype)
-        coords[kept] = a
-        vals = np.sum(np.abs(b @ coords) ** 2, axis=-2).sum(axis=0)
+        if total == kept.size:  # every coordinate kept: a is coords, in order
+            coords = a.reshape(kept.shape + (take,))
+        else:
+            coords = np.zeros(kept.shape + (take,), dtype=a.dtype)
+            coords[kept] = a
+        y = b @ coords
+        if real:
+            y *= y  # the bits of abs(y) ** 2
+        else:
+            y = np.abs(y) ** 2
+        vals = np.sum(y, axis=-2).sum(axis=0)
         best = max(best, float(vals.max()))
         remaining -= take
     return (best - 1.0) / (len(spans) - 1)

@@ -13,11 +13,12 @@ A sweep (``apply``, ``sweep_diagnostic``) applies the factor projectors
 one at a time, never the assembled dense T.  The orbit of ``iterate`` and
 the terms of the series diagnostic advance in chunks of T's block powers
 instead, one contraction per chunk, and agree with the per-factor sweeps
-to rounding.  A product is stored as stacks of diagonal blocks, one d x d
-block for a dense family and 2x2 blocks for the block-aligned model; it
-forms dense matrices only when a routine reads them, and
-``sweep_diagnostic`` reads the steps of its own sweep.  The routines that
-take a start vector refuse a non-finite one once, up front.
+to rounding; the orbit of a real block stack from a real start runs in
+float64, with the same bits.  A product is stored as stacks of diagonal
+blocks, one d x d block for a dense family and 2x2 blocks for the
+block-aligned model; it forms dense matrices only when a routine reads
+them, and ``sweep_diagnostic`` reads the steps of its own sweep.  The
+routines that take a start vector refuse a non-finite one once, up front.
 """
 
 from dataclasses import InitVar, dataclass
@@ -124,6 +125,11 @@ class CyclicProduct:
     def dim(self) -> int:
         n, b, _ = self._blocks[0].shape
         return n * b
+
+    @cached_property
+    def _real(self) -> bool:
+        """True when no block of T has a nonzero imaginary part."""
+        return not self._t_blocks.imag.any()
 
     @cached_property
     def _eigenbasis(self):
@@ -325,9 +331,15 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     b block columns for a stack), and their B errors take one vectorized
     norm; an error outside [2^-450, 2^450], where NumPy's squares would
     leave the normal range, is taken again on its row scaled by a power of
-    two.  The orbit agrees with n_max per-factor sweeps to rounding, about
-    n eps ||x||.  When ``c`` or ``iota2`` are supplied the corresponding
-    rate-bound sequences rate^n * e_0 are attached to the trace.
+    two.  A stack whose blocks, ``x`` and P_M x have no nonzero imaginary
+    part (the block model from a real start) forms the powers and runs the
+    orbit in float64, with the bits of the complex route; e_0 and ||x||
+    are taken on the complex ``x``, whose 1-D norm rounds differently, and
+    a single block keeps its complex ``matmul``, where a real one would
+    round differently.  The orbit agrees with n_max per-factor sweeps to
+    rounding, about n eps ||x||.  When ``c`` or ``iota2`` are supplied the
+    corresponding rate-bound sequences rate^n * e_0 are attached to the
+    trace.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -338,13 +350,18 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     t = cp._t_blocks
     n, b, _ = t.shape
     size = min(_ORBIT_CHUNK, _blocks_chunk(n, b), n_max)
+    orbit, goal = x, target
     if n == 1:
         rows = _powers(t, size + 1)[1:].reshape(size * b, b)  # T^1..T^B stacked
     else:
+        if cp._real and not (x.imag.any() or target.imag.any()):
+            # every product, sum and norm below is then real, and float64
+            # gives the complex route's bits at half its memory
+            t, orbit, goal = t.real, x.real, target.real
         # column j of every power, contiguous; the powers themselves are dropped
         cols = np.moveaxis(_powers(t, size + 1)[1:], -1, 0).copy()
     errors = np.empty(n_max + 1)
-    cur = x.reshape(n, b)
+    cur = orbit.reshape(n, b)
     with np.errstate(over="ignore"):  # ``_norm`` takes an overflowed norm again
         errors[0] = _norm(x - target)
         for k in range(0, n_max, size):
@@ -356,7 +373,7 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
                 for j in range(1, b):
                     v += cols[j, :m] * cur[:, j, None]
             v = v.reshape(m, -1)
-            errors[k + 1:k + m + 1] = _norm(v - target)
+            errors[k + 1:k + m + 1] = _norm(v - goal)
             cur = v[-1].reshape(n, b)
         x_norm = _norm(x)
     e0 = errors[0]
@@ -366,24 +383,30 @@ def iterate(cp: CyclicProduct, x: np.ndarray, n_max: int, *,
     return IterationTrace(errors, bound_c, bound_i, x_norm)
 
 
-def _norm(u: np.ndarray):
+def _norm(u: np.ndarray, *, rows: bool = False):
     """``np.linalg.norm`` of a vector, or of each row of an (m, d) stack.
 
     NumPy's norm squares the entries.  A norm outside ``_NORM_RANGE`` (an
     exact zero and an overflow included) is taken again on its vector
     scaled by 2^-k, k the exponent of the largest entry (at least -1000, so
     that 2^-k stays finite): the scaling is exact and keeps the squares
-    normal.  Norms in range keep NumPy's bits.  An overflow warns unless
-    the caller silences it.
+    normal.  Norms in range keep NumPy's bits; a stack takes one range
+    test.  With ``rows`` each row of a stack takes the 1-D norm, a dot
+    product, which rounds differently from the axis form.  An overflow
+    warns unless the caller silences it.
     """
-    axis = None if u.ndim == 1 else -1
-    e = np.linalg.norm(u, axis=axis)
+    def norms(w):
+        if rows:
+            return np.array([np.linalg.norm(r) for r in w])
+        return np.linalg.norm(w, axis=None if w.ndim == 1 else -1)
+
+    e = norms(u)
     lo, hi = _NORM_RANGE
     if lo <= e.min() and e.max() <= hi:
         return e
     k = np.frexp(np.abs(u).max(axis=-1, keepdims=True))[1]
     scale = np.ldexp(1.0, -np.maximum(k, -1000))
-    scaled = np.linalg.norm(u * scale, axis=axis) / scale[..., 0]
+    scaled = norms(u * scale) / scale[..., 0]
     return np.where((lo <= e) & (e <= hi), e, scaled)
 
 
@@ -470,7 +493,7 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
         m = min(size, _SERIES_CAP - k)
         v = np.einsum("jkab,kb->jka", powers[:m + 1], cur).reshape(m + 1, -1)
         np.subtract(v[:-1], v[1:], out=ys[k:k + m])
-        errors = np.linalg.norm(v[1:] - target, axis=-1)
+        errors = _norm(v[1:] - target)
         hit = np.flatnonzero(_TAIL_SAFETY * errors <= trunc_tol)
         if hit.size:
             j = int(hit[0])
@@ -512,6 +535,7 @@ def _resums(stack: np.ndarray, count: int, draw, place) -> np.ndarray:
     return sums
 
 
+@np.errstate(over="ignore")  # ``_norm`` takes an overflowed norm again
 def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
                            trunc_tol: float, seed) -> UnconditionalReport:
     """Probe unconditional convergence of sum_n T^n(I-T)x to x - P_M x.
@@ -539,9 +563,9 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
 
     total = stack.sum(axis=0)
     # telescoping: the ordered sum collapses to x - T^K x
-    telescoping = float(np.linalg.norm(total - (x - t_k_x)))
+    telescoping = float(_norm(total - (x - t_k_x)))
     limit = x - target
-    limit_dev = float(np.linalg.norm(total - limit))
+    limit_dev = float(_norm(total - limit))
 
     rng = np.random.default_rng(seed)
     perm_sums = _resums(stack, num_perms,
@@ -551,7 +575,7 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
                         lambda idx, a, m, out: np.take(stack, idx[a:a + m], axis=0, out=out,
                                                        mode="clip"))
     # one 1-D norm per sum: the axis= form rounds differently
-    perm_devs = np.array([np.linalg.norm(s - limit) for s in perm_sums])
+    perm_devs = _norm(perm_sums - limit, rows=True)
     if perm_devs.max(initial=0.0) > 2.0 * trunc_tol:
         raise NumericalContractError(
             f"permuted series strayed {perm_devs.max():.3e} from the limit "
@@ -562,16 +586,16 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     # K x d temporaries
     row_norms = np.empty(k)
     for a in range(0, k, _RESUM_CHUNK):
-        row_norms[a:a + _RESUM_CHUNK] = np.linalg.norm(stack[a:a + _RESUM_CHUNK], axis=1)
+        row_norms[a:a + _RESUM_CHUNK] = _norm(stack[a:a + _RESUM_CHUNK])
     norm_budget = float(row_norms.sum())
-    sign_sums = np.array([np.linalg.norm(s) for s in _resums(
+    sign_sums = _norm(_resums(
         stack, 10,
         lambda h: np.column_stack([rng.integers(0, 2, size=k) * 2 - 1 for _ in range(h)]),
         lambda signs, a, m, out: np.multiply(signs[a:a + m, :, None], stack[a:a + m, None],
-                                             out=out))])
+                                             out=out)), rows=True)
     if sign_sums.max() > norm_budget + 1e-9:
         raise NumericalContractError("sign-flipped sum exceeded the triangle bound")
-    xn = float(np.linalg.norm(x))
+    xn = float(_norm(x))
     constant = float(sign_sums.max() / xn) if xn > 0.0 else 0.0
 
     return UnconditionalReport(K=k, tail_estimate=tail,

@@ -8,8 +8,8 @@ matrix of a stack on its own, so one call over a stack returns the same
 bits as a loop of calls.  Kernels that stack many matrices cut the stack
 into chunks of ``stack_chunk(d)`` matrices (about 2 MiB of complex data),
 which bounds their memory and changes no result.  ``_powers`` forms the
-powers of a stack by doubling, for the series of ``iteration`` and the
-power profile of ``spectral``.
+powers of a stack by doubling, in the stack's own dtype, for the orbit
+and the series of ``iteration`` and the power profile of ``spectral``.
 """
 
 import numpy as np
@@ -48,9 +48,10 @@ def _powers(a: np.ndarray, count: int) -> np.ndarray:
 
     Built by doubling: once a^0..a^h are known, one stacked ``matmul``
     a^j a^h gives the next min(h, count - 1 - h) of them, so count powers
-    take about log2(count) calls.
+    take about log2(count) calls.  The powers have ``a``'s dtype: float64
+    for the real blocks of ``iteration.iterate``, complex128 elsewhere.
     """
-    powers = np.empty((count,) + a.shape, dtype=np.complex128)
+    powers = np.empty((count,) + a.shape, dtype=a.dtype)
     powers[0] = np.eye(a.shape[-1])
     powers[1:2] = a  # nothing when count is 1
     h = 1

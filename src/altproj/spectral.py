@@ -140,27 +140,42 @@ def stolz_contains(z: complex, theta: float, slack: float = 0.0) -> bool:
     return stolz_margin(z, theta) >= -slack
 
 
-def stolz_margin(z: complex, theta: float) -> float:
+def _lesser(a, b):
+    """``min(a, b)`` elementwise, with Python's choice between equal values:
+    ``np.minimum`` can return the other signed zero."""
+    return np.where(b < a, b, a)
+
+
+def _scalar_or_array(m: np.ndarray):
+    """A float for a 0-d result, the array otherwise."""
+    return float(m) if m.ndim == 0 else m
+
+
+def stolz_margin(z, theta: float):
     """Exact signed distance of z to S_theta, positive inside.
 
     This is the support-function minimum min_phi (h(phi) - Re(e^{-i phi} z))
     with h(phi) = max(sin theta, cos phi), in closed form: the minimizing
     direction is a kink phi = +-(pi/2 - theta) (the tangent segments), the
     direction of z when it points at the arc of the disc, or that of
-    z - 1 when it points into the normal cone at the vertex 1.
+    z - 1 when it points into the normal cone at the vertex 1.  A scalar
+    z gives a float; an array of points gives an array of margins with
+    the bits of the scalar calls.
     """
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError("theta must lie in [0, pi/2]")
-    z = complex(z)
+    z = np.asarray(z, dtype=np.complex128)
     r = float(np.sin(theta))
     s = float(np.cos(theta))
-    x, y = z.real, abs(z.imag)
-    m = r - x * r - y * s
-    if x <= r * abs(z):
-        m = min(m, r - abs(z))
-    if x - 1.0 >= r * abs(z - 1.0):
-        m = min(m, -abs(z - 1.0))
-    return m
+    x, y = z.real, z.imag
+    m = r - x * r - np.abs(y) * s
+    # |z| and |z - 1| by ``hypot``, as Python's complex ``abs`` takes them:
+    # NumPy's complex ``abs`` can differ by an ulp
+    dz = np.hypot(x, y)
+    m = np.where(x <= r * dz, _lesser(m, r - dz), m)
+    dw = np.hypot(x - 1.0, y)
+    m = np.where(x - 1.0 >= r * dw, _lesser(m, -dw), m)
+    return _scalar_or_array(m)
 
 
 @dataclass(frozen=True)
@@ -180,14 +195,19 @@ class OmegaRegion:
             raise ValueError("N must be >= 2")
         object.__setattr__(self, "thetaN", theta_recursion(self.N))
 
-    def margin(self, z: complex) -> float:
-        """min of the disc slack and the sector slack (heterogeneous units)."""
-        z = complex(z)
+    def margin(self, z):
+        """min of the disc slack and the sector slack (heterogeneous units).
+
+        A scalar z gives a float; an array of points gives an array of
+        margins with the bits of the scalar calls.
+        """
+        z = np.asarray(z, dtype=np.complex128)
         p = 2.0 ** (-self.N)
-        disc = (1.0 - p) - abs(z - p)
+        disc = (1.0 - p) - np.hypot(z.real - p, z.imag)  # hypot: see ``stolz_margin``
         w = 1.0 - z
-        sector = self.thetaN - (0.0 if abs(w) <= 1e-12 else abs(np.angle(w)))
-        return float(min(disc, sector))
+        sector = self.thetaN - np.where(np.hypot(w.real, w.imag) <= 1e-12, 0.0,
+                                        np.abs(np.angle(w)))
+        return _scalar_or_array(_lesser(disc, sector))
 
 
 def omega_contains(z: complex, region: OmegaRegion, slack: float = 0.0) -> bool:
@@ -284,8 +304,8 @@ def containment_check(t, c: float, n: int, m: int = 256,
     boundary = numrange_boundary(t, m)
     region = OmegaRegion(n)
     theta = theta0(c, n)
-    omega = np.array([region.margin(z) for z in boundary.points])
-    stolz = np.array([stolz_margin(z, theta) for z in boundary.points])
+    omega = region.margin(boundary.points)
+    stolz = stolz_margin(boundary.points, theta)
     return ContainmentReport(boundary=boundary, in_omega=omega >= -slack,
                              in_stolz=stolz >= -slack, margins=np.minimum(omega, stolz))
 

@@ -150,6 +150,50 @@ def test_sampled_friedrichs_brackets_the_eigenvalue_route():
     assert cs >= c - 0.05  # and comes close at this sample count
 
 
+def _sampled_reference(cp, num_samples, seed):
+    """``friedrichs_number_sampled`` as it scattered each draw into zero-filled
+    coordinates and squared ``abs`` of the products."""
+    spans, mb = geometry._family(cp)
+    b = np.concatenate(geometry._feasible(spans, mb, "inner"), axis=-1)
+    kept = np.any(b != 0, axis=-2)
+    total = int(kept.sum())
+    real = np.all(b.imag == 0.0)
+    if real:
+        b = b.real
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    remaining = num_samples
+    while remaining > 0:
+        take = min(remaining, 20000)
+        a = rng.standard_normal((total, take))
+        if not real:
+            a = a + 1j * rng.standard_normal((total, take))
+        a /= np.linalg.norm(a, axis=0)
+        coords = np.zeros(kept.shape + (take,), dtype=a.dtype)
+        coords[kept] = a
+        best = max(best, float(np.sum(np.abs(b @ coords) ** 2, axis=-2).sum(axis=0).max()))
+        remaining -= take
+    return (best - 1.0) / (len(spans) - 1)
+
+
+def test_sampled_friedrichs_keeps_the_bits_of_scattered_coordinates():
+    rng = np.random.default_rng(5)
+    cases = [build_cyclic(random_instance(d, dims, seed=s))
+             for d, dims, s in [(6, (2, 3), 1), (8, (3, 4, 5), 2), (12, (5, 7), 3)]]
+    # a complex family
+    cases.append(build_cyclic([Subspace(orthonormal_columns(
+        rng.standard_normal((7, r)) + 1j * rng.standard_normal((7, r)))) for r in (3, 4)]))
+    # lines in 2x2 blocks, the first factor zero in block 0: the sampler
+    # keeps only the blocks' nonzero coordinates
+    k_blocks = 5
+    ang = rng.uniform(0.1, 1.4, (2, k_blocks))
+    lines = np.stack([np.cos(ang), np.sin(ang)], axis=-1)[..., None]
+    lines[0, 0] = 0.0
+    cases.append(CyclicProduct(tuple(lines)))
+    for cp in cases:
+        assert friedrichs_number_sampled(cp, 30000, 9) == _sampled_reference(cp, 30000, 9)
+
+
 def test_two_subspace_friedrichs_is_the_largest_singular_value():
     subs = random_instance(5, (2, 2), seed=11)
     b1, b2 = subs[0].basis, subs[1].basis

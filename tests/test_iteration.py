@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -692,6 +693,42 @@ def test_iterate_scales_with_its_start_vector_bit_for_bit(k):
     assert compared > 0.75 * (200 * 201 + 1001)
 
 
+@lru_cache(maxsize=None)
+def _block_product(k_blocks):
+    return block_aligned(k_blocks, "1/k").cyclic()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([150, 200, 400]), st.integers(-600, 600), st.integers(1, 1000),
+       st.integers(0, 2**32 - 1))
+@example(400, -600, 1000, 0)
+@example(150, 600, 1000, 1)
+@example(200, 0, 33, 2)  # one chunk of 32 iterates and one of 1
+def test_real_orbit_has_the_bits_of_the_complex_one(k_blocks, k, n_max, seed):
+    # the block model is real, so a real start runs its orbit in float64;
+    # the start 1j x has a nonzero imaginary part and runs in complex128,
+    # with iterates 1j times the real ones and the same norms
+    cp = _block_product(k_blocks)
+    assert cp._real
+    x = 2.0**k * np.random.default_rng(seed).standard_normal(cp.dim)
+    assert np.array_equal(iterate(cp, 1j * x, n_max).errors, iterate(cp, x, n_max).errors)
+
+
+def test_real_orbit_at_four_hundred_blocks_stays_under_the_complex_peak():
+    # iterate(cp, x, 1000) at K = 400 peaked at 2,494,240 bytes with T's 32
+    # powers and each chunk's iterates in complex128; in float64 it measured
+    # 1,265,664
+    cp = _block_product(400)
+    x = np.random.default_rng(2).standard_normal(cp.dim)
+    tracemalloc.start()
+    try:
+        iterate(cp, x, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2_494_240
+
+
 def test_sweep_diagnostic_closed_form_on_two_lines():
     theta = 0.7
     cp = build_cyclic(two_lines(theta))
@@ -948,6 +985,28 @@ def test_iterate_bounds_equal_the_per_n_rate_bounds(i2):
                           e0 * np.array([rate_bound(c, cp.N, n) for n in range(41)]))
     assert np.array_equal(trace.bound_iota2,
                           e0 * np.array([iota2_rate_bound(i2, cp.N, n) for n in range(41)]))
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_unconditional_report_scales_with_its_start_vector_bit_for_bit(k):
+    # x and trunc_tol scaled by 2^k: every sum scales exactly, and every
+    # norm takes its squares in the normal range.  With NumPy's squares the
+    # tail errors underflowed at 2^-600, and all 40 pool instances stopped
+    # at K = 1 (instance 0 needs 149 terms); at 2^600 the permuted
+    # deviations overflowed and the check raised
+    s = 2.0**k
+    cases = [(e.cp, _start_vector(e), e.seed ^ _SALT_PERM) for e in _pool()[:40]]
+    model = _block_product(12)
+    cases.append((model, np.random.default_rng(3).standard_normal(model.dim), 1))
+    for cp, x, seed in cases:
+        ref = unconditional_sum_test(cp, x, 5, 1e-6, seed)
+        got = unconditional_sum_test(cp, s * x, 5, s * 1e-6, seed)
+        assert got.K == ref.K
+        assert got.tail_estimate == s * ref.tail_estimate
+        assert np.array_equal(got.perm_deviations, s * ref.perm_deviations)
+        assert np.array_equal(got.sign_sums, s * ref.sign_sums)
+        assert (got.telescoping_residual, got.limit_deviation, got.constant_estimate) \
+            == (s * ref.telescoping_residual, s * ref.limit_deviation, ref.constant_estimate)
 
 
 def test_near_aligned_series_exceeds_capacity():

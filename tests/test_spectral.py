@@ -162,6 +162,68 @@ def test_omega_margin_signs():
     assert region.margin(-0.6) < 0.0
 
 
+def _stolz_margin_scalar(z, theta):
+    """``stolz_margin`` as it was written for one point, in Python's complex arithmetic."""
+    z = complex(z)
+    r, s = float(np.sin(theta)), float(np.cos(theta))
+    x, y = z.real, abs(z.imag)
+    m = r - x * r - y * s
+    if x <= r * abs(z):
+        m = min(m, r - abs(z))
+    if x - 1.0 >= r * abs(z - 1.0):
+        m = min(m, -abs(z - 1.0))
+    return m
+
+
+def _omega_margin_scalar(region, z):
+    """``OmegaRegion.margin`` as it was written for one point."""
+    z = complex(z)
+    p = 2.0 ** (-region.N)
+    disc = (1.0 - p) - abs(z - p)
+    w = 1.0 - z
+    sector = region.thetaN - (0.0 if abs(w) <= 1e-12 else abs(np.angle(w)))
+    return float(min(disc, sector))
+
+
+def _margin_points(n, theta):
+    """0, 1, 2^-N, points with +-0 imaginary parts, points on the boundary of
+    Omega_N and of S_theta, and seeded points near both."""
+    p = 2.0 ** (-n)
+    t_n = theta_recursion(n)
+    r = np.sin(theta)
+    phi = np.linspace(-np.pi, np.pi, 41)
+    t = np.linspace(0.0, 1.0, 11)
+    special = [0.0, 1.0, p, complex(0.0, -0.0), complex(1.0, -0.0), complex(p, -0.0),
+               complex(-0.5, 0.0), complex(-0.5, -0.0), complex(1.5, -0.0), 1.0 + 1e-13j,
+               1.0 - 1e-12, complex(1.0 - 1e-12, -0.0), 2.0**-1074, -(2.0**-1074)]
+    _, near = _sweep(23, 200)
+    return np.concatenate([
+        np.array(special, dtype=complex),
+        p + (1.0 - p) * np.exp(1j * phi),  # the disc of Omega_N
+        1.0 - np.outer(t, np.exp([1j * t_n, -1j * t_n])).ravel(),  # its sector
+        r * np.exp(1j * phi),  # the arc of S_theta
+        1.0 - np.outer(t, np.exp([1j * (np.pi / 2 - theta),
+                                  -1j * (np.pi / 2 - theta)])).ravel(),  # its segments
+        near])
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 60])
+def test_margins_of_an_array_have_the_bits_of_the_scalar_margins(n):
+    region = OmegaRegion(n)
+    for theta in (0.0, theta0(0.3, n), theta0(0.999, n), np.pi / 2):
+        zs = _margin_points(n, theta)
+        omega, stolz = region.margin(zs), stolz_margin(zs, theta)
+        scalar_omega = [region.margin(z) for z in zs]
+        scalar_stolz = [stolz_margin(z, theta) for z in zs]
+        assert all(type(v) is float for v in scalar_omega + scalar_stolz)
+        for got in (np.array(scalar_omega),
+                    np.array([_omega_margin_scalar(region, z) for z in zs])):
+            assert got.tobytes() == omega.tobytes()
+        for got in (np.array(scalar_stolz),
+                    np.array([_stolz_margin_scalar(z, theta) for z in zs])):
+            assert got.tobytes() == stolz.tobytes()
+
+
 def test_boundary_of_a_diagonal_contraction():
     nb = numrange_boundary(np.diag([0.9, 0.1]), 64)
     assert len(nb) == 64
