@@ -234,9 +234,15 @@ _PRIMAL_WEIGHT = 1e-8
 _CLUSTER = 1e-7  # spread of the bottom eigenspace; dual weights of inactive forms
 
 
-def _barrier_eigh(mu, forms: list) -> list:
-    """``eigh_sym`` of S = sum_k mu_k A_k - I on each rank group's stack."""
-    return [eigh_sym(np.tensordot(mu, f, 1) - np.eye(f.shape[-1])) for f in forms]
+def _barrier_eigh(mu, flat: list, eyes: list) -> list:
+    """``eigh_sym`` of S = sum_k mu_k A_k - I on each rank group's stack.
+
+    ``flat`` holds each group's forms as one (N, count * r * r) array and
+    ``eyes`` its r x r identity.  The weighted sum is the ``np.dot`` of a
+    (1, N) row with it, as ``np.tensordot(mu, forms, 1)`` computes it.
+    """
+    return [eigh_sym(np.dot(mu[None], f).reshape(-1, *eye.shape) - eye)
+            for f, eye in zip(flat, eyes)]
 
 
 def _dual_path(forms: list):
@@ -248,14 +254,17 @@ def _dual_path(forms: list):
     are block-diagonal, given as one (N, count, r, r) stack per rank
     group: S, its log det and its trace terms split over the blocks.
     Returns lam and X = S^{-1}/tr S^{-1} (trace one, tr(A_k X) near the
-    optimum) as one (count, r, r) stack per group.
+    optimum) as one (count, r, r) stack per group, formed once from the
+    last step taken at a weight of at least ``_PRIMAL_WEIGHT``.
     """
     n = forms[0].shape[0]
     q = sum(f.shape[1] * f.shape[2] for f in forms)
+    flat = [f.reshape(n, -1) for f in forms]
+    eyes = [np.eye(f.shape[-1]) for f in forms]
     mu = np.full(n, 2.0 / min(np.linalg.eigvalsh(f.sum(axis=0))[..., 0].min()
                               for f in forms))  # S >= I
-    sig_u = _barrier_eigh(mu, forms)
-    x_mat = [np.broadcast_to(np.eye(f.shape[-1]) / q, f.shape[1:]) for f in forms]
+    sig_u = _barrier_eigh(mu, flat, eyes)
+    primal = None  # the sig_u of the last step at weight >= _PRIMAL_WEIGHT
     try:
         for weight, tau in zip(_BARRIER_WEIGHTS, mu.sum() * _BARRIER_WEIGHTS):
             for _ in range(50):
@@ -264,27 +273,30 @@ def _dual_path(forms: list):
                     scale = 1.0 / np.sqrt(sig)
                     g.append(scale[..., :, None] * (u.conj().swapaxes(-1, -2) @ f @ u)
                              * scale[..., None, :])
-                flat = np.concatenate([gk.reshape(n, -1) for gk in g], axis=1)
-                hess = (flat @ flat.conj().T).real + np.diag(1.0 / mu**2)
+                flat_g = np.concatenate([gk.reshape(n, -1) for gk in g], axis=1)
+                hess = (flat_g @ flat_g.conj().T).real + np.diag(1.0 / mu**2)
                 trace = sum(np.trace(gk, axis1=-2, axis2=-1).real.sum(axis=1) for gk in g)
                 grad = 1.0 / tau - trace - 1.0 / mu
                 step = np.linalg.solve(hess, -grad)
                 decrement = np.sqrt(max(step @ hess @ step, 0.0))
                 # the damped step stays feasible in exact arithmetic
                 trial = mu + (step / (1.0 + decrement) if decrement > 0.25 else step)
-                sig_u_t = _barrier_eigh(trial, forms)
+                sig_u_t = _barrier_eigh(trial, flat, eyes)
                 if min(sig[..., 0].min() for sig, _ in sig_u_t) <= 0.0 or trial.min() <= 0.0:
                     raise np.linalg.LinAlgError("rounding left the feasible set")
                 mu, sig_u = trial, sig_u_t
                 if weight >= _PRIMAL_WEIGHT:
-                    total = sum(np.sum(1.0 / sig) for sig, _ in sig_u)
-                    x_mat = [(u / sig[..., None, :]) @ u.conj().swapaxes(-1, -2) / total
-                             for sig, u in sig_u]
+                    primal = sig_u
                 if decrement < 0.1:
                     break
     except np.linalg.LinAlgError:  # rounding has swamped the barrier: stop here
         pass
-    return mu / mu.sum(), x_mat
+    if primal is None:
+        return mu / mu.sum(), [np.broadcast_to(eye / q, f.shape[1:])
+                               for f, eye in zip(forms, eyes)]
+    total = sum(np.sum(1.0 / sig) for sig, _ in primal)
+    return mu / mu.sum(), [(u / sig[..., None, :]) @ u.conj().swapaxes(-1, -2) / total
+                           for sig, u in primal]
 
 
 def _rank_one_factor(forms: np.ndarray, y: np.ndarray, active: np.ndarray) -> np.ndarray:

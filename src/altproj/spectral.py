@@ -21,7 +21,9 @@ core of T: with X_k X_k^H = P_k for the first and last factors, T^n (I - T)
 has the singular values of X_N^H T^n (I - T) X_1 = C^{n-1} K_1, where
 C = X_N^H T X_N and K_1 = X_N^H T (I - T) X_1 are r_N x r_N and r_N x r_1
 per block (X_k has r_k columns, dim M_k for a family's basis), and C's
-powers come by doubling.
+powers come by doubling.  Each norm is the square root of the top
+eigenvalue of the smaller Gram matrix of a K_n scaled by a power of two,
+in float64 when C and K_1 are real: no other singular value is formed.
 
 The numerical range and the resolvent are measured on T's 2m-dimensional
 core, m = min(r_1, r_N), where a product has one (``CyclicProduct._core``,
@@ -33,13 +35,20 @@ sigma_min(lambda I - T) = sigma_min(lambda I - C), which is at most
 |lambda|: the zero block beside C adds nothing to either.  Plain matrices
 and products without a core factor T's blocks.
 
-For a real T both angle grids are symmetric under conjugation: W(T) is
-its own mirror image, with h(-phi) = h(phi), and ||(lambda I - T)^{-1}||
-and |lambda - 1| do not change when lambda is conjugated.  So for a T
-whose factored stack (T's blocks or C) has no nonzero imaginary entry,
-``numrange_boundary`` and ``resolvent_diagnostic`` factor only the closed
-upper half of their grid, angles 2 pi j / m for j = 0..m // 2, and mirror
-the rest; a complex T goes through the full grid.
+The Hermitian part of e^{-i (phi + pi)} T is minus the one at phi, so
+h(phi + pi) is minus its smallest eigenvalue: on an even grid
+``numrange_boundary`` reads rows j and j + m / 2 from one factoring, the
+top and the bottom eigenpair, and a complex T factors half of the grid.
+For a real T both angle grids are also symmetric under conjugation: W(T)
+is its own mirror image, with h(-phi) = h(phi), and
+||(lambda I - T)^{-1}|| and |lambda - 1| do not change when lambda is
+conjugated.  So for a T whose factored stack (T's blocks or C) has no
+nonzero imaginary entry, ``numrange_boundary`` factors angles 2 pi j / m
+for j = 0..m // 4 of an even m (65 of 256) and j = 0..m // 2 of an odd
+one, ``resolvent_diagnostic`` the closed upper half of each circle
+(33 of 64), and both mirror the rest.  sigma_min has no such identity
+at the opposite point, so the resolvent of a complex T goes through the
+full grid.
 """
 
 from dataclasses import dataclass, field
@@ -69,11 +78,12 @@ _ANGLES_PER_RADIUS = 64  # angle grid on each circle of ``resolvent_diagnostic``
 
 
 def _grid_count(blocks: np.ndarray, count: int) -> int:
-    """Points to evaluate of a ``count``-point angle grid 2 pi j / count.
+    """Points of ``resolvent_diagnostic``'s ``count``-point circle 2 pi j / count
+    to evaluate.
 
-    For real blocks the closed upper half, j = 0..count // 2: the support
-    values and resolvent norms at the conjugate multipliers are the same,
-    so the rest of the grid mirrors it.  For complex blocks all count.
+    For real blocks the closed upper half, j = 0..count // 2: the resolvent
+    norms at the conjugate points are the same, so the rest of the circle
+    mirrors it.  For complex blocks all count.
     """
     return count if blocks.imag.any() else count // 2 + 1
 
@@ -235,6 +245,23 @@ class NumericalRangeBoundary:
         return len(self.angles)
 
 
+def _boundary_rows(t, w, v, pair: int, rows, support, points) -> None:
+    """Fill ``rows`` of ``support`` and ``points`` from one eigenpair of
+    each multiplier's blocks: the top (``pair`` -1) or the bottom (0).
+
+    Row ``rows[i]`` takes the extreme value over the blocks of multiplier
+    i, negated for the bottom pair (the support value at the opposite
+    angle), and <Tx, x> at that block's eigenvector x.
+    """
+    sign = 1.0 if pair == -1 else -1.0
+    ext = sign * w[:, :, pair]
+    top = np.argmax(ext, axis=1)
+    support[rows] = ext[np.arange(len(rows)), top]
+    for j, (row, k) in enumerate(zip(rows.tolist(), top.tolist())):
+        x = v[j, k, :, pair]
+        points[row] = x.conj() @ (t[k] @ x)
+
+
 def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     """Boundary of W(T) at m equally spaced support angles.
 
@@ -248,29 +275,47 @@ def numrange_boundary(t, m: int) -> NumericalRangeBoundary:
     the support values and points are C's (see the module docstring).
     The rotated stacks go to ``eigh_sym`` at most
     ``stack_chunk(b) // n`` angles per call, with the same bits as one
-    call per angle and block.  For a real T only rows j = 0..m // 2 are
-    factored; row m - j copies h from row j and takes the conjugate of its
-    point, which is the boundary point at the multiplier conj(e^{-i phi_j})
-    (within an ulp of e^{-i phi_{m-j}}).  The angles stay 2 pi j / m.
+    call per angle and block.
+
+    Only the extreme eigenpairs are read, and an even m reads both: the
+    Hermitian part at phi + pi is minus the one at phi, so the factoring
+    at row j also gives row j + m / 2, whose support value is minus the
+    smallest eigenvalue over the blocks and whose point comes from that
+    eigenvector.  A complex T factors rows j < m / 2 of an even m and
+    every row of an odd one, whose grid has no opposite angles.  A real T
+    factors rows j = 0..m // 4 of an even m (j = 0..m // 2 of an odd
+    one); each remaining row m - j copies h from row j and takes the
+    conjugate of its point, which is the boundary point at the multiplier
+    conj(e^{-i phi_j}) (within an ulp of e^{-i phi_{m-j}}).  The angles
+    stay 2 pi j / m.
     """
     if m < 8:
         raise ValueError("need at least 8 support angles")
     t, chunk = _core_stack(t)
-    count = _grid_count(t, m)
+    real = not t.imag.any()
+    half = m // 2 if m % 2 == 0 else 0  # the row offset of the opposite angle
+    if half:
+        count = m // 4 + 1 if real else half
+    else:
+        count = m // 2 + 1 if real else m
     angles = 2.0 * np.pi * np.arange(m) / m
     support = np.empty(m)
     points = np.empty(m, dtype=np.complex128)
     for start in range(0, count, chunk):
-        part = angles[start:min(start + chunk, count)]
-        w, v = eigh_sym(np.exp(-1j * part)[:, None, None, None] * t)
-        top = np.argmax(w[:, :, -1], axis=1)
-        support[start:start + len(part)] = w[np.arange(len(part)), top, -1]
-        for j, k in enumerate(top.tolist()):
-            x = v[j, k, :, -1]
-            points[start + j] = x.conj() @ (t[k] @ x)
-    # real T: row m - j is row j at the conjugate multiplier (nothing when count is m)
-    support[count:] = support[m - count:0:-1]
-    np.conjugate(points[m - count:0:-1], out=points[count:])
+        rows = np.arange(start, min(start + chunk, count))
+        w, v = eigh_sym(np.exp(-1j * angles[rows])[:, None, None, None] * t)
+        _boundary_rows(t, w, v, -1, rows, support, points)
+        if half:
+            _boundary_rows(t, w, v, 0, rows + half, support, points)
+    # real T: each row left is its mirror's at the conjugate multiplier
+    # (nothing for a complex one)
+    done = np.zeros(m, dtype=bool)
+    done[:count] = True
+    if half:
+        done[half:half + count] = True
+    rest = np.flatnonzero(~done)
+    support[rest] = support[m - rest]
+    points[rest] = points[m - rest].conj()
     return NumericalRangeBoundary(angles=angles, support=support, points=points)
 
 
@@ -310,6 +355,26 @@ def containment_check(t, c: float, n: int, m: int = 256,
                              in_stolz=stolz >= -slack, margins=np.minimum(omega, stolz))
 
 
+def _top_norms(k: np.ndarray) -> np.ndarray:
+    """Largest singular value over the blocks of each K of a (count, n, p, q)
+    stack (0 when p or q is 0).
+
+    Each K is first scaled by 2^-e, e the exponent of its largest entry
+    (at least -1000, so that 2^-e stays finite), as ``iteration._norm``
+    scales a vector: the scaling is exact and keeps the squares of the Gram
+    matrix in the normal range.  ||K|| is the square root of the top
+    ``eigvalsh`` eigenvalue of the smaller Gram matrix, K K^H or K^H K,
+    divided by the scale: the top eigenvalue of a Gram matrix carries full
+    relative accuracy, and nothing else is computed.
+    """
+    e = np.frexp(np.abs(k).max(axis=(1, 2, 3), initial=0.0))[1]
+    scale = np.ldexp(1.0, -np.maximum(e, -1000))
+    s = k * scale[:, None, None, None]
+    s_h = s.conj().swapaxes(-1, -2)
+    gram = s @ s_h if s.shape[-2] <= s.shape[-1] else s_h @ s
+    return np.sqrt(np.linalg.eigvalsh(gram).max(axis=(1, 2), initial=0.0)) / scale
+
+
 def ritt_power_diagnostic(t, n_max: int):
     """Profile n ||T^n (I - T)|| for n = 1..n_max.
 
@@ -321,13 +386,16 @@ def ritt_power_diagnostic(t, n_max: int):
 
         K_n = X_N^H T^n (I - T) X_1 = C^{n-1} K_1,  C = X_N^H T X_N,
 
-    has the singular values of T^n (I - T).  C^0..C^{B-1} are formed
-    once, by doubling (``linalg._powers``), with B =
-    ``stack_chunk(max(r_N, r_1)) // n`` over the n blocks.  Each chunk of
-    B norms is one stacked product C^j K_m (j < B) and one SVD call, each
-    norm the largest over the blocks (0 on an empty core), and the next
-    chunk starts from K_{m+B} = C K_{m+B-1}.  The profile agrees with one
-    product T^n (I - T) per power to rounding, not bit for bit.
+    has the singular values of T^n (I - T).  C and K_1 are real when
+    they have no nonzero imaginary part, and then everything below runs
+    in float64.  C^0..C^{B-1} are formed once, by doubling
+    (``linalg._powers``), with B = ``stack_chunk(max(r_N, r_1)) // n``
+    over the n blocks.  Each chunk of B norms is one stacked product
+    C^j K_m (j < B) and one ``eigvalsh`` call on the scaled Gram matrices
+    of its K's (``_top_norms``), each norm the largest over the blocks
+    (0 on an empty core), and the next chunk starts from
+    K_{m+B} = C K_{m+B-1}.  The profile agrees with one product
+    T^n (I - T) and one SVD per power to rounding, not bit for bit.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -339,15 +407,16 @@ def ritt_power_diagnostic(t, n_max: int):
     last_h = last.conj().swapaxes(-1, -2)
     core = last_h @ (blocks @ last)
     head = last_h @ (blocks @ (first - blocks @ first))  # K_1, then each chunk's first K_m
+    if not (core.imag.any() or head.imag.any()):
+        core, head = core.real.copy(), head.real.copy()
     width = max(core.shape[-1], head.shape[-1], 1)
     powers = _powers(core, min(_blocks_chunk(len(blocks), width), n_max))
-    stack = np.empty(powers.shape[:-1] + head.shape[-1:], dtype=np.complex128)
+    stack = np.empty(powers.shape[:-1] + head.shape[-1:], dtype=head.dtype)
     norms = np.empty(n_max)
     for start in range(0, n_max, len(powers)):
         count = min(len(powers), n_max - start)
         np.matmul(powers[:count], head, out=stack[:count])
-        norms[start:start + count] = np.linalg.svd(
-            stack[:count], compute_uv=False).max((1, 2), initial=0.0)
+        norms[start:start + count] = _top_norms(stack[:count])
         head = core @ stack[count - 1]
     profile = np.arange(1, n_max + 1) * norms
     argmax = int(np.argmax(profile)) + 1

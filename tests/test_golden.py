@@ -8,10 +8,16 @@ change of output, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.
+and review the diff.  Regeneration prints, for each CSV that changed, the
+number of changed rows and the largest absolute and relative deviation
+of each column that moved, and every change of exit code.
 """
 
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import tempfile
 
@@ -109,22 +115,97 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert data == fh.read()
 
 
+def _golden_state():
+    """The golden CSV bytes by call name, and the golden exit codes."""
+    files = {}
+    if os.path.isdir(GOLDEN):
+        for entry in sorted(os.listdir(GOLDEN)):
+            if entry.endswith(".csv"):
+                with open(os.path.join(GOLDEN, entry), "rb") as fh:
+                    files[entry[:-4]] = fh.read()
+    path = os.path.join(GOLDEN, "exit_codes.json")
+    return files, _expected_codes() if os.path.exists(path) else {}
+
+
+def _deviation(old: str, new: str):
+    """(absolute, relative) difference of two numeric cells; None when
+    either is not a number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    d = abs(a - b)
+    return d, d / abs(a) if a else math.inf
+
+
+def csv_changes(old: bytes, new: bytes) -> list:
+    """Lines describing how one CSV changed: its changed rows, then per
+    column that moved the largest absolute and relative deviation (the
+    relative one against the old value), or the count of changed cells
+    that are not numbers."""
+    old_rows = list(csv.reader(io.StringIO(old.decode("utf-8"))))
+    new_rows = list(csv.reader(io.StringIO(new.decode("utf-8"))))
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        return [f"header or row count changed: {len(old_rows) - 1} -> {len(new_rows) - 1} rows"]
+    pairs = [(a, b) for a, b in zip(old_rows[1:], new_rows[1:]) if a != b]
+    lines = [f"{len(pairs)} of {len(new_rows) - 1} rows changed"]
+    for col, name in enumerate(new_rows[0]):
+        devs = [_deviation(a[col], b[col]) for a, b in pairs if a[col] != b[col]]
+        if not devs:
+            continue
+        text = sum(d is None for d in devs)
+        nums = [d for d in devs if d is not None]
+        line = f"  {name}: {len(devs)} cells"
+        if nums:
+            line += (f", max abs {max(d[0] for d in nums):.3g}"
+                     f", max rel {max(d[1] for d in nums):.3g}")
+        if text:
+            line += f", {text} not numeric"
+        lines.append(line)
+    return lines
+
+
 def regenerate(workdir):
+    old_files, old_codes = _golden_state()
     os.makedirs(GOLDEN, exist_ok=True)
     for entry in os.listdir(GOLDEN):
         if entry.endswith(".csv"):
             os.unlink(os.path.join(GOLDEN, entry))
-    codes = {}
+    codes, files = {}, {}
     for name in sorted(CALLS):
-        codes[name], data = _run(name, workdir)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):  # keep the report readable
+            codes[name], data = _run(name, workdir)
         if data is not None:
+            files[name] = data
             with open(os.path.join(GOLDEN, f"{name}.csv"), "wb") as fh:
                 fh.write(data)
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return report(old_files, old_codes, files, codes)
+
+
+def report(old_files, old_codes, files, codes) -> list:
+    """Lines naming every golden CSV and exit code that changed, and how."""
+    lines = []
+    for name in sorted(set(old_files) | set(files)):
+        old, new = old_files.get(name), files.get(name)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"{name}.csv: {'added' if old is None else 'removed'}")
+        else:
+            lines += [f"{name}.csv: " + line if i == 0 else line
+                      for i, line in enumerate(csv_changes(old, new))]
+    for name in sorted(set(old_codes) | set(codes)):
+        if old_codes.get(name) != codes.get(name):
+            lines.append(f"exit code of {name}: {old_codes.get(name)} -> {codes.get(name)}")
+    return lines or ["no golden file or exit code changed"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(tmp)
+        print("\n".join(regenerate(tmp)))

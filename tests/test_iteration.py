@@ -1009,6 +1009,28 @@ def test_unconditional_report_scales_with_its_start_vector_bit_for_bit(k):
             == (s * ref.telescoping_residual, s * ref.limit_deviation, ref.constant_estimate)
 
 
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_triangle_cut_refuses_a_planted_violation_at_every_scale(k, monkeypatch):
+    # the sign-flipped sums doubled by a patched re-sum: at T = P_2 P_1 of
+    # two lines at 1.2 rad the first term carries nearly all of the budget
+    # sum ||y_n||, so every doubled sum exceeds it.  An absolute cut
+    # (budget + 1e-9) let them through at 2^-600
+    s = 2.0**k
+    cp, x = build_cyclic(two_lines(1.2)), np.array([s, 0.0])
+    unconditional_sum_test(cp, x, 3, s * 1e-6, seed=1)  # passes unpatched
+    calls = []
+    resums = iteration._resums
+
+    def doubled(*args):
+        calls.append(None)
+        sums = resums(*args)
+        return 2.0 * sums if len(calls) == 2 else sums  # the sign patterns come second
+
+    monkeypatch.setattr(iteration, "_resums", doubled)
+    with pytest.raises(NumericalContractError, match="triangle bound"):
+        unconditional_sum_test(cp, x, 3, s * 1e-6, seed=1)
+
+
 def test_near_aligned_series_exceeds_capacity():
     cp = build_cyclic(two_lines(0.005))
     with pytest.raises(CapacityError):

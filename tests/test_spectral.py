@@ -410,8 +410,8 @@ def test_resolvent_matches_a_per_lambda_loop(t64, k, monkeypatch):
 
 
 def _mirrored(mu):
-    """A real T's multipliers as the kernels use them: rows j = 0..m // 2 as
-    given, each row j > m // 2 the conjugate of row m - j."""
+    """A real T's multipliers as ``resolvent_diagnostic`` uses them: rows
+    j = 0..m // 2 as given, each row j > m // 2 the conjugate of row m - j."""
     mu = np.array(mu)
     m = len(mu)
     j = np.arange(m // 2 + 1, m)
@@ -419,13 +419,45 @@ def _mirrored(mu):
     return mu
 
 
+def _numrange_rows(m, real):
+    """Each row's multiplier and eigenpair (-1 the top, 0 the bottom) as
+    ``numrange_boundary`` reads them: row j at e^{-i phi_j}, top; for an
+    even m, row j + m / 2 at row j's multiplier, bottom; for a real T, each
+    row the kernel does not factor at the conjugate of row m - j's
+    multiplier, with its pair."""
+    mu = np.exp(-1j * _grid(m))
+    pair = np.full(m, -1)
+    half = m // 2 if m % 2 == 0 else 0
+    if half:
+        mu[half:], pair[half:] = mu[:half], 0
+    if real:
+        count = m // 4 + 1 if half else m // 2 + 1
+        for j in range(count, m):
+            if not (half and half <= j < half + count):
+                mu[j], pair[j] = mu[m - j].conj(), pair[m - j]
+    return mu, pair
+
+
+def _numrange_loop(t, rows):
+    """Support values and boundary points of an (n, b, b) stack, one
+    ``eigh_sym`` call per row of ``_numrange_rows``: the top eigenvalue over
+    the blocks, or minus the bottom one, and <Tx, x> at its eigenvector."""
+    mus, pairs = rows
+    support = np.empty(len(mus))
+    points = np.empty(len(mus), dtype=np.complex128)
+    for i, (mu, pair) in enumerate(zip(mus, pairs)):
+        w, v = eigh_sym(mu * t)
+        ext = w[:, pair] if pair == -1 else -w[:, pair]
+        k = int(np.argmax(ext))
+        x = v[k, :, pair]
+        support[i], points[i] = ext[k], x.conj() @ (t[k] @ x)
+    return support, points
+
+
 def test_numrange_boundary_matches_a_per_angle_loop(t64):
     b = numrange_boundary(t64, 256)
-    for i, mu in enumerate(_mirrored(np.exp(-1j * b.angles))):
-        w, v = eigh_sym(mu * t64)
-        x = v[:, -1]
-        assert b.support[i] == w[-1]
-        assert b.points[i] == x.conj() @ (t64 @ x)
+    support, points = _numrange_loop(t64[None], _numrange_rows(256, True))
+    assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
 
 
 def _bits(a):
@@ -465,13 +497,12 @@ def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
     t = cp._t_blocks
     count = 2 * (stack_chunk(2) // k_blocks) + 3
     monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", count)
-    b = numrange_boundary(cp, count)
-    w, v = eigh_sym(np.array([mu * t for mu in _mirrored(np.exp(-1j * b.angles))]))
-    top = np.argmax(w[:, :, -1], axis=1)
-    for i, k in enumerate(top):
-        x = v[i, k, :, -1]
-        assert b.support[i] == w[i, k, -1] == w[i, :, -1].max()
-        assert b.points[i] == x.conj() @ (t[k] @ x)
+    # a real T factors m // 2 + 1 = 31 angles of the odd grid and
+    # m // 4 + 1 = 2 * 29 + 2 of the even one
+    for m in (count, 4 * (count - 2)):
+        b = numrange_boundary(cp, m)
+        support, points = _numrange_loop(t, _numrange_rows(m, True))
+        assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
     eye = np.eye(2, dtype=np.complex128)
     power = np.broadcast_to(eye, t.shape)
     expected = np.empty(count)
@@ -487,19 +518,6 @@ def test_block_kernels_split_their_stacks_at_chunk_edges(monkeypatch):
 
 # For a real T the kernels factor the closed upper half of each angle grid
 # and mirror the rest; a complex T goes through the full grid.
-
-
-def _numrange_loop(t, mus):
-    """Support values and boundary points of an (n, b, b) stack, one
-    ``eigh_sym`` call per multiplier."""
-    support = np.empty(len(mus))
-    points = np.empty(len(mus), dtype=np.complex128)
-    for i, mu in enumerate(mus):
-        w, v = eigh_sym(mu * t)
-        k = int(np.argmax(w[:, -1]))
-        x = v[k, :, -1]
-        support[i], points[i] = w[k, -1], x.conj() @ (t[k] @ x)
-    return support, points
 
 
 def _factored(t):
@@ -518,7 +536,8 @@ def _complex_product(d, dims, seed):
 
 @pytest.mark.parametrize("m", [61, 64])
 def test_real_kernels_match_per_angle_loops_at_their_multipliers(t64, m, monkeypatch):
-    # the mirrored rows j > m // 2 are the eigh_sym and SVD results at the
+    # the rows j + m / 2 of an even m are the bottom eigenpairs at row j's
+    # multiplier, and the mirrored rows the eigh_sym and SVD results at the
     # conjugate of row m - j's multiplier, bit for bit
     monkeypatch.setattr(spectral, "_ANGLES_PER_RADIUS", m)
     radii = [1.5, 1.01]
@@ -528,7 +547,7 @@ def test_real_kernels_match_per_angle_loops_at_their_multipliers(t64, m, monkeyp
         blocks = _factored(t)
         assert not blocks.imag.any()
         b = numrange_boundary(t, m)
-        support, points = _numrange_loop(blocks, _mirrored(np.exp(-1j * b.angles)))
+        support, points = _numrange_loop(blocks, _numrange_rows(m, True))
         assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
         expected = max(_resolvent_loop(blocks, _mirrored(r * np.exp(1j * _grid(m))))
                        for r in radii)
@@ -536,10 +555,11 @@ def test_real_kernels_match_per_angle_loops_at_their_multipliers(t64, m, monkeyp
 
 
 def test_complex_operators_get_the_full_grid():
-    # W(T) of a complex product is not its own mirror image
+    # W(T) of a complex product is not its own mirror image; rows
+    # j + 32 come from the bottom eigenpairs at row j's multiplier
     cp = _complex_product(8, (3, 5, 4), 7)
     b = numrange_boundary(cp, 64)
-    support, points = _numrange_loop(_factored(cp), np.exp(-1j * b.angles))
+    support, points = _numrange_loop(_factored(cp), _numrange_rows(64, False))
     assert np.array_equal(b.support, support) and np.array_equal(b.points, points)
     assert np.abs(b.support[1:] - b.support[:0:-1]).max() > 1e-3  # h(phi) != h(-phi)
     radii = [1.5, 1.01]
@@ -547,9 +567,39 @@ def test_complex_operators_get_the_full_grid():
     assert resolvent_diagnostic(cp, radii) == expected
 
 
+@pytest.mark.parametrize("m", [8, 9, 10, 61, 100, 256])
+def test_numrange_boundary_matches_a_full_per_angle_loop(t64, m):
+    # the exact multiplier e^{-i phi_j} and the top eigenpair at every row,
+    # against the kernel's opposite and mirrored rows: a support value is
+    # an eigenvalue, which two LAPACK calls on Hermitian matrices an ulp
+    # apart place within a few eps (1.2e-15 measured on a mirrored row of
+    # a pool core, at m = 256), and a point is fixed only up to eps / gap in
+    # its tangential part, gap the distance of the top eigenvalue to the next
+    eps = np.finfo(float).eps
+    cores = [e.cp for e in _pool()[:40] if e.cp._core is not None][:4]
+    operators = [t64, _complex_product(8, (3, 5, 4), 7), _complex_product(D, (20, 30, 40), 64),
+                 block_aligned(12, "1/k").cyclic(), block_aligned(1100, "1/sqrt(k)").cyclic(),
+                 build_cyclic(_family(8, (4, 5, 3), "all", 1))] + cores
+    for t in operators:
+        blocks = _factored(t)
+        b = numrange_boundary(t, m)
+        w, v = eigh_sym(np.exp(-1j * _grid(m))[:, None, None, None] * blocks)
+        top = np.argmax(w[:, :, -1], axis=1)
+        rows = np.arange(m)
+        x = v[rows, top, :, -1]
+        points = np.einsum("ja,jab,jb->j", x.conj(), blocks[top], x)
+        flat = np.sort(w.reshape(m, -1), axis=1)
+        gap = flat[:, -1] - flat[:, -2] if flat.shape[1] > 1 else np.inf
+        assert np.abs(b.support - w[rows, top, -1]).max() <= 8.0 * eps
+        with np.errstate(divide="ignore"):
+            assert (np.abs(b.points - points) <= 1e-15 + 8.0 * eps / gap).all()
+
+
 def test_kernels_factor_half_of_each_grid_for_a_real_operator(t64, monkeypatch):
     # matrices per boundary and per radius, counted over the angles of
-    # every stacked call (at d = 64 the 33 angles of a real T split 32 + 1)
+    # every stacked call (at d = 64 the 33 angles of a real T split 32 + 1):
+    # an even m factors half of the boundary's grid for a complex T and a
+    # quarter and one for a real T, an odd m all of it or half and one
     counts = []
 
     def spy(kernel):
@@ -566,7 +616,10 @@ def test_kernels_factor_half_of_each_grid_for_a_real_operator(t64, monkeypatch):
         for m in (64, 61):
             counts.clear()
             numrange_boundary(t, m)
-            assert sum(counts) == (m // 2 + 1 if real else m)
+            if m % 2:
+                assert sum(counts) == (m // 2 + 1 if real else m)
+            else:
+                assert sum(counts) == (m // 4 + 1 if real else m // 2)
         counts.clear()
         resolvent_diagnostic(t, radii)
         assert sum(counts) == len(radii) * (33 if real else 64)
@@ -717,3 +770,61 @@ def test_core_profile_of_the_block_model_matches_the_per_power_loop(k_blocks):
     cp = block_aligned(k_blocks, "1/k").cyclic()
     reference = cp.matrix if k_blocks == 12 else cp._t_blocks
     _assert_matches_per_power_profile(cp, reference, 90)
+
+
+# The power profile takes each ||K_n|| from the top eigenvalue of K_n's
+# smaller Gram matrix after an exact power-of-two scaling: against the SVD
+# of the same K_n, at every magnitude the scaling admits.
+
+
+@st.composite
+def _scaled_stacks(draw):
+    # a (count, n, p, q) stack of K's with p, q in 0..12 (1 x r and r x 1
+    # among them), real or complex, whose blocks spread over 2^-60..1 and
+    # whose whole stack is scaled by 2^k, k in [-1000, 1000]
+    shape = draw(st.sampled_from(["any", "row", "column"]))
+    p, q = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    p, q = {"any": (p, q), "row": (1, q), "column": (p, 1)}[shape]
+    count, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    k = rng.standard_normal((count, n, p, q))
+    if draw(st.booleans()):
+        k = k + 1j * rng.standard_normal((count, n, p, q))
+    spread = np.ldexp(1.0, -rng.integers(0, 61, size=(count, n, 1, 1)))
+    return k * spread * 2.0 ** draw(st.integers(-1000, 1000))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scaled_stacks())
+def test_gram_norms_match_the_svd_at_every_scale(stack):
+    got = spectral._top_norms(stack)
+    expected = np.linalg.svd(stack, compute_uv=False).max(axis=(1, 2), initial=0.0)
+    assert got.dtype == np.float64 and got.shape == (len(stack),)
+    assert (np.abs(got - expected) <= 1e-13 * expected).all()
+
+
+def _svd_norms(k):
+    """The largest singular value over the blocks of each K, by SVD."""
+    return np.linalg.svd(k, compute_uv=False).max(axis=(1, 2), initial=0.0)
+
+
+def test_profile_matches_per_power_svds_on_the_pool_and_the_fixtures(monkeypatch):
+    # the profile at criterion 7's n_max against the same K_n's SVDs:
+    # within 1e-13 relative at every power (1.7e-14 measured), 1e-15
+    # absolute (3.3e-16 measured), and the same argmax
+    from altproj.cli import _load_instance_text
+    from test_golden import FIXTURES
+
+    operators = [e.cp for e in _pool()]
+    for name, text in FIXTURES.items():
+        if name != "near":  # refused: T does not commute with its limit projector
+            inst = _load_instance_text(text)
+            operators.append(inst.cyclic() if inst.matrix is None else inst.matrix)
+    for t in operators:
+        sup, n_star, profile = ritt_power_diagnostic(t, 500)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_top_norms", _svd_norms)
+            ref_sup, ref_n_star, expected = ritt_power_diagnostic(t, 500)
+        assert (np.abs(profile - expected) <= 1e-13 * expected).all()
+        assert np.abs(profile - expected).max() <= 1e-15
+        assert n_star == ref_n_star and abs(sup - ref_sup) <= 1e-15
