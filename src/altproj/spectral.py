@@ -77,17 +77,6 @@ __all__ = [
 _ANGLES_PER_RADIUS = 64  # angle grid on each circle of ``resolvent_diagnostic``
 
 
-def _grid_count(blocks: np.ndarray, count: int) -> int:
-    """Points of ``resolvent_diagnostic``'s ``count``-point circle 2 pi j / count
-    to evaluate.
-
-    For real blocks the closed upper half, j = 0..count // 2: the resolvent
-    norms at the conjugate points are the same, so the rest of the circle
-    mirrors it.  For complex blocks all count.
-    """
-    return count if blocks.imag.any() else count // 2 + 1
-
-
 def _stack(t) -> np.ndarray:
     """T's (n, b, b) block stack: a product's ``_t_blocks``, or a plain matrix as one block.
 
@@ -255,9 +244,9 @@ def _boundary_rows(t, w, v, pair: int, rows, support, points) -> None:
     """
     sign = 1.0 if pair == -1 else -1.0
     ext = sign * w[:, :, pair]
-    top = np.argmax(ext, axis=1)
-    support[rows] = ext[np.arange(len(rows)), top]
-    for j, (row, k) in enumerate(zip(rows.tolist(), top.tolist())):
+    best = np.argmax(ext, axis=1)
+    support[rows] = ext[np.arange(len(rows)), best]
+    for j, (row, k) in enumerate(zip(rows.tolist(), best.tolist())):
         x = v[j, k, :, pair]
         points[row] = x.conj() @ (t[k] @ x)
 
@@ -451,7 +440,8 @@ def resolvent_diagnostic(t, radii=None) -> float:
     if not all(1.0 < r < np.inf for r in radii):
         raise ValueError("all radii must be finite and exceed 1")
     eye = np.eye(t.shape[-1], dtype=np.complex128)[None]
-    count = _grid_count(t, _ANGLES_PER_RADIUS)
+    # a real T: the closed upper half of each circle, and the rest mirrors it
+    count = _ANGLES_PER_RADIUS if t.imag.any() else _ANGLES_PER_RADIUS // 2 + 1
     phis = 2.0 * np.pi * np.arange(count) / _ANGLES_PER_RADIUS
     best = 0.0
     for r in radii:
