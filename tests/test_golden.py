@@ -206,6 +206,21 @@ def report(old_files, old_codes, files, codes) -> list:
     return lines or ["no golden file or exit code changed"]
 
 
+def test_regeneration_reports_what_changed():
+    old = {"a": b"x,y,flag\n1,2,ok\n3,4,ok\n", "gone": b"x\n1\n"}
+    new = {"a": b"x,y,flag\n1,2.5,ok\n3,4,no\n", "b": b"x\n1\n"}
+    assert report(old, {"a": 0, "b": 2}, new, {"a": 0, "b": 3}) == [
+        "a.csv: 2 of 2 rows changed",
+        "  y: 1 cells, max abs 0.5, max rel 0.25",
+        "  flag: 1 cells, 1 not numeric",
+        "b.csv: added",
+        "gone.csv: removed",
+        "exit code of b: 2 -> 3",
+    ]
+    assert report(old, {"a": 0}, old, {"a": 0}) == ["no golden file or exit code changed"]
+    assert csv_changes(b"x\n1\n", b"x\n1\n2\n") == ["header or row count changed: 1 -> 2 rows"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         print("\n".join(regenerate(tmp)))
