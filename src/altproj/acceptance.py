@@ -228,7 +228,7 @@ def _numerical_range_containment(pool):
 
     def check(t, c, n):
         nonlocal escapes, worst
-        rep = containment_check(t, c, n, m=256, slack=1e-7)
+        rep = containment_check(t, c, n, m=256)
         escapes += 0 if rep.all_contained else 1
         worst = min(worst, float(rep.margins.min()))
 
@@ -261,10 +261,9 @@ def _ritt_diagnostics(pool):
         dw = np.diff(profile[argmax - 1 :])
         if dw.size and float(dw.max()) > 1e-10:
             multimodal += 1
-        coarse = resolvent_diagnostic(e.cp, radii=[1.0 + 2.0**-9])
-        fine = resolvent_diagnostic(e.cp, radii=[1.0 + 2.0**-10])
+        coarse, fine = resolvent_diagnostic(e.cp, radii=[1.0 + 2.0**-9, 1.0 + 2.0**-10])
         var_max = max(var_max, abs(coarse - fine) / max(coarse, fine))
-    r_zero = resolvent_diagnostic(build_cyclic(two_lines(math.pi / 2)))
+    r_zero = resolvent_diagnostic(build_cyclic(two_lines(math.pi / 2))).max()
     ok = (
         np.isfinite(sup_all)
         and mono_slack >= -1e-10

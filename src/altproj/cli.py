@@ -36,7 +36,7 @@ from .fracpow import decay_slope, make_alpha_vector
 from .geometry import friedrichs_number, geometry_report, iota2
 from .iteration import iterate
 from .models import _PARAMETERS, _SEEDED, Instance, InstanceSpec, slow_vector
-from .spectral import containment_check, resolvent_diagnostic, ritt_power_diagnostic
+from .spectral import _RADII, _SLACK, containment_check, resolvent_diagnostic, ritt_power_diagnostic
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_instance_text"]
 
@@ -340,7 +340,7 @@ def _numrange_operator(inst):
 def _cmd_numrange(args):
     inst = _load_instance(args.instance)
     t, c, n = _numrange_operator(inst)
-    rep = containment_check(t, c, n, m=args.angles, slack=args.slack)
+    rep = containment_check(t, c, n, m=args.angles)
     b = rep.boundary
     rows = [
         [_g(b.angles[i]), _g(b.support[i]), _g(b.points[i].real), _g(b.points[i].imag),
@@ -350,7 +350,7 @@ def _cmd_numrange(args):
     worst_z, worst_margin = rep.worst()
     verdict = "contained" if rep.all_contained else "NOT contained"
     notes = [f"W(T) {verdict} in Omega_N and the Stolz domain "
-             f"(N = {n}, c = {_g(c)}, slack = {_g(args.slack)})",
+             f"(N = {n}, c = {_g(c)}, slack = {_g(_SLACK)})",
              f"worst margin {_g(worst_margin)} at z = {_g(worst_z.real)} + {_g(worst_z.imag)}i"]
     _emit(args, ["phi", "h", "re_z", "im_z", "in_omega", "in_stolz", "margin"], rows, notes)
     return 0 if rep.all_contained else 3
@@ -360,10 +360,9 @@ def _cmd_ritt(args):
     inst = _load_instance(args.instance)
     t = inst.cyclic() if inst.matrix is None else inst.matrix
     sup, argmax, profile = ritt_power_diagnostic(t, args.n_max)
-    radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
-    constants = [resolvent_diagnostic(t, radii=[r]) for r in radii]
+    constants = resolvent_diagnostic(t)
     rows = [["power", str(n + 1), _g(profile[n])] for n in range(len(profile))]
-    rows += [["resolvent", _g(r), _g(v)] for r, v in zip(radii, constants)]
+    rows += [["resolvent", _g(r), _g(v)] for r, v in zip(_RADII, constants)]
     notes = [f"sup n||T^n(I-T)|| = {_g(sup)} attained at n = {argmax}",
              f"resolvent constant at the finest radius = {_g(constants[-1])}"]
     _emit(args, ["section", "index", "value"], rows, notes)
@@ -377,7 +376,7 @@ def _cmd_fracpow(args):
     rows = []
     notes = []
     for alpha in args.alpha:
-        av = make_alpha_vector(cp, alpha, args.seed, tol=args.tol)
+        av = make_alpha_vector(cp, alpha, args.seed)
         tr = iterate(cp, av.x, args.n_max)
         slope = decay_slope(tr, window)
         ns = np.arange(window[0], window[1] + 1, dtype=float)
@@ -501,8 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="instance file")
     p.add_argument("--angles", type=_positive_int, default=256,
                    help="support angles (default 256)")
-    p.add_argument("--slack", type=_positive_float, default=1e-7,
-                   help="containment slack (default 1e-7)")
     p.add_argument("--out", help="CSV output path (default: stdout)")
 
     p = add("ritt", "power profile n||T^n(I-T)|| and resolvent constants", _cmd_ritt)
@@ -516,8 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated exponents (default 0.5,1,2)")
     p.add_argument("--n-max", type=_positive_int, default=1000, help="sweeps (default 1000)")
     p.add_argument("--seed", required=True, type=int, help="seed for the y, z draws")
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
-                   help="fractional-power truncation tolerance (default 1e-10)")
     p.add_argument("--out", help="CSV output path (default: stdout)")
 
     p = add("slowvec", "construct a slow vector for targets 1/log(n+2)", _cmd_slowvec)

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _TERM_CAP = 10**6  # hard cap on series terms
+_ALPHA_TOL = 1e-10  # truncation tolerance of ``make_alpha_vector``'s series
 # bytes of a pass of ``partial_sum_characterization``, for its (d, columns)
 # sums and its (stride, columns) weights each.  256 KiB gives 10 chunks per
 # pass on block_decay's input (K = 200, real): 16-21 ms a call against
@@ -165,8 +166,7 @@ def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None,
-                      tol: float = 1e-10) -> AlphaVector:
+def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None) -> AlphaVector:
     """Draw y, z (unit norm, seeded) and form x = (I-T)^alpha y + P_M z.
 
     Explicit ``y``/``z`` override the draws, e.g. to shape the spectral
@@ -181,7 +181,7 @@ def make_alpha_vector(cp, alpha: float, seed, *, y=None, z=None,
     d = cp.dim
     y = _unit(rng, d) if y is None else _finite(y, "y")
     z = _unit(rng, d) if z is None else _finite(z, "z")
-    x = frac_power_apply(cp, alpha, y, tol) + cp.pm_apply(z)
+    x = frac_power_apply(cp, alpha, y, _ALPHA_TOL) + cp.pm_apply(z)
     # zero but for the rounding of P_M, which is relative to ||x||
     leak = np.linalg.norm(cp.pm_apply(x - cp.pm_apply(x)))
     if leak > 1e-10 * np.linalg.norm(x):

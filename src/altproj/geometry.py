@@ -23,7 +23,7 @@ most three active subspaces the two meet; with four or more the dual can
 have a gap, and the pair then reports it.
 
 Every quantity takes the ``CyclicProduct`` of the family and reads it
-through ``_family``: per factor a span (a basis of M_k) and M's basis,
+through ``_feasible``: per factor a span (a basis of M_k) and M's basis,
 all as (n, b, .) stacks of diagonal blocks.  On a block-diagonal family
 every feasible set, Gram matrix and quadratic form is block-diagonal
 too: c is the largest block Gram eigenvalue, the l2 floors are minima
@@ -58,24 +58,19 @@ __all__ = [
 ]
 
 
-def _family(cp):
-    """The spans of the factors and M's basis, as (n, b, .) block stacks of
-    the product ``cp`` (see ``CyclicProduct``); anything else is refused."""
-    _require_product(cp)
-    return cp._spans, cp._m_blocks
-
-
-def _feasible(spans, mb: np.ndarray, kind: str) -> list:
-    """Orthonormal basis stacks of the nonzero feasible sets of the angle quantities:
-    M^perp for ``kind="global"``, each M_n ∩ M^perp for ``kind="inner"``.
+def _feasible(cp, kind: str) -> list:
+    """Orthonormal basis stacks of the nonzero feasible sets of the angle quantities
+    of the product ``cp``: M^perp for ``kind="global"``, each M_n ∩ M^perp for
+    ``kind="inner"``.  Anything but a ``CyclicProduct`` is refused first.
 
     Each is an (n, b, w) stack whose blocks keep their basis in their
     leading columns and zeros after them (see ``_rank_groups``).
     """
+    _require_product(cp)
     if kind == "global":
-        spaces = [_orthogonal_complement_blocks(mb)]
+        spaces = [_orthogonal_complement_blocks(cp._m_blocks)]
     elif kind == "inner":
-        spaces = [_complement_within_blocks(x, mb) for x in spans]
+        spaces = [_complement_within_blocks(x, cp._m_blocks) for x in cp._spans]
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return [f for f in spaces if f.shape[-1]]
@@ -92,18 +87,6 @@ def _rank_groups(f: np.ndarray) -> list:
     return groups
 
 
-def _friedrichs(spans, mb) -> float:
-    """``friedrichs_number`` of the spans and M's basis blocks."""
-    bases = _feasible(spans, mb, "inner")
-    if not bases:
-        return 0.0
-    b = np.concatenate(bases, axis=-1)
-    w, _ = eigh_sym(b.conj().swapaxes(-1, -2) @ b)
-    if w[..., 0].min() < -1e-8 or w[..., -1].max() > len(bases) + 1e-8:
-        raise ValueError(f"Gram eigenvalues leave [0, {len(bases)}]")
-    return float(np.clip((w[..., -1].max() - 1.0) / (len(spans) - 1), 0.0, 1.0))
-
-
 def friedrichs_number(cp: CyclicProduct) -> float:
     """Friedrichs number c of the family, via the Gram-matrix reduction.
 
@@ -115,9 +98,16 @@ def friedrichs_number(cp: CyclicProduct) -> float:
     beyond 1e-8 raise ``ValueError``.  When every M_k ∩ M^perp is zero
     the constraint set is empty and c = 0 by convention.  The result is
     clamped to [0, 1].  ``cp`` is the family's product, as for every
-    angle quantity (see ``_family``).
+    angle quantity (see ``_feasible``).
     """
-    return _friedrichs(*_family(cp))
+    bases = _feasible(cp, "inner")
+    if not bases:
+        return 0.0
+    b = np.concatenate(bases, axis=-1)
+    w, _ = eigh_sym(b.conj().swapaxes(-1, -2) @ b)
+    if w[..., 0].min() < -1e-8 or w[..., -1].max() > len(bases) + 1e-8:
+        raise ValueError(f"Gram eigenvalues leave [0, {len(bases)}]")
+    return float(np.clip((w[..., -1].max() - 1.0) / (cp.N - 1), 0.0, 1.0))
 
 
 def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> float:
@@ -131,8 +121,7 @@ def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> floa
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    spans, mb = _family(cp)
-    bases = _feasible(spans, mb, "inner")
+    bases = _feasible(cp, "inner")
     if not bases:
         return 0.0
     b = np.concatenate(bases, axis=-1)
@@ -166,7 +155,7 @@ def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> floa
         vals = np.sum(y, axis=-2).sum(axis=0)
         best = max(best, float(vals.max()))
         remaining -= take
-    return (best - 1.0) / (len(spans) - 1)
+    return (best - 1.0) / (cp.N - 1)
 
 
 def ell2(c: float, n: int) -> float:
@@ -188,14 +177,13 @@ def _l2_floor(cp: CyclicProduct, kind: str) -> float:
     nonzero feasible set the infimum is over the empty set: +inf, with a
     warning.
     """
-    spans, mb = _family(cp)
-    bases = _feasible(spans, mb, kind)
+    bases = _feasible(cp, kind)
     if not bases:
         warnings.warn(f"empty feasible set; {'l2' if kind == 'global' else 'inner'} "
                       "inclination is +inf")
         return math.inf
-    n, b, _ = spans[0].shape
-    defect = np.repeat(len(spans) * np.eye(b, dtype=np.complex128)[None], n, axis=0)
+    n, b, _ = cp._blocks[0].shape
+    defect = np.repeat(cp.N * np.eye(b, dtype=np.complex128)[None], n, axis=0)
     for p in cp._blocks:
         defect -= p
     return min(max(min(float(eigh_sym(f.conj().swapaxes(-1, -2) @ defect[idx] @ f)[0][..., 0].min())
@@ -391,13 +379,6 @@ def _distance(x: np.ndarray, span: np.ndarray) -> float:
     return float(np.linalg.norm(x - projected[..., 0]))
 
 
-def _minimax(spans, mb, kind: str) -> tuple:
-    """``minimax_inclination_estimate`` of the spans and M's basis blocks."""
-    bounds = [_minimax_bounds(spans, _rank_groups(f)) for f in _feasible(spans, mb, kind)]
-    lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
-    return min(lows), min(highs)
-
-
 def minimax_inclination_estimate(cp: CyclicProduct, *, kind: str = "global") -> tuple:
     """Certified (lower, upper) bounds of the minimax inclination ell or iota.
 
@@ -406,7 +387,9 @@ def minimax_inclination_estimate(cp: CyclicProduct, *, kind: str = "global") -> 
     minimized over n.  The bounds meet to rounding when at most three
     subspaces are active at the optimum.  Empty feasible sets give (inf, inf).
     """
-    return _minimax(*_family(cp), kind)
+    bounds = [_minimax_bounds(cp._spans, _rank_groups(f)) for f in _feasible(cp, kind)]
+    lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
+    return min(lows), min(highs)
 
 
 def rate_base(c: float, n: int) -> float:
@@ -446,17 +429,16 @@ class GeometryReport:
 
 def geometry_report(cp: CyclicProduct) -> GeometryReport:
     """Compute every GeometryReport field for one instance."""
-    spans, mb = _family(cp)
-    n = len(spans)
-    c = _friedrichs(spans, mb)
-    ell_lo, ell_hi = _minimax(spans, mb, "global")
-    iota_lo, iota_hi = _minimax(spans, mb, "inner")
+    c = friedrichs_number(cp)  # refuses anything but a product before cp.N is read
+    n = cp.N
+    ell_lo, ell_hi = minimax_inclination_estimate(cp, kind="global")
+    iota_lo, iota_hi = minimax_inclination_estimate(cp, kind="inner")
     return GeometryReport(
         N=n,
         c=c,
         ell2=ell2(c, n),
-        ell2_direct=float(np.sqrt(_l2_floor(cp, "global"))),
-        iota2=float(np.sqrt(_l2_floor(cp, "inner"))),
+        ell2_direct=ell2_direct(cp),
+        iota2=iota2(cp),
         ell_lo=ell_lo,
         ell_hi=ell_hi,
         iota_lo=iota_lo,

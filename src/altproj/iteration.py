@@ -164,18 +164,9 @@ class CyclicProduct:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""
-        # ``_block_apply`` inlined: a call per factor costs the pool's small
-        # dense sweeps about 15%
-        n, b, _ = self._blocks[0].shape
-        if n == 1:
-            for p in self._blocks:
-                x = p[0] @ x
-            return x
-        x = np.asarray(x)
-        y = x.reshape((n, b) + x.shape[1:])
         for p in self._blocks:
-            y = np.einsum("kij,kj...->ki...", p, y)
-        return y.reshape(x.shape)
+            x = _block_apply(p, x)
+        return x
 
     def _iterates(self, x: np.ndarray):
         """P_1 x, P_2 P_1 x, ..., P_N ... P_1 x: the steps of ``apply``, same bits."""
@@ -427,25 +418,33 @@ def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:
     u_0 = x - P_M x and u_k = P_k ... P_1 x - P_M x.  Each entry is
     checked against the per-sweep energy inequality
     ||u_{k-1} - u_k||^2 <= ||x - P_M x||^2 - ||Tx - P_M x||^2 (within
-    1e-10); a violation would falsify the implementation and raises.
-    ``x`` is a vector, giving N steps, or a (d, k) stack of columns,
-    giving (N, k) steps, each column checked against its own budget; one
-    violating column raises for the stack.
+    1e-10 ||x||^2, on the u_k of each column scaled by a power of two as
+    ``_norm`` scales, so at every scale of x); a violation would falsify
+    the implementation and raises.  ``x`` is a vector, giving N steps, or
+    a (d, k) stack of columns, giving (N, k) steps, each column checked
+    against its own budget; one violating column raises for the stack.
+    Steps beyond the float range read 0 or inf.
     """
     x = _finite(x)
     target = cp.pm_apply(x)
-    us = [x - target] + [u - target for u in cp._iterates(x)]
+    e = np.maximum(np.frexp(np.abs(x).max(axis=0, initial=0.0))[1], -1000)
+    scale = np.ldexp(1.0, -e)
+    us = [(x - target) * scale] + [(u - target) * scale for u in cp._iterates(x)]
     steps = np.array([_squared_norm(a - b) for a, b in zip(us, us[1:])])
     budget = _squared_norm(us[0]) - _squared_norm(us[-1])
     worst = steps.max(axis=0)
-    bad = np.flatnonzero(worst > budget + 1e-10)
+    # a computed u_k is within about N b eps ||x|| of its value (N products
+    # with b x b blocks, ||u_k|| <= ||x||), so a step and the budget each
+    # round by about 10 N b eps ||x||^2: 1e-10 ||x||^2 covers N b <= 4 10^4
+    size = _squared_norm(x * scale)
+    bad = np.flatnonzero(worst > budget + 1e-10 * size)
     if bad.size:
         j = bad[0]
         raise NumericalContractError(
-            f"sweep step {np.ravel(worst)[j]:.3e} exceeds the energy budget "
-            f"{np.ravel(budget)[j]:.3e}"
+            f"sweep step {np.ravel(worst / size)[j]:.3e} ||x||^2 exceeds the energy budget "
+            f"{np.ravel(budget / size)[j]:.3e} ||x||^2"
         )
-    return steps
+    return np.ldexp(steps, 2 * e)
 
 
 def _squared_norm(u: np.ndarray):

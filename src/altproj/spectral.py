@@ -75,6 +75,8 @@ __all__ = [
 ]
 
 _ANGLES_PER_RADIUS = 64  # angle grid on each circle of ``resolvent_diagnostic``
+_RADII = tuple(1.0 + 2.0 ** -k for k in range(1, 11))  # its default radii
+_SLACK = 1e-7  # how far below 0 a margin of ``containment_check`` still counts inside
 
 
 def _stack(t) -> np.ndarray:
@@ -326,22 +328,20 @@ class ContainmentReport:
         return complex(self.boundary.points[i]), float(self.margins[i])
 
 
-def containment_check(t, c: float, n: int, m: int = 256,
-                      slack: float = 1e-7) -> ContainmentReport:
+def containment_check(t, c: float, n: int, m: int = 256) -> ContainmentReport:
     """Check every sampled boundary point of W(T) against Omega_N ∩ S_theta0.
 
     theta0 is derived from the Friedrichs number c of the instance.  A
-    point is inside a region when its margin is at least -slack; the
+    point is inside a region when its margin is at least -``_SLACK``; the
     report holds the verdicts, and a violation is left to the caller.
     """
-    _check_slack(slack)
     boundary = numrange_boundary(t, m)
     region = OmegaRegion(n)
     theta = theta0(c, n)
     omega = region.margin(boundary.points)
     stolz = stolz_margin(boundary.points, theta)
-    return ContainmentReport(boundary=boundary, in_omega=omega >= -slack,
-                             in_stolz=stolz >= -slack, margins=np.minimum(omega, stolz))
+    return ContainmentReport(boundary=boundary, in_omega=omega >= -_SLACK,
+                             in_stolz=stolz >= -_SLACK, margins=np.minimum(omega, stolz))
 
 
 def _top_norms(k: np.ndarray) -> np.ndarray:
@@ -412,45 +412,40 @@ def ritt_power_diagnostic(t, n_max: int):
     return float(profile[argmax - 1]), argmax, profile
 
 
-def resolvent_diagnostic(t, radii=None) -> float:
-    """Sampled lower estimate of sup |lambda - 1| ||(lambda I - T)^{-1}||.
+def resolvent_diagnostic(t, radii=_RADII) -> np.ndarray:
+    """Sampled lower estimates of sup |lambda - 1| ||(lambda I - T)^{-1}||,
+    one per radius r: the largest over ``_ANGLES_PER_RADIUS`` (64) equally
+    spaced points lambda on |lambda| = r, pi among them.
 
-    lambda runs over ``_ANGLES_PER_RADIUS`` (64) equally spaced points on
-    each circle |lambda| = r, pi among them; the default radii
-    1 + 2^{-k}, k = 1..10, shrink geometrically toward the unit circle.
-    The supremum over all |lambda| > 1 cannot be sampled exhaustively, so
-    this is a measured value on a declared grid, and an empty grid
-    raises.  For a real T only the closed upper half of each circle,
-    angles 2 pi j / 64 for j = 0..32, is evaluated: sigma_min and
-    |lambda - 1| are the same at conj(lambda).  Where the product has a
-    2m-dimensional core, sigma_min(lambda I - T) = sigma_min(lambda I - C)
-    exactly, since C is singular and T is 0 beside it, and the (n, 2m, 2m)
-    stack C takes the place of T's blocks, with b = 2m.  The stacks
-    lambda I - T over the (n, b, b) block stack go to the SVD at most
-    ``stack_chunk(b) // n`` values of lambda per call, with the same
-    smallest singular values, each the smallest over the blocks, as one
-    call per lambda.
+    The default radii ``_RADII``, 1 + 2^{-k} for k = 1..10, shrink
+    geometrically toward the unit circle.  The supremum over all
+    |lambda| > 1 cannot be sampled exhaustively, so each value is a
+    measured one on a declared grid, and an empty grid raises.  For a real
+    T only the closed upper half of each circle, angles 2 pi j / 64 for
+    j = 0..32, is evaluated: sigma_min and |lambda - 1| are the same at
+    conj(lambda).  Where the product has a 2m-dimensional core, its
+    (n, 2m, 2m) stack C takes the place of T's blocks, with b = 2m:
+    sigma_min(lambda I - T) = sigma_min(lambda I - C) exactly, since C is
+    singular and T is 0 beside it.  The lambda of all circles form one
+    grid, whose stacks lambda I - T go to the SVD at most
+    min(``stack_chunk(b) // n``, one circle's count) at a time: each
+    sigma_min, the smallest over the blocks, has the bits of a lone call.
     """
     t, chunk = _core_stack(t)
-    if radii is None:
-        radii = [1.0 + 2.0 ** (-k) for k in range(1, 11)]
-    radii = list(radii)
-    if not radii:
-        raise ValueError("need at least one radius")
-    if not all(1.0 < r < np.inf for r in radii):
-        raise ValueError("all radii must be finite and exceed 1")
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not radii.size or not ((1.0 < radii) & (radii < np.inf)).all():
+        raise ValueError("need one or more radii, each finite and above 1")
     eye = np.eye(t.shape[-1], dtype=np.complex128)[None]
     # a real T: the closed upper half of each circle, and the rest mirrors it
     count = _ANGLES_PER_RADIUS if t.imag.any() else _ANGLES_PER_RADIUS // 2 + 1
     phis = 2.0 * np.pi * np.arange(count) / _ANGLES_PER_RADIUS
-    best = 0.0
-    for r in radii:
-        for start in range(0, count, chunk):
-            lams = r * np.exp(1j * phis[start:start + chunk])
-            sigma_min = np.linalg.svd(lams[:, None, None, None] * eye - t,
-                                      compute_uv=False)[..., -1].min(axis=-1)
-            for lam, s in zip(lams, sigma_min):
-                if s <= 0.0:
-                    raise NumericalContractError("singular resolvent at |lambda| > 1")
-                best = max(best, abs(lam - 1.0) / s)
-    return float(best)
+    lams = (radii[:, None] * np.exp(1j * phis)).reshape(-1)
+    step = min(chunk, count)
+    sigma_min = np.concatenate([np.linalg.svd(lams[i:i + step, None, None, None] * eye - t,
+                                              compute_uv=False)[..., -1].min(axis=-1)
+                                for i in range(0, len(lams), step)])
+    if (sigma_min <= 0.0).any():
+        raise NumericalContractError("singular resolvent at |lambda| > 1")
+    # |lambda - 1| by ``hypot``, as Python's complex ``abs`` takes it
+    ratios = np.hypot(lams.real - 1.0, lams.imag) / sigma_min
+    return ratios.reshape(len(radii), count).max(axis=1)

@@ -7,7 +7,9 @@ the verdict line of its criterion and asserts it.
 
 import pytest
 
+from altproj import acceptance
 from altproj.acceptance import criterion_ids, run_all
+from altproj.spectral import resolvent_diagnostic
 
 _IDS = criterion_ids()
 
@@ -67,3 +69,17 @@ _PINNED_LINES = {
 @pytest.mark.parametrize("cid", sorted(_PINNED_LINES))
 def test_verdict_line_is_pinned(battery, cid):
     assert battery[cid].line() == _PINNED_LINES[cid]
+
+
+def test_ritt_criterion_takes_each_resolvent_in_one_call(monkeypatch):
+    # both radii of an instance in one call, and one for the zero product
+    radii = []
+
+    def counted(t, *args, **kwargs):
+        values = resolvent_diagnostic(t, *args, **kwargs)
+        radii.append(len(values))
+        return values
+
+    monkeypatch.setattr(acceptance, "resolvent_diagnostic", counted)
+    passed, _ = acceptance._ritt_diagnostics(acceptance._pool()[:5])
+    assert passed and radii == [2] * 5 + [10]

@@ -153,8 +153,7 @@ def test_sampled_friedrichs_brackets_the_eigenvalue_route():
 def _sampled_reference(cp, num_samples, seed):
     """``friedrichs_number_sampled`` as it scattered each draw into zero-filled
     coordinates and squared ``abs`` of the products."""
-    spans, mb = geometry._family(cp)
-    b = np.concatenate(geometry._feasible(spans, mb, "inner"), axis=-1)
+    b = np.concatenate(geometry._feasible(cp, "inner"), axis=-1)
     kept = np.any(b != 0, axis=-2)
     total = int(kept.sum())
     real = np.all(b.imag == 0.0)
@@ -173,7 +172,7 @@ def _sampled_reference(cp, num_samples, seed):
         coords[kept] = a
         best = max(best, float(np.sum(np.abs(b @ coords) ** 2, axis=-2).sum(axis=0).max()))
         remaining -= take
-    return (best - 1.0) / (len(spans) - 1)
+    return (best - 1.0) / (cp.N - 1)
 
 
 def test_sampled_friedrichs_keeps_the_bits_of_scattered_coordinates():

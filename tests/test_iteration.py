@@ -765,6 +765,53 @@ def test_stacked_sweep_diagnostic_matches_per_column_calls():
         assert (np.abs(steps - ref).max(axis=0) <= 1e-14 * scale).all()
 
 
+def test_apply_is_the_last_step_of_the_sweep():
+    # one d x d block and a stack of 2x2 blocks, each for a vector and for
+    # a (d, k) stack of columns
+    rng = np.random.default_rng(36)
+    for cp in (build_cyclic(random_instance(6, (3, 4, 2), 5)), block_aligned(12, "1/k").cyclic()):
+        d = cp.dim
+        for x in (rng.standard_normal(d) + 1j * rng.standard_normal(d),
+                  rng.standard_normal((d, 3))):
+            *_, last = cp._iterates(x)
+            assert np.array_equal(cp.apply(x), last)
+
+
+def _tripling_first_step(monkeypatch):
+    """Make every sweep's first step three times as long: its square is then
+    9 times the true one, beyond the energy budget when it carries more than
+    a ninth of it."""
+    sweep = CyclicProduct._iterates
+
+    def tripled(self, x):
+        steps = sweep(self, x)
+        first = next(steps)
+        yield x + 3.0 * (first - x)
+        yield from steps
+
+    monkeypatch.setattr(CyclicProduct, "_iterates", tripled)
+
+
+def test_sweep_diagnostic_holds_its_verdicts_at_every_scale(monkeypatch):
+    # the check runs on each column scaled by a power of two, so scaling x
+    # by 2^k changes neither verdict, and the steps scale by exactly 4^k
+    # where that is representable (beyond the range they read 0 or inf)
+    cp = build_cyclic(random_instance(6, (3, 4, 2), 5))
+    rng = np.random.default_rng(6)
+    xs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    steps = sweep_diagnostic(cp, xs)
+    with np.errstate(over="ignore"):
+        for k in range(-600, 601):
+            scaled = sweep_diagnostic(cp, np.ldexp(xs.real, k) + 1j * np.ldexp(xs.imag, k))
+            expected = np.ldexp(steps, 2 * k)
+            exact = np.ldexp(expected, -2 * k) == steps
+            assert np.array_equal(scaled[exact], expected[exact])
+    _tripling_first_step(monkeypatch)
+    for k in range(-600, 601):
+        with pytest.raises(NumericalContractError, match="exceeds the energy budget"):
+            sweep_diagnostic(cp, np.ldexp(xs.real, k) + 1j * np.ldexp(xs.imag, k))
+
+
 class _Doubling:
     """A fake product on C^2 whose one factor doubles a column with |x_0| > 1
     and fixes the others: such a column breaks its energy budget."""
