@@ -432,7 +432,7 @@ def resolvent_diagnostic(t, radii=_RADII) -> np.ndarray:
     sigma_min, the smallest over the blocks, has the bits of a lone call.
     """
     t, chunk = _core_stack(t)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.array(list(radii), dtype=float)
     if radii.ndim != 1 or not radii.size or not ((1.0 < radii) & (radii < np.inf)).all():
         raise ValueError("need one or more radii, each finite and above 1")
     eye = np.eye(t.shape[-1], dtype=np.complex128)[None]

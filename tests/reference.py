@@ -54,11 +54,12 @@ def power_rows(cp, n_max: int) -> list:
 def resolvent_rows(cp, radii, angles: int = 64) -> list:
     """Per radius r, the largest |lambda - 1| / sigma_min(lambda I - T) over
     lambda = r e^{2 pi i j / angles}, each sigma_min the smallest over the
-    blocks.
+    blocks, and the smallest sigma_min on the circle: one (value, floor)
+    pair per radius.
 
     lambda is formed in float64, as the grid it samples, and then taken as
-    exact.  T is real, so sigma_min and |lambda - 1| are the same
-    at conj(lambda): the closed upper half of the circle, j = 0..angles // 2,
+    exact.  T is real, so sigma_min and |lambda - 1| are the same at
+    conj(lambda): the closed upper half of the circle, j = 0..angles // 2,
     gives the value.
     """
     phis = 2.0 * np.pi * np.arange(angles // 2 + 1) / angles
@@ -67,10 +68,10 @@ def resolvent_rows(cp, radii, angles: int = 64) -> list:
         eye = mpmath.eye(blocks[0].rows)
         rows = []
         for r in radii:
-            best = 0
+            best, floor = 0, mpmath.inf
             for lam in r * np.exp(1j * phis):
                 lam = mpmath.mpc(lam.real, lam.imag)
                 sigma = min(_extreme_sigma(lam * eye - t, False) for t in blocks)
-                best = max(best, abs(lam - 1) / sigma)
-            rows.append(best)
+                best, floor = max(best, abs(lam - 1) / sigma), min(floor, sigma)
+            rows.append((best, floor))
         return rows

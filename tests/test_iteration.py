@@ -777,21 +777,6 @@ def test_apply_is_the_last_step_of_the_sweep():
             assert np.array_equal(cp.apply(x), last)
 
 
-def _tripling_first_step(monkeypatch):
-    """Make every sweep's first step three times as long: its square is then
-    9 times the true one, beyond the energy budget when it carries more than
-    a ninth of it."""
-    sweep = CyclicProduct._iterates
-
-    def tripled(self, x):
-        steps = sweep(self, x)
-        first = next(steps)
-        yield x + 3.0 * (first - x)
-        yield from steps
-
-    monkeypatch.setattr(CyclicProduct, "_iterates", tripled)
-
-
 def test_sweep_diagnostic_holds_its_verdicts_at_every_scale(monkeypatch):
     # the check runs on each column scaled by a power of two, so scaling x
     # by 2^k changes neither verdict, and the steps scale by exactly 4^k
@@ -806,7 +791,16 @@ def test_sweep_diagnostic_holds_its_verdicts_at_every_scale(monkeypatch):
             expected = np.ldexp(steps, 2 * k)
             exact = np.ldexp(expected, -2 * k) == steps
             assert np.array_equal(scaled[exact], expected[exact])
-    _tripling_first_step(monkeypatch)
+    # a first step three times as long has 9 times the square, beyond the
+    # budget when the step carries more than a ninth of it
+    sweep = CyclicProduct._iterates
+
+    def tripled(self, x):
+        steps = sweep(self, x)
+        yield x + 3.0 * (next(steps) - x)
+        yield from steps
+
+    monkeypatch.setattr(CyclicProduct, "_iterates", tripled)
     for k in range(-600, 601):
         with pytest.raises(NumericalContractError, match="exceeds the energy budget"):
             sweep_diagnostic(cp, np.ldexp(xs.real, k) + 1j * np.ldexp(xs.imag, k))
