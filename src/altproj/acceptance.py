@@ -211,7 +211,7 @@ def _sweep_energy_inequality(pool):
             violations += sum(not _within_budget(e.cp, x) for x in xs.T)
         checked += xs.shape[1]
     ok = checked == 10**4 and violations == 0
-    return ok, f"{checked} (instance, x) pairs, {violations} violations at 1e-10"
+    return ok, f"{checked} (instance, x) pairs, {violations} violations at 1e-10 ||x||^2"
 
 
 def _within_budget(cp, x) -> bool:

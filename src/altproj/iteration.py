@@ -13,12 +13,13 @@ A sweep (``apply``, ``sweep_diagnostic``) applies the factor projectors
 one at a time, never the assembled dense T.  The orbit of ``iterate`` and
 the terms of the series diagnostic advance in chunks of T's block powers
 instead, one contraction per chunk, and agree with the per-factor sweeps
-to rounding; the orbit of a real block stack from a real start runs in
-float64, with the same bits.  A product is stored as stacks of diagonal
-blocks, one d x d block for a dense family and 2x2 blocks for the
-block-aligned model; it forms dense matrices only when a routine reads
-them, and ``sweep_diagnostic`` reads the steps of its own sweep.  The
-routines that take a start vector refuse a non-finite one once, up front.
+to rounding; the orbit of a real block stack from a real start, and
+the stored terms of a real series, are float64, with the same bits.  A
+product is stored as stacks of diagonal blocks, one d x d block for a
+dense family and 2x2 blocks for the block-aligned model; it forms dense
+matrices only when a routine reads them, and ``sweep_diagnostic`` reads
+the steps of its own sweep.  The routines that take a start vector
+refuse a non-finite one once, up front.
 """
 
 from dataclasses import InitVar, dataclass
@@ -47,6 +48,7 @@ __all__ = [
 _SERIES_CAP = 10**5  # hard cap on adaptively truncated series
 _TAIL_SAFETY = 10.0  # safety factor applied to the truncation error
 _RESUM_CHUNK = 2048  # rows per step of the permuted and sign-flipped re-sums
+_RESUM_GROUP = 5  # re-sums formed together once K exceeds _RESUM_CHUNK
 _ORBIT_CHUNK = 32  # most iterates per chunk of ``iterate``: 16-32 measured fastest
 # NumPy's norm squares the entries; a norm in [2^-450, 2^450] keeps every
 # square that matters within the normal range
@@ -481,17 +483,23 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
     stays near 2 MiB, and one ``einsum`` gives T^{k..k+B} x, whose B
     errors take one vectorized norm.  The terms fill the leading rows of
     one buffer sized for the cap; at most one chunk past K is written, so
-    the pages of the rows beyond it are never touched.
+    the pages of the rows beyond it are never touched.  When T, x and
+    P_M x are all real the buffer is float64 and takes the real parts of
+    the complex differences, which are the same floats at half the
+    memory; the powers, the ``einsum`` and the errors stay complex, where
+    a float64 ``einsum`` rounds differently.
     """
     t = cp._t_blocks
     size = min(256, _blocks_chunk(len(t), t.shape[-1]))
     powers = _powers(t, size + 1)
-    ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.complex128)
+    real = cp._real and not (x.imag.any() or target.imag.any())
+    ys = np.empty((_SERIES_CAP,) + x.shape, dtype=np.float64 if real else np.complex128)
     cur = x.reshape(t.shape[:2])
     for k in range(0, _SERIES_CAP, size):
         m = min(size, _SERIES_CAP - k)
         v = np.einsum("jkab,kb->jka", powers[:m + 1], cur).reshape(m + 1, -1)
-        np.subtract(v[:-1], v[1:], out=ys[k:k + m])
+        w = v.real if real else v
+        np.subtract(w[:-1], w[1:], out=ys[k:k + m])
         errors = _norm(v[1:] - target)
         hit = np.flatnonzero(_TAIL_SAFETY * errors <= trunc_tol)
         if hit.size:
@@ -502,23 +510,27 @@ def _series_terms(cp: CyclicProduct, x: np.ndarray, target: np.ndarray, trunc_to
 
 
 def _resums(stack: np.ndarray, count: int, draw, place) -> np.ndarray:
-    """The (count, d) sums of ``count`` permutations or sign patterns of the
-    (K, d) ``stack``'s rows.
+    """The (count, d) complex sums of ``count`` permutations or sign
+    patterns of the (K, d) ``stack``'s rows.
 
     ``draw(h)`` returns a (K, h) block of the next h of them, one per
     column, and ``place(block, a, m, out)`` writes their rows a..a+m-1 into
-    the (m, h, d) ``out``.  g = max(1, min(count, 2048 // K)) sums are
+    the (m, h, d) ``out``, a buffer of the stack's dtype.  g sums are
     formed at a time from a (rows, g, d) buffer of at most 2049 x d
-    entries: for K <= 2048 the K rows of g sums at once, and for larger K
-    one sum at a time, 2048 rows per chunk after a row that carries the
-    running sum.  NumPy adds the rows of an axis-0 sum one after the
-    other, so each sum has the bits of one ordered sum over its K rows.
+    entries: for K <= 2048 the K rows of g = max(1, min(count, 2048 // K))
+    sums at once, and for larger K the rows of g = min(count, 5) sums in
+    2048 // g-row chunks after a row that carries their running sums.
+    NumPy adds the rows of an axis-0 sum one after the other, so each sum
+    has the bits of one ordered sum over its K rows, whatever the chunk.
+    The sums are complex even for a float64 stack: the callers take their
+    norms row by row, and NumPy's norm of a float64 row rounds differently
+    from that of a complex row with zero imaginary part.
     """
     k, d = stack.shape
-    g = max(1, min(count, _RESUM_CHUNK // k))
-    size = min(k, _RESUM_CHUNK)
+    g = min(count, _RESUM_GROUP) if k > _RESUM_CHUNK else max(1, min(count, _RESUM_CHUNK // k))
+    size = min(k, _RESUM_CHUNK // g)
     carry = int(k > size)
-    buf = np.empty((carry + size) * g * d, dtype=np.complex128)
+    buf = np.empty((carry + size) * g * d, dtype=stack.dtype)
     sums = np.empty((count, d), dtype=np.complex128)
     for j in range(0, count, g):
         h = min(g, count - j)
@@ -531,6 +543,7 @@ def _resums(stack: np.ndarray, count: int, draw, place) -> np.ndarray:
             s = rows[:carry + m].sum(axis=0)
             rows[:carry] = s
         sums[j:j + h] = s
+        del block  # freed before the next group's draw, not held beside it
     return sums
 
 
@@ -546,10 +559,13 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     sign patterns (each flipped sum must respect the triangle bound
     sum ||y_n||).  The largest flipped sum divided by ||x|| is reported
     as a measured lower estimate of the unconditional constant; no
-    universal value is asserted.  The re-sums run g = max(1, min(count,
-    2048 // K)) at a time through one bounded buffer (``_resums``), in
-    the order the seeded draws come: the permutations first, then the
-    sign patterns.
+    universal value is asserted.  The re-sums run several at a time
+    through one buffer of at most 2049 x d entries (``_resums``), in the
+    order the seeded draws come: the permutations first, then the sign
+    patterns; each group's permutations or signs come from one draw call,
+    which yields the numbers of one call per re-sum.  A series of real
+    terms (T, x and P_M x real) is stored and re-summed in float64, with
+    the bits of the complex route.
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
@@ -568,7 +584,8 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
 
     rng = np.random.default_rng(seed)
     perm_sums = _resums(stack, num_perms,
-                        lambda h: np.column_stack([rng.permutation(k) for _ in range(h)]),
+                        # one row per permutation, as h calls of rng.permutation(k)
+                        lambda h: rng.permuted(np.broadcast_to(np.arange(k), (h, k)), axis=1).T,
                         # permutation indices are in range: "clip" skips the
                         # buffered bounds check of the default mode
                         lambda idx, a, m, out: np.take(stack, idx[a:a + m], axis=0, out=out,
@@ -589,7 +606,7 @@ def unconditional_sum_test(cp: CyclicProduct, x: np.ndarray, num_perms: int,
     norm_budget = float(row_norms.sum())
     sign_sums = _norm(_resums(
         stack, 10,
-        lambda h: np.column_stack([rng.integers(0, 2, size=k) * 2 - 1 for _ in range(h)]),
+        lambda h: (rng.integers(0, 2, size=(h, k)) * 2 - 1).T,
         lambda signs, a, m, out: np.multiply(signs[a:a + m, :, None], stack[a:a + m, None],
                                              out=out)), rows=True)
     # the cut is relative, so it holds at every scale of x: a flipped sum

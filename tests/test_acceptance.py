@@ -45,7 +45,7 @@ _PINNED_LINES = {
         "1.0e-06 below / 3.15e-02 above; 40 two-subspace instances, max |c - "
         "sigma_max| = 1.6e-15)"),
     5: ("criterion 05 sweep_energy_inequality: PASS (10000 (instance, x) pairs, 0 "
-        "violations at 1e-10)"),
+        "violations at 1e-10 ||x||^2)"),
     6: ("criterion 06 numerical_range_containment: PASS (100 instances + 2 averaged "
         "fixtures, 0 escapes, worst margin -2.7e-15)"),
     7: ("criterion 07 ritt_diagnostics: PASS (sup n||T^n(I-T)|| <= 0.499; norm "

@@ -840,7 +840,7 @@ def test_sweep_criterion_counts_the_violating_columns():
     assert 0 < expected < 150
     ok, detail = _sweep_energy_inequality(pool)
     assert not ok
-    assert detail == f"150 (instance, x) pairs, {expected} violations at 1e-10"
+    assert detail == f"150 (instance, x) pairs, {expected} violations at 1e-10 ||x||^2"
 
 
 def test_unconditional_sum_on_two_lines():
@@ -943,11 +943,14 @@ def test_unconditional_sum_stops_at_a_zero_term():
 
 def _per_permutation_reference(cp, x, num_perms, trunc_tol, seed):
     """``unconditional_sum_test`` as it re-summed one permutation and one
-    sign pattern at a time, through a (min(K, 2048) + 1, d) buffer whose
-    first row carries the running sum, with all its report fields."""
+    sign pattern at a time, through a (min(K, 2048) + 1, d) complex buffer
+    whose first row carries the running sum, with all its report fields;
+    the terms are taken as complex128 even where the series stores them in
+    float64."""
     x = _finite(x)
     target = cp.pm_apply(x)
     stack, tail, t_k_x = iteration._series_terms(cp, x, target, trunc_tol)
+    stack = stack.astype(np.complex128)
     k = len(stack)
     total = stack.sum(axis=0)
     buf = np.empty((min(k, 2048) + 1,) + x.shape, dtype=np.complex128)
@@ -980,31 +983,49 @@ def _per_permutation_reference(cp, x, num_perms, trunc_tol, seed):
                 trunc_tol=trunc_tol)
 
 
+def _stored_dtype(cp, x):
+    x = _finite(x)
+    return iteration._series_terms(cp, x, cp.pm_apply(x), 1e-6)[0].dtype
+
+
 def test_grouped_resums_keep_the_bits_of_one_sum_at_a_time():
-    # every pool instance with K <= 2048 (several sums per buffer), the
-    # longest pool series (K = 92904, one sum in 2048-row chunks) and the
-    # block model (K = 2261), with criterion 8's arguments
-    cases = [(e.cp, _start_vector(e), e.seed ^ _SALT_PERM) for e in _pool()]
+    # with criterion 8's arguments: every pool instance with K <= 2048
+    # (several sums per buffer), two long pool series (K = 16855 and 92904)
+    # and the block model (K = 2261), all real and stored in float64, whose
+    # re-sums go five at a time in 409-row chunks; then complex starts on a
+    # short pool series and on the block model, stored in complex128
+    pool = _pool()
+    cases = [(e.cp, _start_vector(e), e.seed ^ _SALT_PERM) for e in pool]
     model = block_aligned(12, "1/k").cyclic()
-    cases.append((model, np.random.default_rng(0).standard_normal(model.dim), 1))
-    checked = []
+    rng = np.random.default_rng(0)
+    cases.append((model, rng.standard_normal(model.dim), 1))
+    long = {133, 178, len(cases) - 1}
+    for cp in (pool[0].cp, model):
+        z = rng.standard_normal((2, cp.dim))
+        cases.append((cp, z[0] + 1j * z[1], 2))
+    checked = {}
     for i, (cp, x, seed) in enumerate(cases):
         rep = unconditional_sum_test(cp, x, 50, 1e-6, seed)
-        if rep.K > 2048 and i not in (178, len(cases) - 1):
+        if rep.K > 2048 and i not in long and np.isrealobj(x):
             continue
         ref = _per_permutation_reference(cp, x, 50, 1e-6, seed)
         for name, value in ref.items():
             assert np.array_equal(getattr(rep, name), value), (i, name)
-        checked.append(rep.K)
-    assert len(checked) == 194 and max(checked) == 92904 and checked[-1] == 2261
+        checked[i] = rep.K, _stored_dtype(cp, x)
+    assert len(checked) == 197
+    assert [checked[i][0] for i in (133, 178, 200, 201, 202)] == [16855, 92904, 2261, 144, 2388]
+    assert {checked[i][1] for i in checked if i <= 200} == {np.dtype(np.float64)}
+    assert checked[201][1] == checked[202][1] == np.complex128
 
 
 def test_resums_of_the_longest_pool_series_stay_small():
-    # pool instance 178 (K = 92904, d = 7): the terms' buffer sized for the
-    # series cap is 11.2 MB; the parent's peak of 24,096,580 bytes adds two
-    # K x d temporaries of the row norms, and this one measured 14.4 MB
+    # pool instance 178 (K = 92904, d = 7): its terms are stored in float64,
+    # in a buffer sized for the series cap (5.6 MB; 11.2 MB in complex128).
+    # The bound is the peak measured with the complex buffer and one draw
+    # call per re-sum; this code measured 10.3 MB
     e = _pool()[178]
     x = _start_vector(e)
+    assert _stored_dtype(e.cp, x) == np.float64
     tracemalloc.start()
     try:
         rep = unconditional_sum_test(e.cp, x, 50, 1e-6, e.seed ^ _SALT_PERM)
@@ -1012,7 +1033,21 @@ def test_resums_of_the_longest_pool_series_stay_small():
     finally:
         tracemalloc.stop()
     assert rep.K == 92904
-    assert peak <= 24_096_580
+    assert peak <= 14_445_116
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 10, 2049, 5000])
+def test_one_draw_call_per_group_gives_the_numbers_of_one_call_per_draw(k):
+    # criterion 8 draws each group of permutations and of sign patterns in
+    # one call; the rows must be those of h successive calls, and the
+    # generator must end in the same state, or the pinned verdict would move
+    h = 5
+    one, many = np.random.default_rng(11), np.random.default_rng(11)
+    perms = one.permuted(np.broadcast_to(np.arange(k), (h, k)), axis=1)
+    assert np.array_equal(perms, [many.permutation(k) for _ in range(h)])
+    signs = one.integers(0, 2, size=(h, k))
+    assert np.array_equal(signs, [many.integers(0, 2, size=k) for _ in range(h)])
+    assert one.bit_generator.state == many.bit_generator.state
 
 
 @pytest.mark.parametrize("i2", [0.4, np.inf])
