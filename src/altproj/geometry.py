@@ -18,9 +18,12 @@ of restricted quadratic forms; those reductions are what is implemented
 here, with an independent sphere-sampling maximizer kept alongside as an
 oracle.  The minimax inclinations come from the eigenvalue dual
 max over the simplex of lambda_min(sum_k lam_k A_k) (Overton 1992): any
-weights give a lower bound and any explicit x an upper one.  With at
-most three active subspaces the two meet; with four or more the dual can
-have a gap, and the pair then reports it.
+weights give a lower bound and any explicit x an upper one.  The inner
+dual on M_n ∩ M^perp takes only the forms of k != n, since A_n vanishes
+there; at N = 2 that is one form, whose one-point simplex needs no
+Newton step.  With at most three active subspaces the two bounds meet,
+so for iota whenever N <= 4; with four or more the dual can have a gap,
+and the pair then reports it.
 
 Every quantity takes the ``CyclicProduct`` of the family and reads it
 through ``_feasible``: per factor a span (a basis of M_k) and M's basis,
@@ -59,21 +62,23 @@ __all__ = [
 
 
 def _feasible(cp, kind: str) -> list:
-    """Orthonormal basis stacks of the nonzero feasible sets of the angle quantities
-    of the product ``cp``: M^perp for ``kind="global"``, each M_n ∩ M^perp for
-    ``kind="inner"``.  Anything but a ``CyclicProduct`` is refused first.
+    """(index, basis) of each nonzero feasible set of the angle quantities of
+    the product ``cp``: M^perp for ``kind="global"``, with index None, and
+    each M_n ∩ M^perp for ``kind="inner"``, with its factor's index n.
+    Anything but a ``CyclicProduct`` is refused first.
 
-    Each is an (n, b, w) stack whose blocks keep their basis in their
+    Each basis is an (n, b, w) stack whose blocks keep their basis in their
     leading columns and zeros after them (see ``_rank_groups``).
     """
     _require_product(cp)
     if kind == "global":
-        spaces = [_orthogonal_complement_blocks(cp._m_blocks)]
+        spaces = [(None, _orthogonal_complement_blocks(cp._m_blocks))]
     elif kind == "inner":
-        spaces = [_complement_within_blocks(x, cp._m_blocks) for x in cp._spans]
+        spaces = [(n, _complement_within_blocks(x, cp._m_blocks))
+                  for n, x in enumerate(cp._spans)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return [f for f in spaces if f.shape[-1]]
+    return [(n, f) for n, f in spaces if f.shape[-1]]
 
 
 def _rank_groups(f: np.ndarray) -> list:
@@ -100,7 +105,7 @@ def friedrichs_number(cp: CyclicProduct) -> float:
     clamped to [0, 1].  ``cp`` is the family's product, as for every
     angle quantity (see ``_feasible``).
     """
-    bases = _feasible(cp, "inner")
+    bases = [f for _, f in _feasible(cp, "inner")]
     if not bases:
         return 0.0
     b = np.concatenate(bases, axis=-1)
@@ -121,7 +126,7 @@ def friedrichs_number_sampled(cp: CyclicProduct, num_samples: int, seed) -> floa
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    bases = _feasible(cp, "inner")
+    bases = [f for _, f in _feasible(cp, "inner")]
     if not bases:
         return 0.0
     b = np.concatenate(bases, axis=-1)
@@ -188,7 +193,7 @@ def _l2_floor(cp: CyclicProduct, kind: str) -> float:
         defect -= p
     return min(max(min(float(eigh_sym(f.conj().swapaxes(-1, -2) @ defect[idx] @ f)[0][..., 0].min())
                        for idx, f in _rank_groups(basis)), 0.0)
-               for basis in bases)
+               for _, basis in bases)
 
 
 def ell2_direct(cp: CyclicProduct) -> float:
@@ -244,8 +249,20 @@ def _dual_path(forms: list):
     Returns lam and X = S^{-1}/tr S^{-1} (trace one, tr(A_k X) near the
     optimum) as one (count, r, r) stack per group, formed once from the
     last step taken at a weight of at least ``_PRIMAL_WEIGHT``.
+
+    One form has the one-point simplex lam = [1]; X is then the projector on
+    a bottom eigenvector of A_1, the smallest over all blocks, and no
+    Newton step is taken.
     """
     n = forms[0].shape[0]
+    if n == 1:
+        eig = [eigh_sym(f[0]) for f in forms]
+        g = min(range(len(eig)), key=lambda i: eig[i][0][..., 0].min())
+        j = int(np.argmin(eig[g][0][..., 0]))
+        x_mat = [np.zeros(f.shape[1:], dtype=np.complex128) for f in forms]
+        v = eig[g][1][j][:, :1]
+        x_mat[g][j] = v @ v.conj().T
+        return np.ones(1), x_mat
     q = sum(f.shape[1] * f.shape[2] for f in forms)
     flat = [f.reshape(n, -1) for f in forms]
     eyes = [np.eye(f.shape[-1]) for f in forms]
@@ -384,10 +401,13 @@ def minimax_inclination_estimate(cp: CyclicProduct, *, kind: str = "global") -> 
 
     ell (``kind="global"``): inf of max_k dist(x, M_k)/dist(x, M) over
     x in M^perp; iota (``kind="inner"``): the same over x in M_n ∩ M^perp,
-    minimized over n.  The bounds meet to rounding when at most three
-    subspaces are active at the optimum.  Empty feasible sets give (inf, inf).
+    minimized over n.  dist(x, M_n) = 0 on M_n, so each M_n ∩ M^perp is
+    measured against the other spans only, which leaves max_k unchanged.
+    The bounds meet to rounding when at most three subspaces are active at
+    the optimum.  Empty feasible sets give (inf, inf).
     """
-    bounds = [_minimax_bounds(cp._spans, _rank_groups(f)) for f in _feasible(cp, kind)]
+    bounds = [_minimax_bounds([x for k, x in enumerate(cp._spans) if k != n], _rank_groups(f))
+              for n, f in _feasible(cp, kind)]
     lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
     return min(lows), min(highs)
 

@@ -1,10 +1,12 @@
 """50-digit references for golden columns (test-only).
 
 Each function takes a product's float64 spans as exact, forms its blocks
-T_k = P_N ... P_1 with P = X X^H at 50 significant digits, and recomputes
-what a golden column reports, so that a test can gate the float64 values
-by their forward error against the truth.  ``mpmath`` is a test extra;
-importing this module skips the tests that use it when it is missing.
+at 50 significant digits (T_k = P_N ... P_1 with P = X X^H for the ``ritt``
+rows, orthonormal bases of the spans for the minimax columns), and
+recomputes what a golden column reports, so that a test can gate the
+float64 values by their forward error against the truth.  ``mpmath`` is a
+test extra; importing this module skips the tests that use it when it is
+missing.
 """
 
 import numpy as np
@@ -75,3 +77,36 @@ def resolvent_rows(cp, radii, angles: int = 64) -> list:
                 best, floor = max(best, abs(lam - 1) / sigma), min(floor, sigma)
             rows.append((best, floor))
         return rows
+
+
+def _orthonormal(x):
+    """An orthonormal basis of the column span of the mpmath matrix ``x``."""
+    return mpmath.qr(x, mode="skinny")[0]
+
+
+def minimax_rows(cp) -> tuple:
+    """(ell, iota) of a two-subspace family with M = {0}, the spans' column
+    spaces taken as exact and orthonormalized at 50 digits, block by block.
+
+    iota is its definition: the smallest over n and over the blocks of
+    sqrt(lambda_min(Q_n^H (I - Q_k Q_k^H) Q_n)), k the other factor, the
+    one form of the inner dual.  ell is sqrt((1 - c)/2), c the largest
+    singular value of Q_1^H Q_2 over the blocks: weights (1/2, 1/2) give
+    the lower bound sqrt(lambda_min(I - (P_1 + P_2)/2)) = sqrt((1 - c)/2),
+    and the bisector of the principal vectors u_1, u_2 with <u_1, u_2> = c
+    attains it, since P_1 u_2 = c u_1 puts it at that distance from both.
+    """
+    if cp.N != 2 or np.any(cp._m_blocks != 0):
+        raise ValueError("the reference takes two subspaces with M = {0}")
+    if any(s.imag.any() for s in cp._spans):
+        raise ValueError("the reference takes real spans")
+    with mpmath.workdps(DIGITS):
+        c, iota = mpmath.mpf(0), mpmath.inf
+        for k in range(cp._spans[0].shape[0]):
+            q = [_orthonormal(mpmath.matrix(s[k].real.tolist())) for s in cp._spans]
+            g = q[0].H * q[1]
+            c = max(c, mpmath.sqrt(max(mpmath.mp.eighe(g.H * g, eigvals_only=True))))
+            for n in (0, 1):
+                form = q[n].H * (mpmath.eye(q[n].rows) - q[1 - n] * q[1 - n].H) * q[n]
+                iota = min(iota, mpmath.sqrt(min(mpmath.mp.eighe(form, eigvals_only=True))))
+        return mpmath.sqrt((1 - c) / 2), iota

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altproj import geometry
+from altproj import acceptance, geometry
+from altproj.cli import _load_instance_text
 from altproj.linalg import eigh_sym, orthonormal_columns
 from altproj import (
     CyclicProduct,
@@ -30,6 +32,7 @@ from altproj import (
     two_lines,
 )
 from blockspans import spans_of
+from test_golden import FIXTURES
 
 
 @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3, 1.0, 1.4])
@@ -153,7 +156,7 @@ def test_sampled_friedrichs_brackets_the_eigenvalue_route():
 def _sampled_reference(cp, num_samples, seed):
     """``friedrichs_number_sampled`` as it scattered each draw into zero-filled
     coordinates and squared ``abs`` of the products."""
-    b = np.concatenate(geometry._feasible(cp, "inner"), axis=-1)
+    b = np.concatenate([f for _, f in geometry._feasible(cp, "inner")], axis=-1)
     kept = np.any(b != 0, axis=-2)
     total = int(kept.sum())
     real = np.all(b.imag == 0.0)
@@ -321,8 +324,72 @@ def test_minimax_bounds_on_random_families(n, d, seed, data):
     assert l2 / np.sqrt(n) - 1e-12 <= ell_lo <= ell_hi
     assert ell_lo <= l2 + 1e-12
     assert iota_lo >= ell_lo - 1e-12 and iota_lo <= iota_hi
+    # the inner dual has N - 1 <= 3 forms: its bounds meet
+    assert iota_hi - iota_lo <= 1e-9
     if n == 2:
-        assert ell_hi - ell_lo <= 1e-9 and iota_hi - iota_lo <= 1e-9
+        assert ell_hi - ell_lo <= 1e-9
+
+
+def _two_subspace_families():
+    pool = [e.cp for e in acceptance._pool() if e.cp.N == 2]
+    return pool + [_load_instance_text(FIXTURES[fx]).cyclic()
+                   for fx in ("lines", "rand6", "blocks", "blocks200")]
+
+
+def test_two_subspace_inner_bounds_meet_to_rounding():
+    # one form, so lam = [1] is optimal and its bottom eigenvector attains
+    # iota: the gap is rounding.  The upper bound ||x - P x|| / ||x|| rounds
+    # by about 3 b eps / iota relative (b the block size: x leaves M_n by
+    # b eps, the subtraction costs 2 b eps absolute); the lower bound
+    # sqrt(lambda_min(R^H R)), R = (I - P) B, by 2 b eps / iota from R's
+    # rounding and b eps / (2 iota^2) from the eigenvalue of a b x b form
+    # at ||R^H R|| <= 1.  Measured: at most 3.1e-14 relative (7 eps / iota,
+    # pool instance 192), against 5.0e-14 before the one-form path.
+    families = _two_subspace_families()
+    assert len(families) == 74
+    for cp in families:
+        lo, hi = minimax_inclination_estimate(cp, kind="inner")
+        b, eps = cp._spans[0].shape[1], np.finfo(float).eps
+        assert 0.0 <= hi - lo <= hi * b * eps * (5 / hi + 1 / (2 * hi**2))
+
+
+def test_a_one_form_dual_takes_no_newton_step(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return barrier_eigh(*args)
+
+    barrier_eigh = geometry._barrier_eigh
+    monkeypatch.setattr(geometry, "_barrier_eigh", counted)
+    theta = 0.3
+    cp = build_cyclic(two_lines(theta))
+    assert minimax_inclination_estimate(cp, kind="inner") == pytest.approx(
+        (np.sin(theta),) * 2, rel=1e-15)
+    assert not calls
+    minimax_inclination_estimate(cp, kind="global")  # two forms: the barrier path
+    assert calls
+    # lam = [1] and X the projector on the bottom eigenvector over all groups
+    forms = [np.array([[[[2.0, 0.0], [0.0, 3.0]]]]), np.array([[[[5.0]], [[1.5]]]])]
+    lam, x_mat = geometry._dual_path(forms)
+    assert lam.tolist() == [1.0]
+    assert np.array_equal(x_mat[0], np.zeros((1, 2, 2)))
+    assert np.array_equal(x_mat[1], np.array([[[0.0]], [[1.0]]]))
+
+
+def test_inner_estimate_of_the_block_model_at_two_thousand_blocks():
+    # M_n ∩ M^perp = M_n, one line per block, measured against the other
+    # factor alone: the dual is one 1 x 1 form per block
+    cp = block_aligned(2000, "1/k").cyclic()
+    tracemalloc.start()
+    try:
+        lo, hi = minimax_inclination_estimate(cp, kind="inner")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = math.sin(1.0 / 2000)
+    assert abs(lo - exact) <= 4 * np.spacing(exact) and abs(hi - exact) <= 4 * np.spacing(exact)
+    assert peak < 32 * 2**20
 
 
 def test_sandwich_check_holds_on_empty_feasible_sets():

@@ -1,9 +1,10 @@
-"""The ``ritt`` goldens against a 50-digit reference.
+"""The ``ritt`` and ``geometry`` goldens against a 50-digit reference.
 
-``altproj ritt`` runs on the lines, rand6 and blocks fixtures as the golden
-test runs it, and each row's relative forward error against
-``reference`` (the fixture's float64 spans and the grid's float64 lambda
-taken as exact) must stay within the rounding bound derived below.
+``altproj ritt`` runs on the lines, rand6 and blocks fixtures, and
+``altproj geometry`` on the two-subspace fixtures, as the golden test runs
+them, and each value's relative forward error against ``reference`` (the
+fixture's float64 spans and the grid's float64 lambda taken as exact)
+must stay within the bound derived below.
 """
 
 import csv
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from altproj.cli import _load_instance_text
-from reference import mpmath, power_rows, resolvent_rows
+from altproj.geometry import _CLUSTER
+from reference import minimax_rows, mpmath, power_rows, resolvent_rows
 from test_golden import FIXTURES, _run
 
 EPS = np.finfo(float).eps
@@ -52,3 +54,56 @@ def test_ritt_rows_stay_near_the_50_digit_reference(fx, tmp_path):
                for v, e in zip(power, power_rows(cp, len(power))))
     assert all(abs(mpmath.mpf(v) - e) / e <= _resolvent_bound(r, floor)
                for v, r, (e, floor) in zip(resolvent, radii, resolvent_rows(cp, radii)))
+
+
+# The minimax columns near a value v, with b the block size and r the
+# rank of the feasible set per block.  A lower bound sqrt(lambda_min(A)),
+# A = R^H R and R = (I - P_k) B, is exact at the dual weights it reports
+# but for rounding: R carries about 2 b eps absolute from two products of
+# inner dimension <= b, which moves sigma_min(R) = sqrt(lambda_min) by as
+# much (2 b eps / v relative); forming A and its eigenvalue adds b eps
+# relative when r = 1 and r eps ||A|| <= r eps absolute, r eps / (2 v^2)
+# relative on the root, when r > 1; the square root and the last
+# comparison add 2 eps.  An upper bound ||x - P_k x|| / ||x|| at a computed
+# x rounds by about 3 b eps / v: x leaves the feasible set by b eps, and
+# the subtraction of P_k x costs 2 b eps absolute.
+def _lower_rounding(v, b, r):
+    return (2 * b / v + (b if r == 1 else r / (2 * v**2)) + 2) * EPS
+
+
+def _upper_rounding(v, b):
+    return (3 * b / v + 2) * EPS
+
+
+# Beyond rounding, iota's one-form dual is exact at lam = [1] and its bottom
+# eigenvector attains it, so both bounds of iota sit at the truth.  ell's
+# lower bound is the barrier path's at its last weight, 1e-14 of its start
+# 2 N / ell2^2 <= 2 N / ell^2, where the central path's gap in
+# sum mu = 1/ell^2 is the weight times the barrier's order q + N (q <= d,
+# the size of S): N (q + N) 1e-14 relative on ell.  ell's upper bound comes
+# from the bottom cluster, where sum_k lam_k A_k <= ell^2 + _CLUSTER and the
+# rank reduction levels the active forms, so ell_hi^2 <= ell^2 + _CLUSTER.
+# Measured: every gap within 2.5 eps of rounding but blocks200's ell_hi
+# (1e-8 above, two blocks in the cluster); lines' iota_lo is float(sqrt(3)/2).
+@pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
+def test_minimax_columns_bracket_the_50_digit_reference(fx, tmp_path):
+    code, data = _run(f"geometry-{fx}", str(tmp_path))
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    row = {k: mpmath.mpf(v) for k, v in zip(header, row)}
+    cp = _load_instance_text(FIXTURES[fx]).cyclic()
+    ell, iota = minimax_rows(cp)
+    n, b = cp.N, cp._spans[0].shape[1]
+    d = cp._spans[0].shape[0] * b
+    rank = max(s.shape[-1] for s in cp._spans)
+    gaps = {  # column: (truth, rounding, allowance beyond rounding)
+        "ell_lo": (ell, _lower_rounding(float(ell), b, b), n * (d + n) * 1e-14),
+        "ell_hi": (ell, _upper_rounding(float(ell), b),
+                   float(mpmath.sqrt(1 + _CLUSTER / ell**2) - 1)),
+        "iota_lo": (iota, _lower_rounding(float(iota), b, rank), 0.0),
+        "iota_hi": (iota, _upper_rounding(float(iota), b), 0.0),
+    }
+    for column, (truth, rounding, allowance) in gaps.items():
+        # a lower bound below the truth, an upper one above, but for rounding
+        excess = (row[column] - truth) / truth * (1 if column.endswith("hi") else -1)
+        assert -rounding <= excess <= rounding + allowance, column

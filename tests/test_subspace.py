@@ -64,6 +64,24 @@ def test_subspace_rejects_non_orthonormal_basis():
     Subspace(np.array([[1.0 + 4e-13], [0.0]]))
 
 
+@pytest.mark.parametrize("basis,accepted", [
+    ([[np.nan], [0.0]], False),
+    ([[np.inf], [0.0]], False),
+    ([[1.0, 2e-12], [0.0, 1.0]], False),  # a Gram entry 2e-12 off
+    (np.zeros((3, 0)), True),
+], ids=["nan", "inf", "2e-12 off", "empty"])
+def test_orthonormality_check_keeps_the_verdicts_of_allclose(basis, accepted):
+    b = np.asarray(basis, dtype=np.complex128)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the Gram product
+        gram = b.conj().T @ b
+        assert np.allclose(gram, np.eye(b.shape[1]), rtol=0.0, atol=1e-12) == accepted
+        if accepted:
+            assert Subspace(b).dim == b.shape[1]
+        else:
+            with pytest.raises(ValueError, match="orthonormal to 1e-12"):
+                Subspace(b)
+
+
 def test_basis_is_immutable():
     s = Subspace(np.eye(2))
     with pytest.raises(ValueError):
