@@ -350,7 +350,7 @@ def test_two_subspace_inner_bounds_meet_to_rounding():
     for cp in families:
         lo, hi = minimax_inclination_estimate(cp, kind="inner")
         b, eps = cp._spans[0].shape[1], np.finfo(float).eps
-        assert 0.0 <= hi - lo <= hi * b * eps * (5 / hi + 1 / (2 * hi**2))
+        assert 0.0 <= (hi - lo) / hi <= b * eps * (5 / hi + 1 / (2 * hi**2))
 
 
 def test_a_one_form_dual_takes_no_newton_step(monkeypatch):

@@ -83,8 +83,9 @@ def _upper_rounding(v, b):
 # the size of S): N (q + N) 1e-14 relative on ell.  ell's upper bound comes
 # from the bottom cluster, where sum_k lam_k A_k <= ell^2 + _CLUSTER and the
 # rank reduction levels the active forms, so ell_hi^2 <= ell^2 + _CLUSTER.
-# Measured: every gap within 2.5 eps of rounding but blocks200's ell_hi
-# (1e-8 above, two blocks in the cluster); lines' iota_lo is float(sqrt(3)/2).
+# Measured: every bound within 2.5 eps of the truth but rand6's ell_hi
+# (58 eps above) and blocks200's (1e-8 above, two blocks in the cluster);
+# lines' iota_lo is float(sqrt(3)/2).
 @pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
 def test_minimax_columns_bracket_the_50_digit_reference(fx, tmp_path):
     code, data = _run(f"geometry-{fx}", str(tmp_path))
