@@ -13,10 +13,11 @@ Central quantities, for subspaces M_1, ..., M_N with intersection M:
   and ``iota`` (infima of max_k dist(x,M_k)/dist(x,M)).
 
 The supremum defining ``c`` reduces exactly to the top eigenvalue of a
-Gram block matrix, and both inclinations reduce to extreme eigenvalues
-of restricted quadratic forms; those reductions are what is implemented
-here, with an independent sphere-sampling maximizer kept alongside as an
-oracle.  The minimax inclinations come from the eigenvalue dual
+Gram block matrix, kept with an independent sphere-sampling maximizer as
+its oracle.  Both l2 inclinations are the smallest singular value of the
+stacked residuals [(I - P_1) B; ...; (I - P_N) B] of a feasible basis B
+(Björck–Golub 1973): those scale like the sines of the angles, where the
+eigenvalue of B^H (sum_k (I - P_k)) B would cancel.  The minimax inclinations come from the eigenvalue dual
 max over the simplex of lambda_min(sum_k lam_k A_k) (Overton 1992): any
 weights give a lower bound and any explicit x an upper one.  The inner
 dual on M_n ∩ M^perp takes only the forms of k != n, since A_n vanishes
@@ -28,9 +29,9 @@ and the pair then reports it.
 Every quantity takes the ``CyclicProduct`` of the family and reads it
 through ``_feasible``: per factor a span (a basis of M_k) and M's basis,
 all as (n, b, .) stacks of diagonal blocks.  On a block-diagonal family
-every feasible set, Gram matrix and quadratic form is block-diagonal
-too: c is the largest block Gram eigenvalue, the l2 floors are minima
-over stacked block ``eigh`` calls, and the dual path takes
+every feasible set, residual, Gram matrix and quadratic form is
+block-diagonal too: c is the largest block Gram eigenvalue, the l2
+inclinations are minima over stacked block SVDs, and the dual path takes
 lambda_min(sum_k lam_k A_k) as the minimum over blocks.  No d x d or d x K array is formed for a
 block-built product; ``build_cyclic`` of a Subspace family is the
 one-block case.
@@ -45,7 +46,7 @@ import numpy as np
 from .iteration import CyclicProduct, _rate_base_squared, _require_product
 from .linalg import eigh_sym, sym
 from .spectral import theta0
-from .subspace import _complement_within_blocks, _orthogonal_complement_blocks
+from .subspace import _complement_within_blocks, _residual
 
 __all__ = [
     "GeometryReport",
@@ -62,23 +63,27 @@ __all__ = [
 
 
 def _feasible(cp, kind: str) -> list:
-    """(index, basis) of each nonzero feasible set of the angle quantities of
-    the product ``cp``: M^perp for ``kind="global"``, with index None, and
-    each M_n ∩ M^perp for ``kind="inner"``, with its factor's index n.
-    Anything but a ``CyclicProduct`` is refused first.
+    """(spans, basis) of each nonzero feasible set of the angle quantities of
+    the product ``cp``, with the spans it is measured against: M^perp for
+    ``kind="global"``, against every span, and each M_n ∩ M^perp for
+    ``kind="inner"``, against the spans k != n, since dist(x, M_n) = 0
+    there.  Anything but a ``CyclicProduct`` is refused first.
 
     Each basis is an (n, b, w) stack whose blocks keep their basis in their
     leading columns and zeros after them (see ``_rank_groups``).
     """
     _require_product(cp)
     if kind == "global":
-        spaces = [(None, _orthogonal_complement_blocks(cp._m_blocks))]
+        n, b, _ = cp._m_blocks.shape
+        eye = np.broadcast_to(np.eye(b, dtype=np.complex128), (n, b, b))
+        spaces = [(None, _complement_within_blocks(eye, cp._m_blocks))]
     elif kind == "inner":
         spaces = [(n, _complement_within_blocks(x, cp._m_blocks))
                   for n, x in enumerate(cp._spans)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return [(n, f) for n, f in spaces if f.shape[-1]]
+    return [([x for k, x in enumerate(cp._spans) if k != n], f)
+            for n, f in spaces if f.shape[-1]]
 
 
 def _rank_groups(f: np.ndarray) -> list:
@@ -173,50 +178,49 @@ def ell2(c: float, n: int) -> float:
 
 
 def _l2_floor(cp: CyclicProduct, kind: str) -> float:
-    """Smallest max(lambda_min(B^H (sum_k (I - P_k)) B), 0) over the feasible bases B.
+    """Smallest singular value of the stacked residuals [(I - P_k) B] over the
+    feasible bases B of ``kind`` and the spans each is measured against.
 
-    The squared l2-inclination over the feasible sets of ``kind``, the one
-    route behind ``ell2_direct`` and ``iota2``.  Both B and the defect
-    sum_k (I - P_k) are block-diagonal, so lambda_min is the smallest over
-    stacked block ``eigh`` calls, one stack per block rank.  With no
-    nonzero feasible set the infimum is over the empty set: +inf, with a
-    warning.
+    The l2-inclination over the feasible sets of ``kind``, the one route
+    behind ``ell2_direct`` and ``iota2``: sum_k ||(I - P_k) B v||^2 is the
+    squared norm of the stack applied to v.  B and every residual are
+    block-diagonal, so sigma_min is the smallest over stacked block SVDs,
+    one stack per block rank.  With no nonzero feasible set the infimum is
+    over the empty set: +inf, with a warning.
     """
-    bases = _feasible(cp, kind)
-    if not bases:
+    feasible = _feasible(cp, kind)
+    if not feasible:
         warnings.warn(f"empty feasible set; {'l2' if kind == 'global' else 'inner'} "
                       "inclination is +inf")
         return math.inf
-    n, b, _ = cp._blocks[0].shape
-    defect = np.repeat(cp.N * np.eye(b, dtype=np.complex128)[None], n, axis=0)
-    for p in cp._blocks:
-        defect -= p
-    return min(max(min(float(eigh_sym(f.conj().swapaxes(-1, -2) @ defect[idx] @ f)[0][..., 0].min())
-                       for idx, f in _rank_groups(basis)), 0.0)
-               for _, basis in bases)
+    return min(float(np.linalg.svd(np.concatenate([_residual(x[idx], f) for x in spans], axis=-2),
+                                   compute_uv=False)[..., -1].min())
+               for spans, basis in feasible for idx, f in _rank_groups(basis))
 
 
 def ell2_direct(cp: CyclicProduct) -> float:
-    """l2-inclination by its definition, as an extreme eigenvalue.
+    """l2-inclination by its definition, as a smallest singular value.
 
-    Returns sqrt(lambda_min(Q^H (sum_k (I - P_k)) Q)) with Q an
-    orthonormal basis of M^perp.  Independent of the Friedrichs route;
-    the two agree through the identity ell2 = sqrt((N-1)(1-c)) whenever
-    some M_k ∩ M^perp is nonzero.  If M is the whole space the +inf
-    sentinel is returned with a warning, as by ``iota2``.
+    Returns sigma_min([(I - P_1) Q; ...; (I - P_N) Q]) with Q an
+    orthonormal basis of M^perp, which is sqrt(lambda_min(Q^H (sum_k
+    (I - P_k)) Q)) without forming that sum.  Independent of the
+    Friedrichs route; the two agree through the identity
+    ell2 = sqrt((N-1)(1-c)) whenever some M_k ∩ M^perp is nonzero.  If M
+    is the whole space the +inf sentinel is returned with a warning, as by
+    ``iota2``.
     """
-    return float(np.sqrt(_l2_floor(cp, "global")))
+    return _l2_floor(cp, "global")
 
 
 def iota2(cp: CyclicProduct) -> float:
     """Inner l2-inclination: the l2 infimum restricted to each M_n.
 
-    min over n of sqrt(lambda_min(B_n^H (sum_k (I - P_k)) B_n)) with B_n
-    an orthonormal basis of M_n ∩ M^perp; subspaces equal to M are
-    skipped.  If all of them equal M the +inf sentinel is returned with a
-    warning.
+    min over n of sigma_min of the residuals (I - P_k) B_n stacked over
+    k != n, with B_n an orthonormal basis of M_n ∩ M^perp ((I - P_n) B_n
+    vanishes); subspaces equal to M are skipped.  If all of them equal M
+    the +inf sentinel is returned with a warning.
     """
-    return float(np.sqrt(_l2_floor(cp, "inner")))
+    return _l2_floor(cp, "inner")
 
 
 # Barrier weights of the dual path relative to its start, down to the
@@ -361,7 +365,7 @@ def _minimax_bounds(spans, groups: list) -> tuple:
     forms = []
     for idx, f in groups:
         # A_k as R^H R with R = (I - P_k) B: small distances keep their accuracy
-        rs = [f - x[idx] @ (x[idx].conj().swapaxes(-1, -2) @ f) for x in spans]
+        rs = [_residual(x[idx], f) for x in spans]
         forms.append(sym(np.stack([r.conj().swapaxes(-1, -2) @ r for r in rs])))
     lam, x_mat = _dual_path(forms)
     eig = [eigh_sym(np.tensordot(lam, f, 1)) for f in forms]
@@ -392,8 +396,7 @@ def _minimax_bounds(spans, groups: list) -> tuple:
 
 def _distance(x: np.ndarray, span: np.ndarray) -> float:
     """||x - P x|| for an (n, b) block vector x and the (n, b, s) span of P."""
-    projected = span @ (span.conj().swapaxes(-1, -2) @ x[..., None])
-    return float(np.linalg.norm(x - projected[..., 0]))
+    return float(np.linalg.norm(_residual(span, x[..., None])[..., 0]))
 
 
 def minimax_inclination_estimate(cp: CyclicProduct, *, kind: str = "global") -> tuple:
@@ -406,8 +409,7 @@ def minimax_inclination_estimate(cp: CyclicProduct, *, kind: str = "global") -> 
     The bounds meet to rounding when at most three subspaces are active at
     the optimum.  Empty feasible sets give (inf, inf).
     """
-    bounds = [_minimax_bounds([x for k, x in enumerate(cp._spans) if k != n], _rank_groups(f))
-              for n, f in _feasible(cp, kind)]
+    bounds = [_minimax_bounds(spans, _rank_groups(f)) for spans, f in _feasible(cp, kind)]
     lows, highs = zip(*bounds) if bounds else ((math.inf,), (math.inf,))
     return min(lows), min(highs)
 

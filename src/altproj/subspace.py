@@ -9,7 +9,9 @@ decisions are made through singular values, with a threshold relative
 to the largest one where the scale of the input is unknown; all
 constructed objects are immutable.  The complements that the angle
 quantities need are computed on (n, b, .) stacks of diagonal blocks, a
-Subspace being one block.
+Subspace being one block: M_k ∩ M^perp from M_k's span, and M^perp from
+the identity's.  Every part of a stack off a span is taken by one
+expression, ``_residual``.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalContractError
-from .linalg import as_complex_matrix, eigh_sym, orthonormal_columns
+from .linalg import _finite, as_complex_matrix, eigh_sym, orthonormal_columns
 
 __all__ = [
     "Subspace",
@@ -57,16 +59,18 @@ class Subspace:
     Parameters
     ----------
     basis : (d, r) complex array
-        Orthonormal columns; ``r = 0`` is the zero subspace.
+        Orthonormal columns; ``r = 0`` is the zero subspace.  A NaN or
+        infinite entry raises ``ValueError`` before the Gram matrix is
+        formed, and so does a Gram entry more than 1e-12 off the identity.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_complex_matrix(_frozen_copy(self.basis))
+        b = _finite(as_complex_matrix(_frozen_copy(self.basis)), "basis")
         object.__setattr__(self, "basis", b)
         gram = b.conj().T @ b
-        if not (np.abs(gram - np.eye(b.shape[1])) <= 1e-12).all():  # NaN fails it too
+        if not (np.abs(gram - np.eye(b.shape[1])) <= 1e-12).all():
             raise ValueError("basis columns are not orthonormal to 1e-12")
 
     @property
@@ -165,6 +169,12 @@ def intersection(subspaces) -> Subspace:
     return Subspace(_dense_columns(_top_eigenspace(blocks)))
 
 
+def _residual(span: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v - X (X^H v) on (n, b, .) stacks: the part of ``v`` off the span of X,
+    block by block."""
+    return v - span @ (span.conj().swapaxes(-1, -2) @ v)
+
+
 def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
     """Orthonormal bases of M_k ∩ M^perp, block by block, as an (n, b, w) stack.
 
@@ -175,36 +185,20 @@ def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
     0 or 1 up to rounding, so a block's rank is the count above 1/2; a
     block where M_k equals M has rank 0.  Each block keeps its rank's
     leading columns and zeros after them, and w is the largest rank.
+    An identity stack as ``span`` gives M^perp; for M = {0} that is the
+    identity itself, since LAPACK's SVD of an identity returns it.
     """
     if mb.shape[-1]:
-        drift = np.linalg.norm(span @ (span.conj().swapaxes(-1, -2) @ mb) - mb, axis=-2)
+        drift = np.linalg.norm(_residual(span, mb), axis=-2)
         if drift.max() > 1e-10:
             raise ValueError("second argument is not contained in the first")
-    reduced = span - mb @ (mb.conj().swapaxes(-1, -2) @ span)
+    reduced = _residual(mb, span)
     if 0 in reduced.shape[1:]:
         return np.zeros(reduced.shape[:2] + (0,), dtype=np.complex128)
     u, s, _ = np.linalg.svd(reduced, full_matrices=False)
     rank = np.count_nonzero(s > 0.5, axis=-1)
     width = int(rank.max())
     return np.where(np.arange(width) < rank[:, None, None], u[..., :width], 0.0)
-
-
-def _orthogonal_complement_blocks(mb: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of M^perp, block by block, as an (n, b, w) stack.
-
-    ``mb`` is an (n, b, r) stack of M's basis; a block's rank is its count
-    of nonzero columns.  A block of rank r keeps the last b - r left
-    singular vectors of its M block (all of I when r = 0) as its leading
-    columns, zeros after them; w is b minus the smallest rank.
-    """
-    n, b, _ = mb.shape
-    rank = np.count_nonzero(np.any(mb != 0, axis=-2), axis=-1)
-    u = np.broadcast_to(np.eye(b, dtype=np.complex128), (n, b, b))
-    if rank.any():
-        u = np.where(rank[:, None, None] > 0, np.linalg.svd(mb)[0], u)
-    cols = rank[:, None] + np.arange(b - rank.min())
-    kept = np.take_along_axis(u, np.minimum(cols, b - 1)[:, None, :], axis=-1)
-    return np.where(cols[:, None, :] < b, kept, 0.0)
 
 
 def complement_within(mk: Subspace, m: Subspace) -> Subspace:

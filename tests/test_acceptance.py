@@ -40,7 +40,7 @@ _PINNED_LINES = {
     2: ("criterion 02 exponential_rate_bounds: PASS (min bound slack over 200 "
         "instances, n <= 200: friedrichs 1.00e-09, inner 9.99e-10)"),
     3: ("criterion 03 inclination_identity: PASS (max |ell2_direct - ell2(c)| = "
-        "8.75e-14; min iota2 - ell2 = 2.41e-06)"),
+        "6.91e-14; min iota2 - ell2 = 2.41e-06)"),
     4: ("criterion 04 friedrichs_oracle: PASS (68 sampled instances, min margins "
         "1.0e-06 below / 3.15e-02 above; 40 two-subspace instances, max |c - "
         "sigma_max| = 1.6e-15)"),

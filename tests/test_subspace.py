@@ -10,7 +10,7 @@ from altproj import (
     orthonormalize,
 )
 from altproj.linalg import orthonormal_columns
-from altproj.subspace import _orthogonal_complement_blocks
+from altproj.subspace import _complement_within_blocks
 
 
 def _contains(s, x):
@@ -64,22 +64,30 @@ def test_subspace_rejects_non_orthonormal_basis():
     Subspace(np.array([[1.0 + 4e-13], [0.0]]))
 
 
-@pytest.mark.parametrize("basis,accepted", [
-    ([[np.nan], [0.0]], False),
-    ([[np.inf], [0.0]], False),
-    ([[1.0, 2e-12], [0.0, 1.0]], False),  # a Gram entry 2e-12 off
-    (np.zeros((3, 0)), True),
+@pytest.mark.parametrize("basis,refusal", [
+    ([[np.nan], [0.0]], "finite"),
+    ([[np.inf], [0.0]], "finite"),
+    ([[1.0, 2e-12], [0.0, 1.0]], "orthonormal to 1e-12"),  # a Gram entry 2e-12 off
+    (np.zeros((3, 0)), None),
 ], ids=["nan", "inf", "2e-12 off", "empty"])
-def test_orthonormality_check_keeps_the_verdicts_of_allclose(basis, accepted):
+def test_orthonormality_check_keeps_the_verdicts_of_allclose(basis, refusal):
     b = np.asarray(basis, dtype=np.complex128)
     with np.errstate(invalid="ignore"):  # inf * 0 in the Gram product
         gram = b.conj().T @ b
-        assert np.allclose(gram, np.eye(b.shape[1]), rtol=0.0, atol=1e-12) == accepted
-        if accepted:
+        assert np.allclose(gram, np.eye(b.shape[1]), rtol=0.0, atol=1e-12) == (refusal is None)
+        if refusal is None:
             assert Subspace(b).dim == b.shape[1]
         else:
-            with pytest.raises(ValueError, match="orthonormal to 1e-12"):
+            with pytest.raises(ValueError, match=refusal):
                 Subspace(b)
+
+
+# without np.errstate: under the suite's error::RuntimeWarning filter a
+# warning from the Gram product would surface in place of the refusal
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_a_non_finite_basis_is_refused_before_its_gram_matrix(entry):
+    with pytest.raises(ValueError, match="finite"):
+        Subspace(np.array([[entry], [0.0]]))
 
 
 def test_basis_is_immutable():
@@ -165,18 +173,20 @@ def test_complement_within_requires_containment():
         complement_within(orthonormalize([e[0], e[1]]), orthonormalize([e[2]]))
 
 
-# the complement of M that geometry's feasible sets are built from, here on
-# one block, where it is the full orthogonal complement
+# M^perp, which geometry's global feasible set is built from: the
+# complement of M within the identity's span, here on one block
 @pytest.mark.parametrize("seed", range(4))
 def test_orthogonal_complement_completes_the_space(seed):
     rng = np.random.default_rng(seed)
     s = orthonormalize(rng.standard_normal((5, 2)))
-    perp = _orthogonal_complement_blocks(s.basis[None])[0]
+    perp = _complement_within_blocks(np.eye(5, dtype=np.complex128)[None], s.basis[None])[0]
     assert perp.shape == (5, 3)
     q = np.hstack([s.basis, perp])
     assert np.allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
 
 
-def test_orthogonal_complement_of_zero_is_full():
-    perp = _orthogonal_complement_blocks(np.zeros((1, 4, 0), dtype=np.complex128))[0]
-    assert np.array_equal(perp, np.eye(4))
+@pytest.mark.parametrize("b", [2, 3, 4, 6, 12, 64])
+def test_orthogonal_complement_of_zero_is_full(b):
+    eye = np.eye(b, dtype=np.complex128)[None]
+    perp = _complement_within_blocks(eye, np.zeros((1, b, 0), dtype=np.complex128))[0]
+    assert np.array_equal(perp, np.eye(b))
