@@ -353,6 +353,30 @@ def test_two_subspace_inner_bounds_meet_to_rounding():
         assert 0.0 <= (hi - lo) / hi <= b * eps * (5 / hi + 1 / (2 * hi**2))
 
 
+def test_l2_inclinations_keep_their_values_under_a_rotation():
+    # Q M_k for an orthogonal Q leaves every angle unchanged.  Each side
+    # computes sigma_min within (4 + N) d sqrt(N) eps absolute of the exact
+    # value for its own float spans (``_sigma_rounding`` in
+    # test_reference.py, one block of size d), and the rotated bases Q X_k
+    # are off the exact rotation by about d eps each, which moves the exact
+    # sigma_min by up to d sqrt(N) eps (the residual stack's norm is at most
+    # sqrt(N)).  Measured over every 4th pool instance: at most 2.5e-15
+    # (ell2_direct) and 1.6e-15 (iota2) relative, 3% of the bound, against
+    # 3.9e-13 and 2.1e-13 from lambda_min(B^H (N I - sum P_k) B), both at
+    # instance 192 (34% of the bound).
+    rng = np.random.default_rng(19)
+    eps = np.finfo(float).eps
+    entries = acceptance._pool()[::4]
+    assert len(entries) == 50
+    for entry in entries:
+        q = np.linalg.qr(rng.standard_normal((entry.d, entry.d)))[0]
+        cp = build_cyclic(tuple(Subspace(q @ s.basis) for s in entry.subspaces))
+        n = cp.N
+        bound = (2 * (4 + n) + 1) * entry.d * np.sqrt(n) * eps
+        for value, rotated in ((entry.l2d, ell2_direct(cp)), (entry.i2, iota2(cp))):
+            assert abs(rotated - value) <= bound, entry.index
+
+
 def test_a_one_form_dual_takes_no_newton_step(monkeypatch):
     calls = []
 

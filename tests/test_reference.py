@@ -4,7 +4,8 @@
 ``altproj geometry`` on the two-subspace fixtures, as the golden test runs
 them, and each value's relative forward error against ``reference`` (the
 fixture's float64 spans and the grid's float64 lambda taken as exact)
-must stay within the bound derived below.
+must stay within the bound derived below.  The l2 inclinations of the
+block model are also checked in process at K = 2000 and 20,000.
 """
 
 import csv
@@ -13,6 +14,7 @@ import io
 import numpy as np
 import pytest
 
+from altproj import block_aligned, ell2_direct, iota2
 from altproj.cli import _load_instance_text
 from altproj.geometry import _CLUSTER
 from reference import minimax_rows, mpmath, power_rows, resolvent_rows
@@ -108,3 +110,60 @@ def test_minimax_columns_bracket_the_50_digit_reference(fx, tmp_path):
         # a lower bound below the truth, an upper one above, but for rounding
         excess = (row[column] - truth) / truth * (1 if column.endswith("hi") else -1)
         assert -rounding <= excess <= rounding + allowance, column
+
+
+# The l2 columns near a value v.  ell2_direct and iota2 are sigma_min of a
+# stack of residuals R_k = (I - P_k) B, k over N' <= N spans of block size
+# b.  Each R_k carries about 3 b eps absolute: two products of inner
+# dimension <= b, and X X^H is off a projector by X's own b eps off
+# orthonormality.  B's span is off the exact one by about b eps, which
+# moves sigma_min by b eps ||R|| with ||R|| <= sqrt(N'); and LAPACK's SVD of
+# the (N' b) x r stack errs by about N' b eps ||R||.  So sigma_min moves by
+# (4 + N') b sqrt(N') eps absolute at most, divided by v relative.
+# Measured on rand6 (b = 6): 2.1 eps against bounds of 77 and 102 eps.
+def _sigma_rounding(v, n, b):
+    return (4 + n) * b * np.sqrt(n) * EPS / v
+
+
+# On a family of 2 x 2 blocks spanned by e_1 and u = (c, s) (lines, the
+# block model) the absolute count above is far too coarse: it would allow
+# eps / s relative, the error of 1 - c^2.  Rounding puts at most eps absolute
+# on the diagonal of R = I - u u^H and about eps s off it, and the SVD of the
+# tall stack starts with a Householder QR, whose error is eps times each
+# column's norm (about s and 1).  At sigma_min = sqrt(2) sin(theta/2) the
+# right singular vector is (1, s/2) and the left one's R part (s, -1)/sqrt(2)
+# to first order, so each error moves sigma_min by about eps s: relative,
+# about eps from R and eps from the QR, and the bidiagonal SVD after it is
+# relatively accurate (Demmel-Kahan 1990).  iota2 is the smaller of
+# ||(I - u u^H) e_1|| = sin(theta), by the same count, and |s|, within
+# eps of s / |u|.  So 4 eps relative.  Measured: at most 1.0 eps on lines,
+# blocks and blocks200, and 0.8 eps on the block model at K = 2000 and
+# 20,000, where the route from lambda_min(B^H (N I - sum P_k) B) was 2e6
+# and 2e7 eps off (1300 eps on blocks200).
+BLOCK_SIGMA_ROUNDING = 4 * EPS
+
+
+@pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
+def test_l2_columns_stay_near_the_50_digit_reference(fx, tmp_path):
+    code, data = _run(f"geometry-{fx}", str(tmp_path))
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    row = {k: mpmath.mpf(v) for k, v in zip(header, row)}
+    cp = _load_instance_text(FIXTURES[fx]).cyclic()
+    ell, iota = minimax_rows(cp)
+    # N = 2 and M = {0}: ell2^2 = 1 - c = 2 ell^2, and iota2 is the one-form iota
+    b = cp._spans[0].shape[1]
+    for column, truth, n in (("ell2_direct", mpmath.sqrt(2) * ell, 2), ("iota2", iota, 1)):
+        bound = BLOCK_SIGMA_ROUNDING if b == 2 else _sigma_rounding(float(truth), n, b)
+        assert abs(row[column] - truth) / truth <= bound, column
+
+
+@pytest.mark.parametrize("k_blocks", [2000, 20000])
+def test_l2_inclinations_of_the_block_model_to_a_few_eps(k_blocks):
+    cp = block_aligned(k_blocks, "1/k").cyclic()
+    c, s = cp._spans[1][-1, :, 0].real  # the smallest angle is the last block's
+    with mpmath.workdps(50):
+        theta = mpmath.atan2(s, c)
+        truths = mpmath.sqrt(2) * mpmath.sin(theta / 2), mpmath.sin(theta)
+    for value, truth in zip((ell2_direct(cp), iota2(cp)), truths):
+        assert abs(value - truth) / truth <= BLOCK_SIGMA_ROUNDING
