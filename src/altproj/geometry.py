@@ -17,14 +17,14 @@ Gram block matrix, kept with an independent sphere-sampling maximizer as
 its oracle.  Both l2 inclinations are the smallest singular value of the
 stacked residuals [(I - P_1) B; ...; (I - P_N) B] of a feasible basis B
 (Björck–Golub 1973): those scale like the sines of the angles, where the
-eigenvalue of B^H (sum_k (I - P_k)) B would cancel.  The minimax inclinations come from the eigenvalue dual
-max over the simplex of lambda_min(sum_k lam_k A_k) (Overton 1992): any
-weights give a lower bound and any explicit x an upper one.  The inner
-dual on M_n ∩ M^perp takes only the forms of k != n, since A_n vanishes
-there; at N = 2 that is one form, whose one-point simplex needs no
-Newton step.  With at most three active subspaces the two bounds meet,
-so for iota whenever N <= 4; with four or more the dual can have a gap,
-and the pair then reports it.
+eigenvalue of B^H (sum_k (I - P_k)) B would cancel.  The minimax
+inclinations come from the eigenvalue dual max over the simplex of
+lambda_min(sum_k lam_k A_k) (Overton 1992): any weights give a lower
+bound and any explicit x an upper one.  The inner dual on M_n ∩ M^perp
+takes only the forms of k != n, since A_n vanishes there; at N = 2 that
+is one form, whose one-point simplex needs no Newton step.  With at most
+three active subspaces the two bounds meet, so for iota whenever N <= 4;
+with four or more the dual can have a gap, and the pair then reports it.
 
 Every quantity takes the ``CyclicProduct`` of the family and reads it
 through ``_feasible``: per factor a span (a basis of M_k) and M's basis,
@@ -32,9 +32,9 @@ all as (n, b, .) stacks of diagonal blocks.  On a block-diagonal family
 every feasible set, residual, Gram matrix and quadratic form is
 block-diagonal too: c is the largest block Gram eigenvalue, the l2
 inclinations are minima over stacked block SVDs, and the dual path takes
-lambda_min(sum_k lam_k A_k) as the minimum over blocks.  No d x d or d x K array is formed for a
-block-built product; ``build_cyclic`` of a Subspace family is the
-one-block case.
+lambda_min(sum_k lam_k A_k) as the minimum over blocks.  No d x d or
+d x K array is formed for a block-built product; ``build_cyclic`` of a
+Subspace family is the one-block case.
 """
 
 import math
