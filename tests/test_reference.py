@@ -88,14 +88,19 @@ def _upper_rounding(v, b):
 # Measured: every bound within 2.5 eps of the truth but rand6's ell_hi
 # (58 eps above) and blocks200's (1e-8 above, two blocks in the cluster);
 # lines' iota_lo is float(sqrt(3)/2).
-@pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
-def test_minimax_columns_bracket_the_50_digit_reference(fx, tmp_path):
+def _geometry_case(fx, tmp_path):
+    """The ``altproj geometry`` row of a fixture as mpmath numbers by column,
+    the fixture's product, and its (ell, iota) at 50 digits."""
     code, data = _run(f"geometry-{fx}", str(tmp_path))
     assert code == 0
     header, row = list(csv.reader(io.StringIO(data.decode("utf-8"))))
-    row = {k: mpmath.mpf(v) for k, v in zip(header, row)}
     cp = _load_instance_text(FIXTURES[fx]).cyclic()
-    ell, iota = minimax_rows(cp)
+    return {k: mpmath.mpf(v) for k, v in zip(header, row)}, cp, minimax_rows(cp)
+
+
+@pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
+def test_minimax_columns_bracket_the_50_digit_reference(fx, tmp_path):
+    row, cp, (ell, iota) = _geometry_case(fx, tmp_path)
     n, b = cp.N, cp._spans[0].shape[1]
     d = cp._spans[0].shape[0] * b
     rank = max(s.shape[-1] for s in cp._spans)
@@ -145,12 +150,7 @@ BLOCK_SIGMA_ROUNDING = 4 * EPS
 
 @pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
 def test_l2_columns_stay_near_the_50_digit_reference(fx, tmp_path):
-    code, data = _run(f"geometry-{fx}", str(tmp_path))
-    assert code == 0
-    header, row = list(csv.reader(io.StringIO(data.decode("utf-8"))))
-    row = {k: mpmath.mpf(v) for k, v in zip(header, row)}
-    cp = _load_instance_text(FIXTURES[fx]).cyclic()
-    ell, iota = minimax_rows(cp)
+    row, cp, (ell, iota) = _geometry_case(fx, tmp_path)
     # N = 2 and M = {0}: ell2^2 = 1 - c = 2 ell^2, and iota2 is the one-form iota
     b = cp._spans[0].shape[1]
     for column, truth, n in (("ell2_direct", mpmath.sqrt(2) * ell, 2), ("iota2", iota, 1)):
