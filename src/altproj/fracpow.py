@@ -161,7 +161,7 @@ class AlphaVector:
     provenance: tuple
 
 
-def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
+def _unit(rng: "np.random.Generator", d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 

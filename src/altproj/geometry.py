@@ -27,8 +27,11 @@ three active subspaces the two bounds meet, so for iota whenever N <= 4;
 with four or more the dual can have a gap, and the pair then reports it.
 
 Every quantity takes the ``CyclicProduct`` of the family and reads it
-through ``_feasible``: per factor a span (a basis of M_k) and M's basis,
-all as (n, b, .) stacks of diagonal blocks.  On a block-diagonal family
+through ``_feasible``: the feasible sets M^perp and M_k ∩ M^perp, which
+the product forms once, on first use, and keeps, and the spans (bases of
+the M_k) each set is measured against, all as (n, b, .) stacks of
+diagonal blocks.  So every angle quantity of one product shares one set
+of bases, and no complement is computed here.  On a block-diagonal family
 every feasible set, residual, Gram matrix and quadratic form is
 block-diagonal too: c is the largest block Gram eigenvalue, the l2
 inclinations are minima over stacked block SVDs, and the dual path takes
@@ -46,7 +49,7 @@ import numpy as np
 from .iteration import CyclicProduct, _rate_base_squared, _require_product
 from .linalg import eigh_sym, sym
 from .spectral import theta0
-from .subspace import _complement_within_blocks, _residual
+from .subspace import _residual
 
 __all__ = [
     "GeometryReport",
@@ -69,17 +72,17 @@ def _feasible(cp, kind: str) -> list:
     ``kind="inner"``, against the spans k != n, since dist(x, M_n) = 0
     there.  Anything but a ``CyclicProduct`` is refused first.
 
-    Each basis is an (n, b, w) stack whose blocks keep their basis in their
-    leading columns and zeros after them (see ``_rank_groups``).
+    The bases are the product's own, ``cp._perp_blocks`` and
+    ``cp._inner_blocks``, formed once per product.  Each is an (n, b, w)
+    stack whose blocks keep their basis in their leading columns and zeros
+    after them (see ``_rank_groups``); M^perp of M = {0} is a read-only
+    broadcast identity.
     """
     _require_product(cp)
     if kind == "global":
-        n, b, _ = cp._m_blocks.shape
-        eye = np.broadcast_to(np.eye(b, dtype=np.complex128), (n, b, b))
-        spaces = [(None, _complement_within_blocks(eye, cp._m_blocks))]
+        spaces = [(None, cp._perp_blocks)]
     elif kind == "inner":
-        spaces = [(n, _complement_within_blocks(x, cp._m_blocks))
-                  for n, x in enumerate(cp._spans)]
+        spaces = list(enumerate(cp._inner_blocks))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return [([x for k, x in enumerate(cp._spans) if k != n], f)

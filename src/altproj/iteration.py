@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalContractError
 from .linalg import _blocks_chunk, _finite, _powers, diagonalize, spectral_norm
-from .subspace import (Subspace, _basis_stacks, _dense_columns, _freeze, _frozen_copy,
-                       _projector, _top_eigenspace)
+from .subspace import (Subspace, _basis_stacks, _complement_within_blocks, _dense_columns,
+                       _freeze, _frozen_copy, _projector, _top_eigenspace)
 
 __all__ = [
     "CyclicProduct",
@@ -70,7 +70,7 @@ class CyclicProduct:
     eigenvectors, zero where a block keeps none (r = 0 when M = {0}).  It
     then checks, block by block, that T is a contraction, that
     T P_M = P_M T = P_M, and that M is fixed pointwise.  The angle
-    quantities of ``geometry`` read the spans and M's basis blocks, and
+    quantities of ``geometry`` read the spans and the feasible sets, and
     the power profile of ``spectral`` the first and last spans.
     ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M as a ``Subspace``)
     are read-only and built on first access; a single block is returned
@@ -79,12 +79,14 @@ class CyclicProduct:
     rounding and, on the block model, bit for bit (a stacked ``matmul``
     does not); a single block keeps ``p @ x``.  The kernels read T's
     blocks, whose eigendecomposition is computed on first use and kept.
-    So is T's 2m-dimensional core (``_core``), m = min(r_1, r_N) for
-    first and last spans of r_1 and r_N columns, where 0 < 2m < b: Q^H T Q
-    on a 2m-dimensional subspace S that holds Ran T, Ran T^H and, as
-    dim S > m >= rank T, a kernel vector of T.  T is 0 on S^perp, so the
-    numerical range and sigma_min(lambda I - T) of ``spectral`` are those
-    of the singular 2m x 2m core.
+    So are the feasible sets of the angle quantities, M^perp
+    (``_perp_blocks``, the identity where M = {0}) and each M_k ∩ M^perp
+    (``_inner_blocks``), and T's 2m-dimensional core (``_core``),
+    m = min(r_1, r_N) for first and last spans of r_1 and r_N columns,
+    where 0 < 2m < b: Q^H T Q on a 2m-dimensional subspace S that holds
+    Ran T, Ran T^H and, as dim S > m >= rank T, a kernel vector of T.  T
+    is 0 on S^perp, so the numerical range and sigma_min(lambda I - T) of
+    ``spectral`` are those of the singular 2m x 2m core.
     """
 
     def __init__(self, spans):
@@ -163,6 +165,19 @@ class CyclicProduct:
         q_kh = np.linalg.qr(k.conj().swapaxes(-1, -2))[0]
         q = np.linalg.qr(np.concatenate([last @ q_k, first @ q_kh], axis=-1))[0]
         return _freeze(q), _freeze(q.conj().swapaxes(-1, -2) @ (t @ q))
+
+    @cached_property
+    def _perp_blocks(self) -> np.ndarray:
+        """M^perp as an (n, b, w) stack: the read-only identity where M = {0},
+        with no SVD, and otherwise the complement of M within the identity."""
+        n, b, r = self._m_blocks.shape
+        eye = np.broadcast_to(np.eye(b, dtype=np.complex128), (n, b, b))
+        return _freeze(_complement_within_blocks(eye, self._m_blocks)) if r else eye
+
+    @cached_property
+    def _inner_blocks(self) -> tuple:
+        """Each M_k ∩ M^perp as an (n, b, w_k) stack, in factor order."""
+        return tuple(_freeze(_complement_within_blocks(x, self._m_blocks)) for x in self._spans)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One full sweep: P_N ... P_1 x, factor by factor."""

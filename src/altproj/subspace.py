@@ -10,8 +10,8 @@ to the largest one where the scale of the input is unknown; all
 constructed objects are immutable.  The complements that the angle
 quantities need are computed on (n, b, .) stacks of diagonal blocks, a
 Subspace being one block: M_k ∩ M^perp from M_k's span, and M^perp from
-the identity's.  Every part of a stack off a span is taken by one
-expression, ``_residual``.
+the identity's where M != {0}.  Every part of a stack off a span is taken
+by one expression, ``_residual``.
 """
 
 from dataclasses import dataclass
@@ -185,8 +185,9 @@ def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
     0 or 1 up to rounding, so a block's rank is the count above 1/2; a
     block where M_k equals M has rank 0.  Each block keeps its rank's
     leading columns and zeros after them, and w is the largest rank.
-    An identity stack as ``span`` gives M^perp; for M = {0} that is the
-    identity itself, since LAPACK's SVD of an identity returns it.
+    An identity stack as ``span`` gives M^perp.  ``CyclicProduct`` takes
+    that route only where M != {0}; for M = {0} it keeps the identity
+    without an SVD, whose LAPACK result would be the identity bit for bit.
     """
     if mb.shape[-1]:
         drift = np.linalg.norm(_residual(span, mb), axis=-2)
