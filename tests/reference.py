@@ -85,14 +85,16 @@ def _orthonormal(x):
 
 
 def minimax_rows(cp) -> tuple:
-    """(ell, iota) of a two-subspace family with M = {0}, the spans' column
+    """(c, ell, iota) of a two-subspace family with M = {0}, the spans' column
     spaces taken as exact and orthonormalized at 50 digits, block by block.
 
-    iota is its definition: the smallest over n and over the blocks of
-    sqrt(lambda_min(Q_n^H (I - Q_k Q_k^H) Q_n)), k the other factor, the
-    one form of the inner dual.  ell is sqrt((1 - c)/2), c the largest
-    singular value of Q_1^H Q_2 over the blocks: weights (1/2, 1/2) give
-    the lower bound sqrt(lambda_min(I - (P_1 + P_2)/2)) = sqrt((1 - c)/2),
+    c is the Friedrichs number: at N = 2 with M = {0}, the cosine of the
+    smallest principal angle, the largest singular value of Q_1^H Q_2 over
+    the blocks.  iota is its definition: the smallest over n and over the
+    blocks of sqrt(lambda_min(Q_n^H (I - Q_k Q_k^H) Q_n)), k the other
+    factor, the one form of the inner dual.  ell is sqrt((1 - c)/2):
+    weights (1/2, 1/2) give the lower bound
+    sqrt(lambda_min(I - (P_1 + P_2)/2)) = sqrt((1 - c)/2),
     and the bisector of the principal vectors u_1, u_2 with <u_1, u_2> = c
     attains it, since P_1 u_2 = c u_1 puts it at that distance from both.
     """
@@ -109,4 +111,4 @@ def minimax_rows(cp) -> tuple:
             for n in (0, 1):
                 form = q[n].H * (mpmath.eye(q[n].rows) - q[1 - n] * q[1 - n].H) * q[n]
                 iota = min(iota, mpmath.sqrt(min(mpmath.mp.eighe(form, eigvals_only=True))))
-        return mpmath.sqrt((1 - c) / 2), iota
+        return c, mpmath.sqrt((1 - c) / 2), iota

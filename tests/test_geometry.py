@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altproj import acceptance, geometry
+from altproj import acceptance, geometry, iteration
 from altproj.cli import _load_instance_text
 from altproj.linalg import eigh_sym, orthonormal_columns
 from altproj import (
@@ -113,6 +113,39 @@ def test_the_raw_constructor_finds_the_intersection_itself():
     assert raw.m.dim == 1
     assert friedrichs_number(raw) == pytest.approx(np.cos(np.pi / 4), abs=1e-15)
     assert np.allclose(raw.pm_apply(e[0]), e[0], rtol=0.0, atol=1e-15)
+
+
+def _planes():
+    e = np.eye(3)
+    return [orthonormalize([e[0], e[1]]), orthonormalize([e[0], e[1] + e[2]])]
+
+
+@pytest.mark.parametrize("family, perp", [
+    (random_instance(6, (2, 3), 11), 0),  # M = {0}: M^perp is the identity, with no SVD
+    (_planes(), 1),  # two planes of R^3 meeting in a line: M^perp takes one complement
+])
+def test_each_feasible_set_is_formed_once_per_product(family, perp, monkeypatch):
+    calls = []
+
+    def counted(span, mb):
+        calls.append(span.shape)
+        return complement(span, mb)
+
+    complement = iteration._complement_within_blocks
+    monkeypatch.setattr(iteration, "_complement_within_blocks", counted)
+    cp = build_cyclic(family)
+    friedrichs_number(cp)
+    friedrichs_number_sampled(cp, 100, seed=1)
+    ell2_direct(cp)
+    iota2(cp)
+    for kind in ("global", "inner"):
+        minimax_inclination_estimate(cp, kind=kind)
+    geometry_report(cp)
+    assert len(calls) == cp.N + perp
+    geometry_report(cp)  # a second report forms nothing
+    assert len(calls) == cp.N + perp
+    if not perp:
+        assert np.array_equal(cp._perp_blocks, np.eye(6)[None])
 
 
 def test_empty_feasible_sets_keep_their_answers():

@@ -4,8 +4,10 @@
 ``altproj geometry`` on the two-subspace fixtures, as the golden test runs
 them, and each value's relative forward error against ``reference`` (the
 fixture's float64 spans and the grid's float64 lambda taken as exact)
-must stay within the bound derived below.  The l2 inclinations of the
-block model are also checked in process at K = 2000 and 20,000.
+must stay within the bound derived below; the Friedrichs columns (``c``,
+``ell2``, ``theta0``, ``rate_base``) must also tell a ``c`` off by 1e-12
+from the truth.  The l2 inclinations of the block model are also checked
+in process at K = 2000 and 20,000.
 """
 
 import csv
@@ -14,7 +16,7 @@ import io
 import numpy as np
 import pytest
 
-from altproj import block_aligned, ell2_direct, iota2
+from altproj import block_aligned, ell2, ell2_direct, iota2, rate_base, theta0
 from altproj.cli import _load_instance_text
 from altproj.geometry import _CLUSTER
 from reference import minimax_rows, mpmath, power_rows, resolvent_rows
@@ -90,7 +92,7 @@ def _upper_rounding(v, b):
 # lines' iota_lo is float(sqrt(3)/2).
 def _geometry_case(fx, tmp_path):
     """The ``altproj geometry`` row of a fixture as mpmath numbers by column,
-    the fixture's product, and its (ell, iota) at 50 digits."""
+    the fixture's product, and its (c, ell, iota) at 50 digits."""
     code, data = _run(f"geometry-{fx}", str(tmp_path))
     assert code == 0
     header, row = list(csv.reader(io.StringIO(data.decode("utf-8"))))
@@ -100,7 +102,7 @@ def _geometry_case(fx, tmp_path):
 
 @pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
 def test_minimax_columns_bracket_the_50_digit_reference(fx, tmp_path):
-    row, cp, (ell, iota) = _geometry_case(fx, tmp_path)
+    row, cp, (_, ell, iota) = _geometry_case(fx, tmp_path)
     n, b = cp.N, cp._spans[0].shape[1]
     d = cp._spans[0].shape[0] * b
     rank = max(s.shape[-1] for s in cp._spans)
@@ -150,12 +152,59 @@ BLOCK_SIGMA_ROUNDING = 4 * EPS
 
 @pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
 def test_l2_columns_stay_near_the_50_digit_reference(fx, tmp_path):
-    row, cp, (ell, iota) = _geometry_case(fx, tmp_path)
+    row, cp, (_, ell, iota) = _geometry_case(fx, tmp_path)
     # N = 2 and M = {0}: ell2^2 = 1 - c = 2 ell^2, and iota2 is the one-form iota
     b = cp._spans[0].shape[1]
     for column, truth, n in (("ell2_direct", mpmath.sqrt(2) * ell, 2), ("iota2", iota, 1)):
         bound = BLOCK_SIGMA_ROUNDING if b == 2 else _sigma_rounding(float(truth), n, b)
         assert abs(row[column] - truth) / truth <= bound, column
+
+
+# The Friedrichs columns of an N = 2 family with M = {0}.  c is
+# lambda_max(B^H B) - 1 for B = [Q_1, Q_2], each Q_k the SVD's left factor of
+# an orthonormal span of b rows: a basis within about b eps of an exact one,
+# column by column, so with w the width of B and ||B|| <= sqrt(2),
+# lambda_max moves by at most 2 sqrt(2 w) b eps.  Forming B^H B (inner
+# dimension b, entries at most 1) adds w b eps in norm, and eigh about
+# w eps ||B^H B|| <= 2 w eps; lambda_max - 1 is exact (Sterbenz, lambda_max in
+# [1, 2]).  That absolute bound dc carries into the columns built on 1 - c:
+# ell2 = sqrt((N-1)(1-c)) by dc / (2 (1 - c)) relative, plus 2 eps for 1 - c
+# and the root.  The squared rate base s^2 = 1 - q, q = 3 (N-1)(1-c) / N^3,
+# moves by 3 (N-1) dc / N^3 plus eps for its two roundings, so the rate base
+# s by that over 2 s plus s eps / 2 for its root, and theta0 = asin(s) by
+# that over cos(theta0) = sqrt(q), plus eps theta0 for the arcsine.  At
+# blocks200, 1 - c = 1.25e-5, so ell2's bound is about 6.4e5 eps and
+# theta0's 1.2e3 eps: the Gram route's cancellation, which item 2 of the
+# roadmap removes.  Measured: c within 0.6 eps absolute, ell2 within 455 eps,
+# theta0 within 24 eps and rate_base within 0.3 eps relative, all at
+# blocks200 or rand6.
+def _c_rounding(b, w):
+    return (2 * np.sqrt(2 * w) * b + w * b + 2 * w) * EPS
+
+
+@pytest.mark.parametrize("fx", ["lines", "rand6", "blocks", "blocks200"])
+def test_friedrichs_columns_stay_near_the_50_digit_reference(fx, tmp_path):
+    row, cp, (c, _, _) = _geometry_case(fx, tmp_path)
+    n, b = cp.N, cp._spans[0].shape[1]
+    dc = _c_rounding(b, sum(s.shape[-1] for s in cp._spans))
+    with mpmath.workdps(50):
+        q = 3 * (n - 1) * (1 - c) / n**3
+        s = mpmath.sqrt(1 - q)
+        theta = mpmath.asin(s)
+        ds = (3 * (n - 1) * dc / n**3 + EPS) / (2 * s) + s * EPS / 2
+        columns = {  # column: (truth, relative bound, the column computed from a float c)
+            "c": (c, dc / c, float),
+            "ell2": (mpmath.sqrt((n - 1) * (1 - c)), dc / (2 * (1 - c)) + 2 * EPS,
+                     lambda v: ell2(v, n)),
+            "theta0": (theta, (ds / mpmath.sqrt(q) + EPS * theta) / theta,
+                       lambda v: theta0(v, n)),
+            "rate_base": (s, ds / s, lambda v: rate_base(v, n)),
+        }
+        for column, (truth, bound, of_c) in columns.items():
+            assert abs(row[column] - truth) / truth <= bound, column
+            # a c off by 1e-12 either way fails the gate
+            for planted in (float(row["c"]) - 1e-12, float(row["c"]) + 1e-12):
+                assert abs(of_c(planted) - truth) / truth > bound, (column, planted)
 
 
 @pytest.mark.parametrize("k_blocks", [2000, 20000])
