@@ -101,37 +101,36 @@ def test_every_angle_quantity_takes_a_product_of_two_or_more_factors(entry, case
         entry(make())
 
 
-def test_the_raw_constructor_finds_the_intersection_itself():
-    # two planes of R^3 meeting in the first axis at pi/4: a product rebuilt
-    # from the spans alone finds that line, so c is the angle's cosine, not
-    # 1, and P_M fixes the line
+def _planes():
+    """Two planes of R^3 meeting in the first axis at pi/4."""
     e = np.eye(3)
-    planes = [orthonormalize([e[0], e[1]]),
-              orthonormalize([e[0], np.cos(np.pi / 4) * e[1] + np.sin(np.pi / 4) * e[2]])]
-    cp = build_cyclic(planes)
+    return [orthonormalize([e[0], e[1]]),
+            orthonormalize([e[0], np.cos(np.pi / 4) * e[1] + np.sin(np.pi / 4) * e[2]])]
+
+
+def test_the_raw_constructor_finds_the_intersection_itself():
+    # a product rebuilt from the spans alone finds the planes' common line,
+    # so c is the angle's cosine, not 1, and P_M fixes the line
+    e = np.eye(3)
+    cp = build_cyclic(_planes())
     raw = CyclicProduct(cp._spans)
     assert raw.m.dim == 1
     assert friedrichs_number(raw) == pytest.approx(np.cos(np.pi / 4), abs=1e-15)
     assert np.allclose(raw.pm_apply(e[0]), e[0], rtol=0.0, atol=1e-15)
 
 
-def _planes():
-    e = np.eye(3)
-    return [orthonormalize([e[0], e[1]]), orthonormalize([e[0], e[1] + e[2]])]
-
-
 @pytest.mark.parametrize("family, perp", [
     (random_instance(6, (2, 3), 11), 0),  # M = {0}: M^perp is the identity, with no SVD
-    (_planes(), 1),  # two planes of R^3 meeting in a line: M^perp takes one complement
+    (_planes(), 1),  # M is a line: M^perp takes one complement
 ])
 def test_each_feasible_set_is_formed_once_per_product(family, perp, monkeypatch):
-    calls = []
+    # counted through the name the product calls
+    complement, calls = iteration._complement_within_blocks, []
 
     def counted(span, mb):
         calls.append(span.shape)
         return complement(span, mb)
 
-    complement = iteration._complement_within_blocks
     monkeypatch.setattr(iteration, "_complement_within_blocks", counted)
     cp = build_cyclic(family)
     friedrichs_number(cp)

@@ -174,10 +174,10 @@ def test_l2_columns_stay_near_the_50_digit_reference(fx, tmp_path):
 # s by that over 2 s plus s eps / 2 for its root, and theta0 = asin(s) by
 # that over cos(theta0) = sqrt(q), plus eps theta0 for the arcsine.  At
 # blocks200, 1 - c = 1.25e-5, so ell2's bound is about 6.4e5 eps and
-# theta0's 1.2e3 eps: the Gram route's cancellation, which item 2 of the
-# roadmap removes.  Measured: c within 0.6 eps absolute, ell2 within 455 eps,
-# theta0 within 24 eps and rate_base within 0.3 eps relative, all at
-# blocks200 or rand6.
+# theta0's 1.2e3 eps: the Gram route's cancellation, which only 1 - c taken
+# from sines rather than from lambda_max - 1 would remove.  Measured: c
+# within 0.6 eps absolute (rand6), ell2 within 455 eps and theta0 within
+# 24 eps (blocks200), and rate_base within 0.3 eps relative (lines).
 def _c_rounding(b, w):
     return (2 * np.sqrt(2 * w) * b + w * b + 2 * w) * EPS
 
