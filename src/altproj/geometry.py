@@ -22,7 +22,8 @@ inclinations come from the eigenvalue dual max over the simplex of
 lambda_min(sum_k lam_k A_k) (Overton 1992): any weights give a lower
 bound and any explicit x an upper one.  The inner dual on M_n ∩ M^perp
 takes only the forms of k != n, since A_n vanishes there; at N = 2 that
-is one form, whose one-point simplex needs no Newton step.  With at most
+is one form, which needs no dual: a bottom eigenvector of its bottom
+block attains both bounds.  With at most
 three active subspaces the two bounds meet, so for iota whenever N <= 4;
 with four or more the dual can have a gap, and the pair then reports it.
 
@@ -256,20 +257,8 @@ def _dual_path(forms: list):
     Returns lam and X = S^{-1}/tr S^{-1} (trace one, tr(A_k X) near the
     optimum) as one (count, r, r) stack per group, formed once from the
     last step taken at a weight of at least ``_PRIMAL_WEIGHT``.
-
-    One form has the one-point simplex lam = [1]; X is then the projector on
-    a bottom eigenvector of A_1, the smallest over all blocks, and no
-    Newton step is taken.
     """
     n = forms[0].shape[0]
-    if n == 1:
-        eig = [eigh_sym(f[0]) for f in forms]
-        g = min(range(len(eig)), key=lambda i: eig[i][0][..., 0].min())
-        j = int(np.argmin(eig[g][0][..., 0]))
-        x_mat = [np.zeros(f.shape[1:], dtype=np.complex128) for f in forms]
-        v = eig[g][1][j][:, :1]
-        x_mat[g][j] = v @ v.conj().T
-        return np.ones(1), x_mat
     q = sum(f.shape[1] * f.shape[2] for f in forms)
     flat = [f.reshape(n, -1) for f in forms]
     eyes = [np.eye(f.shape[-1]) for f in forms]
@@ -362,17 +351,27 @@ def _minimax_bounds(spans, groups: list) -> tuple:
     ``_rank_groups``).  With A_k = B^H (I - P_k) B, any simplex weights
     give the lower bound sqrt(lambda_min(sum_k lam_k A_k)) (weak duality),
     the smallest over the blocks; the upper bound is the ratio at an
-    explicit x from the final bottom eigenspace, whose vectors each lie
-    in one block.
+    explicit x, each of whose vectors lies in one block.  One form has the
+    one-point simplex lam = [1] and needs no dual: a bottom eigenvector of
+    A_1 in its bottom block attains lambda_min, and is x.  More forms take
+    x from the final bottom eigenspace.
     """
     forms = []
     for idx, f in groups:
         # A_k as R^H R with R = (I - P_k) B: small distances keep their accuracy
         rs = [_residual(x[idx], f) for x in spans]
         forms.append(sym(np.stack([r.conj().swapaxes(-1, -2) @ r for r in rs])))
-    lam, x_mat = _dual_path(forms)
+    lam, x_mat = _dual_path(forms) if len(spans) > 1 else (np.ones(1), None)
     eig = [eigh_sym(np.tensordot(lam, f, 1)) for f in forms]
     low = min(w[..., 0].min() for w, _ in eig)
+    if x_mat is None:
+        g = min(range(len(eig)), key=lambda i: eig[i][0][..., 0].min())
+        j = int(np.argmin(eig[g][0][..., 0]))
+        idx, f = groups[g]
+        x = np.zeros(spans[0].shape[:2], dtype=np.complex128)
+        x[idx[j]] = f[j] @ eig[g][1][j][:, 0]
+        upper = _distance(x, spans[0]) / float(np.linalg.norm(x))
+        return min(float(np.sqrt(max(low, 0.0))), upper), upper
     pieces = []  # (group, block, its bottom eigenvectors)
     for g, (w, v) in enumerate(eig):
         bottom = w - low <= _CLUSTER

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import CapacityError, NumericalContractError
 from .linalg import _blocks_chunk, _finite, _powers, diagonalize, spectral_norm
 from .subspace import (Subspace, _basis_stacks, _complement_within_blocks, _dense_columns,
-                       _freeze, _frozen_copy, _projector, _top_eigenspace)
+                       _freeze, _frozen_copy, _onto, _projector, _top_eigenspace)
 
 __all__ = [
     "CyclicProduct",
@@ -67,17 +67,18 @@ class CyclicProduct:
     entry in a span or in its X X^H, and an X X^H that is not idempotent
     to 1e-12, and finds M itself, by the cut of ``intersection`` on the
     blocks: M is stored once, as the (n, b, r) stack of the kept
-    eigenvectors, zero where a block keeps none (r = 0 when M = {0}).  It
-    then checks, block by block, that T is a contraction, that
-    T P_M = P_M T = P_M, and that M is fixed pointwise.  The angle
-    quantities of ``geometry`` read the spans and the feasible sets, and
-    the power profile of ``spectral`` the first and last spans.
+    eigenvectors, zero where a block keeps none (r = 0 when M = {0}), and
+    no stack of P_M is kept.  It then checks, block by block, that T is a
+    contraction, that T P_M = P_M T = P_M, and that M is fixed pointwise.
+    The angle quantities of ``geometry`` read the spans and the feasible
+    sets, and the power profile of ``spectral`` the first and last spans.
     ``factors`` (the P_k), ``matrix`` (T) and ``m`` (M as a ``Subspace``)
     are read-only and built on first access; a single block is returned
-    as is.  ``apply`` and ``pm_apply`` run one ``einsum`` per factor over
-    2x2 blocks, O(d) per column, which agrees with the dense ``p @ x`` to
-    rounding and, on the block model, bit for bit (a stacked ``matmul``
-    does not); a single block keeps ``p @ x``.  The kernels read T's
+    as is.  ``apply`` runs one ``einsum`` per factor over 2x2 blocks, O(d)
+    per column, which agrees with the dense ``p @ x`` to rounding and, on
+    the block model, bit for bit (a stacked ``matmul`` does not); a single
+    block keeps ``p @ x``.  ``pm_apply`` takes M (M^H x) block by block
+    from M's basis, O(d r) per column.  The kernels read T's
     blocks, whose eigendecomposition is computed on first use and kept.
     So are the feasible sets of the angle quantities, M^perp
     (``_perp_blocks``, the identity where M = {0}) and each M_k ∩ M^perp
@@ -101,10 +102,9 @@ class CyclicProduct:
         for b in blocks[1:]:
             t = b @ t
         basis = _top_eigenspace(blocks)
-        pm = basis @ basis.conj().swapaxes(-1, -2)
-        _check_product(t, pm, basis)
-        vars(self).update(_blocks=blocks, _t_blocks=_freeze(t), _pm_blocks=_freeze(pm),
-                          _m_blocks=_freeze(basis), _spans=spans)
+        _check_product(t, basis)
+        vars(self).update(_blocks=blocks, _t_blocks=_freeze(t), _m_blocks=_freeze(basis),
+                          _spans=spans)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicProduct is immutable")
@@ -192,10 +192,10 @@ class CyclicProduct:
             yield x
 
     def pm_apply(self, x: np.ndarray) -> np.ndarray:
-        """P_M x, block by block: complex zeros when M = {0}."""
-        if not self._m_blocks.size:
-            return np.zeros(np.shape(x), dtype=np.complex128)
-        return _block_apply(self._pm_blocks, x)
+        """P_M x = M (M^H x), block by block from M's basis: complex zeros of
+        ``x``'s shape when M = {0}."""
+        x, m = np.asarray(x), self._m_blocks
+        return _onto(m, x.reshape(m.shape[:2] + (-1,))).reshape(x.shape)
 
 
 def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -215,14 +215,15 @@ def _require_product(cp) -> None:
                         "for a family of subspaces pass build_cyclic(subspaces)")
 
 
-def _check_product(t, p, basis):
-    """Contraction, commutation and fixed-M checks on (n, b, b) stacks of T
-    and P_M and an (n, b, r) stack of M's basis."""
+def _check_product(t, basis):
+    """Contraction, commutation and fixed-M checks on an (n, b, b) stack of T
+    and an (n, b, r) stack of M's basis, whose P_M = M M^H is formed here."""
     if spectral_norm(t) > 1.0 + 1e-10:
         raise NumericalContractError("product of projections is not a contraction")
+    p = basis @ basis.conj().swapaxes(-1, -2)
     if max(_inf_norm(t @ p - p), _inf_norm(p @ t - p)) > 1e-10:
         raise NumericalContractError("T does not commute with the limit projector")
-    if basis.size and np.linalg.norm(t @ basis - basis, axis=-2).max() > 1e-9:
+    if np.linalg.norm(t @ basis - basis, axis=-2).max(initial=0.0) > 1e-9:
         raise NumericalContractError("intersection is not fixed by T")
 
 
@@ -426,7 +427,7 @@ def operator_error_norm(cp: CyclicProduct, n: int) -> float:
     power = np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape)
     for _ in range(n):
         power = t @ power
-    return spectral_norm(power - cp._pm_blocks)
+    return spectral_norm(power - cp._m_blocks @ cp._m_blocks.conj().swapaxes(-1, -2))
 
 
 def sweep_diagnostic(cp: CyclicProduct, x: np.ndarray) -> np.ndarray:

@@ -121,11 +121,8 @@ def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     all-zero (or empty) input yields a ``(d, 0)`` array.
     """
     a = as_complex_matrix(a)
-    d = a.shape[0]
-    if a.shape[1] == 0:
-        return np.zeros((d, 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((d, 0), dtype=np.complex128)
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
     rank = int(np.count_nonzero(s > 1e-10 * s[0]))
     return u[:, :rank]

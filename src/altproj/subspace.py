@@ -10,8 +10,10 @@ to the largest one where the scale of the input is unknown; all
 constructed objects are immutable.  The complements that the angle
 quantities need are computed on (n, b, .) stacks of diagonal blocks, a
 Subspace being one block: M_k ∩ M^perp from M_k's span, and M^perp from
-the identity's where M != {0}.  Every part of a stack off a span is taken
-by one expression, ``_residual``.
+the identity's where M != {0}.  Every projection onto a span is taken by
+one expression, ``_onto``, and every part of a stack off a span by
+``_residual``, its difference; an empty span takes the same expressions,
+whose products NumPy returns as zeros of the right shape.
 """
 
 from dataclasses import dataclass
@@ -83,9 +85,7 @@ class Subspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``x`` (vector or stacked columns)."""
-        if self.dim == 0:
-            return np.zeros_like(np.asarray(x, dtype=np.complex128))
-        return self.basis @ (self.basis.conj().T @ np.asarray(x, dtype=np.complex128))
+        return _onto(self.basis, np.asarray(x, dtype=np.complex128))
 
 
 def orthonormalize(vectors) -> Subspace:
@@ -117,7 +117,7 @@ def _top_eigenspace(projectors):
     cols = keep.any(axis=0)
     kept = np.where(keep[:, None, cols], v[..., cols], 0.0)
     for p in projectors:  # p @ kept is O(b^2 r) per block, not O(b^3)
-        if kept.size and np.linalg.norm(p @ kept - kept, axis=-2).max() > np.sqrt(_EIG_TOL):
+        if np.linalg.norm(p @ kept - kept, axis=-2).max(initial=0.0) > np.sqrt(_EIG_TOL):
             raise NumericalContractError(
                 "ill-conditioned intersection; a projector moves an accepted vector"
             )
@@ -169,10 +169,16 @@ def intersection(subspaces) -> Subspace:
     return Subspace(_dense_columns(_top_eigenspace(blocks)))
 
 
+def _onto(span: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X (X^H v) on (..., b, .) stacks: the projection of ``v`` onto the span of
+    X, block by block; zeros of ``v``'s shape when X has no columns."""
+    return span @ (span.conj().swapaxes(-1, -2) @ v)
+
+
 def _residual(span: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v - X (X^H v) on (n, b, .) stacks: the part of ``v`` off the span of X,
     block by block."""
-    return v - span @ (span.conj().swapaxes(-1, -2) @ v)
+    return v - _onto(span, v)
 
 
 def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
@@ -189,14 +195,9 @@ def _complement_within_blocks(span: np.ndarray, mb: np.ndarray) -> np.ndarray:
     that route only where M != {0}; for M = {0} it keeps the identity
     without an SVD, whose LAPACK result would be the identity bit for bit.
     """
-    if mb.shape[-1]:
-        drift = np.linalg.norm(_residual(span, mb), axis=-2)
-        if drift.max() > 1e-10:
-            raise ValueError("second argument is not contained in the first")
-    reduced = _residual(mb, span)
-    if 0 in reduced.shape[1:]:
-        return np.zeros(reduced.shape[:2] + (0,), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
+    if np.linalg.norm(_residual(span, mb), axis=-2).max(initial=0.0) > 1e-10:
+        raise ValueError("second argument is not contained in the first")
+    u, s, _ = np.linalg.svd(_residual(mb, span), full_matrices=False)
     rank = np.count_nonzero(s > 0.5, axis=-1)
     width = int(rank.max())
     return np.where(np.arange(width) < rank[:, None, None], u[..., :width], 0.0)

@@ -4,7 +4,9 @@ Each function takes a product's float64 spans as exact, forms its blocks
 at 50 significant digits (T_k = P_N ... P_1 with P = X X^H for the ``ritt``
 rows, orthonormal bases of the spans for the minimax columns), and
 recomputes what a golden column reports, so that a test can gate the
-float64 values by their forward error against the truth.  ``mpmath`` is a
+float64 values by their forward error against the truth.  The two-subspace
+references (``minimax_rows``, ``numrange_rows``) read the principal angles
+of the orthonormalized spans instead of forming T.  ``mpmath`` is a
 test extra; importing this module skips the tests that use it when it is
 missing.
 """
@@ -112,3 +114,46 @@ def minimax_rows(cp) -> tuple:
                 form = q[n].H * (mpmath.eye(q[n].rows) - q[1 - n] * q[1 - n].H) * q[n]
                 iota = min(iota, mpmath.sqrt(min(mpmath.mp.eighe(form, eigvals_only=True))))
         return c, mpmath.sqrt((1 - c) / 2), iota
+
+
+def numrange_rows(cp, phis) -> list:
+    """(h, z, gap) at each support angle phi of a two-subspace family with
+    M = {0}, the spans' column spaces taken as exact and orthonormalized at
+    50 digits, block by block, and each phi taken as exact.
+
+    The cosines c of the principal angles are the singular values of
+    Q_1^H Q_2.  Each splits off a 2 x 2 block [[c^2, 0], [c s, 0]] of T
+    (s = sqrt(1 - c^2)), and T is zero beside them, so W(T) is the convex
+    hull of the blocks' ranges: ellipses with foci 0 and c^2, centre c^2/2,
+    semi-axes c/2 and c s/2.  With rho = sqrt(cos^2 phi + s^2 sin^2 phi), an
+    ellipse's support value at phi is (c^2/2) cos phi + (c/2) rho, attained
+    at c^2/2 + (c/2)(cos phi + i s^2 sin phi)/rho, and its block of the
+    Hermitian part of e^{-i phi} T has the eigenvalues
+    (c^2/2) cos phi +- (c/2) rho.  h is the largest support value over the
+    ellipses, z its point, and gap the distance from h to the next of those
+    eigenvalues over every ellipse.
+    """
+    if cp.N != 2 or np.any(cp._m_blocks != 0):
+        raise ValueError("the reference takes two subspaces with M = {0}")
+    if any(s.imag.any() for s in cp._spans):
+        raise ValueError("the reference takes real spans")
+    with mpmath.workdps(DIGITS):
+        squares = []  # c^2 of every principal angle, over the blocks
+        for k in range(cp._spans[0].shape[0]):
+            q = [_orthonormal(mpmath.matrix(s[k].real.tolist())) for s in cp._spans]
+            g = q[0].H * q[1]
+            w = mpmath.mp.eighe(g * g.H if g.rows <= g.cols else g.H * g, eigvals_only=True)
+            squares += [w[i] for i in range(w.rows)]
+        rows = []
+        for phi in phis:
+            cos, sin = mpmath.cos(phi), mpmath.sin(phi)
+            best, values = None, []
+            for a in squares:
+                c, rho = mpmath.sqrt(a), mpmath.sqrt(cos**2 + (1 - a) * sin**2)
+                h = a / 2 * cos + c / 2 * rho
+                values += [h, a / 2 * cos - c / 2 * rho]
+                if best is None or h > best[0]:
+                    best = h, a / 2 + c / 2 * mpmath.mpc(cos, (1 - a) * sin) / rho
+            values.sort(reverse=True)
+            rows.append((best[0], best[1], values[0] - values[1]))
+        return rows

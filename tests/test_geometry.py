@@ -425,12 +425,6 @@ def test_a_one_form_dual_takes_no_newton_step(monkeypatch):
     assert not calls
     minimax_inclination_estimate(cp, kind="global")  # two forms: the barrier path
     assert calls
-    # lam = [1] and X the projector on the bottom eigenvector over all groups
-    forms = [np.array([[[[2.0, 0.0], [0.0, 3.0]]]]), np.array([[[[5.0]], [[1.5]]]])]
-    lam, x_mat = geometry._dual_path(forms)
-    assert lam.tolist() == [1.0]
-    assert np.array_equal(x_mat[0], np.zeros((1, 2, 2)))
-    assert np.array_equal(x_mat[1], np.array([[[0.0]], [[1.0]]]))
 
 
 def test_inner_estimate_of_the_block_model_at_two_thousand_blocks():
@@ -446,6 +440,22 @@ def test_inner_estimate_of_the_block_model_at_two_thousand_blocks():
     exact = math.sin(1.0 / 2000)
     assert abs(lo - exact) <= 4 * np.spacing(exact) and abs(hi - exact) <= 4 * np.spacing(exact)
     assert peak < 32 * 2**20
+
+
+def test_inner_estimate_of_crowded_small_angles_at_two_hundred_thousand_blocks():
+    # 1/sqrt(k) angles crowd together: thousands of blocks lie within 1e-7 of
+    # the bottom eigenvalue, and the one-form answer reads its bottom block
+    # alone, where a Gram matrix over that cluster took about 240 MB
+    cp = block_aligned(2 * 10**5, "1/sqrt(k)").cyclic()
+    tracemalloc.start()
+    try:
+        lo, hi = minimax_inclination_estimate(cp, kind="inner")  # forms the feasible sets too
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = math.sin(1.0 / math.sqrt(2 * 10**5))
+    assert abs(lo - exact) <= 4 * np.spacing(exact) and abs(hi - exact) <= 4 * np.spacing(exact)
+    assert peak < 128 * 2**20
 
 
 def test_sandwich_check_holds_on_empty_feasible_sets():

@@ -1,12 +1,13 @@
-"""The ``ritt`` and ``geometry`` goldens against a 50-digit reference.
+"""The ``ritt``, ``geometry`` and ``numrange`` goldens against a 50-digit reference.
 
-``altproj ritt`` runs on the lines, rand6 and blocks fixtures, and
-``altproj geometry`` on the two-subspace fixtures, as the golden test runs
-them, and each value's relative forward error against ``reference`` (the
-fixture's float64 spans and the grid's float64 lambda taken as exact)
-must stay within the bound derived below; the Friedrichs columns (``c``,
-``ell2``, ``theta0``, ``rate_base``) must also tell a ``c`` off by 1e-12
-from the truth.  The l2 inclinations of the block model are also checked
+``altproj ritt`` and ``altproj numrange`` run on the lines, rand6 and
+blocks fixtures, and ``altproj geometry`` on the two-subspace fixtures, as
+the golden test runs them, and each value's forward error against
+``reference`` (the fixture's float64 spans and the grid's float64 lambda
+and phi taken as exact) must stay within the bound derived below; the
+Friedrichs columns (``c``, ``ell2``, ``theta0``, ``rate_base``) must also
+tell a ``c`` off by 1e-12 from the truth, and the ``numrange`` columns a
+column off by 1e-12.  The l2 inclinations of the block model are also checked
 in process at K = 2000 and 20,000.
 """
 
@@ -19,7 +20,7 @@ import pytest
 from altproj import block_aligned, ell2, ell2_direct, iota2, rate_base, theta0
 from altproj.cli import _load_instance_text
 from altproj.geometry import _CLUSTER
-from reference import minimax_rows, mpmath, power_rows, resolvent_rows
+from reference import minimax_rows, mpmath, numrange_rows, power_rows, resolvent_rows
 from test_golden import FIXTURES, _run
 
 EPS = np.finfo(float).eps
@@ -205,6 +206,53 @@ def test_friedrichs_columns_stay_near_the_50_digit_reference(fx, tmp_path):
             # a c off by 1e-12 either way fails the gate
             for planted in (float(row["c"]) - 1e-12, float(row["c"]) + 1e-12):
                 assert abs(of_c(planted) - truth) / truth > bound, (column, planted)
+
+
+# The numrange columns at a support angle phi.  numrange_boundary takes h as
+# the top eigenvalue of H = sym(e^{-i phi} T) over T's blocks (over the 4 x 4
+# core C = Q^H T Q for rand6) and z = <T x, x> at its eigenvector x.  Each
+# rounding before x is a perturbation of T in norm: T (or C) carries about
+# (N + 4) b eps, as for the resolvent rows, with b the block size of the
+# spans; the multiplier e^{-i phi} and the product with it add 4 eps; a
+# mirrored row of a real T is factored at an angle within 4 eps of its phi;
+# and eigh is backward stable to about b eps ||H|| <= b eps.  So x is the
+# exact top eigenvector of sym(e^{-i phi} T') for some ||T' - T|| <= E =
+# ((N + 5) b + 8) eps, and h is within E of the truth (Weyl).  By
+# Davis-Kahan, x is within sqrt(2) E / (gap - E) of the true eigenvector
+# x_0 (up to phase), gap the reference's distance from h to the next
+# eigenvalue of H, so <T x, x> is within 2 sqrt(2) E / (gap - E) of z_0;
+# T' - T and forming <T x, x> add E and (b + 2) eps <= E: so
+# |z - z_0| <= 2 E + 3 E / (gap - E), on re_z and im_z alike.  The gap falls
+# to 8.4e-5 on blocks, where two ellipses nearly share a support line, and
+# to 3.4e-3 on rand6; z's bound is below 1e-12 on all 64 lines rows, 35
+# rand6 rows and 37 blocks rows.  Measured: h within 1.6 eps, and re_z and
+# im_z within 2.5 eps (rand6 and blocks), against E = 22 eps (lines,
+# blocks) and 50 eps (rand6).
+@pytest.mark.parametrize("fx", ["lines", "rand6", "blocks"])
+def test_numrange_columns_stay_near_the_50_digit_reference(fx, tmp_path):
+    code, data = _run(f"numrange-{fx}", str(tmp_path))
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    assert header[:4] == ["phi", "h", "re_z", "im_z"] and len(rows) == 64
+    cp = _load_instance_text(FIXTURES[fx]).cyclic()
+    e = ((cp.N + 5) * cp._spans[0].shape[1] + 8) * EPS
+    truth = {"h": [], "re_z": [], "im_z": []}
+    bound = {"h": [], "re_z": [], "im_z": []}
+    for h, z, gap in numrange_rows(cp, [float(r[0]) for r in rows]):
+        point = 2 * e + 3 * e / (gap - e) if gap > e else mpmath.inf
+        for column, value, b in (("h", h, e), ("re_z", z.real, point), ("im_z", z.imag, point)):
+            truth[column].append(value)
+            bound[column].append(b)
+    for j, column in enumerate(header[1:4], start=1):
+        values = [float(r[j]) for r in rows]
+
+        def within(shift):
+            return all(abs(mpmath.mpf(v + shift) - t) <= b
+                       for v, t, b in zip(values, truth[column], bound[column]))
+
+        assert within(0.0), column
+        # the column off by 1e-12 either way fails the gate
+        assert not within(-1e-12) and not within(1e-12), column
 
 
 @pytest.mark.parametrize("k_blocks", [2000, 20000])

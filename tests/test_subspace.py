@@ -52,6 +52,11 @@ def test_zero_and_full_subspaces():
     x = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(z.project(x), np.zeros(3))
     assert np.allclose(f.project(x), x, atol=1e-15)
+    # the empty basis takes the general expressions: zeros of the right shape
+    cols = z.project(np.ones((3, 2)))
+    assert cols.shape == (3, 2) and cols.dtype == np.complex128 and not cols.any()
+    assert complement_within(z, z).dim == 0 and complement_within(f, z).dim == 3
+    assert orthonormal_columns(np.zeros((3, 0))).shape == (3, 0)
 
 
 def test_subspace_rejects_non_orthonormal_basis():
