@@ -23,9 +23,9 @@ lambda_min(sum_k lam_k A_k) (Overton 1992): any weights give a lower
 bound and any explicit x an upper one.  The inner dual on M_n ∩ M^perp
 takes only the forms of k != n, since A_n vanishes there; at N = 2 that
 is one form, which needs no dual: a bottom eigenvector of its bottom
-block attains both bounds.  With at most
-three active subspaces the two bounds meet, so for iota whenever N <= 4;
-with four or more the dual can have a gap, and the pair then reports it.
+block attains both bounds.  With at most three active subspaces the two
+bounds meet, so for iota whenever N <= 4; with four or more the dual can
+have a gap, and the pair then reports it.
 
 Every quantity takes the ``CyclicProduct`` of the family and reads it
 through ``_feasible``: the feasible sets M^perp and M_k ∩ M^perp, which
